@@ -61,41 +61,42 @@ class ControlFlowGraph:
         return self._block_of_stmt[stmt.index]
 
     # -- statement-level adjacency ---------------------------------------------
+    # Adjacency values are tuples of ints, which the cyclic collector stops
+    # tracking after its first pass: a CFG has two per statement, and
+    # tracked lists would be promoted into the old generation and trigger
+    # full collections of the whole heap.
     @cached_property
-    def stmt_succ(self) -> dict[int, list[int]]:
+    def stmt_succ(self) -> dict[int, tuple[int, ...]]:
         """Successor statement indices for every statement index."""
-        out: dict[int, list[int]] = {}
+        out: dict[int, tuple[int, ...]] = {}
         for block in self.blocks:
             for si, stmt in enumerate(block.statements):
                 if si + 1 < len(block.statements):
-                    out[stmt.index] = [block.statements[si + 1].index]
+                    out[stmt.index] = (block.statements[si + 1].index,)
                 else:
-                    out[stmt.index] = [self.blocks[b].start for b in self.succ[block.bid]]
+                    out[stmt.index] = tuple(
+                        self.blocks[b].start for b in self.succ[block.bid]
+                    )
         return out
 
     @cached_property
-    def stmt_pred(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {s: [] for s in self.stmt_succ}
+    def stmt_pred(self) -> dict[int, tuple[int, ...]]:
+        preds: dict[int, list[int]] = {s: [] for s in self.stmt_succ}
         for src, dests in self.stmt_succ.items():
             for d in dests:
-                out[d].append(src)
-        return out
+                preds[d].append(src)
+        return {s: tuple(p) for s, p in preds.items()}
 
     def __repr__(self) -> str:
         return f"CFG({self.method.method_id}, {len(self.blocks)} blocks)"
 
 
-_CFG_CACHE: dict[int, ControlFlowGraph] = {}
-
-
 def cfg_of(method: Method) -> ControlFlowGraph:
-    """Memoised CFG construction (bodies are immutable once sealed)."""
-    key = id(method)
-    cached = _CFG_CACHE.get(key)
-    if cached is None or cached.method is not method:
-        cached = ControlFlowGraph(method)
-        _CFG_CACHE[key] = cached
-    return cached
+    """Build the CFG of ``method``.  Not memoized: a process-wide memo keyed
+    by ``id(method)`` would pin every analyzed body for the life of the
+    process.  :class:`~repro.perf.index.ProgramIndex` is the per-analysis
+    memo."""
+    return ControlFlowGraph(method)
 
 
 __all__ = ["ControlFlowGraph", "cfg_of"]

@@ -15,11 +15,15 @@ class ICFG:
     def __init__(self, program: Program, callgraph: CallGraph | None = None) -> None:
         self.program = program
         self.callgraph = callgraph if callgraph is not None else build_callgraph(program)
+        self._cfgs: dict[str, ControlFlowGraph] = {}
 
     def cfg(self, method: Method | str) -> ControlFlowGraph:
         if isinstance(method, str):
             method = self.program.method_by_id(method)
-        return cfg_of(method)
+        cfg = self._cfgs.get(method.method_id)
+        if cfg is None:
+            cfg = self._cfgs[method.method_id] = cfg_of(method)
+        return cfg
 
     def method_of(self, ref: StmtRef) -> Method:
         return self.program.method_by_id(ref.method_id)

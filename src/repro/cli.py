@@ -177,8 +177,6 @@ def cmd_analyze(args) -> int:
     apk, config, renames = _load_versioned(args.target)
     if args.async_heuristic is not None:
         config.async_heuristic = args.async_heuristic
-    config.workers = args.workers
-    config.executor = args.executor
     config.mode = args.mode
     store = None
     if args.store:
@@ -223,8 +221,8 @@ def cmd_analyze(args) -> int:
             }],
             started_unix=started_unix,
             wall_s=round(wall, 4),
-            executor=config.executor,
-            workers=config.workers,
+            executor="serial",
+            workers=1,
         )
         record.kind = "analyze"
         RunLedger(Path(args.ledger).expanduser()).append(record)
@@ -351,8 +349,6 @@ def cmd_trace(args) -> int:
         from repro.obs.tracer import Tracer
 
         apk, config = _load(args.target)
-        config.workers = args.workers
-        config.executor = args.executor
         tracer = Tracer()
         Extractocol(config, tracer=tracer).analyze(apk)
         root = tracer.root
@@ -412,10 +408,6 @@ def cmd_export(args) -> int:
 def cmd_eval(args) -> int:
     from repro import evalx
 
-    if args.workers != 1:
-        # warm the per-app cache with a parallel sweep across apps; the
-        # renderers below then hit the cache
-        evalx.evaluate_corpus(app_workers=args.workers)
     what = args.what
     if what == "table1":
         print(evalx.render_table1())
@@ -440,8 +432,7 @@ def cmd_eval(args) -> int:
         print(evalx.render_synth_table(args.corpus or "synth:all*35@7"))
     if args.verbose:
         # phase-timing profile of every app the render above evaluated —
-        # served from the evaluation cache (analysis_workers=1, same key
-        # the renderers use), no re-analysis
+        # served from the evaluation cache, no re-analysis
         print()
         print(evalx.render_phase_table())
     return 0
@@ -479,9 +470,7 @@ def cmd_diff(args) -> int:
         old_target, new_target = args.old, args.new
 
     try:
-        diff = diff_targets(
-            old_target, new_target, store=store, workers=args.workers
-        )
+        diff = diff_targets(old_target, new_target, store=store)
     except LookupError as exc:
         raise SystemExit(str(exc))
 
@@ -730,7 +719,6 @@ def cmd_bench_check(args) -> int:
                 Path("BENCH_batch_scale.json"),
                 Path("BENCH_corpus_scale.json"),
                 Path("BENCH_incremental.json"),
-                Path("BENCH_pipeline.json"),
                 Path("BENCH_search.json"),
             )
             if p.exists()
@@ -891,7 +879,7 @@ def main(argv: list[str] | None = None) -> int:
                            choices=["full", "targeted", "incremental"],
                            default="full",
                            help="analysis mode: full = whole-program "
-                                "reference pipeline; targeted = demand-"
+                                "pipeline; targeted = demand-"
                                 "driven slicing seeded by a bytecode "
                                 "search; incremental = replay cached DP "
                                 "slices of unchanged methods from the "
@@ -909,19 +897,6 @@ def main(argv: list[str] | None = None) -> int:
     g_async.add_argument("--no-async-heuristic", dest="async_heuristic",
                          action="store_false",
                          help="disable §3.4's async-event handling")
-    p_analyze.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="slice demarcation points with N workers "
-                                "(1 = serial reference engine, 0 = one per "
-                                "CPU; >=2 enables the memoized parallel "
-                                "engine)")
-    p_analyze.add_argument("--executor",
-                           choices=["auto", "serial", "thread", "process"],
-                           default="auto",
-                           help="executor backing parallel slicing (auto = "
-                                "process where fork is available, else "
-                                "thread; process = persistent worker pool, "
-                                "falls back to threads when no pool can be "
-                                "built)")
     p_analyze.add_argument("--trace", metavar="FILE", default=None,
                            help="write a JSONL pipeline trace to FILE")
     p_analyze.add_argument("--trace-timings", action="store_true",
@@ -977,10 +952,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="write to FILE instead of stdout")
     p_trace.add_argument("--timings", action="store_true",
                          help="include wall-clock seconds in JSONL spans")
-    p_trace.add_argument("--workers", type=int, default=1, metavar="N")
-    p_trace.add_argument("--executor",
-                         choices=["auto", "serial", "thread", "process"],
-                         default="auto")
     p_trace.set_defaults(fn=cmd_trace)
 
     p_explain = sub.add_parser(
@@ -1024,9 +995,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="result store for key resolution and diff "
                              "caching (default: $REPRO_STORE or "
                              "~/.cache/repro/store)")
-    p_diff.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="analysis workers when a target needs a "
-                             "fresh analysis")
     g_fmt = p_diff.add_mutually_exclusive_group()
     g_fmt.add_argument("--json", action="store_true",
                        help="canonical JSON (byte-stable across reruns)")
@@ -1047,9 +1015,6 @@ def main(argv: list[str] | None = None) -> int:
                              "'eval synth' (default synth:all*35@7) and "
                              "'eval drift'; defaults to $REPRO_CORPUS "
                              "when set")
-    p_eval.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="evaluate corpus apps concurrently with N "
-                             "workers before rendering")
     p_eval.add_argument("--verbose", action="store_true",
                         help="append a per-app phase-timing table")
     p_eval.set_defaults(fn=cmd_eval)

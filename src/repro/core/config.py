@@ -4,30 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 #: Fields that select *how* the analysis executes, not *what* it computes.
-#: Reports are identical across these knobs (the parallel engine is
-#: differentially tested against the serial one; provenance recording only
-#: adds side tables to the slices), so the service result store must not
-#: shard its cache on them.
-_EXECUTION_FIELDS = frozenset(
-    {"workers", "executor", "record_provenance", "mode"}
-)
-
-
-def _default_workers() -> int:
-    """Default worker count; ``REPRO_WORKERS`` overrides (the CI proc-smoke
-    job runs the whole pipeline suite under ``REPRO_WORKERS=2``)."""
-    return int(os.environ.get("REPRO_WORKERS", "1"))
-
-
-def _default_executor() -> str:
-    """Default executor knob; ``REPRO_EXECUTOR`` overrides.  ``"auto"``
-    resolves to the process engine where fork is available (see
-    :func:`repro.perf.parallel.default_executor`)."""
-    return os.environ.get("REPRO_EXECUTOR", "auto")
+#: Reports are identical across these knobs (provenance recording only adds
+#: side tables to the slices; the three modes are pinned byte-identical), so
+#: the service result store must not shard its cache on them.
+_EXECUTION_FIELDS = frozenset({"record_provenance", "mode"})
 
 
 @dataclass
@@ -51,31 +34,13 @@ class AnalysisConfig:
     by one event (login response tokens, DB rows) surface in signatures of
     other events.
 
-    ``workers`` — demarcation points sliced concurrently.  ``1`` (default)
-    runs the serial reference engine; ``>= 2`` switches to the memoized
-    parallel engine (a shared :class:`~repro.perf.index.ProgramIndex` plus
-    an executor fan-out); ``0`` auto-sizes to the CPU count.  Reports are
-    identical between the two engines — the serial path is kept as the
-    differential-testing baseline.
-
-    ``executor`` — which engine backs the ``workers >= 2`` fan-out:
-
-    ============ ============================================================
-    ``"auto"``   the default: ``process`` where fork is available, else
-                 ``thread``
-    ``"serial"`` memoized engine, but demarcation points sliced in a plain
-                 loop (isolates the memoization gain from the fan-out gain)
-    ``"thread"`` in-process pool; artifacts shared, fan-out clamped to the
-                 usable core count (GIL-bound)
-    ``"process"`` persistent :class:`~repro.perf.procpool.ProcPool` — fork
-                 workers inherit the ProgramIndex, spawn workers get it
-                 pickled once; slice results travel back per chunk.  Falls
-                 back to threads (with an ``executor_fallbacks`` metric and
-                 a one-time warning) only when no pool can be built
-    ============ ============================================================
-
-    Reports are byte-identical across all four — the executor is an
-    execution knob, excluded from :meth:`cache_key`.
+    There is one analysis engine: every run builds one
+    :class:`~repro.perf.index.ProgramIndex` (CFGs, def-use chains,
+    reachability bitmasks and the heap field index, memoized per analysis)
+    shared by both taint directions, the slicer and the signature
+    interpreter, and slices demarcation points one after another.
+    Parallelism lives a level up, across apps: ``repro batch`` shards a
+    batch over analyzer processes (:mod:`repro.service.shard`).
     """
 
     async_heuristic: bool = True
@@ -87,8 +52,6 @@ class AnalysisConfig:
     #: model intra-app Intent messaging / direct java.net.Socket use.
     model_intents: bool = False
     model_sockets: bool = False
-    workers: int = field(default_factory=_default_workers)
-    executor: str = field(default_factory=_default_executor)
     #: record taint provenance parent links for ``repro explain``; an
     #: execution knob — the report is unchanged, only slice side tables grow
     record_provenance: bool = False
@@ -100,7 +63,7 @@ class AnalysisConfig:
     #: how the engine decides what to analyze (``repro.incr``):
     #:
     #: ============== =====================================================
-    #: ``"full"``      whole-program pipeline (the reference engine)
+    #: ``"full"``      whole-program pipeline
     #: ``"targeted"``  demand-driven: demarcation points found by the cheap
     #:                 seed index, def-use materialized only for the
     #:                 backward-reachable region (SEM006 lints the seed
@@ -122,20 +85,6 @@ class AnalysisConfig:
             return self.max_async_hops_override
         return 1 if self.async_heuristic else 0
 
-    @property
-    def parallel(self) -> bool:
-        """True when the memoized parallel engine is selected."""
-        from ..perf.parallel import resolve_workers
-
-        return resolve_workers(self.workers) > 1
-
-    @property
-    def resolved_executor(self) -> str:
-        """The concrete engine ``executor`` selects (``auto`` resolved)."""
-        from ..perf.parallel import resolve_executor
-
-        return resolve_executor(self.executor)
-
     def semantic_fields(self) -> dict:
         """The fields that can change analysis *output*, as JSON-safe
         values — every dataclass field except the execution knobs, so a
@@ -153,9 +102,9 @@ class AnalysisConfig:
         """Stable content hash of the semantically relevant configuration.
 
         Two configs with the same key produce byte-identical reports for
-        the same APK; ``workers``/``executor`` are excluded, so a report
-        analysed serially is a cache hit for a parallel request and vice
-        versa."""
+        the same APK; the execution knobs (``record_provenance``,
+        ``mode``) are excluded, so a report analysed in one mode is a cache
+        hit for a request in another."""
         blob = json.dumps(
             self.semantic_fields(), sort_keys=True, separators=(",", ":")
         )

@@ -126,11 +126,10 @@ class Extractocol:
                 cbinfo.boundary_methods,
             )
 
-            # The memoized parallel engine shares one ProgramIndex between
-            # both taint directions, the slicer and the signature
-            # interpreter; the serial path (workers=1) stays the reference
-            # implementation.
-            index = ProgramIndex(program, callgraph) if self.config.parallel else None
+            # One ProgramIndex per analysis, shared by both taint
+            # directions, the slicer and the signature interpreter; it is
+            # also the only CFG memo, so it dies with this call.
+            index = ProgramIndex(program, callgraph)
             sp.count("entrypoints", len(apk.entrypoints))
             sp.count("statements", program.statement_count())
             stats.seconds["setup"] = time.perf_counter() - t0
@@ -149,36 +148,24 @@ class Extractocol:
                 event_roots=event_roots,
                 linked_returns=cbinfo.linked_returns,
                 index=index,
-                workers=self.config.workers,
-                executor=self.config.executor,
             )
-            # The process executor builds one persistent worker pool here
-            # (ProgramIndex shipped to each worker exactly once — inherited
-            # on fork, pickled once on spawn); release it with the phase.
-            try:
-                if self.config.mode == "targeted":
-                    from ..incr.targeted import TargetedSearch
+            if self.config.mode == "targeted":
+                from ..incr.targeted import TargetedSearch
 
-                    search = TargetedSearch(program, callgraph, self.registry)
-                    dps = search.scan()
-                    if index is not None:
-                        sp.count(
-                            "region_methods",
-                            index.warm(search.region(dps)),
-                        )
-                    slicing = slicer.slice_all(span=sp, dps=dps)
-                elif self.config.mode == "incremental":
-                    slicing = self._slice_incremental(
-                        apk, slicer, callgraph, sp,
-                        event_roots=event_roots,
-                        cbinfo=cbinfo,
-                        renames=renames,
-                        stats=stats,
-                    )
-                else:
-                    slicing = slicer.slice_all(span=sp)
-            finally:
-                slicer.close()
+                search = TargetedSearch(program, callgraph, self.registry)
+                dps = search.scan()
+                sp.count("region_methods", index.warm(search.region(dps)))
+                slicing = slicer.slice_all(span=sp, dps=dps)
+            elif self.config.mode == "incremental":
+                slicing = self._slice_incremental(
+                    apk, slicer, callgraph, sp,
+                    event_roots=event_roots,
+                    cbinfo=cbinfo,
+                    renames=renames,
+                    stats=stats,
+                )
+            else:
+                slicing = slicer.slice_all(span=sp)
             self.last_slicing = slicing
             self._store_manifest(
                 apk, callgraph, slicing,

@@ -146,7 +146,7 @@ def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
 
 
 # --------------------------------------------------------- CLI resolution
-def resolve_diff_target(target: str, *, store=None, workers: int = 1):
+def resolve_diff_target(target: str, *, store=None):
     """Resolve one ``repro diff`` operand into ``(report, renames_from_
     base, label)``.
 
@@ -169,7 +169,6 @@ def resolve_diff_target(target: str, *, store=None, workers: int = 1):
         report = _analyze(
             built.apk,
             built.config,
-            workers,
             store=store,
             renames=built.renames_from_base,
         )
@@ -184,11 +183,11 @@ def resolve_diff_target(target: str, *, store=None, workers: int = 1):
             f"{target!r} is not a stored result key, corpus app, "
             f"lineage version (app@vN) or .sapk bundle"
         ) from None
-    report = _analyze(apk, config, workers, store=store)
+    report = _analyze(apk, config, store=store)
     return report, None, label
 
 
-def _analyze(apk, config, workers: int, *, store=None, renames=None):
+def _analyze(apk, config, *, store=None, renames=None):
     """Analyze one diff operand.  With a store, the re-analysis is
     near-free on warm lineages: an already-stored report short-circuits
     outright, otherwise the run goes through ``incremental`` mode (the
@@ -197,7 +196,6 @@ def _analyze(apk, config, workers: int, *, store=None, renames=None):
     the fresh manifest are written back."""
     from ..core.extractocol import Extractocol
 
-    config.workers = workers
     if store is None:
         return Extractocol(config).analyze(apk)
     from ..apk.loader import apk_digest
@@ -218,17 +216,12 @@ def diff_targets(
     new: str,
     *,
     store=None,
-    workers: int = 1,
     tracer=NULL_TRACER,
 ) -> ProtocolDiff:
     """Resolve and diff two CLI-style targets (see
     :func:`resolve_diff_target`)."""
-    old_report, old_renames, _ = resolve_diff_target(
-        old, store=store, workers=workers
-    )
-    new_report, new_renames, _ = resolve_diff_target(
-        new, store=store, workers=workers
-    )
+    old_report, old_renames, _ = resolve_diff_target(old, store=store)
+    new_report, new_renames, _ = resolve_diff_target(new, store=store)
     renames = _relative_renames(old_renames, new_renames)
     return diff_reports(
         old_report, new_report, renames=renames, tracer=tracer

@@ -23,7 +23,6 @@ from .runner import (
     AppEvaluation,
     clear_cache,
     evaluate_app,
-    evaluate_corpus,
     render_phase_table,
 )
 from .syntheval import (

@@ -12,7 +12,6 @@ from ..core.extractocol import Extractocol
 from ..core.report import AnalysisReport
 from ..corpus import app_keys, get_spec
 from ..corpus.base import AppSpec
-from ..perf.parallel import ordered_map
 from ..runtime.fuzzing import AutoUiFuzzer, FuzzResult, ManualUiFuzzer
 
 
@@ -28,58 +27,34 @@ class AppEvaluation:
         return self.spec.key
 
 
-def _config_for(spec: AppSpec, workers: int = 1) -> AnalysisConfig:
+def _config_for(spec: AppSpec) -> AnalysisConfig:
     """The paper's §5.1 setup: async heuristic off for open-source apps,
     on for closed-source; Kayak scoped to com.kayak."""
     return AnalysisConfig(
         async_heuristic=(spec.kind == "closed"),
         scope_prefixes=spec.scope_prefixes,
-        workers=workers,
     )
 
 
 @lru_cache(maxsize=None)
-def evaluate_app(key: str, workers: int = 1) -> AppEvaluation:
-    """Analyze + fuzz one corpus app.  ``workers`` selects the analysis
-    engine (see :class:`AnalysisConfig`); results are cached per (app,
-    workers) pair."""
+def evaluate_app(key: str) -> AppEvaluation:
+    """Analyze + fuzz one corpus app; results are cached per app."""
     spec = get_spec(key)
     # Build the APK once and share it across all three stages (analysis is
     # read-only and the runtime keeps its own heap).  The Network cannot be
     # shared: each fuzzer's FuzzResult owns its network's traffic trace.
     apk = spec.build_apk()
-    report = Extractocol(_config_for(spec, workers)).analyze(apk)
+    report = Extractocol(_config_for(spec)).analyze(apk)
     manual = ManualUiFuzzer().fuzz(apk, spec.build_network())
     auto = AutoUiFuzzer().fuzz(apk, spec.build_network())
     return AppEvaluation(spec=spec, report=report, manual=manual, auto=auto)
-
-
-def evaluate_corpus(
-    keys: Iterable[str] | None = None,
-    *,
-    app_workers: int = 1,
-    analysis_workers: int = 1,
-) -> dict[str, AppEvaluation]:
-    """Evaluate many apps, fanning out across apps with ``app_workers``
-    threads (each app may additionally parallelize its own slicing via
-    ``analysis_workers``).  Results land in the same cache ``evaluate_app``
-    uses, keyed in input order."""
-    key_list = list(keys) if keys is not None else app_keys()
-    results = ordered_map(
-        lambda key: evaluate_app(key, analysis_workers),
-        key_list,
-        workers=app_workers,
-    )
-    return dict(zip(key_list, results))
 
 
 def clear_cache() -> None:
     evaluate_app.cache_clear()
 
 
-def render_phase_table(
-    keys: Iterable[str] | None = None, *, workers: int = 1
-) -> str:
+def render_phase_table(keys: Iterable[str] | None = None) -> str:
     """Per-app phase-timing table (``repro eval --verbose``).
 
     Reuses the :class:`~repro.obs.phases.PhaseStats` every cached report
@@ -91,7 +66,7 @@ def render_phase_table(
     stats = {
         key: ev.report.phase_stats
         for key in key_list
-        if (ev := evaluate_app(key, workers)).report.phase_stats is not None
+        if (ev := evaluate_app(key)).report.phase_stats is not None
     }
     return phase_table(stats)
 
@@ -100,6 +75,5 @@ __all__ = [
     "AppEvaluation",
     "clear_cache",
     "evaluate_app",
-    "evaluate_corpus",
     "render_phase_table",
 ]

@@ -5,12 +5,11 @@ baseline ``BENCH_*.json`` and decides pass/fail with configurable
 thresholds, so CI consumes the bench trajectory instead of merely
 regenerating it.
 
-Five bench shapes are understood (detected structurally, no filename
+Four bench shapes are understood (detected structurally, no filename
 convention required):
 
 * ``batch_scale`` — ``{"by_workers": {"1": {apps_per_sec, p50_s, ...}}}``
 * ``corpus_scale`` — ``{"by_size": {"100": {apps_per_sec, p50_ms, ...}}}``
-* ``pipeline`` — ``{"apps": {...}, "aggregate": {"speedup": ...}}``
 * ``incremental`` — ``{"by_lineage": {"app@v2": {cold_s, warm_s, speedup,
   reuse_fraction, ...}}}`` (cold vs manifest-warm re-analysis)
 * ``search`` — ``{"by_query": {"host": {p50_ms, p99_ms, qps, ...}}}``
@@ -134,8 +133,6 @@ def bench_kind(data: dict) -> str | None:
         return "incremental"
     if "by_query" in data:
         return "search"
-    if "apps" in data and "aggregate" in data:
-        return "pipeline"
     return None
 
 
@@ -190,16 +187,6 @@ def extract_metrics(data: dict) -> dict[str, tuple[float, str]]:
                         float(row[metric]),
                         direction,
                     )
-    elif kind == "pipeline":
-        aggregate = data.get("aggregate") or {}
-        if isinstance(aggregate.get("speedup"), (int, float)):
-            out["aggregate.speedup"] = (float(aggregate["speedup"]), "higher")
-        for app, row in (data.get("apps") or {}).items():
-            if isinstance(row.get("parallel_s"), (int, float)):
-                out[f"apps.{app}.parallel_s"] = (
-                    float(row["parallel_s"]),
-                    "lower",
-                )
     return out
 
 

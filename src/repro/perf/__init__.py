@@ -1,16 +1,17 @@
-"""Performance layer: shared memoized program artifacts and parallel fan-out.
+"""Performance layer: the per-analysis memo of program artifacts and the
+worker sizing used by batch-level parallelism.
 
 :class:`ProgramIndex` materializes per-method analysis artifacts (CFGs,
 def-use chains, statement reachability, mention sites, the global field
-read/write index) exactly once per program and shares them — thread-safely —
-between both taint directions, the :class:`~repro.slicing.slicer.NetworkSlicer`
-and the :class:`~repro.signature.builder.SignatureInterpreter`.
+read/write index) once per analysis and shares them between both taint
+directions, the :class:`~repro.slicing.slicer.NetworkSlicer` and the
+:class:`~repro.signature.builder.SignatureInterpreter`.
 
-:mod:`repro.perf.parallel` provides the deterministic executor helpers the
-slicer and the evaluation runner fan out over.
+:mod:`repro.perf.parallel` sizes and names the executors that fan *apps*
+out (the batch scheduler, the fleet-index builder).
 """
 
 from .index import ProgramIndex, field_key
-from .parallel import ordered_map, resolve_workers
+from .parallel import resolve_workers
 
-__all__ = ["ProgramIndex", "field_key", "ordered_map", "resolve_workers"]
+__all__ = ["ProgramIndex", "field_key", "resolve_workers"]

@@ -1,25 +1,30 @@
 """Shared, memoized per-method analysis artifacts.
 
-The serial pipeline recomputes (or independently caches) control-flow
-graphs, def-use chains, reachability sets and the heap field index in each
-consumer.  :class:`ProgramIndex` is the compute-once variant: every artifact
-is keyed by method id, built lazily under a lock, and shared by the taint
-engine (both directions), the network slicer's object-aware augmentation and
-the signature interpreter.  All artifacts are derived from immutable IR, so
-a built entry is valid for the lifetime of the program object.
+:class:`ProgramIndex` computes control-flow graphs, def-use chains,
+reachability sets and the heap field index once per analysis: every
+artifact is keyed by method id, built lazily, and shared by the taint
+engine (both directions), the network slicer's object-aware augmentation
+and the signature interpreter.  All artifacts are derived from immutable
+IR, so a built entry is valid for the lifetime of the program object.  The
+index is also the only CFG memo: artifacts live exactly as long as the
+analysis that owns the index, so a long-lived process (a shard worker,
+``repro serve``) does not pin the bodies of apps it has finished.
+
+The artifacts that exist per statement or per local are tuples of ints
+where possible: the cyclic collector stops tracking those, while tracked
+per-statement containers would be promoted into its old generation during
+an analysis and trigger full collections of the whole heap.
 
 Reachability is stored as bitmasks (one int per statement; bit ``j`` set
-when statement ``j`` is reachable from statement ``i``, reflexively) — the
-same relation as ``TaintEngine._reach`` but cheaper to build and to query.
+when statement ``j`` is reachable from statement ``i``, reflexively).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, TypeVar
 
 from ..cfg.callgraph import CallGraph
-from ..cfg.cfg import ControlFlowGraph, cfg_of
+from ..cfg.cfg import ControlFlowGraph
 from ..cfg.dominators import LoopInfo, loop_info, reverse_postorder
 from ..ir.method import Method
 from ..ir.program import Program
@@ -31,9 +36,13 @@ from ..ir.values import (
     StaticFieldRef,
     walk_values,
 )
-from ..taint.defuse import DefUseInfo, LazyDefUse, defuse_of
+from ..taint.defuse import LazyDefUse
 
 T = TypeVar("T")
+
+#: the one empty local set, shared by every statement that defines or uses
+#: no local (about half of them) instead of one fresh set object each
+_NO_LOCALS: frozenset = frozenset()
 
 _FIELD_KEYS: dict[FieldSig, tuple[str, str]] = {}
 
@@ -66,7 +75,7 @@ def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:
 
 
 class ProgramIndex:
-    """Thread-safe memo of per-method artifacts plus program-wide indexes.
+    """Per-analysis memo of per-method artifacts plus program-wide indexes.
 
     Per-method (lazy, built on first request):
 
@@ -74,7 +83,7 @@ class ProgramIndex:
     * :meth:`reach_masks` — statement reachability bitmasks
     * :meth:`mention_sites` — statement indices mentioning each local
       (definition or use), the candidate set for backward region building
-    * :meth:`stmt_locals` — per-statement (defined, used) local sets
+    * :meth:`stmt_locals` — per-statement defined and used local sets
     * :meth:`loop_info` / :meth:`rpo` — loop structure and traversal order
       for the signature interpreter
 
@@ -85,57 +94,37 @@ class ProgramIndex:
     def __init__(self, program: Program, callgraph: CallGraph | None = None) -> None:
         self.program = program
         self.callgraph = callgraph
-        self._lock = threading.RLock()
         self._cfgs: dict[str, ControlFlowGraph] = {}
-        self._defuse: dict[str, DefUseInfo] = {}
+        self._defuse: dict[str, LazyDefUse] = {}
         self._reach: dict[str, list[int]] = {}
         self._reach_to: dict[str, list[int]] = {}
         self._mentions: dict[str, dict[Local, tuple[int, ...]]] = {}
         self._mention_masks: dict[str, dict[Local, int]] = {}
-        self._stmt_locals: dict[str, list[tuple[frozenset, frozenset]]] = {}
+        self._stmt_locals: dict[str, tuple[list[frozenset], list[frozenset]]] = {}
         self._loops: dict[str, LoopInfo] = {}
         self._rpo: dict[str, list[int]] = {}
         self._fields: tuple[dict, dict] | None = None
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Locks don't pickle; everything else — including already-warm
-        memo tables — ships as-is, so spawn workers inherit whatever the
-        parent built before the pool was created (the index is shipped to
-        each worker exactly once)."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------- memo core
     def _memo(
         self, cache: dict[str, T], method: Method, build: Callable[[Method], T]
     ) -> T:
         got = cache.get(method.method_id)
-        if got is not None:
-            return got
-        with self._lock:
-            got = cache.get(method.method_id)
-            if got is None:
-                got = build(method)
-                cache[method.method_id] = got
+        if got is None:
+            got = cache[method.method_id] = build(method)
         return got
 
     # ------------------------------------------------------------ per-method
     def cfg_of(self, method: Method) -> ControlFlowGraph:
-        return self._memo(self._cfgs, method, cfg_of)
+        return self._memo(self._cfgs, method, ControlFlowGraph)
 
-    def defuse_of(self, method: Method) -> DefUseInfo | LazyDefUse:
-        def build(m: Method) -> DefUseInfo | LazyDefUse:
+    def defuse_of(self, method: Method) -> LazyDefUse:
+        def build(m: Method) -> LazyDefUse:
             # reuse the per-statement used-local sets instead of re-walking
             # every value tree, and materialise reaching-defs lazily — taint
             # facts only query a subset of (statement, local) pairs
-            uses = [u for _, u in self.stmt_locals(m)]
-            return LazyDefUse(m, uses) if uses else defuse_of(m)
+            uses = self.stmt_locals(m)[1]
+            return LazyDefUse(m, uses, self.cfg_of(m) if uses else None)
 
         return self._memo(self._defuse, method, build)
 
@@ -187,30 +176,37 @@ class ProgramIndex:
     def mention_sites(self, method: Method) -> dict[Local, tuple[int, ...]]:
         def build(m: Method) -> dict[Local, tuple[int, ...]]:
             out: dict[Local, list[int]] = {}
-            for idx, (defs, uses) in enumerate(self.stmt_locals(m)):
+            defs_at, uses_at = self.stmt_locals(m)
+            for idx, (defs, uses) in enumerate(zip(defs_at, uses_at)):
                 for local in defs | uses:
                     out.setdefault(local, []).append(idx)
             return {local: tuple(sites) for local, sites in out.items()}
 
         return self._memo(self._mentions, method, build)
 
-    def stmt_locals(self, method: Method) -> list[tuple[frozenset, frozenset]]:
-        """Per statement index: (locals defined, locals used)."""
+    def stmt_locals(
+        self, method: Method
+    ) -> tuple[list[frozenset], list[frozenset]]:
+        """(locals defined, locals used), each a list indexed by statement.
+        Two lists rather than a pair per statement: a per-statement tuple of
+        sets stays tracked by the cyclic collector."""
 
-        def build(m: Method) -> list[tuple[frozenset, frozenset]]:
-            out: list[tuple[frozenset, frozenset]] = []
+        def build(m: Method) -> tuple[list[frozenset], list[frozenset]]:
+            defs_at: list[frozenset] = []
+            uses_at: list[frozenset] = []
             if m.body is None:
-                return out
+                return defs_at, uses_at
             for stmt in m.body:
-                defs = frozenset(d for d in stmt.defs() if isinstance(d, Local))
-                uses = frozenset(
+                defs_at.append(frozenset(
+                    d for d in stmt.defs() if isinstance(d, Local)
+                ) or _NO_LOCALS)
+                uses_at.append(frozenset(
                     v
                     for use in stmt.uses()
                     for v in walk_values(use)
                     if isinstance(v, Local)
-                )
-                out.append((defs, uses))
-            return out
+                ) or _NO_LOCALS)
+            return defs_at, uses_at
 
         return self._memo(self._stmt_locals, method, build)
 
@@ -246,9 +242,7 @@ class ProgramIndex:
     @property
     def field_stores(self) -> dict[tuple[str, str], list[StmtRef]]:
         if self._fields is None:
-            with self._lock:
-                if self._fields is None:
-                    self._fields = self._build_fields()
+            self._fields = self._build_fields()
         return self._fields[0]
 
     @property
@@ -294,21 +288,20 @@ class ProgramIndex:
         methods whose fingerprints changed instead of rebuilding from
         scratch.
         """
-        with self._lock:
-            for mid in method_ids:
-                for memo in (
-                    self._cfgs,
-                    self._defuse,
-                    self._reach,
-                    self._reach_to,
-                    self._mentions,
-                    self._mention_masks,
-                    self._stmt_locals,
-                    self._loops,
-                    self._rpo,
-                ):
-                    memo.pop(mid, None)
-            self._fields = None
+        for mid in method_ids:
+            for memo in (
+                self._cfgs,
+                self._defuse,
+                self._reach,
+                self._reach_to,
+                self._mentions,
+                self._mention_masks,
+                self._stmt_locals,
+                self._loops,
+                self._rpo,
+            ):
+                memo.pop(mid, None)
+        self._fields = None
 
 
 __all__ = ["ProgramIndex", "compute_reach_masks", "field_key"]

@@ -1,43 +1,27 @@
-"""Deterministic parallel fan-out helpers.
+"""Worker sizing and executor selection for batch-level parallelism.
 
-:func:`run_map` is the one primitive every parallel stage routes through:
-it applies ``fn`` to each item with the selected executor and returns
-results **in input order**, so reports produced from the result list are
-identical to a serial run.  Executors:
+An analysis runs in one thread; parallelism lives across apps.  These
+helpers size and name the engines that fan *apps* out: the batch scheduler
+(:class:`~repro.service.jobs.JobScheduler`, whose ``process`` executor is
+the sharded engine in :mod:`repro.service.shard`) and the fleet-index
+builder.  Executors:
 
-* ``"serial"`` — a plain loop (the reference engine's path);
-* ``"thread"`` — a thread pool, clamped to the usable core count (more
-  GIL-bound threads than cores only add convoy overhead);
-* ``"process"`` — a :class:`~repro.perf.procpool.ProcPool`: fork workers
-  inherit ``fn`` and any state it closes over for free, spawn workers
-  receive it pickled once.  When no process pool can be built the call
-  degrades to threads *audibly*: an ``executor_fallbacks`` counter on the
-  global metrics registry plus a one-time ``RuntimeWarning``;
-* ``"auto"`` — :func:`default_executor`: process where fork is available,
-  thread otherwise.
+* ``"serial"`` / ``"thread"`` — in-process;
+* ``"process"`` — analyzer worker processes;
+* ``"auto"`` — process where fork is available (workers inherit program
+  state for free), thread otherwise (spawn shipment costs are only worth
+  paying when explicitly requested).
 
-Every map accepts an optional ``span`` (see :mod:`repro.obs.tracer`): when
-given, each work item gets a ``<label>-<i>`` child span carrying its wall
-time.  The spans are created *after* the pool drains, in input order, so
-traced runs stay deterministic regardless of scheduling.  For process
-executors the per-item times are measured inside the worker and carried
-back with the results (see :class:`~repro.perf.procpool.SpanRecord`).
+When a process engine cannot start, the caller degrades to threads
+*audibly*: :func:`note_executor_fallback` bumps an ``executor_fallbacks``
+counter on the global metrics registry and warns once per process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from .procpool import PoolUnavailable, ProcPool
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Executor names accepted by configs and CLIs ("auto" resolves at run time).
 EXECUTORS = ("auto", "serial", "thread", "process")
@@ -62,31 +46,11 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def fanout_width(workers: int | None) -> int:
-    """Effective *thread* fan-out for CPU-bound pure-Python stages: more
-    threads than cores never helps (the GIL serialises them and the convoy
-    overhead makes large inputs slower), so clamp to the usable core count.
-    The raw worker count still selects the engine (see ``AnalysisConfig``)
-    and sizes process pools, which have no GIL ceiling."""
-    return max(1, min(resolve_workers(workers), usable_cpus()))
-
-
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def default_executor() -> str:
-    """The executor ``"auto"`` resolves to: ``process`` where fork is
-    available (workers inherit program state for free), ``thread``
-    elsewhere (spawn shipment costs are only worth paying when explicitly
-    requested)."""
-    return "process" if fork_available() else "thread"
-
-
 def resolve_executor(executor: str | None) -> str:
     """Map an executor knob to a concrete engine name."""
     if not executor or executor == "auto":
-        return default_executor()
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        return "process" if fork else "thread"
     if executor not in ("serial", "thread", "process"):
         raise ValueError(
             f"unknown executor {executor!r}; choose one of {EXECUTORS}"
@@ -141,137 +105,12 @@ def note_executor_fallback(reason: str) -> None:
         )
 
 
-def _timed_call(fn: Callable[[T], R], item: T) -> tuple[R, float]:
-    """Module-level so it survives pickling into forked workers."""
-    t0 = time.perf_counter()
-    result = fn(item)
-    return result, time.perf_counter() - t0
-
-
-def _record_worker_spans(span, timed: list[tuple[R, float]], label: str) -> list[R]:
-    """Unwrap (result, seconds) pairs, emitting one child span per item in
-    input order (deterministic paths: ``<label>-1``, ``<label>-2``, ...)."""
-    results: list[R] = []
-    for i, (result, secs) in enumerate(timed, 1):
-        child = span.child(f"{label}-{i}")
-        child.seconds = secs
-        results.append(result)
-    return results
-
-
-def _serial_map(fn, seq, span, label):
-    if span is None or not span:
-        return [fn(item) for item in seq]
-    return _record_worker_spans(span, [_timed_call(fn, item) for item in seq], label)
-
-
-def thread_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int,
-    span=None,
-    label: str = "worker",
-) -> list[R]:
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        if span is None or not span:
-            return list(pool.map(fn, items))
-        timed = list(pool.map(partial(_timed_call, fn), items))
-    return _record_worker_spans(span, timed, label)
-
-
-def forked_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int,
-    span=None,
-    label: str = "worker",
-) -> list[R]:
-    """One-shot process-pool map via ``fork`` so workers inherit the
-    parent's program state without pickling it; only ``items`` and results
-    cross the pipe.  Raises ``ValueError`` where fork is unavailable.
-    Prefer :func:`run_map` (or a persistent
-    :class:`~repro.perf.procpool.ProcPool`) in new code."""
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=ctx) as pool:
-        if span is None or not span:
-            return list(pool.map(fn, items))
-        timed = list(pool.map(partial(_timed_call, fn), items))
-    return _record_worker_spans(span, timed, label)
-
-
-def _apply_payload(payload, item):
-    """ProcPool task for :func:`run_map`: the payload *is* the mapped fn."""
-    return payload(item)
-
-
-def run_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: int = 1,
-    executor: str = "auto",
-    span=None,
-    label: str = "worker",
-    start_method: str | None = None,
-) -> list[R]:
-    """Apply ``fn`` over ``items`` with ``workers`` concurrency under the
-    selected ``executor`` (see module docstring), preserving input order.
-
-    The process executor ships ``fn`` itself as the pool payload: fork
-    workers inherit it (closures welcome), spawn workers need it picklable
-    — when neither works the call falls back to threads and says so
-    (:func:`note_executor_fallback`).
-    """
-    seq = list(items)
-    workers = resolve_workers(workers)
-    engine = resolve_executor(executor)
-    if engine == "serial" or workers <= 1 or len(seq) <= 1:
-        return _serial_map(fn, seq, span, label)
-    if engine == "process":
-        try:
-            with ProcPool(
-                fn, workers=min(workers, len(seq)), start_method=start_method
-            ) as pool:
-                return pool.map(_apply_payload, seq, span=span, label=label)
-        except PoolUnavailable as exc:
-            note_executor_fallback(str(exc))
-    width = fanout_width(workers)
-    if width <= 1:
-        return _serial_map(fn, seq, span, label)
-    return thread_map(fn, seq, workers=width, span=span, label=label)
-
-
-def ordered_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: int = 1,
-    executor: str = "thread",
-    span=None,
-    label: str = "worker",
-) -> list[R]:
-    """Backwards-compatible alias of :func:`run_map` whose executor
-    defaults to ``"thread"`` (the pre-process-engine behaviour)."""
-    return run_map(
-        fn, items, workers=workers, executor=executor, span=span, label=label
-    )
-
-
 __all__ = [
     "EXECUTORS",
-    "default_executor",
-    "fanout_width",
-    "fork_available",
-    "forked_map",
     "note_executor_fallback",
-    "ordered_map",
     "resolve_executor",
     "resolve_workers",
-    "run_map",
     "silence_fallback_warnings",
     "take_fallback_reasons",
-    "thread_map",
     "usable_cpus",
 ]

@@ -2,9 +2,9 @@
 
 The scheduler turns ``Extractocol.analyze`` into a managed workload:
 
-* a **bounded queue** feeding a **thread worker pool** (sized with the same
-  :func:`repro.perf.parallel.resolve_workers` knob semantics as the
-  analysis engine: ``0`` means one worker per CPU),
+* a **bounded queue** feeding a **thread worker pool** (sized by
+  :func:`repro.perf.parallel.resolve_workers`: ``0`` means one worker per
+  CPU),
 * **result-store integration** — a submit whose ``(apk digest, config
   key)`` is already stored completes immediately as a cache hit; a fresh
   result is written back on success,
@@ -331,11 +331,16 @@ class JobScheduler:
         # population specs (synth:<families>*<scale>[@<seed>]) expand into
         # self-describing syn- keys any worker process can rebuild
         targets = expand_targets(list(targets))
-        known = set(app_keys())
+        known: set[str] | None = None
         for target in targets:
             if is_synth_key(target):
                 parse_app_key(target)  # raises KeyError on a malformed key
-            elif target not in known and not Path(target).exists():
+                continue
+            if known is None:
+                # built on first need: the registry materializes every
+                # hand-written corpus app, which an all-synth batch skips
+                known = set(app_keys())
+            if target not in known and not Path(target).exists():
                 raise LookupError(
                     f"{target!r} is neither a corpus app key, a synthesized "
                     f"app key, a population spec, nor an .sapk bundle"

@@ -1,10 +1,9 @@
 """Process-sharded batch execution: work-stealing analyzer processes over
 one shared result store.
 
-The thread scheduler in :mod:`repro.service.jobs` tops out at the GIL for
-the same reason the in-app thread executor does — analyses are pure-Python
-CPU work.  :func:`run_sharded_batch` therefore shards a batch across ``N``
-analyzer *processes*:
+The thread scheduler in :mod:`repro.service.jobs` tops out at the GIL —
+analyses are pure-Python CPU work.  :func:`run_sharded_batch` therefore
+shards a batch across ``N`` analyzer *processes*:
 
 * **Static shards, dynamic stealing.**  Worker ``i`` owns the round-robin
   shard ``targets[i::N]`` as a deque: it pops its own work from the front,
@@ -25,12 +24,12 @@ analyzer *processes*:
   tracer or metrics registry, so every record travels back over the result
   queue with its wall time, attempt count and steal provenance; the parent
   folds them into its :class:`~repro.obs.metrics.MetricsRegistry` and
-  replays one ``job:<label>`` span per record (see
-  :class:`~repro.perf.procpool.SpanRecord` for the in-app analogue).
+  replays one ``job:<label>`` span per record.
 
 Reports written by sharded workers are byte-identical to thread-mode and
-serial output: the store's canonical JSON + the engine's differential
-tests guarantee it, and ``tests/test_service_shard.py`` asserts it.
+in-process output: the store writes canonical JSON, and
+``tests/test_service_shard.py`` and ``tests/test_process_determinism.py``
+assert it under both start methods.
 """
 
 from __future__ import annotations
@@ -43,12 +42,29 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..perf.procpool import default_start_method
+#: Start methods this module knows how to drive, in preference order.
+START_METHODS = ("fork", "spawn")
 
 #: How long a worker waits (total) for another process's in-flight analysis
 #: of the same key before giving up and analysing itself.
 LEASE_WAIT_SECONDS = 60.0
 _LEASE_POLL = 0.02
+
+
+def available_start_methods() -> tuple[str, ...]:
+    supported = multiprocessing.get_all_start_methods()
+    return tuple(m for m in START_METHODS if m in supported)
+
+
+def default_start_method() -> str | None:
+    """``fork`` where available, else ``spawn``; honours the
+    ``REPRO_START_METHOD`` environment override (useful for exercising the
+    spawn path on fork-capable hosts, e.g. the CI proc-smoke job)."""
+    forced = os.environ.get("REPRO_START_METHOD")
+    methods = available_start_methods()
+    if forced:
+        return forced if forced in methods else None
+    return methods[0] if methods else None
 
 
 @dataclass
@@ -162,12 +178,6 @@ def _process_item(
         record.label = target
         return record
     record.label = label
-    if config.resolved_executor == "process":
-        # The shard worker IS the process-level parallelism: it runs as a
-        # daemon and cannot fork children, and nesting pools would
-        # oversubscribe the host anyway.  Executor is an execution detail
-        # excluded from cache_key(), so the result key is unchanged.
-        config.executor = "thread"
 
     from ..apk.loader import apk_digest
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from ..apk.resources import Resources
 from ..cfg.callgraph import CallGraph
-from ..cfg.cfg import cfg_of
-from ..cfg.dominators import loop_info, reverse_postorder
 from ..ir.method import Method
 from ..ir.program import Program
 from ..ir.statements import (
@@ -58,6 +56,7 @@ from ..ir.values import (
     Value,
 )
 from ..obs.tracer import NULL_SPAN
+from ..perf.index import ProgramIndex
 from ..semantics.avals import (
     AppObjAV,
     AVal,
@@ -172,7 +171,7 @@ class SignatureInterpreter:
         relevant_methods: set[str] | None = None,
         blocked_field_stores: set[StmtRef] | None = None,
         rounds: int = 2,
-        index=None,
+        index: ProgramIndex | None = None,
     ) -> None:
         self.program = program
         self.callgraph = callgraph
@@ -181,9 +180,9 @@ class SignatureInterpreter:
         self.relevant_methods = relevant_methods
         self.blocked_field_stores = blocked_field_stores or set()
         self.rounds = rounds
-        #: optional repro.perf.ProgramIndex: memoizes CFGs, loop structure
-        #: and traversal order across rounds and re-evaluated methods
-        self.index = index
+        #: memoizes CFGs, loop structure and traversal order across rounds
+        #: and re-evaluated methods; shared with the slicer when passed in
+        self.index = index if index is not None else ProgramIndex(program, callgraph)
 
         # interpretation state (reset per run)
         self.call_stack: list[StmtRef] = []
@@ -423,18 +422,11 @@ class SignatureInterpreter:
     def _interpret_body(
         self, method: Method, this: AVal | None, args: list[AVal], depth: int
     ) -> AVal:
-        if self.index is not None:
-            cfg = self.index.cfg_of(method)
-            if not cfg.blocks:
-                return UNKNOWN_ANY
-            loops = self.index.loop_info(method)
-            rpo = self.index.rpo(method)
-        else:
-            cfg = cfg_of(method)
-            if not cfg.blocks:
-                return UNKNOWN_ANY
-            loops = loop_info(cfg)
-            rpo = reverse_postorder(cfg)
+        cfg = self.index.cfg_of(method)
+        if not cfg.blocks:
+            return UNKNOWN_ANY
+        loops = self.index.loop_info(method)
+        rpo = self.index.rpo(method)
         frame = _Frame(method)
         out_envs: dict[int, dict[str, AVal]] = {}
         header_in_prev: dict[int, dict[str, AVal]] = {}

@@ -16,17 +16,9 @@ from dataclasses import dataclass, field
 from ..cfg.callgraph import CallGraph
 from ..ir.program import Program
 from ..ir.statements import StmtRef
-from ..ir.values import Local, walk_values
+from ..ir.values import Local
 from ..obs.tracer import NULL_SPAN
 from ..perf.index import ProgramIndex
-from ..perf.parallel import (
-    fanout_width,
-    note_executor_fallback,
-    resolve_executor,
-    resolve_workers,
-    thread_map,
-)
-from ..perf.procpool import PoolUnavailable, ProcPool
 from ..taint.engine import TaintConfig, TaintEngine
 from ..taint.slices import SliceResult
 from .demarcation import DPInstance, DemarcationRegistry, scan_demarcation_points
@@ -89,29 +81,19 @@ class NetworkSlicer:
         event_roots: dict[str, frozenset[str]] | None = None,
         linked_returns: dict[str, list[tuple[str, int]]] | None = None,
         index: ProgramIndex | None = None,
-        workers: int = 1,
-        executor: str = "auto",
-        start_method: str | None = None,
     ) -> None:
         self.program = program
         self.callgraph = callgraph
         self.registry = registry or DemarcationRegistry()
-        self.index = index
+        self.index = index if index is not None else ProgramIndex(program, callgraph)
         self._stmt_tables: dict[str, list | None] = {}
-        self.workers = workers
-        self.executor = executor
-        self.start_method = start_method
-        #: persistent process pool — built at most once per slicer (i.e.
-        #: once per ``Extractocol.analyze``); the whole slicer, ProgramIndex
-        #: included, ships to the workers exactly once
-        self._pool: ProcPool | None = None
         self.engine = TaintEngine(
             program,
             callgraph,
             config,
             event_roots=event_roots,
             linked_returns=linked_returns,
-            index=index,
+            index=self.index,
         )
 
     def scan(self) -> list[DPInstance]:
@@ -132,11 +114,9 @@ class NetworkSlicer:
     def slice_all(
         self, *, span=NULL_SPAN, dps: list[DPInstance] | None = None
     ) -> SlicingReport:
-        """Slice every demarcation point; with ``workers > 1`` the points
-        fan out over an executor.  Results are collected in scan order, so
-        the report is identical to a serial run.  When ``span`` is a live
-        span, one ``dp:<site>`` child per demarcation point is emitted —
-        after collection, in scan order, so traces are deterministic.
+        """Slice every demarcation point, in scan order.  When ``span`` is
+        a live span, one ``dp:<site>`` child per demarcation point is
+        emitted, in scan order, so traces are deterministic.
 
         ``dps`` restricts slicing to an explicit subset (in the given
         order) instead of a fresh scan — the incremental engine passes only
@@ -145,15 +125,7 @@ class NetworkSlicer:
         report = SlicingReport(total_statements=self.program.statement_count())
         if dps is None:
             dps = self.scan()
-        workers = resolve_workers(self.workers)
-        if workers > 1 and len(dps) > 1:
-            if self.index is not None:
-                # one shared build of the heap index instead of a race on
-                # first use (the per-method artifacts stay lazy + locked)
-                self.index.field_stores
-            report.slices = self._slice_parallel(dps, workers, span)
-        else:
-            report.slices = [self.slice_dp(dp) for dp in dps]
+        report.slices = [self.slice_dp(dp) for dp in dps]
         if span:
             span.set("demarcation_points", len(dps))
             for s in report.slices:
@@ -165,92 +137,20 @@ class NetworkSlicer:
                     child.count(f"response_{name}", amount)
         return report
 
-    def _slice_parallel(
-        self, dps: list[DPInstance], workers: int, span=NULL_SPAN
-    ) -> list[DPSlices]:
-        # one contiguous chunk per worker: per-DP tasks are too fine-grained
-        # (executor queue churn dwarfs the work); concatenating the chunks
-        # preserves scan order.
-        engine = resolve_executor(self.executor)
-        if engine == "process":
-            pool = self._process_pool(workers, len(dps))
-            if pool is not None:
-                chunks = _chunked(dps, min(workers, len(dps)))
-                nested = pool.map(_slice_chunk_task, chunks, span=span)
-                return [s for chunk in nested for s in chunk]
-            engine = "thread"  # fallback already noted by _process_pool
-        if engine == "serial":
-            return self._slice_chunk(dps)
-        # Thread fan-out is clamped to the usable core count — extra
-        # GIL-bound threads only add convoy overhead.
-        width = fanout_width(workers)
-        if width <= 1:
-            return self._slice_chunk(dps)
-        chunks = _chunked(dps, width)
-        nested = thread_map(self._slice_chunk, chunks, workers=width, span=span)
-        return [s for chunk in nested for s in chunk]
-
-    def _process_pool(self, workers: int, n_items: int) -> ProcPool | None:
-        """The slicer's persistent process pool, built on first parallel
-        fan-out (fork workers inherit the slicer; spawn workers unpickle it
-        once).  ``None`` — with the fallback metric bumped — when no pool
-        can be built here."""
-        if self._pool is None:
-            try:
-                self._pool = ProcPool(
-                    self,
-                    workers=min(workers, n_items),
-                    start_method=self.start_method,
-                )
-            except PoolUnavailable as exc:
-                note_executor_fallback(str(exc))
-                return None
-        return self._pool
-
-    def close(self) -> None:
-        """Release the process pool (no-op for thread/serial executors).
-        ``Extractocol.analyze`` calls this when the pipeline finishes."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __getstate__(self) -> dict:
-        """Ship everything but the live pool (children never own pools)."""
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        return state
-
-    def _slice_chunk(self, dps: list[DPInstance]) -> list[DPSlices]:
-        return [self.slice_dp(dp) for dp in dps]
-
     # -- object-aware augmentation (paper §3.1) -------------------------------
-    def _locals_at(self, ref: StmtRef) -> tuple[frozenset, frozenset] | None:
-        """(defined, used) locals of the statement, via the shared index
-        when available; None when the method is unknown."""
-        if self.index is not None:
-            table = self._stmt_tables.get(ref.method_id, False)
-            if table is False:
-                try:
-                    method = self.program.method_by_id(ref.method_id)
-                except KeyError:
-                    table = None
-                else:
-                    table = self.index.stmt_locals(method)
-                self._stmt_tables[ref.method_id] = table
-            return table[ref.index] if table is not None else None
-        try:
-            method = self.program.method_by_id(ref.method_id)
-        except KeyError:
-            return None
-        stmt = method.stmt_at(ref.index)
-        defs = frozenset(d for d in stmt.defs() if isinstance(d, Local))
-        uses = frozenset(
-            v
-            for use in stmt.uses()
-            for v in walk_values(use)
-            if isinstance(v, Local)
-        )
-        return (defs, uses)
+    def _locals_of(self, method_id: str) -> tuple[list, list] | None:
+        """The method's per-statement (defined, used) local sets, via the
+        shared index; None when the method is unknown."""
+        table = self._stmt_tables.get(method_id, False)
+        if table is False:
+            try:
+                method = self.program.method_by_id(method_id)
+            except KeyError:
+                table = None
+            else:
+                table = self.index.stmt_locals(method)
+            self._stmt_tables[method_id] = table
+        return table
 
     def _augment(self, response: SliceResult, request: SliceResult) -> None:
         """Pull statements the forward slice depends on but does not contain
@@ -265,10 +165,10 @@ class NetworkSlicer:
             for ref in request.stmts:
                 if ref in response.stmts:
                     continue
-                located = self._locals_at(ref)
-                if located is None:
+                table = self._locals_of(ref.method_id)
+                if table is None:
                     continue
-                if any((ref.method_id, v) in needed for v in located[0]):
+                if any((ref.method_id, v) in needed for v in table[0][ref.index]):
                     response.stmts.add(ref)
                     changed = True
             # 2) objects initialised before the DP outside any slice: pull
@@ -284,21 +184,10 @@ class NetworkSlicer:
                 except KeyError:
                     continue
                 assert method.body is not None
-                if self.index is not None:
-                    per_stmt = self.index.stmt_locals(method)
-                    for idx, (defs, _uses) in enumerate(per_stmt):
-                        if defs & locals_:
-                            ref = StmtRef(method.method_id, idx)
-                            if ref not in response.stmts:
-                                response.stmts.add(ref)
-                                changed = True
-                    continue
-                for stmt in method.body:
-                    if any(
-                        isinstance(d, Local) and d in locals_
-                        for d in stmt.defs()
-                    ):
-                        ref = method.stmt_ref(stmt)
+                defs_at, _uses_at = self.index.stmt_locals(method)
+                for idx, defs in enumerate(defs_at):
+                    if defs & locals_:
+                        ref = StmtRef(method.method_id, idx)
                         if ref not in response.stmts:
                             response.stmts.add(ref)
                             changed = True
@@ -308,34 +197,15 @@ class NetworkSlicer:
         defined: set[tuple[str, Local]] = set()
         used: set[tuple[str, Local]] = set()
         for ref in sl.stmts:
-            located = self._locals_at(ref)
-            if located is None:
+            table = self._locals_of(ref.method_id)
+            if table is None:
                 continue
-            defs, uses = located
             mid = ref.method_id
-            for d in defs:
+            for d in table[0][ref.index]:
                 defined.add((mid, d))
-            for v in uses:
+            for v in table[1][ref.index]:
                 used.add((mid, v))
         return used - defined
-
-
-def _chunked(items: list, parts: int) -> list[list]:
-    """Split into at most ``parts`` contiguous, near-equal chunks."""
-    parts = min(parts, len(items))
-    size, extra = divmod(len(items), parts)
-    out, start = [], 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
-def _slice_chunk_task(slicer: NetworkSlicer, chunk: list[DPInstance]) -> list[DPSlices]:
-    """ProcPool task: the worker's inherited/unpickled slicer slices one
-    contiguous chunk; picklable DPSlices results travel back."""
-    return [slicer.slice_dp(dp) for dp in chunk]
 
 
 __all__ = ["DPSlices", "NetworkSlicer", "SlicingReport"]

@@ -11,7 +11,6 @@ from typing import Any
 _LAZY = {
     "DefUseInfo": ("defuse", "DefUseInfo"),
     "compute_defuse": ("defuse", "compute_defuse"),
-    "defuse_of": ("defuse", "defuse_of"),
     "NOFLOW_CALLS": ("engine", "NOFLOW_CALLS"),
     "TaintConfig": ("engine", "TaintConfig"),
     "TaintEngine": ("engine", "TaintEngine"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cfg.cfg import ControlFlowGraph, cfg_of
+from ..cfg.cfg import ControlFlowGraph
 from ..ir.method import Method
 from ..ir.statements import Stmt
 from ..ir.values import Local, walk_values
@@ -27,8 +27,8 @@ class DefUseInfo:
     """
 
     method: Method
-    def_sites: dict[Local, list[int]] = field(default_factory=dict)
-    use_sites: dict[Local, list[int]] = field(default_factory=dict)
+    def_sites: dict[Local, tuple[int, ...]] = field(default_factory=dict)
+    use_sites: dict[Local, tuple[int, ...]] = field(default_factory=dict)
     defs_reaching: dict[tuple[int, Local], tuple[int, ...]] = field(default_factory=dict)
     uses_reached: dict[tuple[int, Local], tuple[int, ...]] = field(default_factory=dict)
 
@@ -55,21 +55,26 @@ def _used_locals(stmt: Stmt) -> set[Local]:
     return out
 
 
+def _sites(sites: dict[Local, list[int]]) -> dict[Local, tuple[int, ...]]:
+    """Freeze per-local site lists into tuples of ints, which the cyclic
+    collector stops tracking (one list per local would be promoted into the
+    old generation and trigger full collections of the whole heap)."""
+    return {local: tuple(idx) for local, idx in sites.items()}
+
+
 def _reaching_bits(
-    method: Method,
-) -> tuple[dict[Local, list[tuple[int, int]]], dict[Local, list[int]], list[int]]:
+    method: Method, cfg: ControlFlowGraph
+) -> tuple[dict[Local, tuple[int, ...]], list[int], list[int]]:
     """The worklist core shared by both def-use variants: per-local
-    definition-bit groups ``[(bit, stmt_index), ...]``, definition sites,
-    and the per-statement reaching-definition bitmasks at statement entry."""
+    definition sites, each statement's definition bit, and the
+    per-statement reaching-definition bitmasks at statement entry."""
     body = method.body
     assert body is not None
-    cfg: ControlFlowGraph = cfg_of(method)
     stmts = body.statements
     n = len(stmts)
 
     def_local: list[Local | None] = [None] * n
     def_bit: list[int] = [0] * n
-    def_groups: dict[Local, list[tuple[int, int]]] = {}
     def_sites: dict[Local, list[int]] = {}
     next_id = 0
     for i, stmt in enumerate(stmts):
@@ -77,12 +82,11 @@ def _reaching_bits(
         if local is not None:
             def_local[i] = local
             def_bit[i] = next_id
-            def_groups.setdefault(local, []).append((next_id, i))
             def_sites.setdefault(local, []).append(i)
             next_id += 1
     kill_mask: dict[Local, int] = {
-        local: sum(1 << did for did, _ in group)
-        for local, group in def_groups.items()
+        local: sum(1 << def_bit[i] for i in sites)
+        for local, sites in def_sites.items()
     }
 
     stmt_in = [0] * n
@@ -104,95 +108,79 @@ def _reaching_bits(
             stmt_in[i] = new_in
             stmt_out[i] = new_out
             worklist.extend(succ.get(i, ()))
-    return def_groups, def_sites, stmt_in
+    return _sites(def_sites), def_bit, stmt_in
 
 
-def compute_defuse(
-    method: Method,
-    stmt_uses: list[frozenset[Local]] | None = None,
-) -> DefUseInfo:
-    """Flow-sensitive reaching definitions via a statement-level worklist.
-
-    ``stmt_uses`` optionally supplies the per-statement used-local sets
-    (e.g. from :meth:`repro.perf.index.ProgramIndex.stmt_locals`) so the
-    value trees are not re-walked here."""
+def compute_defuse(method: Method) -> DefUseInfo:
+    """Flow-sensitive reaching definitions via a statement-level worklist,
+    fully materialised — the reference :class:`LazyDefUse` is tested
+    against."""
     info = DefUseInfo(method)
     body = method.body
     if body is None or not body.statements:
         return info
-    def_groups, info.def_sites, stmt_in = _reaching_bits(method)
+    info.def_sites, def_bit, stmt_in = _reaching_bits(
+        method, ControlFlowGraph(method)
+    )
 
     # Materialise the def→use relation.
+    use_sites: dict[Local, list[int]] = {}
     reached: dict[tuple[int, Local], list[int]] = {}
     for i, stmt in enumerate(body.statements):
-        used = stmt_uses[i] if stmt_uses is not None else _used_locals(stmt)
-        if not used:
-            continue
         mask = stmt_in[i]
-        for local in used:
-            info.use_sites.setdefault(local, []).append(i)
-            group = def_groups.get(local)
-            reaching = (
-                tuple(d_idx for did, d_idx in group if (mask >> did) & 1)
-                if group
-                else ()
+        for local in _used_locals(stmt):
+            use_sites.setdefault(local, []).append(i)
+            reaching = tuple(
+                d for d in info.def_sites.get(local, ())
+                if (mask >> def_bit[d]) & 1
             )
             info.defs_reaching[(i, local)] = reaching
             for d_idx in reaching:
                 reached.setdefault((d_idx, local), []).append(i)
+    info.use_sites = _sites(use_sites)
     info.uses_reached = {key: tuple(sites) for key, sites in reached.items()}
     return info
 
 
 class LazyDefUse:
-    """Query-compatible def-use view that materialises ``reaching_defs``
-    entries on demand instead of for every (statement, local) pair.
+    """Query-compatible def-use view that answers ``reaching_defs`` from
+    the reaching-definition bitmasks on demand instead of materialising
+    every (statement, local) pair.
 
-    Used by the memoized index engine: taint facts only touch a subset of
-    the pairs, so the full materialisation (and the ``uses_reached``
-    inverse, which no analysis consumes) is wasted work there.  Answers are
-    bit-for-bit equal to :func:`compute_defuse`'s."""
+    Built by :meth:`repro.perf.index.ProgramIndex.defuse_of` from the
+    index's CFG and per-statement used-local sets: taint facts only touch a
+    subset of the pairs, so the full materialisation (and the
+    ``uses_reached`` inverse, which no analysis consumes) would be wasted
+    work.  Answers are bit-for-bit equal to :func:`compute_defuse`'s."""
 
-    __slots__ = ("method", "def_sites", "use_sites", "_def_groups", "_stmt_in", "_memo")
+    __slots__ = ("method", "def_sites", "use_sites", "_def_bit", "_stmt_in")
 
-    def __init__(self, method: Method, stmt_uses: list[frozenset[Local]]) -> None:
+    def __init__(
+        self,
+        method: Method,
+        stmt_uses: list[frozenset[Local]],
+        cfg: ControlFlowGraph | None,
+    ) -> None:
         self.method = method
-        self.use_sites: dict[Local, list[int]] = {}
         if method.body is None or not method.body.statements:
-            self.def_sites: dict[Local, list[int]] = {}
-            self._def_groups: dict[Local, list[tuple[int, int]]] = {}
+            self.def_sites: dict[Local, tuple[int, ...]] = {}
+            self.use_sites: dict[Local, tuple[int, ...]] = {}
+            self._def_bit: list[int] = []
             self._stmt_in: list[int] = []
-        else:
-            self._def_groups, self.def_sites, self._stmt_in = _reaching_bits(method)
-            for i, used in enumerate(stmt_uses):
-                for local in used:
-                    self.use_sites.setdefault(local, []).append(i)
-        self._memo: dict[tuple[int, Local], tuple[int, ...]] = {}
+            return
+        self.def_sites, self._def_bit, self._stmt_in = _reaching_bits(method, cfg)
+        use_sites: dict[Local, list[int]] = {}
+        for i, used in enumerate(stmt_uses):
+            for local in used:
+                use_sites.setdefault(local, []).append(i)
+        self.use_sites = _sites(use_sites)
 
     def reaching_defs(self, stmt: Stmt, local: Local) -> tuple[int, ...]:
-        key = (stmt.index, local)
-        got = self._memo.get(key)
-        if got is None:
-            group = self._def_groups.get(local)
-            if not group:
-                got = ()
-            else:
-                mask = self._stmt_in[stmt.index]
-                got = tuple(d_idx for did, d_idx in group if (mask >> did) & 1)
-            self._memo[key] = got
-        return got
+        mask = self._stmt_in[stmt.index]
+        bit = self._def_bit
+        return tuple(
+            d for d in self.def_sites.get(local, ()) if (mask >> bit[d]) & 1
+        )
 
 
-_DEFUSE_CACHE: dict[int, DefUseInfo] = {}
-
-
-def defuse_of(method: Method) -> DefUseInfo:
-    key = id(method)
-    cached = _DEFUSE_CACHE.get(key)
-    if cached is None or cached.method is not method:
-        cached = compute_defuse(method)
-        _DEFUSE_CACHE[key] = cached
-    return cached
-
-
-__all__ = ["DefUseInfo", "LazyDefUse", "compute_defuse", "defuse_of"]
+__all__ = ["DefUseInfo", "LazyDefUse", "compute_defuse"]

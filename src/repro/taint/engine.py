@@ -30,14 +30,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..cfg.callgraph import CallGraph
-from ..cfg.cfg import cfg_of
 from ..ir.method import Method
 from ..ir.program import Program
 from ..ir.statements import (
     AssignStmt,
     IdentityStmt,
     ReturnStmt,
-    Stmt,
     StmtRef,
 )
 from ..ir.values import (
@@ -54,7 +52,6 @@ from ..ir.values import (
     walk_values,
 )
 from ..perf.index import ProgramIndex, field_key
-from .defuse import defuse_of
 from .slices import SliceResult
 
 #: Library calls through which no data flows (logging, metrics).
@@ -107,16 +104,16 @@ class TaintEngine:
         self.program = program
         self.callgraph = callgraph
         self.config = config or TaintConfig()
-        #: shared memoized artifacts; None runs the reference (serial) path
-        self.index = index
+        #: memoized per-method artifacts, shared with the slicer and the
+        #: signature interpreter when the caller passes one
+        self.index = index if index is not None else ProgramIndex(program, callgraph)
         #: method id -> set of entry-point roots whose event may run it.
         self.event_roots = event_roots or {}
         #: method id -> [(continuation method id, param index receiving the
         #: return value)] — AsyncTask-style framework result plumbing.
         self.linked_returns = linked_returns or {}
         #: preloaded so every recording site pays one attribute test, not a
-        #: config dereference; immutable per engine, so safe under the
-        #: engine-per-worker concurrency model
+        #: config dereference
         self._record_prov = self.config.record_provenance
         #: while a slice is being built, the live ``SliceResult.visited``
         #: set — ``_method`` is the one accessor through which the engine
@@ -124,9 +121,8 @@ class TaintEngine:
         #: whose code could have influenced the slice (the incremental
         #: engine's reuse precondition)
         self._visited: set[str] | None = None
-        self._reach_cache: dict[str, list[set[int]]] = {}
-        #: per-method (defuse, reach, reach-to, mention-mask) bundle so the
-        #: index fast path pays one dict probe per step, not four
+        #: per-method (defuse, reach, reach-to, mention-mask) bundle so each
+        #: propagation step pays one dict probe, not four
         self._tables: dict[str, tuple] = {}
         self._field_stores: dict[tuple[str, str], list[StmtRef]] | None = None
         self._field_loads: dict[tuple[str, str], list[StmtRef]] | None = None
@@ -138,59 +134,10 @@ class TaintEngine:
             visited.add(method_id)
         return self.program.method_by_id(method_id)
 
-    def _reach(self, method: Method) -> list[set[int]]:
-        """Forward statement-level reachability sets (reflexive)."""
-        cached = self._reach_cache.get(method.method_id)
-        if cached is not None:
-            return cached
-        cfg = cfg_of(method)
-        n = len(method.body.statements) if method.body else 0
-        succ = cfg.stmt_succ
-        reach: list[set[int]] = [set() for _ in range(n)]
-        # Reverse-topological accumulation with a fixpoint for loops.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
-                acc = {i}
-                for s in succ.get(i, ()):
-                    acc |= reach[s]
-                    acc.add(s)
-                if not acc <= reach[i]:
-                    reach[i] |= acc
-                    changed = True
-        self._reach_cache[method.method_id] = reach
-        return reach
-
-    def _field_key(self, f: FieldSig) -> tuple[str, str]:
-        return field_key(f)
-
     def _index_fields(self) -> None:
-        if self._field_stores is not None:
-            return
-        if self.index is not None:
+        if self._field_stores is None:
             self._field_stores = self.index.field_stores
             self._field_loads = self.index.field_loads
-            return
-        stores: dict[tuple[str, str], list[StmtRef]] = {}
-        loads: dict[tuple[str, str], list[StmtRef]] = {}
-        for method in self.program.methods():
-            if method.body is None:
-                continue
-            for stmt in method.body:
-                if isinstance(stmt, AssignStmt):
-                    tgt = stmt.target
-                    if isinstance(tgt, (InstanceFieldRef, StaticFieldRef)):
-                        stores.setdefault(
-                            self._field_key(tgt.field), []
-                        ).append(method.stmt_ref(stmt))
-                    rhs = stmt.rhs
-                    if isinstance(rhs, (InstanceFieldRef, StaticFieldRef)):
-                        loads.setdefault(
-                            self._field_key(rhs.field), []
-                        ).append(method.stmt_ref(stmt))
-        self._field_stores = stores
-        self._field_loads = loads
 
     def _cross_event_cost(self, from_mid: str, to_mid: str) -> int:
         """1 if the flow crosses an asynchronous event boundary, else 0."""
@@ -217,24 +164,27 @@ class TaintEngine:
         queue: deque[tuple[StmtRef, Local, int]] = deque()
         enqueued = widened = 0
 
+        # not recursive on purpose: a closure that calls itself is a
+        # reference cycle, which would keep ``seen`` and ``queue`` alive
+        # until the cyclic collector runs instead of freeing them on return
         def need(ref: StmtRef, value: Value, hops: int) -> None:
             nonlocal enqueued, widened
-            if isinstance(value, Constant):
+            if isinstance(value, Local):
+                operands = (value,)
+            elif isinstance(value, Constant):
                 return
-            if not isinstance(value, Local):
-                for op in walk_values(value):
-                    if isinstance(op, Local):
-                        need(ref, op, hops)
-                return
-            key = (ref.method_id, ref.index, value.name)
-            prev = seen.get(key)
-            if prev is not None and prev <= hops:
-                return
-            if prev is not None:
-                widened += 1
-            seen[key] = hops
-            enqueued += 1
-            queue.append((ref, value, hops))
+            else:
+                operands = [v for v in walk_values(value) if isinstance(v, Local)]
+            for local in operands:
+                key = (ref.method_id, ref.index, local.name)
+                prev = seen.get(key)
+                if prev is not None and prev <= hops:
+                    continue
+                if prev is not None:
+                    widened += 1
+                seen[key] = hops
+                enqueued += 1
+                queue.append((ref, local, hops))
 
         for ref, value in seeds:
             result.stmts.add(ref)
@@ -258,8 +208,8 @@ class TaintEngine:
         return result
 
     def _slice_tables(self, method: Method) -> tuple:
-        """(defuse, reach masks, reach-to masks, mention masks) for the
-        index fast paths, bundled under one engine-local probe."""
+        """(defuse, reach masks, reach-to masks, mention masks) of
+        ``method``, bundled under one engine-local probe."""
         mid = method.method_id
         tables = self._tables.get(mid)
         if tables is None:
@@ -276,64 +226,31 @@ class TaintEngine:
     def _backward_step(self, ref, local, hops, result, need) -> None:
         method = self._method(ref.method_id)
         assert method.body is not None
-        if self.index is not None:
-            du, masks, reach_to, mention = self._slice_tables(method)
-        else:
-            du = defuse_of(method)
+        du, masks, reach_to, mention = self._slice_tables(method)
         use_stmt = method.stmt_at(ref.index)
         result.tainted_locals.add((method.method_id, local))
         defs = du.reaching_defs(use_stmt, local)
         if not defs and local in set(use_stmt.defs()):
             defs = (ref.index,)
-        if self.index is not None:
-            # fast path: the def→use region is a three-way bitmask
-            # intersection (statements the def reaches ∩ statements that
-            # reach the use ∩ statements mentioning the local) instead of a
-            # per-definition full-body scan.
-            use_mask = reach_to[ref.index] & mention.get(local, 0)
-            mid = method.method_id
-            for d_idx in defs:
-                region = (masks[d_idx] & use_mask) | (1 << d_idx)
-                while region:
-                    low = region & -region
-                    s_idx = low.bit_length() - 1
-                    region ^= low
-                    stmt = method.stmt_at(s_idx)
-                    s_ref = StmtRef(mid, s_idx)
-                    result.stmts.add(s_ref)
-                    if self._record_prov:
-                        result.prov.setdefault(
-                            s_ref, None if s_ref == ref else ref
-                        )
-                    self._backward_inflows(method, stmt, local, hops, result, need)
-            return
-        reach = self._reach(method)
+        # the def→use region is a three-way bitmask intersection
+        # (statements the def reaches ∩ statements that reach the use ∩
+        # statements mentioning the local)
+        use_mask = reach_to[ref.index] & mention.get(local, 0)
+        mid = method.method_id
         for d_idx in defs:
-            region = {
-                s.index
-                for s in method.body
-                if (d_idx in (s.index,) or s.index in reach[d_idx])
-                and ref.index in reach[s.index] | {s.index}
-                and self._mentions(s, local)
-            }
-            region.add(d_idx)
-            for s_idx in region:
+            region = (masks[d_idx] & use_mask) | (1 << d_idx)
+            while region:
+                low = region & -region
+                s_idx = low.bit_length() - 1
+                region ^= low
                 stmt = method.stmt_at(s_idx)
-                s_ref = StmtRef(method.method_id, s_idx)
+                s_ref = StmtRef(mid, s_idx)
                 result.stmts.add(s_ref)
                 if self._record_prov:
-                    result.prov.setdefault(s_ref, None if s_ref == ref else ref)
+                    result.prov.setdefault(
+                        s_ref, None if s_ref == ref else ref
+                    )
                 self._backward_inflows(method, stmt, local, hops, result, need)
-
-    @staticmethod
-    def _mentions(stmt: Stmt, local: Local) -> bool:
-        if local in set(stmt.defs()):
-            return True
-        for use in stmt.uses():
-            for v in walk_values(use):
-                if v == local:
-                    return True
-        return False
 
     def _backward_inflows(self, method, stmt, local, hops, result, need) -> None:
         ref = method.stmt_ref(stmt)
@@ -385,7 +302,7 @@ class TaintEngine:
             result.fields.add(rhs.field)
             if isinstance(rhs, InstanceFieldRef):
                 need(ref, rhs.base, hops)
-            for store_ref in self._field_stores.get(self._field_key(rhs.field), ()):
+            for store_ref in self._field_stores.get(field_key(rhs.field), ()):
                 cost = self._cross_event_cost(store_ref.method_id, ref.method_id)
                 if hops + cost > self.config.max_async_hops:
                     result.missed_async_flows.add(store_ref)
@@ -509,14 +426,9 @@ class TaintEngine:
         return result
 
     def _uses_after(self, method: Method, local: Local, from_idx: int) -> list[int]:
-        if self.index is not None:
-            du, masks, _, _ = self._slice_tables(method)
-            mask = masks[from_idx]
-            return [s for s in du.use_sites.get(local, ()) if (mask >> s) & 1]
-        du = defuse_of(method)
-        sites = du.use_sites.get(local, [])
-        reach = self._reach(method)
-        return [s for s in sites if s in reach[from_idx] or s == from_idx]
+        du, masks, _, _ = self._slice_tables(method)
+        mask = masks[from_idx]
+        return [s for s in du.use_sites.get(local, ()) if (mask >> s) & 1]
 
     def _forward_step(self, ref, local, hops, result, fact) -> None:
         method = self._method(ref.method_id)
@@ -598,7 +510,7 @@ class TaintEngine:
                 fact(self._param_ref(succ, p), p, hops)
 
     def _taint_field_loads(self, field: FieldSig, ref, hops, result, fact) -> None:
-        for load_ref in self._field_loads.get(self._field_key(field), ()):
+        for load_ref in self._field_loads.get(field_key(field), ()):
             cost = self._cross_event_cost(ref.method_id, load_ref.method_id)
             if hops + cost > self.config.max_async_hops:
                 result.missed_async_flows.add(load_ref)

@@ -39,15 +39,6 @@ CORPUS = {
     },
 }
 
-PIPELINE = {
-    "meta": {"host": host_fingerprint()},
-    "apps": {"ted": {"serial_s": 1.0, "parallel_s": 0.5, "speedup": 2.0,
-                     "identical_reports": True}},
-    "aggregate": {"serial_s": 1.0, "parallel_s": 0.5, "speedup": 2.0,
-                  "all_identical": True},
-}
-
-
 SEARCH = {
     "meta": {"host": host_fingerprint(), "spec": "synth:all*500@7",
              "queries": {"host": "host:api.example.test"}, "repeats": 200},
@@ -64,7 +55,8 @@ class TestShapes:
     def test_bench_kind(self):
         assert bench_kind(BATCH) == "batch_scale"
         assert bench_kind(CORPUS) == "corpus_scale"
-        assert bench_kind(PIPELINE) == "pipeline"
+        # the retired two-engine pipeline shape is not a bench any more
+        assert bench_kind({"apps": {}, "aggregate": {"speedup": 2.0}}) is None
         assert bench_kind(SEARCH) == "search"
         assert bench_kind({"nope": 1}) is None
 
@@ -95,11 +87,6 @@ class TestShapes:
         metrics = extract_metrics(CORPUS)
         assert metrics["by_size.100.gen_apps_per_sec"] == (200.0, "higher")
         assert metrics["by_size.100.p50_ms"] == (40.0, "lower")
-
-    def test_extract_pipeline_metrics(self):
-        metrics = extract_metrics(PIPELINE)
-        assert metrics["aggregate.speedup"] == (2.0, "higher")
-        assert metrics["apps.ted.parallel_s"] == (0.5, "lower")
 
     def test_load_bench_rejects_unknown_shape(self, tmp_path):
         good = tmp_path / "ok.json"

@@ -58,8 +58,17 @@ class TestCFG:
                 assert src in cfg.stmt_pred[d]
 
     def test_cfg_cache(self, branchy_program):
+        """The per-analysis ProgramIndex and each ICFG memoize CFGs;
+        ``cfg_of`` itself builds afresh, so no process-wide table pins
+        method bodies."""
+        from repro.perf.index import ProgramIndex
+
         method = _run_method(branchy_program)
-        assert cfg_of(method) is cfg_of(method)
+        index = ProgramIndex(branchy_program)
+        assert index.cfg_of(method) is index.cfg_of(method)
+        icfg = ICFG(branchy_program)
+        assert icfg.cfg(method) is icfg.cfg(method.method_id)
+        assert cfg_of(method) is not cfg_of(method)
 
 
 class TestDominators:

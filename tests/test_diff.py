@@ -41,16 +41,14 @@ from repro.service import resolve_target
 
 
 @lru_cache(maxsize=None)
-def _corpus_report_dict(key: str, workers: int = 1) -> dict:
+def _corpus_report_dict(key: str) -> dict:
     apk, config, _ = resolve_target(key)
-    config.workers = workers
     return report_to_dict(Extractocol(config).analyze(apk))
 
 
 @lru_cache(maxsize=None)
-def _lineage_report(label: str, workers: int = 1):
+def _lineage_report(label: str):
     built = build_version(label)
-    built.config.workers = workers
     report = Extractocol(built.config).analyze(built.apk)
     return report, built.renames_from_base
 
@@ -168,22 +166,6 @@ def test_self_diff_is_empty_for_every_corpus_app(key):
     assert j1 == j2
 
 
-def test_diff_json_identical_across_engines():
-    """The diff of parallel-engine reports is byte-identical to the diff
-    of serial-engine reports (workers is not a semantic knob)."""
-    for key in ("reddinator", "diode", "ted"):
-        serial = _corpus_report_dict(key)
-        parallel = _corpus_report_dict(key, workers=4)
-        j1 = json.dumps(diff_dicts(serial, serial).to_dict(), sort_keys=True)
-        j2 = json.dumps(
-            diff_dicts(parallel, parallel).to_dict(), sort_keys=True
-        )
-        assert j1 == j2
-        # and across the engine boundary: serial vs parallel diffs empty
-        cross = diff_dicts(serial, parallel)
-        assert cross.is_empty
-
-
 # ------------------------------------------------------ lineage truth
 class TestLineages:
     def _diff(self, old_label: str, new_label: str) -> ProtocolDiff:
@@ -232,16 +214,6 @@ class TestLineages:
     def test_obfuscated_rebuild_diffs_clean_via_rename_lineage(self):
         diff = self._diff("tzm@v1", "tzm@v2")
         assert diff.is_empty, [str(c) for c in diff.all_changes()]
-
-    def test_lineage_diff_deterministic_across_engines(self):
-        j = []
-        for workers in (1, 4):
-            old, _ = _lineage_report("reddinator@v1", workers)
-            new, _ = _lineage_report("reddinator@v3", workers)
-            j.append(json.dumps(
-                diff_reports(old, new).to_dict(), sort_keys=True
-            ))
-        assert j[0] == j[1]
 
 
 # ------------------------------------------------- targets, cache, model

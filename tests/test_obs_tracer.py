@@ -14,7 +14,6 @@ from repro.obs.export import (
     validate_jsonl,
 )
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Span, Tracer
-from repro.perf.parallel import forked_map, ordered_map, thread_map
 
 
 class TestSpan:
@@ -88,34 +87,6 @@ class TestNullSpan:
         assert NULL_TRACER.span("anything") is NULL_SPAN
         assert Tracer().enabled
         assert Tracer("top").root.name == "top"
-
-
-class TestWorkerSpans:
-    def test_thread_map_emits_per_worker_spans(self):
-        root = Span("root")
-        results = thread_map(lambda x: x * 2, [1, 2, 3], workers=3, span=root)
-        assert results == [2, 4, 6]
-        names = [c.name for c in root.children]
-        assert names == ["worker-1", "worker-2", "worker-3"]
-        assert all(c.seconds >= 0.0 for c in root.children)
-
-    def test_thread_map_without_span_unchanged(self):
-        assert thread_map(lambda x: x + 1, [1, 2], workers=2) == [2, 3]
-
-    def test_ordered_map_serial_path_with_span(self):
-        root = Span("root")
-        out = ordered_map(lambda x: -x, [5, 6], workers=1, span=root, label="w")
-        assert out == [-5, -6]
-        assert [c.name for c in root.children] == ["w-1", "w-2"]
-
-    def test_forked_map_with_span(self):
-        root = Span("root")
-        try:
-            out = forked_map(abs, [-1, -2], workers=2, span=root)
-        except ValueError:
-            pytest.skip("no fork start method on this platform")
-        assert out == [1, 2]
-        assert [c.name for c in root.children] == ["worker-1", "worker-2"]
 
 
 class TestExport:

@@ -1,21 +1,23 @@
-"""Tests for the memoized parallel engine (`repro.perf`).
+"""Tests for the memoized analysis engine (`repro.perf`).
 
-The contract under test: ``workers >= 2`` selects the ProgramIndex-backed
-engine, whose reports must be byte-identical to the serial reference engine
-(``workers=1`` — the seed's exact code path), and whose memoized artifacts
-must equal the freshly computed ones they replace.
+The contracts under test: the :class:`ProgramIndex` artifacts equal the
+freshly computed reference relations they replace (report identity is
+pinned by the golden oracle in ``test_golden_reports.py``); the index is
+the only CFG memo, so an analysis pins nothing once it returns; and the
+batch-level worker-sizing and executor knobs normalise as documented.
 """
 
 from __future__ import annotations
 
-import json
+import gc
 import os
+import warnings
+import weakref
 
 import pytest
 
 from repro.cfg.callgraph import build_callgraph
 from repro.cfg.cfg import cfg_of
-from repro.cli import report_to_dict
 from repro.core.config import AnalysisConfig
 from repro.core.extractocol import Extractocol, _dedupe
 from repro.corpus import build_app, get_spec
@@ -23,64 +25,18 @@ from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transac
 from repro.evalx import runner
 from repro.ir.statements import AssignStmt, StmtRef
 from repro.ir.values import InstanceFieldRef, Local, StaticFieldRef, walk_values
+from repro.obs.metrics import global_registry
+from repro.perf import parallel
 from repro.perf.index import ProgramIndex, compute_reach_masks, field_key
-from repro.perf.parallel import fanout_width, ordered_map, resolve_workers
+from repro.perf.parallel import resolve_executor, resolve_workers, usable_cpus
 from repro.signature.lang import Const
 from repro.slicing.slicer import NetworkSlicer
 from repro.taint.defuse import LazyDefUse, compute_defuse
 
-DETERMINISM_APPS = ["diode", "ted", "kayak"]
-
-
-def _config(spec, workers: int, executor: str = "thread") -> AnalysisConfig:
-    return AnalysisConfig(
-        async_heuristic=(spec.kind == "closed"),
-        scope_prefixes=spec.scope_prefixes,
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _report_json(key: str, workers: int, executor: str = "thread") -> str:
-    spec = get_spec(key)
-    report = Extractocol(_config(spec, workers, executor)).analyze(spec.build_apk())
-    return json.dumps(report_to_dict(report), sort_keys=True)
-
-
-# --------------------------------------------------------------- determinism
-@pytest.mark.parametrize("key", DETERMINISM_APPS)
-def test_parallel_engine_report_identical_to_serial(key):
-    """workers=4 (memoized engine + thread fan-out) must reproduce the
-    serial reference report byte-for-byte."""
-    assert _report_json(key, 4) == _report_json(key, 1)
-
-
-def test_parallel_engine_preserves_scalar_report_fields():
-    spec = get_spec("ted")
-    serial = Extractocol(_config(spec, 1)).analyze(spec.build_apk())
-    parallel = Extractocol(_config(spec, 4)).analyze(spec.build_apk())
-    assert parallel.slice_fraction == serial.slice_fraction
-    assert parallel.demarcation_points == serial.demarcation_points
-    assert [str(d) for d in parallel.dependencies] == [
-        str(d) for d in serial.dependencies
-    ]
-    assert len(parallel.transactions) == len(serial.transactions)
-
-
-def test_process_executor_matches_serial():
-    """The opt-in fork-based pool must also be deterministic (it degrades
-    to threads on platforms without fork, which is equally deterministic)."""
-    assert _report_json("ted", 2, executor="process") == _report_json("ted", 1)
-
-
-def test_auto_workers_matches_serial():
-    """workers=0 auto-sizes to the CPU count; still identical output."""
-    assert _report_json("diode", 0) == _report_json("diode", 1)
-
 
 # -------------------------------------------------- index artifact equality
 def _brute_reach_sets(method):
-    """Reference forward reachability as sets (the serial engine's shape)."""
+    """Reference forward reachability as sets."""
     cfg = cfg_of(method)
     n = len(method.body.statements) if method.body else 0
     succ = cfg.stmt_succ
@@ -200,6 +156,22 @@ def test_compute_reach_masks_empty_method():
     assert compute_reach_masks(_Cfg(), 0) == []
 
 
+# ---------------------------------------------------------- memo lifetime
+def test_analysis_pins_no_method_after_the_apk_is_dropped():
+    """Regression: a process-wide CFG memo keyed by ``id(method)`` kept
+    every analyzed body alive for the life of the process (shard workers,
+    ``repro serve``).  The per-analysis ProgramIndex is now the only memo,
+    so once ``analyze`` returns and the APK is dropped, its methods die."""
+    apk = get_spec("diode").build_apk()
+    report = Extractocol(AnalysisConfig()).analyze(apk)
+    assert report.transactions
+    method = next(m for m in apk.program.methods() if m.body is not None)
+    alive = weakref.ref(method)
+    del apk, method
+    gc.collect()
+    assert alive() is None
+
+
 # --------------------------------------------- call graph reverse adjacency
 def test_caller_methods_consistent_with_caller_sites(indexed_program):
     program, index = indexed_program
@@ -312,14 +284,52 @@ def test_resolve_workers_normalisation():
     assert resolve_workers(7) == 7
 
 
-def test_fanout_width_clamps_to_core_count():
-    cpus = os.cpu_count() or 1
-    assert fanout_width(1) == 1
-    assert 1 <= fanout_width(64) <= cpus
-    assert fanout_width(0) == min(resolve_workers(0), cpus)
+def test_usable_cpus_prefers_affinity_mask(monkeypatch):
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("platform has no sched_getaffinity")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert usable_cpus() == 3
+    assert resolve_workers(0) == 3
 
 
-def test_ordered_map_preserves_input_order():
-    items = list(range(23))
-    assert ordered_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
-    assert ordered_map(lambda x: x + 1, items, workers=1) == [x + 1 for x in items]
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    def boom(pid):
+        raise OSError("no affinity here")
+
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", boom)
+    assert usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_resolve_executor_rejects_unknown():
+    with pytest.raises(ValueError, match="unknown executor"):
+        resolve_executor("fiber")
+    assert resolve_executor("auto") in ("thread", "process")
+    assert resolve_executor(None) in ("thread", "process")
+
+
+def test_process_fallback_is_audible(monkeypatch):
+    """A process engine that degrades to threads must bump the global
+    executor_fallbacks counter and warn (once per process)."""
+    monkeypatch.setattr(parallel, "_fallback_warned", False)
+    monkeypatch.setattr(parallel, "_fallback_audible", True)
+    counter = global_registry().counter("executor_fallbacks")
+    before = counter.value
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parallel.note_executor_fallback("injected: no pool for you")
+    assert counter.value == before + 1
+    assert any(
+        issubclass(w.category, RuntimeWarning)
+        and "falling back" in str(w.message)
+        for w in caught
+    )
+
+    # second degradation: counted again, but not warned again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parallel.note_executor_fallback("injected: no pool for you")
+    assert counter.value == before + 2
+    assert not caught
+    assert parallel.take_fallback_reasons()[-1] == "injected: no pool for you"

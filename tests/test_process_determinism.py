@@ -1,12 +1,13 @@
-"""Corpus-wide differential test of the process-sharded analysis engine.
+"""Corpus-wide determinism across the batch engine's process boundary.
 
-The hard contract of this repo's parallelism story: whatever executor runs
-the slicing fan-out, the serialized report is byte-identical to the serial
-reference engine's.  This file pins that corpus-wide for the fork pool and
-on a subset for the (much slower to start) spawn pool — together with the
-thread coverage in ``test_perf.py``/``test_trace_determinism.py``, every
-executor × start-method combination is differentially tested against the
-same serial baseline.
+An analysis run inside a shard worker process
+(:func:`repro.service.shard.run_sharded_batch`) must store exactly the
+report the same analysis produces in-process.  This file pins that
+corpus-wide for fork-started workers and on a subset for the (much slower
+to start) spawn-started ones, whose fresh interpreters also draw a fresh
+hash seed — so set-iteration order leaking into a report shows up here.
+The in-process reports themselves are pinned by the golden oracle
+(``test_golden_reports.py``).
 """
 
 from __future__ import annotations
@@ -15,43 +16,18 @@ import json
 
 import pytest
 
-from repro.cli import report_to_dict
-from repro.core.config import AnalysisConfig
 from repro.core.extractocol import Extractocol
-from repro.corpus import app_keys, get_spec
-from repro.perf.procpool import available_start_methods
+from repro.core.report import report_to_dict
+from repro.corpus import app_keys
+from repro.service import JobScheduler, ResultStore
+from repro.service.jobs import resolve_target
+from repro.service.shard import available_start_methods, run_sharded_batch
 
 SPAWN_APPS = ["diode", "ted", "kayak"]
 
 
-def _report_json(key: str, workers: int, executor: str = "serial",
-                 start_method: str | None = None) -> str:
-    spec = get_spec(key)
-    config = AnalysisConfig(
-        async_heuristic=(spec.kind == "closed"),
-        scope_prefixes=spec.scope_prefixes,
-        workers=workers,
-        executor=executor,
-    )
-    engine = Extractocol(config)
-    if start_method is not None:
-        # reach through to the slicing phase's pool construction
-        import repro.slicing.slicer as slicer_mod
-
-        original = slicer_mod.NetworkSlicer.__init__
-
-        def patched(self, *a, **kw):
-            kw["start_method"] = start_method
-            original(self, *a, **kw)
-
-        slicer_mod.NetworkSlicer.__init__ = patched
-        try:
-            report = engine.analyze(spec.build_apk())
-        finally:
-            slicer_mod.NetworkSlicer.__init__ = original
-    else:
-        report = engine.analyze(spec.build_apk())
-    return json.dumps(report_to_dict(report), sort_keys=True)
+def _canonical(report_dict: dict) -> str:
+    return json.dumps(report_dict, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -60,37 +36,58 @@ def serial_reports():
 
     def get(key: str) -> str:
         if key not in cache:
-            cache[key] = _report_json(key, 1)
+            apk, config, _ = resolve_target(key)
+            cache[key] = _canonical(report_to_dict(Extractocol(config).analyze(apk)))
         return cache[key]
 
     return get
 
 
-@pytest.mark.skipif(
-    "fork" not in available_start_methods(), reason="fork unavailable"
-)
+def _sharded_store(root, keys: list[str], start_method: str) -> dict[str, str]:
+    """Run ``keys`` through two shard workers; map key -> stored report."""
+    records = run_sharded_batch(root, keys, workers=2, start_method=start_method)
+    assert [r.status for r in records] == ["done"] * len(keys)
+    store = ResultStore(root)
+    return {
+        r.target: _canonical(store.load(r.result_key)["report"])
+        for r in records
+    }
+
+
+@pytest.fixture(scope="module")
+def fork_reports(tmp_path_factory):
+    if "fork" not in available_start_methods():
+        pytest.skip("fork unavailable")
+    return _sharded_store(tmp_path_factory.mktemp("fork"), app_keys(), "fork")
+
+
+@pytest.fixture(scope="module")
+def spawn_reports(tmp_path_factory):
+    if "spawn" not in available_start_methods():
+        pytest.skip("spawn unavailable")
+    return _sharded_store(tmp_path_factory.mktemp("spawn"), SPAWN_APPS, "spawn")
+
+
 @pytest.mark.parametrize("key", app_keys())
-def test_fork_pool_matches_serial_corpus_wide(key, serial_reports):
-    """Every corpus app, analyzed through the fork-based ProcPool with
-    workers=2, must serialize byte-identically to the serial engine."""
-    assert _report_json(
-        key, 2, executor="process", start_method="fork"
-    ) == serial_reports(key)
+def test_fork_pool_matches_serial_corpus_wide(key, fork_reports, serial_reports):
+    """Every corpus app, analyzed by a fork-started shard worker, stores
+    byte-identically to the in-process analysis."""
+    assert fork_reports[key] == serial_reports(key)
 
 
-@pytest.mark.skipif(
-    "spawn" not in available_start_methods(), reason="spawn unavailable"
-)
 @pytest.mark.parametrize("key", SPAWN_APPS)
-def test_spawn_pool_matches_serial(key, serial_reports):
-    """The spawn path exercises the pickle-the-payload-once shipment; the
-    report must still be byte-identical."""
-    assert _report_json(
-        key, 2, executor="process", start_method="spawn"
-    ) == serial_reports(key)
+def test_spawn_pool_matches_serial(key, spawn_reports, serial_reports):
+    """Spawned workers rebuild the app from its key in a fresh interpreter;
+    the stored report must still be byte-identical."""
+    assert spawn_reports[key] == serial_reports(key)
 
 
-def test_serial_executor_matches_reference(serial_reports):
-    """executor="serial" with workers>1 isolates the memoized engine from
-    any fan-out; still the same bytes."""
-    assert _report_json("kayak", 4, executor="serial") == serial_reports("kayak")
+def test_serial_executor_matches_reference(tmp_path, serial_reports):
+    """The scheduler's in-process batch engine stores the same bytes."""
+    sched = JobScheduler(ResultStore(tmp_path), workers=1, executor="serial")
+    try:
+        (record,) = sched.run_batch(["kayak"])
+    finally:
+        sched.shutdown()
+    stored = ResultStore(tmp_path).load(record["result_key"])["report"]
+    assert _canonical(stored) == serial_reports("kayak")

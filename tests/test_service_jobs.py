@@ -78,12 +78,12 @@ class TestHappyPath:
             assert job.cache_hit and job.status is JobStatus.DONE
             assert analyzer2.calls == 0
 
-    def test_worker_knob_does_not_shard_cache(self, store):
+    def test_execution_knob_does_not_shard_cache(self, store):
         with make_scheduler(store) as sched:
             apk = build_app("blippex")
-            j1 = sched.submit(apk, AnalysisConfig(workers=1))
+            j1 = sched.submit(apk, AnalysisConfig())
             assert sched.wait([j1], timeout=30)
-            j2 = sched.submit(apk, AnalysisConfig(workers=4, executor="process"))
+            j2 = sched.submit(apk, AnalysisConfig(mode="targeted"))
             assert j2.cache_hit
 
 

@@ -19,7 +19,13 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service import JobScheduler, JobStatus, ResultStore
-from repro.service.shard import ShardRecord, run_sharded_batch, shard_of
+from repro.service.shard import (
+    ShardRecord,
+    available_start_methods,
+    default_start_method,
+    run_sharded_batch,
+    shard_of,
+)
 from repro.service.store import canonical_json
 
 TARGETS = ["diode", "ted", "tzm"]
@@ -161,6 +167,43 @@ def test_run_batch_rejects_unknown_target_upfront(tmp_path):
             sched.run_batch(["diode", "definitely-not-an-app"])
     finally:
         sched.shutdown()
+
+
+def test_all_synth_batch_never_builds_the_corpus_registry(
+    tmp_path, monkeypatch
+):
+    """Validating synth keys must not materialize the hand-written corpus
+    registry (the dominant cost of an all-cache-hit synth batch)."""
+    import repro.corpus
+
+    def no_registry(*args, **kwargs):
+        raise AssertionError("corpus registry built for an all-synth batch")
+
+    monkeypatch.setattr(repro.corpus, "app_keys", no_registry)
+    sched = JobScheduler(ResultStore(tmp_path / "s"), executor="thread")
+    try:
+        records = sched.run_batch(["synth:transports*2@7"])
+    finally:
+        sched.shutdown()
+    assert [r["status"] for r in records] == ["done", "done"]
+
+
+def test_unknown_key_after_synth_keys_still_raises(tmp_path):
+    sched = JobScheduler(ResultStore(tmp_path / "s"), executor="thread")
+    try:
+        with pytest.raises(LookupError):
+            sched.run_batch(["synth:transports*2@7", "definitely-not-an-app"])
+    finally:
+        sched.shutdown()
+
+
+def test_start_method_env_override(monkeypatch):
+    if "spawn" not in available_start_methods():
+        pytest.skip("spawn unavailable")
+    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+    assert default_start_method() == "spawn"
+    monkeypatch.setenv("REPRO_START_METHOD", "not-a-method")
+    assert default_start_method() is None
 
 
 # -------------------------------------------------------------------- leases

@@ -31,10 +31,9 @@ class TestCacheKey:
     def test_execution_knobs_do_not_shard_the_cache(self):
         base = AnalysisConfig()
         for variant in (
-            AnalysisConfig(workers=8),
-            AnalysisConfig(workers=0),
-            AnalysisConfig(executor="process"),
-            AnalysisConfig(workers=4, executor="process"),
+            AnalysisConfig(record_provenance=True),
+            AnalysisConfig(mode="targeted"),
+            AnalysisConfig(mode="incremental"),
         ):
             assert variant.cache_key() == base.cache_key()
 
@@ -50,17 +49,22 @@ class TestCacheKey:
         ):
             assert variant.cache_key() != base.cache_key()
 
-    def test_worker_count_does_not_change_the_report(self):
-        """The contract the shared cache key rests on: serial and parallel
-        engines produce byte-identical reports."""
+    def test_execution_knobs_do_not_change_the_report(self):
+        """The contract the shared cache key rests on: the execution knobs
+        produce byte-identical reports."""
         from repro.corpus import build_app
 
         apk = build_app("radioreddit")
-        serial = Extractocol(AnalysisConfig(workers=1)).analyze(apk)
-        parallel = Extractocol(AnalysisConfig(workers=4)).analyze(apk)
-        assert json.dumps(report_to_dict(serial), sort_keys=True) == json.dumps(
-            report_to_dict(parallel), sort_keys=True
-        )
+        reports = [
+            Extractocol(config).analyze(apk)
+            for config in (
+                AnalysisConfig(),
+                AnalysisConfig(mode="targeted"),
+                AnalysisConfig(record_provenance=True),
+            )
+        ]
+        texts = {json.dumps(report_to_dict(r), sort_keys=True) for r in reports}
+        assert len(texts) == 1
 
 
 class TestApkDigest:

@@ -8,7 +8,6 @@ from repro.cfg import build_callgraph
 from repro.ir import ProgramBuilder
 from repro.slicing import DemarcationRegistry, scan_demarcation_points
 from repro.taint import TaintConfig, TaintEngine, compute_defuse
-from repro.taint.defuse import defuse_of
 
 
 def _method(program, name, cls=CLS):
@@ -65,7 +64,7 @@ class TestDefUse:
 
     def test_loop_def_reaches_header_use(self, branchy_program):
         method = branchy_program.class_of("com.example.Branchy").find_methods("run")[0]
-        du = defuse_of(method)
+        du = compute_defuse(method)
         i_local = method.body.locals["i"]
         # `i` at the loop condition sees both the init def and the increment.
         cond_use = [
