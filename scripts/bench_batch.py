@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""Batch-scaling benchmark: the process-sharded batch engine at 1/2/4/8
-workers, persisted as ``BENCH_batch_scale.json``.
+"""Batch-scaling benchmark: the batch engine at 1/2/4/8 workers (one
+worker runs in-process, more are worker processes), persisted as
+``BENCH_batch_scale.json``.
 
 For each worker count the harness runs one *cold* batch (fresh store) over
 the target list through :func:`repro.service.shard.run_sharded_batch` and
@@ -173,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
             "repeats": repeats,
             "start_method": args.start_method or "default",
             "engine": "repro.service.shard.run_sharded_batch — work-"
-                      "stealing analyzer processes over one shared store",
+                      "stealing analyzer workers over one shared store "
+                      "(in-process at 1 worker, processes above)",
             "timed_region": "whole cold batch (fresh store per run; "
-                            "worker processes resolve + analyze + store)",
+                            "workers resolve + analyze + store)",
         },
         "by_workers": rows,
         "aggregate": {

@@ -17,7 +17,7 @@
     python -m repro diff reddinator@v1 reddinator@v3   # protocol drift
     python -m repro diff --latest diode         # last two stored versions
     python -m repro eval table1|table2|figures|casestudies|drift
-    python -m repro batch                       # whole corpus via the scheduler
+    python -m repro batch                       # whole corpus via the batch engine
     python -m repro batch ted kayak --workers 4 # selected targets
     python -m repro batch --corpus synth:transports*100 --progress
     python -m repro runs list                   # run-ledger history
@@ -494,12 +494,12 @@ def cmd_batch(args) -> int:
 
     from repro.obs.fleet import BatchProgress, run_telemetry_dir
     from repro.obs.ledger import RunLedger, RunRecord, new_run_id
-    from repro.perf.parallel import resolve_executor, resolve_workers
-    from repro.service import JobScheduler, ResultStore
+    from repro.perf.parallel import resolve_workers
+    from repro.service import MetricsRegistry, ResultStore
+    from repro.service.shard import expand_batch_targets, run_sharded_batch
 
     targets = list(args.targets)
     if args.corpus:
-        # the scheduler expands population specs itself; hand it through
         targets.append(args.corpus)
     if not targets:
         from repro.corpus import app_keys
@@ -508,19 +508,17 @@ def cmd_batch(args) -> int:
     label = " ".join(targets) if len(targets) <= 4 else (
         f"{targets[0]} ... ({len(targets)} targets)"
     )
+    try:
+        targets = expand_batch_targets(targets)
+    except LookupError as exc:
+        raise SystemExit(str(exc))
 
     store = ResultStore(Path(args.store).expanduser())
-    scheduler = JobScheduler(
-        store,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        executor=args.executor,
-    )
+    metrics = MetricsRegistry()
     run_id = new_run_id()
     telemetry_dir = None
     if not args.no_telemetry:
-        telemetry_dir = run_telemetry_dir(store.root, run_id, create=True)
+        telemetry_dir = run_telemetry_dir(store.root, run_id)
     progress = None
     if args.progress:
         progress = BatchProgress(len(targets), run_dir=telemetry_dir)
@@ -528,25 +526,29 @@ def cmd_batch(args) -> int:
     started_unix = time.time()
     t0 = time.perf_counter()
     try:
-        try:
-            records = scheduler.run_batch(
-                targets,
-                run_id=run_id,
-                telemetry_dir=telemetry_dir,
-                progress=progress,
-                out_meta=out_meta,
-            )
-        except LookupError as exc:
-            raise SystemExit(str(exc))
-    finally:
-        scheduler.shutdown(drain=True)
+        shard_records = run_sharded_batch(
+            store.root,
+            targets,
+            workers=resolve_workers(args.workers),
+            retries=args.retries,
+            timeout=args.timeout,
+            metrics=metrics,
+            run_id=run_id,
+            telemetry_dir=telemetry_dir,
+            progress=progress,
+            out_meta=out_meta,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     wall = time.perf_counter() - t0
+    records = [r.to_dict() for r in shard_records]
 
-    analyses = scheduler.metrics.counter("analyses_run").value
+    analyses = metrics.counter("analyses_run").value
     failed = [r["target"] for r in records if r["status"] != "done"]
     hits = sum(1 for r in records if r["cache_hit"])
 
     if not args.no_ledger:
+        workers = out_meta["workers"]
         ledger = RunLedger(store.root)
         ledger.append(
             RunRecord.from_batch(
@@ -555,10 +557,9 @@ def cmd_batch(args) -> int:
                 records=records,
                 started_unix=started_unix,
                 wall_s=round(wall, 4),
-                executor=resolve_executor(args.executor),
-                workers=resolve_workers(args.workers),
-                work_steals=scheduler.metrics.counter("work_steals").value,
-                warnings=out_meta.get("fallback_reasons") or [],
+                executor="process" if workers > 1 else "serial",
+                workers=workers,
+                work_steals=metrics.counter("work_steals").value,
                 telemetry_dir=(
                     str(telemetry_dir) if telemetry_dir is not None else None
                 ),
@@ -641,12 +642,7 @@ def cmd_index(args) -> int:
     from repro.service.store import ResultStore
 
     store = ResultStore(Path(args.store).expanduser())
-    stats = build_index(
-        store,
-        rebuild=args.rebuild,
-        executor=args.executor,
-        workers=args.workers,
-    )
+    stats = build_index(store, rebuild=args.rebuild)
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
@@ -1020,7 +1016,7 @@ def main(argv: list[str] | None = None) -> int:
     p_eval.set_defaults(fn=cmd_eval)
 
     p_batch = sub.add_parser(
-        "batch", help="run targets through the scheduler + result store"
+        "batch", help="run targets through the batch engine + result store"
     )
     p_batch.add_argument("targets", nargs="*",
                          help="corpus keys, syn- keys, population specs "
@@ -1032,14 +1028,9 @@ def main(argv: list[str] | None = None) -> int:
                          help="result store root (default: $REPRO_STORE or "
                               "~/.cache/repro/store)")
     p_batch.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="scheduler workers (0 = one per CPU)")
-    p_batch.add_argument("--executor",
-                         choices=["auto", "serial", "thread", "process"],
-                         default="auto",
-                         help="batch engine: process (the default where "
-                              "fork is available) shards targets across "
-                              "analyzer worker processes with work "
-                              "stealing; thread uses the in-process pool")
+                         help="analyzer workers (0 = one per CPU); one "
+                              "runs in-process, more are worker processes "
+                              "that steal work from each other")
     p_batch.add_argument("--timeout", type=float, default=None, metavar="SEC",
                          help="per-job analysis deadline")
     p_batch.add_argument("--retries", type=int, default=1, metavar="N",
@@ -1087,13 +1078,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="re-extract every stored envelope instead of "
                               "folding pending deltas (same bytes either "
                               "way)")
-    p_index.add_argument("--executor",
-                         choices=["auto", "serial", "thread", "process"],
-                         default="serial",
-                         help="shard the full build across workers "
-                              "(identical index bytes regardless)")
-    p_index.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="build workers (0 = one per CPU)")
     p_index.add_argument("--json", action="store_true")
     p_index.set_defaults(fn=cmd_index)
 

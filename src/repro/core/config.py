@@ -40,7 +40,7 @@ class AnalysisConfig:
     shared by both taint directions, the slicer and the signature
     interpreter, and slices demarcation points one after another.
     Parallelism lives a level up, across apps: ``repro batch`` shards a
-    batch over analyzer processes (:mod:`repro.service.shard`).
+    batch over analyzer workers (:mod:`repro.service.shard`).
     """
 
     async_heuristic: bool = True

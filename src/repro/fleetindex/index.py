@@ -311,67 +311,18 @@ def _load_tree(store, manifest: dict | None) -> tuple[dict, dict]:
 
 
 # ------------------------------------------------------------- building
-def _extract_chunk(store_root: str, keys: list[str]) -> list[dict]:
-    """Worker: extract the documents of a key chunk (module-level so the
-    process executor can ship it)."""
-    from ..service.store import ResultStore
-
-    store = ResultStore(store_root)
-    docs: list[dict] = []
-    for key in keys:
-        envelope = store.load(key)
+def _extract_all(store) -> dict[str, dict]:
+    """Every report envelope's document, keyed by result key."""
+    docs: dict[str, dict] = {}
+    for entry in store.iter_entries():
+        envelope = store.load(entry["key"])
         doc = doc_from_envelope(envelope) if envelope else None
         if doc is not None:
-            docs.append(doc)
+            docs[doc["key"]] = doc
     return docs
 
 
-def _extract_all(store, *, executor: str = "serial",
-                 workers: int = 0) -> dict[str, dict]:
-    """Every report envelope's document, sharded across workers.
-
-    Sharding is a throughput knob only: results merge into one sorted
-    map, so serial, thread- and process-sharded builds produce identical
-    indexes.
-    """
-    keys = [
-        entry["key"] for entry in store.iter_entries()
-    ]
-    if not keys:
-        return {}
-    from ..perf.parallel import resolve_executor, resolve_workers
-
-    engine = resolve_executor(executor)
-    width = min(resolve_workers(workers), len(keys))
-    if engine == "serial" or width <= 1:
-        return {d["key"]: d for d in _extract_chunk(str(store.root), keys)}
-
-    chunks = [keys[i::width] for i in range(width)]
-    parts: list[list[dict]] | None = None
-    if engine == "process":
-        try:
-            import multiprocessing as mp
-
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-            with mp.get_context(method).Pool(width) as pool:
-                parts = pool.starmap(
-                    _extract_chunk,
-                    [(str(store.root), chunk) for chunk in chunks],
-                )
-        except (OSError, ValueError, RuntimeError, ImportError):
-            parts = None  # silent: thread build writes identical bytes
-    if parts is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(width) as pool:
-            parts = list(pool.map(
-                lambda chunk: _extract_chunk(str(store.root), chunk), chunks
-            ))
-    return {doc["key"]: doc for part in parts for doc in part}
-
-
-def build_index(store, *, rebuild: bool = False, executor: str = "serial",
-                workers: int = 0) -> dict:
+def build_index(store, *, rebuild: bool = False) -> dict:
     """Build or update the on-disk index; returns its stats dict.
 
     Default mode folds pending deltas into the existing segments
@@ -391,7 +342,7 @@ def build_index(store, *, rebuild: bool = False, executor: str = "serial",
     if rebuild:
         # every pending delta's envelope is part of the scan (or gone),
         # so a full build consumes the whole pending set
-        fresh = _extract_all(store, executor=executor, workers=workers)
+        fresh = _extract_all(store)
         registry: dict[str, dict] = {}
         postings: dict[str, set[Posting]] = {}
         folded = len(fresh)

@@ -194,7 +194,7 @@ def run_search(
     The result dict carries ``query`` (normalised), ``total`` (matches
     across all pages), ``apps`` (every matching app), ``hits`` (the page)
     and ``next_cursor``.  Deterministic for a given index + query +
-    cursor — identical across rebuilt/folded/thread/process indexes.
+    cursor — identical across rebuilt and folded indexes.
     """
     clauses = parse_query(query)
     normalized = normalize_query(clauses)

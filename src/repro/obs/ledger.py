@@ -66,6 +66,8 @@ class RunRecord:
     app_seconds: dict = field(default_factory=dict)
     phase_seconds: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    #: written empty; kept so the record format stays stable and older
+    #: records' warnings still render
     warnings: list = field(default_factory=list)
     config_overrides: dict = field(default_factory=dict)
     telemetry_dir: str | None = None
@@ -112,7 +114,6 @@ class RunRecord:
         executor: str = "process",
         workers: int = 0,
         work_steals: int = 0,
-        warnings: list | None = None,
         config_overrides: dict | None = None,
         telemetry_dir: str | None = None,
         fleet_trace: str | None = None,
@@ -182,7 +183,6 @@ class RunRecord:
                 for phase, hist in sorted(phase_hists.items())
             },
             failures=failures,
-            warnings=list(warnings or []),
             config_overrides=dict(config_overrides or {}),
             telemetry_dir=telemetry_dir,
             fleet_trace=fleet_trace,

@@ -164,9 +164,8 @@ def _display_name(key: SeriesKey) -> str:
 class MetricsRegistry:
     """Named metrics, created on first use, exported as one JSON dict.
 
-    Service components each own an instance; process-wide events with no
-    registry in reach (executor fallbacks in library code) land on the
-    module-level :func:`global_registry`.
+    Each component that reports metrics owns an instance (the daemon, a
+    ``repro batch`` run); there is no process-wide registry.
 
     Every metric accepts optional ``labels`` — a flat str→str dict that
     distinguishes series within one metric family (``histogram(
@@ -219,16 +218,6 @@ class MetricsRegistry:
                 for k, h in sorted(histograms.items())
             },
         }
-
-
-#: Process-wide registry for events emitted from library code that has no
-#: service registry in scope (e.g. ``executor_fallbacks`` from
-#: :mod:`repro.perf.parallel`).  The service layer keeps its own instances.
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    return _GLOBAL_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +291,5 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "global_registry",
     "render_prometheus",
 ]

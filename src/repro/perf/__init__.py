@@ -7,8 +7,8 @@ read/write index) once per analysis and shares them between both taint
 directions, the :class:`~repro.slicing.slicer.NetworkSlicer` and the
 :class:`~repro.signature.builder.SignatureInterpreter`.
 
-:mod:`repro.perf.parallel` sizes and names the executors that fan *apps*
-out (the batch scheduler, the fleet-index builder).
+:mod:`repro.perf.parallel` sizes the engines that fan *apps* out (the
+batch engine, the daemon's thread pool).
 """
 
 from .index import ProgramIndex, field_key

@@ -8,23 +8,23 @@ operable.  Three layers, separately usable:
     ``(APK digest, AnalysisConfig.cache_key())`` with atomic writes.
 
 :mod:`repro.service.jobs`
-    Bounded-queue thread-pool scheduler with cache integration, in-flight
-    deduplication, per-job timeouts, non-blocking retry with backoff,
-    graceful drain — plus :meth:`~repro.service.jobs.JobScheduler
-    .run_batch`, the batch entry point that routes to the sharded engine.
+    The daemon's bounded-queue thread-pool scheduler with cache
+    integration, in-flight deduplication, per-job timeouts, non-blocking
+    retry with backoff and graceful drain.
 
 :mod:`repro.service.shard`
-    Process-sharded batch execution: N analyzer worker processes with
-    work stealing over one shared store, coordinated by lease files.
+    The batch engine: work-stealing analyzer workers over one shared
+    store, coordinated by lease files — in-process at one worker, worker
+    processes above that.
 
 :mod:`repro.service.api`
     Stdlib HTTP JSON API (``repro serve``) exposing submit/status/report/
     metrics/health endpoints.
 
-``repro batch`` (CLI) drives the scheduler directly, no HTTP involved.
+``repro batch`` (CLI) drives the batch engine directly, no HTTP involved.
 
 Fleet telemetry (worker trace streams, heartbeats, the run ledger) lives
-in :mod:`repro.obs.fleet` / :mod:`repro.obs.ledger`; the shard engine and
+in :mod:`repro.obs.fleet` / :mod:`repro.obs.ledger`; the batch engine and
 the daemon write it, ``repro runs`` / ``repro batch --progress`` /
 ``GET /status`` read it.
 """

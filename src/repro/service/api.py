@@ -74,21 +74,16 @@ class AnalysisService:
         max_queue: int = 128,
         timeout: float | None = None,
         retries: int = 1,
-        executor: str = "thread",
         analyzer=None,
     ) -> None:
         self.metrics = MetricsRegistry()
         self.store = ResultStore(store_root, metrics=self.metrics)
-        # the HTTP path stays thread-based by default: submits are
-        # interactive and dedup-heavy, where fork-per-batch buys little —
-        # pass executor="process" to shard daemon-side batches instead
         self.scheduler = JobScheduler(
             self.store,
             workers=workers,
             max_queue=max_queue,
             timeout=timeout,
             retries=retries,
-            executor=executor,
             metrics=self.metrics,
             analyzer=analyzer,
         )
@@ -152,7 +147,7 @@ class AnalysisService:
                     label=self.url,
                     started_unix=self._started_unix,
                     wall_s=round(time.time() - self._started_unix, 3),
-                    executor=self.scheduler.executor,
+                    executor="thread",
                     workers=self.scheduler.workers,
                     targets=len(jobs),
                     done=sum(j.status.value == "done" for j in jobs),
@@ -235,7 +230,7 @@ class AnalysisService:
             "status": "ok",
             "run_id": self.run_id,
             "uptime_s": round(time.time() - self._started_unix, 3),
-            "executor": self.scheduler.executor,
+            "executor": "thread",
             "jobs": {"total": len(jobs), **by_status},
             "workers": self.scheduler.worker_status(),
             "store": self.store.stats(),

@@ -1,4 +1,4 @@
-"""In-process job scheduler for batch/daemon analysis.
+"""In-process job scheduler: the HTTP daemon's queue (``repro serve``).
 
 The scheduler turns ``Extractocol.analyze`` into a managed workload:
 
@@ -14,14 +14,11 @@ The scheduler turns ``Extractocol.analyze`` into a managed workload:
   exceptions, and **graceful drain** on shutdown.  The backoff never
   occupies a worker: a failed job is re-enqueued by a timer, so the thread
   goes straight back to the queue instead of head-of-line blocking
-  everything behind it,
-* **batch execution** via :meth:`JobScheduler.run_batch`, which routes to
-  the process-sharded engine (:mod:`repro.service.shard`) when the
-  ``executor`` knob resolves to ``"process"`` — N analyzer worker
-  processes with work stealing over one shared store.
+  everything behind it.
 
-Everything is observable through a :class:`~repro.service.metrics
-.MetricsRegistry`.
+``repro batch`` does not come through here: it runs the batch engine in
+:mod:`repro.service.shard`.  Everything is observable through a
+:class:`~repro.service.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from ..apk.loader import apk_digest as compute_apk_digest
 from ..apk.loader import load_apk
 from ..apk.model import Apk
 from ..core.config import AnalysisConfig
-from ..perf.parallel import note_executor_fallback, resolve_executor, resolve_workers
+from ..perf.parallel import resolve_workers
 from .metrics import MetricsRegistry
 from .store import ResultStore
 
@@ -163,9 +160,9 @@ def call_with_timeout(fn, timeout: float | None):
     """Run ``fn()`` under a wall-clock deadline; raises :class:`JobTimeout`
     when it blows through.  ``None`` means no deadline (no helper thread).
 
-    Shared by the thread scheduler and the sharded worker processes — the
-    deadline semantics must match so a target fails identically under both
-    executors."""
+    Shared by the thread scheduler and the batch engine's workers — the
+    deadline semantics must match so a target fails identically under
+    both."""
     if timeout is None:
         return fn()
     box: dict = {}
@@ -202,8 +199,6 @@ class JobScheduler:
         timeout: float | None = None,
         retries: int = 1,
         backoff: float = 0.05,
-        executor: str = "thread",
-        start_method: str | None = None,
         metrics: MetricsRegistry | None = None,
         analyzer=None,
     ) -> None:
@@ -214,8 +209,6 @@ class JobScheduler:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.executor = executor
-        self.start_method = start_method
         self.analyzer = analyzer or (
             lambda apk, config: _default_analyzer(apk, config, store=store)
         )
@@ -231,9 +224,8 @@ class JobScheduler:
         self._threads: list[threading.Thread] = []
 
     def _ensure_workers(self) -> None:
-        """Start the thread pool on first submit (caller holds the lock).
-        Lazy so a purely process-sharded :meth:`run_batch` never forks a
-        parent that is already carrying worker threads."""
+        """Start the thread pool on first submit (caller holds the lock),
+        so a scheduler that never gets a job never starts a thread."""
         if self._threads:
             return
         self._threads = [
@@ -299,90 +291,6 @@ class JobScheduler:
     def submit_target(self, target: str, overrides: dict | None = None) -> Job:
         apk, config, label = resolve_target(target, overrides)
         return self.submit(apk, config, label=label)
-
-    # ------------------------------------------------------------ batches
-    def run_batch(
-        self,
-        targets: list[str],
-        overrides: dict | None = None,
-        *,
-        span=None,
-        run_id: str | None = None,
-        telemetry_dir=None,
-        progress=None,
-        out_meta: dict | None = None,
-    ) -> list[dict]:
-        """Run a batch of targets end to end; returns one record dict per
-        target, in input order.
-
-        The scheduler's ``executor`` knob picks the engine: ``"process"``
-        (or ``"auto"`` where fork is available) shards the batch across
-        analyzer worker processes with work stealing
-        (:func:`repro.service.shard.run_sharded_batch`); ``"thread"`` /
-        ``"serial"`` submit through the in-process pool.  Records from both
-        engines share the ``target`` / ``label`` / ``status`` /
-        ``cache_hit`` / ``attempts`` / ``seconds`` / ``result_key`` /
-        ``error`` keys, both fold counters into ``self.metrics``, and the
-        stored reports are byte-identical either way.
-        """
-        from ..corpus import app_keys
-        from ..synth import expand_targets, is_synth_key, parse_app_key
-
-        # population specs (synth:<families>*<scale>[@<seed>]) expand into
-        # self-describing syn- keys any worker process can rebuild
-        targets = expand_targets(list(targets))
-        known: set[str] | None = None
-        for target in targets:
-            if is_synth_key(target):
-                parse_app_key(target)  # raises KeyError on a malformed key
-                continue
-            if known is None:
-                # built on first need: the registry materializes every
-                # hand-written corpus app, which an all-synth batch skips
-                known = set(app_keys())
-            if target not in known and not Path(target).exists():
-                raise LookupError(
-                    f"{target!r} is neither a corpus app key, a synthesized "
-                    f"app key, a population spec, nor an .sapk bundle"
-                )
-        engine = resolve_executor(self.executor)
-        if engine == "process":
-            from .shard import run_sharded_batch
-
-            try:
-                records = run_sharded_batch(
-                    self.store.root,
-                    targets,
-                    workers=self.workers,
-                    overrides=overrides,
-                    retries=self.retries,
-                    backoff=self.backoff,
-                    timeout=self.timeout,
-                    start_method=self.start_method,
-                    metrics=self.metrics,
-                    span=span,
-                    run_id=run_id,
-                    telemetry_dir=telemetry_dir,
-                    progress=progress,
-                    out_meta=out_meta,
-                )
-            except RuntimeError as exc:
-                note_executor_fallback(str(exc))
-            else:
-                return [r.to_dict() for r in records]
-        if out_meta is not None:
-            # the thread engine runs in-process: no worker telemetry dir
-            out_meta.setdefault("run_id", run_id)
-            out_meta.setdefault("fallback_reasons", [])
-        jobs = [self.submit_target(t, overrides) for t in targets]
-        out: list[dict] = []
-        for done, (target, job) in enumerate(zip(targets, jobs), 1):
-            job.wait()
-            record = dict(job.to_dict(), target=target)
-            out.append(record)
-            if progress is not None:
-                progress(record, done, len(targets))
-        return out
 
     # ------------------------------------------------------------ query
     def job(self, job_id: str) -> Job | None:

@@ -1,9 +1,10 @@
-"""Process-sharded batch execution: work-stealing analyzer processes over
-one shared result store.
+"""The batch engine: work-stealing analyzer workers over one shared
+result store.
 
-The thread scheduler in :mod:`repro.service.jobs` tops out at the GIL —
-analyses are pure-Python CPU work.  :func:`run_sharded_batch` therefore
-shards a batch across ``N`` analyzer *processes*:
+Analyses are pure-Python CPU work, so threads top out at the GIL.
+:func:`run_sharded_batch` therefore shards a batch across ``N`` analyzer
+*processes*; at one worker it runs that worker's loop in the calling
+process instead of forking, feeding the same coordinator handler:
 
 * **Static shards, dynamic stealing.**  Worker ``i`` owns the round-robin
   shard ``targets[i::N]`` as a deque: it pops its own work from the front,
@@ -26,8 +27,8 @@ shards a batch across ``N`` analyzer *processes*:
   folds them into its :class:`~repro.obs.metrics.MetricsRegistry` and
   replays one ``job:<label>`` span per record.
 
-Reports written by sharded workers are byte-identical to thread-mode and
-in-process output: the store writes canonical JSON, and
+Reports written by sharded workers are byte-identical to in-process
+output: the store writes canonical JSON, and
 ``tests/test_service_shard.py`` and ``tests/test_process_determinism.py``
 assert it under both start methods.
 """
@@ -41,6 +42,8 @@ import traceback
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
+from types import SimpleNamespace
 
 #: Start methods this module knows how to drive, in preference order.
 START_METHODS = ("fork", "spawn")
@@ -65,6 +68,31 @@ def default_start_method() -> str | None:
     if forced:
         return forced if forced in methods else None
     return methods[0] if methods else None
+
+
+def expand_batch_targets(targets: list[str]) -> list[str]:
+    """Expand population specs (``synth:<families>*<scale>[@<seed>]``) into
+    self-describing ``syn-`` keys any worker process can rebuild, and reject
+    a target that names no app before any worker starts."""
+    from ..corpus import app_keys
+    from ..synth import expand_targets, is_synth_key, parse_app_key
+
+    targets = expand_targets(list(targets))
+    known: set[str] | None = None
+    for target in targets:
+        if is_synth_key(target):
+            parse_app_key(target)  # raises KeyError on a malformed key
+            continue
+        if known is None:
+            # built on first need: the registry materializes every
+            # hand-written corpus app, which an all-synth batch skips
+            known = set(app_keys())
+        if target not in known and not Path(target).exists():
+            raise LookupError(
+                f"{target!r} is neither a corpus app key, a synthesized "
+                f"app key, a population spec, nor an .sapk bundle"
+            )
+    return targets
 
 
 @dataclass
@@ -274,10 +302,11 @@ def _shard_worker(
     out_q,
     telemetry_dir: str | None = None,
 ) -> None:
-    """Analyzer worker process: drain the owned shard front-to-back, then
-    steal other shards back-to-front.  Every item is gated on the
-    batch-local claim, so each batch entry is processed (and reported)
-    exactly once across all workers.
+    """Analyzer worker: drain the owned shard front-to-back, then steal
+    other shards back-to-front.  Every item is gated on the batch-local
+    claim, so each batch entry is processed (and reported) exactly once
+    across all workers.  ``out_q`` only needs ``put``: a worker process
+    gets the coordinator's queue, the in-process worker its handler.
 
     With ``telemetry_dir`` set, the worker emits fleet telemetry: a
     heartbeat beacon around every item and a full span stream
@@ -285,12 +314,8 @@ def _shard_worker(
     ``job:<target>`` span — tagged with run/worker/shard correlation
     ids — under which the whole analysis trace nests.
     """
-    from ..perf.parallel import silence_fallback_warnings, take_fallback_reasons
     from .store import ResultStore
 
-    # one audible warning per *fleet*, not per worker: reasons travel back
-    # in the exit payload and the coordinator surfaces them once
-    silence_fallback_warnings()
     telemetry = None
     root_span = None
     if telemetry_dir is not None:
@@ -362,16 +387,7 @@ def _shard_worker(
                 except OSError:
                     pass  # telemetry must never take the batch down
             telemetry.heartbeat(status="exited", processed=done)
-        out_q.put(
-            (
-                "exit",
-                {
-                    "worker": worker_id,
-                    "processed": done,
-                    "fallback_reasons": take_fallback_reasons(),
-                },
-            )
-        )
+        out_q.put(("exit", {"worker": worker_id, "processed": done}))
 
 
 def run_sharded_batch(
@@ -386,14 +402,20 @@ def run_sharded_batch(
     start_method: str | None = None,
     metrics=None,
     span=None,
-    cleanup_claims: bool = True,
     run_id: str | None = None,
     telemetry_dir: str | os.PathLike | None = None,
     progress=None,
     out_meta: dict | None = None,
 ) -> list[ShardRecord]:
-    """Run ``targets`` through ``workers`` analyzer processes; returns one
+    """Run ``targets`` through ``workers`` analyzer workers; returns one
     :class:`ShardRecord` per target, in input order.
+
+    The worker count is clamped to the number of targets.  At one worker
+    the worker loop runs in this process (no fork, and
+    ``REPRO_START_METHOD`` is not read); otherwise each worker is a
+    process started with ``start_method`` (default
+    :func:`default_start_method`), and a start method that names nothing
+    usable raises :class:`ValueError` before any worker starts.
 
     Worker counters fold into ``metrics`` and each record replays a
     ``job:<label>`` child span on ``span`` (when given), so the parent's
@@ -405,61 +427,38 @@ def run_sharded_batch(
     a deterministic ``fleet.trace.jsonl``.  ``progress`` is called as
     ``progress(record, done, total)`` per completed entry (live, in
     completion order).  ``out_meta``, when given, is filled with the run's
-    side facts (run_id, telemetry/fleet-trace paths, deduplicated
-    executor-fallback reasons).
+    side facts (run_id, effective worker count, telemetry/fleet-trace
+    paths).
     """
     from .store import ResultStore
 
     if not targets:
         if out_meta is not None:
-            out_meta.setdefault("run_id", run_id)
-            out_meta.setdefault("fallback_reasons", [])
+            out_meta.update(run_id=run_id, workers=0)
         return []
     workers = max(1, min(workers, len(targets)))
+    method = None
+    if workers > 1:
+        method = start_method or default_start_method()
+        if method is None:
+            raise ValueError(
+                f"REPRO_START_METHOD={os.environ.get('REPRO_START_METHOD')!r}"
+                f" names no usable start method; choose one of "
+                f"{', '.join(START_METHODS)}"
+            )
     batch_id = run_id or uuid.uuid4().hex[:12]
     if telemetry_dir is not None:
         telemetry_dir = str(telemetry_dir)
         os.makedirs(telemetry_dir, exist_ok=True)
-    method = start_method or default_start_method()
-    if method is None:
-        raise RuntimeError("no multiprocessing start method available")
-    ctx = multiprocessing.get_context(method)
-    out_q = ctx.SimpleQueue()
-    procs = [
-        ctx.Process(
-            target=_shard_worker,
-            args=(
-                i,
-                workers,
-                list(targets),
-                str(store_root),
-                overrides,
-                batch_id,
-                retries,
-                backoff,
-                timeout,
-                out_q,
-                telemetry_dir,
-            ),
-            daemon=True,
-        )
-        for i in range(workers)
-    ]
-    for p in procs:
-        p.start()
 
     records: dict[int, ShardRecord] = {}
     crashes: list[dict] = []
-    fallback_reasons: list[str] = []
-    exited = 0
-    while exited < len(procs):
-        kind, payload = out_q.get()
-        if kind == "exit":
-            exited += 1
-            fallback_reasons.extend(payload.get("fallback_reasons") or [])
-        elif kind == "crash":
+
+    def handle(message: tuple) -> None:
+        kind, payload = message
+        if kind == "crash":
             crashes.append(payload)
-        else:
+        elif kind == "record":
             counters = payload.pop("counters", {}) or {}
             record = ShardRecord(**payload)
             record.counters = counters
@@ -468,20 +467,43 @@ def run_sharded_batch(
                 _fold_metrics(metrics, record)
             if progress is not None:
                 progress(record, len(records), len(targets))
-    for p in procs:
-        p.join()
 
-    fallback_reasons = list(dict.fromkeys(fallback_reasons))
-    if fallback_reasons:
-        # one audible line for the whole fleet (the workers were muted)
-        from ..perf.parallel import note_executor_fallback
-
-        note_executor_fallback(fallback_reasons[0])
+    args = (workers, list(targets), str(store_root), overrides, batch_id,
+            retries, backoff, timeout)
+    if workers == 1:
+        try:
+            _shard_worker(0, *args, SimpleNamespace(put=handle),
+                          telemetry_dir)
+        except Exception:
+            # a worker process would die printing this; the crash is
+            # announced, so its unreported entries fail below
+            traceback.print_exc()
+    else:
+        ctx = multiprocessing.get_context(method)
+        out_q = ctx.SimpleQueue()
+        procs = [
+            ctx.Process(
+                target=_shard_worker,
+                args=(i, *args, out_q, telemetry_dir),
+                daemon=True,
+            )
+            for i in range(workers)
+        ]
+        for p in procs:
+            p.start()
+        exited = 0
+        while exited < len(procs):
+            message = out_q.get()
+            if message[0] == "exit":
+                exited += 1
+            else:
+                handle(message)
+        for p in procs:
+            p.join()
 
     store = ResultStore(store_root)
-    if cleanup_claims:
-        for index in range(len(targets)):
-            store.release(f"batch-{batch_id}-{index}")
+    for index in range(len(targets)):
+        store.release(f"batch-{batch_id}-{index}")
 
     fleet_trace = None
     if telemetry_dir is not None:
@@ -493,9 +515,9 @@ def run_sharded_batch(
             fleet_trace = None  # a crashed worker may leave a torn stream
     if out_meta is not None:
         out_meta["run_id"] = batch_id
+        out_meta["workers"] = workers
         out_meta["telemetry_dir"] = telemetry_dir
         out_meta["fleet_trace"] = fleet_trace
-        out_meta["fallback_reasons"] = fallback_reasons
 
     out: list[ShardRecord] = []
     for index, target in enumerate(targets):
@@ -552,6 +574,7 @@ def _fold_metrics(metrics, record: ShardRecord) -> None:
 __all__ = [
     "LEASE_WAIT_SECONDS",
     "ShardRecord",
+    "expand_batch_targets",
     "run_sharded_batch",
     "shard_of",
 ]

@@ -105,6 +105,34 @@ class TestBatch:
         with pytest.raises(SystemExit):
             main(["batch", "not-an-app", "--store", str(tmp_path / "s")])
 
+    def test_one_worker_batch_beyond_the_daemon_queue_capacity(
+        self, capsys, tmp_path
+    ):
+        """More targets than the daemon's 128-slot queue: a one-worker
+        batch runs them in-process, never through that queue."""
+        out = run_cli(capsys, "batch", "synth:transports*130@7", "--store",
+                      str(tmp_path / "s"), "--workers", "1", "--json",
+                      "--no-telemetry", "--no-ledger")
+        data = json.loads(out)
+        assert len(data["jobs"]) == 130
+        assert all(job["status"] == "done" for job in data["jobs"])
+        assert data["analyses_run"] == 130 and data["failed"] == 0
+
+    def test_bad_start_method_fails_only_a_multi_worker_batch(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_START_METHOD", "not-a-method")
+        store = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "diode", "ted", "--store", str(store),
+                  "--workers", "2"])
+        assert "fork" in str(exc.value) and "spawn" in str(exc.value)
+        assert not list(store.rglob("*.json*"))  # nothing analyzed or logged
+        # one worker runs in-process and never reads the variable
+        out = run_cli(capsys, "batch", "diode", "--store", str(store),
+                      "--workers", "1")
+        assert "1 jobs: 1 done (0 cached), 0 failed" in out
+
 
 class TestDiff:
     def test_self_diff_exits_zero(self, capsys, tmp_path):

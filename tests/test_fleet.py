@@ -265,47 +265,31 @@ class TestShardedBatchTelemetry:
         assert not (tmp_path / "store" / "telemetry").exists()
 
 
-# -------------------------------------------------- fallback deduplication
+# ------------------------------------------------ start-method precedence
 class TestFallbackDedup:
-    def test_silenced_fallbacks_collect_reasons(self):
-        from repro.perf import parallel
-
-        audible, warned = parallel._fallback_audible, parallel._fallback_warned
-        try:
-            parallel.take_fallback_reasons()  # drain
-            parallel.silence_fallback_warnings()
-            parallel._fallback_warned = False
-            import warnings as warnings_mod
-
-            with warnings_mod.catch_warnings():
-                warnings_mod.simplefilter("error")  # any warning would raise
-                parallel.note_executor_fallback("no fork here")
-                parallel.note_executor_fallback("no fork here")
-                parallel.note_executor_fallback("another reason")
-            assert parallel.take_fallback_reasons() == [
-                "no fork here", "another reason"
-            ]
-            assert parallel.take_fallback_reasons() == []
-        finally:
-            parallel._fallback_audible = audible
-            parallel._fallback_warned = warned
-
     def test_sharded_batch_surfaces_worker_fallbacks_once(
         self, tmp_path, monkeypatch
     ):
-        # an analysis runs in its worker's one thread — no in-app engine
-        # can degrade — so the field is present and empty
+        # an explicit start method beats the REPRO_START_METHOD override
+        import multiprocessing
+
+        methods: list[str] = []
+        get_context = multiprocessing.get_context
+
+        def spy(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        meta: dict = {}
         records = run_sharded_batch(
             tmp_path / "store",
             ["diode", "ted"],
             workers=2,
             start_method="fork",
-            out_meta=meta,
         )
         assert [r.status for r in records] == ["done", "done"]
-        assert meta["fallback_reasons"] == []
+        assert methods == ["fork"]
 
 
 if __name__ == "__main__":

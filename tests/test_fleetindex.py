@@ -1,7 +1,7 @@
 """Fleet index contract tests: determinism (independent builds and
 incremental fold-in are byte-identical), crash recovery (stale pending
-deltas), executor equivalence (thread vs process builds), zero-rebuild
-freshness via the pending overlay, the query grammar, and pagination."""
+deltas), zero-rebuild freshness via the pending overlay, the query
+grammar, and pagination."""
 
 from __future__ import annotations
 
@@ -103,17 +103,9 @@ class TestDeterminism:
         build_index(full, rebuild=True)
         assert index_tree(tmp_path / "grown") == index_tree(tmp_path / "full")
 
-    def test_thread_and_process_builds_identical(self, store, tmp_path):
-        for executor, name in (("thread", "t"), ("process", "p")):
-            other = fill_store(tmp_path / name)
-            build_index(other, rebuild=True, executor=executor, workers=2)
-            assert index_tree(tmp_path / name) == index_tree(store.root), (
-                f"{executor} build diverged from serial"
-            )
-
     def test_query_results_identical_across_builds(self, store, tmp_path):
         other = fill_store(tmp_path / "q")
-        build_index(other, rebuild=True, executor="thread", workers=2)
+        build_index(other, rebuild=True)
         host = synth_genapp(expand_targets([SPEC])[0]).host
         a = run_search(FleetIndex(store).refresh(), f"host:{host}")
         b = run_search(FleetIndex(ResultStore(tmp_path / "q")).refresh(),

@@ -138,9 +138,11 @@ class TestRendering:
 
     def test_show_includes_warnings_and_telemetry(self):
         record = _batch_record(
-            warnings=["process executor unavailable (no fork)"],
             telemetry_dir="/tmp/t/run", fleet_trace="/tmp/t/run/fleet.jsonl",
         ).to_dict()
+        assert record["warnings"] == []
+        # older records may carry warnings; they still render
+        record["warnings"] = ["process executor unavailable (no fork)"]
         text = render_run(record)
         assert "warning   process executor unavailable" in text
         assert "telemetry /tmp/t/run" in text
@@ -182,7 +184,7 @@ class TestCli:
 
         store = tmp_path / "store"
         code = main([
-            "batch", "diode", "ted", "--store", str(store), "--workers", "2",
+            "batch", "diode", "ted", "--store", str(store), "--workers", "4",
         ])
         assert code == 0
         records = RunLedger(store).records()
@@ -193,6 +195,16 @@ class TestCli:
         assert record["targets"] == 2
         assert record["failed"] == 0
         assert record["telemetry_dir"] is not None
+        # the worker count that ran (clamped to two targets), not the ask
+        assert record["workers"] == 2
+        assert record["executor"] == "process"
+        assert record["warnings"] == []
+
+        assert main(["batch", "tzm", "--store", str(store),
+                     "--workers", "4"]) == 0
+        record = RunLedger(store).records()[-1]
+        assert record["workers"] == 1
+        assert record["executor"] == "serial"  # ran in-process
 
     def test_analyze_ledger_flag(self, tmp_path, capsys):
         from repro.cli import main

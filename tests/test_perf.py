@@ -4,14 +4,13 @@ The contracts under test: the :class:`ProgramIndex` artifacts equal the
 freshly computed reference relations they replace (report identity is
 pinned by the golden oracle in ``test_golden_reports.py``); the index is
 the only CFG memo, so an analysis pins nothing once it returns; and the
-batch-level worker-sizing and executor knobs normalise as documented.
+batch-level worker-sizing knob normalises as documented.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import warnings
 import weakref
 
 import pytest
@@ -25,10 +24,8 @@ from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transac
 from repro.evalx import runner
 from repro.ir.statements import AssignStmt, StmtRef
 from repro.ir.values import InstanceFieldRef, Local, StaticFieldRef, walk_values
-from repro.obs.metrics import global_registry
-from repro.perf import parallel
 from repro.perf.index import ProgramIndex, compute_reach_masks, field_key
-from repro.perf.parallel import resolve_executor, resolve_workers, usable_cpus
+from repro.perf.parallel import resolve_workers, usable_cpus
 from repro.signature.lang import Const
 from repro.slicing.slicer import NetworkSlicer
 from repro.taint.defuse import LazyDefUse, compute_defuse
@@ -299,37 +296,3 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", boom)
     assert usable_cpus() == (os.cpu_count() or 1)
-
-
-def test_resolve_executor_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown executor"):
-        resolve_executor("fiber")
-    assert resolve_executor("auto") in ("thread", "process")
-    assert resolve_executor(None) in ("thread", "process")
-
-
-def test_process_fallback_is_audible(monkeypatch):
-    """A process engine that degrades to threads must bump the global
-    executor_fallbacks counter and warn (once per process)."""
-    monkeypatch.setattr(parallel, "_fallback_warned", False)
-    monkeypatch.setattr(parallel, "_fallback_audible", True)
-    counter = global_registry().counter("executor_fallbacks")
-    before = counter.value
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parallel.note_executor_fallback("injected: no pool for you")
-    assert counter.value == before + 1
-    assert any(
-        issubclass(w.category, RuntimeWarning)
-        and "falling back" in str(w.message)
-        for w in caught
-    )
-
-    # second degradation: counted again, but not warned again
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parallel.note_executor_fallback("injected: no pool for you")
-    assert counter.value == before + 2
-    assert not caught
-    assert parallel.take_fallback_reasons()[-1] == "injected: no pool for you"

@@ -19,7 +19,7 @@ import pytest
 from repro.core.extractocol import Extractocol
 from repro.core.report import report_to_dict
 from repro.corpus import app_keys
-from repro.service import JobScheduler, ResultStore
+from repro.service import ResultStore
 from repro.service.jobs import resolve_target
 from repro.service.shard import available_start_methods, run_sharded_batch
 
@@ -82,12 +82,18 @@ def test_spawn_pool_matches_serial(key, spawn_reports, serial_reports):
     assert spawn_reports[key] == serial_reports(key)
 
 
-def test_serial_executor_matches_reference(tmp_path, serial_reports):
-    """The scheduler's in-process batch engine stores the same bytes."""
-    sched = JobScheduler(ResultStore(tmp_path), workers=1, executor="serial")
-    try:
-        (record,) = sched.run_batch(["kayak"])
-    finally:
-        sched.shutdown()
-    stored = ResultStore(tmp_path).load(record["result_key"])["report"]
+def test_serial_executor_matches_reference(
+    tmp_path, monkeypatch, serial_reports
+):
+    """A one-worker batch runs in this process — it starts no child — and
+    stores the same bytes."""
+    import multiprocessing
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("a one-worker batch started a child process")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_child)
+    (record,) = run_sharded_batch(tmp_path, ["kayak"], workers=1)
+    assert record.status == "done"
+    stored = ResultStore(tmp_path).load(record.result_key)["report"]
     assert _canonical(stored) == serial_reports("kayak")

@@ -1,11 +1,11 @@
-"""Tests for the process-sharded batch engine (`repro.service.shard`), the
-store's lease protocol, and the scheduler's non-blocking retry.
+"""Tests for the batch engine (`repro.service.shard`), the store's lease
+protocol, and the daemon scheduler's non-blocking retry.
 
-Contracts: a sharded batch writes byte-identical envelopes to a
-thread-mode batch; every batch entry is reported exactly once no matter
-which worker steals it; concurrent analyses of the same result key are
-deduplicated through lease files; and a retrying job never head-of-line
-blocks the jobs queued behind its backoff.
+Contracts: a sharded batch writes byte-identical envelopes to an
+in-process (one-worker) batch; every batch entry is reported exactly once
+no matter which worker steals it; concurrent analyses of the same result
+key are deduplicated through lease files; and a retrying job never
+head-of-line blocks the jobs queued behind its backoff.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.service.shard import (
     ShardRecord,
     available_start_methods,
     default_start_method,
+    expand_batch_targets,
     run_sharded_batch,
     shard_of,
 )
@@ -42,24 +43,19 @@ def test_shards_partition_the_targets():
     assert sorted(seen) == list(enumerate(targets))
 
 
-def test_sharded_batch_matches_thread_batch_byte_identically(tmp_path):
+def test_sharded_batch_matches_in_process_batch_byte_identically(tmp_path):
     records = run_sharded_batch(tmp_path / "proc", TARGETS, workers=2)
     assert [r.status for r in records] == ["done"] * len(TARGETS)
     assert [r.target for r in records] == TARGETS  # input order
     assert not any(r.cache_hit for r in records)
 
-    sched = JobScheduler(ResultStore(tmp_path / "thread"), workers=2,
-                         executor="thread")
-    try:
-        sched.run_batch(TARGETS)
-    finally:
-        sched.shutdown()
+    run_sharded_batch(tmp_path / "inline", TARGETS, workers=1)
 
     proc_store = ResultStore(tmp_path / "proc")
-    thread_store = ResultStore(tmp_path / "thread")
-    assert proc_store.entries() == thread_store.entries()
+    inline_store = ResultStore(tmp_path / "inline")
+    assert proc_store.entries() == inline_store.entries()
     for key in proc_store.entries():
-        a, b = proc_store.load(key), thread_store.load(key)
+        a, b = proc_store.load(key), inline_store.load(key)
         assert canonical_json(a["report"]) == canonical_json(b["report"]), key
 
 
@@ -142,31 +138,40 @@ def test_sharded_batch_leaves_no_leases(tmp_path):
     assert not list(store.leases.glob("*.lease"))
 
 
-def test_run_batch_routes_by_executor(tmp_path):
-    """JobScheduler.run_batch must produce equivalent record dicts from
-    both engines (the CLI renders either shape)."""
-    keys = {"target", "label", "status", "cache_hit", "attempts",
-            "seconds", "result_key", "error"}
-    for executor in ("process", "thread"):
-        sched = JobScheduler(ResultStore(tmp_path / executor), workers=2,
-                             executor=executor)
-        try:
-            records = sched.run_batch(["diode", "ted"])
-        finally:
-            sched.shutdown()
-        assert [r["target"] for r in records] == ["diode", "ted"]
-        assert all(keys <= set(r) for r in records), executor
-        assert all(r["status"] == "done" for r in records)
-        assert sched.metrics.counter("analyses_run").value == 2
+def test_records_carry_one_key_set_at_one_and_two_workers(tmp_path):
+    """The in-process and the sharded batch report the same record shape
+    (the CLI renders and ``perfbench`` reads either)."""
+    shapes = []
+    for workers in (1, 2):
+        metrics = MetricsRegistry()
+        records = run_sharded_batch(tmp_path / f"w{workers}", ["diode", "ted"],
+                                    workers=workers, metrics=metrics)
+        assert [r.target for r in records] == ["diode", "ted"]
+        assert all(r.status == "done" for r in records)
+        assert metrics.counter("analyses_run").value == 2
+        shapes.append([set(r.to_dict()) for r in records])
+    assert shapes[0] == shapes[1]
+    # what perfbench reads from ``repro batch --json`` records
+    read = {"target", "status", "cache_hit", "result_key", "worker", "stolen"}
+    assert all(read <= shape for shape in shapes[0])
 
 
-def test_run_batch_rejects_unknown_target_upfront(tmp_path):
-    sched = JobScheduler(ResultStore(tmp_path / "s"), executor="thread")
-    try:
-        with pytest.raises(LookupError):
-            sched.run_batch(["diode", "definitely-not-an-app"])
-    finally:
-        sched.shutdown()
+def test_in_process_batch_reports_progress_live(tmp_path):
+    """At one worker, ``progress`` fires as each entry completes — the
+    store grows between calls — not once the batch is over."""
+    store = ResultStore(tmp_path / "s")
+    seen = []
+
+    def progress(record, done, total):
+        seen.append((done, total, len(store.entries())))
+
+    run_sharded_batch(store.root, TARGETS, workers=1, progress=progress)
+    assert seen == [(i, len(TARGETS), i) for i in range(1, len(TARGETS) + 1)]
+
+
+def test_run_batch_rejects_unknown_target_upfront():
+    with pytest.raises(LookupError):
+        expand_batch_targets(["diode", "definitely-not-an-app"])
 
 
 def test_all_synth_batch_never_builds_the_corpus_registry(
@@ -180,21 +185,15 @@ def test_all_synth_batch_never_builds_the_corpus_registry(
         raise AssertionError("corpus registry built for an all-synth batch")
 
     monkeypatch.setattr(repro.corpus, "app_keys", no_registry)
-    sched = JobScheduler(ResultStore(tmp_path / "s"), executor="thread")
-    try:
-        records = sched.run_batch(["synth:transports*2@7"])
-    finally:
-        sched.shutdown()
-    assert [r["status"] for r in records] == ["done", "done"]
+    targets = expand_batch_targets(["synth:transports*2@7"])
+    assert len(targets) == 2
+    records = run_sharded_batch(tmp_path / "s", targets, workers=1)
+    assert [r.status for r in records] == ["done", "done"]
 
 
-def test_unknown_key_after_synth_keys_still_raises(tmp_path):
-    sched = JobScheduler(ResultStore(tmp_path / "s"), executor="thread")
-    try:
-        with pytest.raises(LookupError):
-            sched.run_batch(["synth:transports*2@7", "definitely-not-an-app"])
-    finally:
-        sched.shutdown()
+def test_unknown_key_after_synth_keys_still_raises():
+    with pytest.raises(LookupError):
+        expand_batch_targets(["synth:transports*2@7", "definitely-not-an-app"])
 
 
 def test_start_method_env_override(monkeypatch):

@@ -174,27 +174,25 @@ class TestDeterminism:
         assert d3 != d4
 
     def test_serial_vs_process_reports_identical(self, tmp_path):
-        """The batch engines (in-process serial vs sharded processes) must
-        store byte-identical report payloads for a synthesized population."""
-        from repro.service import JobScheduler, ResultStore
+        """The batch engine in-process (one worker) and sharded across two
+        worker processes must store byte-identical report payloads for a
+        synthesized population."""
+        from repro.service import ResultStore
+        from repro.service.shard import expand_batch_targets, run_sharded_batch
 
-        targets = ["synth:transports,mega*6@7"]
+        targets = expand_batch_targets(["synth:transports,mega*6@7"])
         payloads = {}
-        for executor in ("serial", "process"):
-            store = ResultStore(tmp_path / executor)
-            scheduler = JobScheduler(store, workers=2, executor=executor)
-            try:
-                records = scheduler.run_batch(list(targets))
-            finally:
-                scheduler.shutdown(drain=True)
-            assert all(r["status"] == "done" for r in records)
-            payloads[executor] = {
-                r["target"]: json.dumps(
-                    store.load(r["result_key"])["report"], sort_keys=True
+        for workers in (1, 2):
+            store = ResultStore(tmp_path / f"w{workers}")
+            records = run_sharded_batch(store.root, targets, workers=workers)
+            assert all(r.status == "done" for r in records)
+            payloads[workers] = {
+                r.target: json.dumps(
+                    store.load(r.result_key)["report"], sort_keys=True
                 )
                 for r in records
             }
-        assert payloads["serial"] == payloads["process"]
+        assert payloads[1] == payloads[2]
 
 
 # ----------------------------------------------- ground-truth soundness
