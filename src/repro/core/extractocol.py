@@ -149,6 +149,7 @@ class Extractocol:
                 linked_returns=cbinfo.linked_returns,
                 index=index,
             )
+            fingerprints = None
             if self.config.mode == "targeted":
                 from ..incr.targeted import TargetedSearch
 
@@ -157,7 +158,7 @@ class Extractocol:
                 sp.count("region_methods", index.warm(search.region(dps)))
                 slicing = slicer.slice_all(span=sp, dps=dps)
             elif self.config.mode == "incremental":
-                slicing = self._slice_incremental(
+                slicing, fingerprints = self._slice_incremental(
                     apk, slicer, callgraph, sp,
                     event_roots=event_roots,
                     cbinfo=cbinfo,
@@ -168,7 +169,7 @@ class Extractocol:
                 slicing = slicer.slice_all(span=sp)
             self.last_slicing = slicing
             self._store_manifest(
-                apk, callgraph, slicing,
+                apk, callgraph, slicing, fingerprints,
                 event_roots=event_roots, cbinfo=cbinfo,
             )
             stats.seconds["slicing"] = time.perf_counter() - t0
@@ -253,7 +254,9 @@ class Extractocol:
     ):
         """Phase-1 with manifest reuse: scan fresh, diff fingerprints
         against the stored manifest, re-slice only dirtied demarcation
-        points and replay the rest, merged back in scan order."""
+        points and replay the rest, merged back in scan order.
+
+        Returns ``(slicing report, live fingerprints or None)``."""
         from ..incr.reuse import (
             ReuseIndex,
             _has_renames,
@@ -277,26 +280,20 @@ class Extractocol:
                 "reanalyzed": len(dps),
                 "dirty_methods": sum(1 for _ in program.methods()),
             }
-            return report
+            return report, None
 
         # Fingerprints compare in the manifest's (old) namespace: renamed
         # re-releases map back first; otherwise the live post-scan
-        # artifacts are the old namespace already.
+        # artifacts are the old namespace already, and the same map goes
+        # into the manifest this run leaves behind.
+        live_fp = None
         if _has_renames(renames):
             new_fp = fingerprints_in_base_namespace(
                 apk, self.config, registry=self.registry, renames=renames
             )
         else:
-            from ..ir.fingerprint import fingerprint_program
-
-            new_fp, _classes = fingerprint_program(
-                program,
-                callgraph,
-                event_roots=event_roots,
-                linked_returns=cbinfo.linked_returns,
-                entrypoint_ids=frozenset(
-                    ep.method_id for ep in apk.entrypoints
-                ),
+            new_fp = live_fp = self._fingerprints(
+                apk, callgraph, event_roots=event_roots, cbinfo=cbinfo
             )
         plan = ReuseIndex(manifest).plan(
             dps, new_fp, program, callgraph, renames=renames
@@ -312,32 +309,49 @@ class Extractocol:
                 plan.reused.get(dp.key) or dirty_by_key[dp.key] for dp in dps
             ],
             total_statements=dirty_report.total_statements,
-        )
+        ), live_fp
 
-    def _store_manifest(self, apk, callgraph, slicing, *, event_roots, cbinfo):
+    def _store_manifest(
+        self, apk, callgraph, slicing, fingerprints, *, event_roots, cbinfo
+    ):
         """Leave a manifest behind for the next warm run (any mode).
-        Skipped without a store (fingerprinting the whole program is not
-        free) and under ``record_provenance`` (prov tables don't serialize
-        into the slim slices, so replay would drop them)."""
+        ``fingerprints`` is the reuse plan's live map, if it made one
+        (slicing adds no call-graph edges after the scan); else it is
+        computed here.  Skipped without a store (fingerprinting prints the
+        whole program) and under ``record_provenance`` (prov tables don't
+        serialize into the slim slices, so replay would drop them)."""
         self.last_manifest = None
         if self.store is None or self.config.record_provenance:
             return
-        from ..apk.loader import apk_digest
         from ..incr.manifest import build_manifest
 
+        if fingerprints is None:
+            fingerprints = self._fingerprints(
+                apk, callgraph, event_roots=event_roots, cbinfo=cbinfo
+            )
         manifest = build_manifest(
             app=apk.name,
-            apk_digest=apk_digest(apk),
             config_key=self.config.cache_key(),
+            methods=fingerprints,
             program=apk.program,
-            callgraph=callgraph,
-            event_roots=event_roots,
-            linked_returns=cbinfo.linked_returns,
-            entrypoint_ids=[ep.method_id for ep in apk.entrypoints],
             slicing=slicing,
         )
         self.last_manifest = manifest
         self.store.put_manifest(manifest)
+
+    @staticmethod
+    def _fingerprints(apk, callgraph, *, event_roots, cbinfo):
+        """Method fingerprints of the live program, from its post-scan
+        call graph."""
+        from ..ir.fingerprint import fingerprint_program
+
+        return fingerprint_program(
+            apk.program,
+            callgraph,
+            event_roots=event_roots,
+            linked_returns=cbinfo.linked_returns,
+            entrypoint_ids=frozenset(ep.method_id for ep in apk.entrypoints),
+        )
 
     # ------------------------------------------------------------------ helpers
     def _relevant_methods(self, slicing, callgraph) -> set[str]:

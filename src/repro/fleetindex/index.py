@@ -90,7 +90,7 @@ def _atomic_write(path: Path, text: str) -> None:
 def _read_json(path: Path) -> dict | None:
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     return data if isinstance(data, dict) else None
 

@@ -1,9 +1,11 @@
 """Per-app method-hash manifests: the durable side of incremental analysis.
 
-A manifest records, for one (apk digest, semantic config) pair:
+A manifest records, for the latest analyzed release of one (app name,
+semantic config) pair, only what the reuse plan reads:
 
-* the content-hashed fingerprint of every method and class
-  (:mod:`repro.ir.fingerprint`), and
+* the content-hashed fingerprint of every method
+  (:mod:`repro.ir.fingerprint`), the map the analysis computed once,
+* per method, a content hash of the statements touching each heap cell,
 * a slim, JSON-safe replica of every demarcation-point slice — exactly the
   statement/flow sets later phases consume, *not* the provenance tables.
 
@@ -30,9 +32,9 @@ from ..ir.values import (
 )
 from ..taint.slices import SliceResult
 
-#: bump when the manifest layout or the fingerprint recipe changes; a
+#: bump when a key the planner reads or the fingerprint recipe changes; a
 #: mismatch makes stored manifests invisible (full re-analysis, never
-#: stale reuse)
+#: stale reuse).  Dropping keys nothing reads needs no bump.
 MANIFEST_SCHEMA = 1
 
 
@@ -182,36 +184,20 @@ def dp_visited(entry: dict) -> set[str]:
 def build_manifest(
     *,
     app: str,
-    apk_digest: str,
     config_key: str,
+    methods: dict[str, str],
     program,
-    callgraph,
-    event_roots=None,
-    linked_returns=None,
-    entrypoint_ids=(),
     slicing=None,
 ) -> dict:
-    """Roll fingerprints + slim DP slices into one storable manifest.
+    """Roll method fingerprints + slim DP slices into one storable manifest.
 
-    Call after the slicing phase: the call graph then carries the async
-    model's and the demarcation scan's implicit edges, which are
-    fingerprint inputs."""
-    from ..ir.fingerprint import fingerprint_program
-
-    methods, classes = fingerprint_program(
-        program,
-        callgraph,
-        event_roots=event_roots,
-        linked_returns=linked_returns,
-        entrypoint_ids=frozenset(entrypoint_ids),
-    )
+    ``methods`` is ``fingerprint_program`` over the analyzed program after
+    the demarcation scan, whose implicit edges are fingerprint inputs."""
     return {
         "schema": MANIFEST_SCHEMA,
         "app": app,
-        "apk_digest": apk_digest,
         "config_key": config_key,
         "methods": methods,
-        "classes": classes,
         "method_fields": program_field_hashes(program),
         "dps": [
             dp_to_dict(s) for s in (slicing.slices if slicing else ())

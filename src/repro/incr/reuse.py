@@ -65,7 +65,7 @@ def fingerprints_in_base_namespace(
 
     With no renames the program is fingerprinted as-is; callers that
     already hold post-scan setup artifacts should fingerprint those
-    directly instead."""
+    directly instead (and reuse that map for the manifest)."""
     from ..cfg.callgraph import build_callgraph
     from ..ir.fingerprint import fingerprint_program
     from ..semantics.async_model import (
@@ -90,14 +90,13 @@ def fingerprints_in_base_namespace(
         program, callgraph, entry_ids, cbinfo.boundary_methods
     )
     scan_demarcation_points(program, callgraph, registry)
-    methods, _classes = fingerprint_program(
+    return fingerprint_program(
         program,
         callgraph,
         event_roots=event_roots,
         linked_returns=cbinfo.linked_returns,
         entrypoint_ids=frozenset(entry_ids),
     )
-    return methods
 
 
 class _EntryMapper:
@@ -211,7 +210,8 @@ class ReusePlan:
 
 class ReuseIndex:
     """Compares a stored manifest against a new program's fingerprints and
-    plans which cached DP slices survive."""
+    plans which cached DP slices survive.  ``manifest`` has the shape
+    :meth:`~repro.service.store.ResultStore.get_manifest` guarantees."""
 
     def __init__(self, manifest: dict) -> None:
         self.manifest = manifest
@@ -253,7 +253,7 @@ class ReuseIndex:
         # compare each dirty method's per-field access hashes against the
         # manifest — only fields whose accessing statements actually
         # changed (or appeared, or vanished with the method) become dirty.
-        old_mf = self.manifest.get("method_fields", {})
+        old_mf = self.manifest["method_fields"]
         dirty_targets: set[str] = set()
         dirty_fields: set[str] = set()  # old-namespace field keys
         for mid in dirty_old:
@@ -279,7 +279,7 @@ class ReuseIndex:
                     dirty_fields.add(key)
 
         replayable: dict[str, dict] = {}
-        for entry in self.manifest.get("dps", ()):
+        for entry in self.manifest["dps"]:
             visited_old = dp_visited(entry)
             if visited_old & dirty_old:
                 continue

@@ -21,15 +21,18 @@ edges and event context.  Fingerprints are namespace-sensitive by design —
 class renames change them — so cross-release comparison under obfuscation
 first maps the new program back into the old namespace with
 :func:`repro.apk.rewrite.rename_program`.
+
+Fingerprinting prints every method, so an analysis runs
+:func:`fingerprint_program` once and shares the map between the reuse plan
+and its manifest (a renamed release also needs the base-namespace copy).
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .classes import ClassDef
 from .method import Method
-from .printer import print_class, print_method
+from .printer import print_method
 from .program import Program
 from .statements import StmtRef
 from .types import ArrayType, ClassType, Type
@@ -113,15 +116,6 @@ def fingerprint_method(
     return h.hexdigest()
 
 
-def fingerprint_class(cls: ClassDef, program: Program) -> str:
-    """sha256 over the printed class plus its hierarchy slice."""
-    h = hashlib.sha256()
-    h.update(print_class(cls).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(_hierarchy_line(program, cls.name).encode("utf-8"))
-    return h.hexdigest()
-
-
 def fingerprint_program(
     program: Program,
     callgraph,
@@ -129,12 +123,12 @@ def fingerprint_program(
     event_roots: dict[str, frozenset[str]] | None = None,
     linked_returns: dict[str, list[tuple[str, int]]] | None = None,
     entrypoint_ids: frozenset[str] | set[str] = frozenset(),
-) -> tuple[dict[str, str], dict[str, str]]:
-    """(method_id -> fingerprint, class name -> fingerprint) for a whole
-    program.  Call *after* the async model and demarcation scan ran, so the
-    call graph already carries its implicit edges."""
+) -> dict[str, str]:
+    """method_id -> fingerprint for a whole program.  Call *after* the
+    async model and demarcation scan ran, so the call graph already carries
+    its implicit edges."""
     entry = frozenset(entrypoint_ids)
-    methods = {
+    return {
         m.method_id: fingerprint_method(
             m,
             program,
@@ -145,15 +139,9 @@ def fingerprint_program(
         )
         for m in program.methods()
     }
-    classes = {
-        c.name: fingerprint_class(c, program)
-        for c in program.classes.values()
-    }
-    return methods, classes
 
 
 __all__ = [
-    "fingerprint_class",
     "fingerprint_method",
     "fingerprint_program",
     "mentioned_classes",

@@ -10,11 +10,14 @@ served forever.  The store therefore keys entries by
 and writes each entry exactly once, atomically (temp file + ``os.replace``
 in the same directory), as canonical JSON (``sort_keys=True, indent=2``).
 Entries carry a schema version; entries written by an older schema are
-treated as misses and rewritten, never mis-parsed.
+treated as misses and rewritten, never mis-parsed; so are unreadable
+ones (torn, not JSON, not UTF-8).  Incremental manifests, which nothing
+prints, are sorted compact JSON instead: ``json`` encodes that in C.
 
 Layout::
 
     <root>/objects/<key[:2]>/<key>.json
+    <root>/manifests/<manifest key>.json
     <root>/leases/<name>.lease
 
 The two-level fan-out keeps directories small for fleet-sized corpora.
@@ -161,7 +164,7 @@ class ResultStore:
         (or unreadable — a claim racing its own write)."""
         try:
             return json.loads(self.lease_path(name).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
 
     def _lease_stale(self, path: Path) -> bool:
@@ -213,7 +216,7 @@ class ResultStore:
         path = self.path_for(key)
         try:
             return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
 
     def get_report(
@@ -294,7 +297,7 @@ class ResultStore:
         (see :mod:`repro.fleetindex.index`); index bookkeeping failures
         never fail the durable write itself.
         """
-        self._atomic_write(self.path_for(key), key, envelope)
+        self._atomic_write(self.path_for(key), key, canonical_json(envelope))
         with self._lock:
             self.writes += 1
         if self.metrics is not None:
@@ -311,14 +314,14 @@ class ResultStore:
                 pass
         return key
 
-    def _atomic_write(self, path: Path, key: str, envelope: dict) -> None:
+    def _atomic_write(self, path: Path, key: str, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(canonical_json(envelope))
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -340,11 +343,11 @@ class ResultStore:
             "schema": SCHEMA_VERSION,
             "key": key,
             "app": manifest["app"],
-            "apk_digest": manifest["apk_digest"],
             "config_key": manifest["config_key"],
             "manifest": manifest,
         }
-        self._atomic_write(self.manifest_path(key), key, envelope)
+        text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        self._atomic_write(self.manifest_path(key), key, text)
         with self._lock:
             self.manifest_writes += 1
         if self.metrics is not None:
@@ -354,10 +357,12 @@ class ResultStore:
     def get_manifest(self, app: str, config_key: str) -> dict | None:
         """The latest stored manifest for ``(app, config)``, or ``None``.
 
-        The cache-poisoning guard lives here: an envelope or manifest
-        written under a different schema, or whose recorded config key
-        does not match the requested one, is treated as absent — the
-        caller falls back to full analysis, never to stale reuse.
+        The cache-poisoning guard lives here: an unreadable file, an
+        envelope or manifest written under a different schema, whose
+        recorded config key does not match the requested one, or missing
+        a well-typed ``methods``/``method_fields``/``dps`` the planner
+        reads, is treated as absent — the caller falls back to full
+        analysis, never to stale reuse or a crash.
         """
         from ..incr.manifest import MANIFEST_SCHEMA
 
@@ -367,7 +372,7 @@ class ResultStore:
                     manifest_key(app, config_key)
                 ).read_text()
             )
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         if (
             not isinstance(envelope, dict)
@@ -379,6 +384,9 @@ class ResultStore:
             not isinstance(manifest, dict)
             or manifest.get("schema") != MANIFEST_SCHEMA
             or manifest.get("config_key") != config_key
+            or not isinstance(manifest.get("methods"), dict)
+            or not isinstance(manifest.get("method_fields"), dict)
+            or not isinstance(manifest.get("dps"), list)
         ):
             return None
         return manifest
@@ -414,7 +422,7 @@ class ResultStore:
         for path in sorted(self.objects.glob("*/*.json")):
             try:
                 envelope = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
                 continue
             if not isinstance(envelope, dict) or "report" not in envelope:
                 continue

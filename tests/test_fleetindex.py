@@ -160,6 +160,20 @@ class TestCrashRecovery:
         build_index(clean)
         assert index_tree(tmp_path / "crash") == index_tree(tmp_path / "clean")
 
+    def test_non_utf8_pending_and_manifest_recovered(self, tmp_path):
+        store = fill_store(tmp_path / "bytes")
+        victim = sorted(pending_dir(store.root).iterdir())[0]
+        victim.write_bytes(b"\xff\xfe")
+        assert build_index(store)["docs"] == 4  # recovered from the envelope
+
+        (index_root(store.root) / "MANIFEST.json").write_bytes(b"\xff\xfe")
+        assert FleetIndex(store).manifest() is None
+        assert build_index(store)["docs"] == 4
+
+        clean = fill_store(tmp_path / "clean")
+        build_index(clean)
+        assert index_tree(store.root) == index_tree(tmp_path / "clean")
+
     def test_orphan_pending_without_envelope_dropped(self, tmp_path):
         store = fill_store(tmp_path / "orphan")
         bogus = pending_dir(store.root) / "deadbeef-cafe.json"

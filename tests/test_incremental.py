@@ -1,10 +1,12 @@
 """Incremental re-analysis: manifest-driven slice reuse across version
 lineages — byte-identity with cold runs, the corpus-level reuse floor,
 RenameMap-composed reuse for obfuscated re-releases, hierarchy-sensitive
-fingerprints, and the cache-poisoning guard."""
+fingerprints, the pinned fingerprint recipe, one fingerprint pass per
+analysis, and the cache-poisoning guard."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,9 +17,11 @@ from repro.core.report import report_to_dict
 from repro.corpus.lineage import build_version
 from repro.diff.engine import _relative_renames
 from repro.incr.manifest import MANIFEST_SCHEMA
+from repro.incr.reuse import fingerprints_in_base_namespace
 from repro.ir.builder import ProgramBuilder
 from repro.ir.fingerprint import fingerprint_program
 from repro.service.store import ResultStore, manifest_key
+from repro.synth import parse_population
 
 #: every non-base corpus lineage version, warmed from its predecessor
 LINEAGE_PAIRS = [
@@ -31,7 +35,8 @@ LINEAGE_PAIRS = [
 
 def warm_pair(store_root, prev_label: str, label: str):
     """Analyze ``prev_label`` full-with-store, then ``label`` both cold and
-    warm-incremental; returns (cold report, warm report)."""
+    warm-incremental; returns (cold report, warm report, the manifest the
+    warm run left)."""
     store = ResultStore(store_root)
     prev = build_version(prev_label)
     Extractocol(prev.config, store=store).analyze(prev.apk)
@@ -44,10 +49,9 @@ def warm_pair(store_root, prev_label: str, label: str):
     renames = _relative_renames(
         prev.renames_from_base, warm_v.renames_from_base
     )
-    warm = Extractocol(warm_v.config, store=store).analyze(
-        warm_v.apk, renames=renames
-    )
-    return cold, warm
+    engine = Extractocol(warm_v.config, store=store)
+    warm = engine.analyze(warm_v.apk, renames=renames)
+    return cold, warm, engine.last_manifest
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +66,12 @@ def lineage_runs(tmp_path_factory):
 class TestLineageReuse:
     @pytest.mark.parametrize("label", [p[1] for p in LINEAGE_PAIRS])
     def test_warm_report_byte_identical_to_cold(self, lineage_runs, label):
-        cold, warm = lineage_runs[label]
+        cold, warm, _ = lineage_runs[label]
         assert report_to_dict(warm) == report_to_dict(cold)
 
     @pytest.mark.parametrize("label", [p[1] for p in LINEAGE_PAIRS])
     def test_counters_present_and_consistent(self, lineage_runs, label):
-        _, warm = lineage_runs[label]
+        _, warm, _ = lineage_runs[label]
         counters = warm.phase_stats.incremental
         assert counters is not None
         assert set(counters) == {"reused", "reanalyzed", "dirty_methods"}
@@ -82,7 +86,7 @@ class TestLineageReuse:
         wallabag has exactly one endpoint and its v2 rewrites it, so its
         lone slice is legitimately dirty.)"""
         reused = analyzed = 0
-        for _, warm in lineage_runs.values():
+        for _, warm, _ in lineage_runs.values():
             counters = warm.phase_stats.incremental
             reused += counters["reused"]
             analyzed += counters["reused"] + counters["reanalyzed"]
@@ -103,6 +107,126 @@ class TestLineageReuse:
         assert counters["reanalyzed"] == 0
         assert counters["reused"] > 0
         assert counters["dirty_methods"] == 0
+
+    @pytest.mark.parametrize("label", [p[1] for p in LINEAGE_PAIRS])
+    def test_warm_manifest_equals_full_mode_manifest(
+        self, lineage_runs, label, tmp_path
+    ):
+        """The manifest a warm run leaves — built from the reuse plan's
+        fingerprints when there are no renames — is the one a full-mode
+        run writes into a fresh store."""
+        built = build_version(label)
+        store = ResultStore(tmp_path)
+        Extractocol(built.config, store=store).analyze(built.apk)
+        full = store.get_manifest(built.apk.name, built.config.cache_key())
+        assert full is not None
+        assert lineage_runs[label][2] == full
+
+
+class TestFingerprintOnce:
+    """A store-connected analysis fingerprints the program once: the reuse
+    plan's map goes into the manifest.  Only a renamed release needs a
+    second pass, for its base-namespace copy."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        import repro.ir.fingerprint as fp
+
+        calls = []
+        real = fp.fingerprint_program
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fp, "fingerprint_program", counting)
+        return calls
+
+    @staticmethod
+    def _warm(store, prev_label: str, label: str):
+        """(the warm release's program, its incremental report)"""
+        prev = build_version(prev_label)
+        cur = build_version(label)
+        cur.config.mode = "incremental"
+        renames = _relative_renames(
+            prev.renames_from_base, cur.renames_from_base
+        )
+        report = Extractocol(cur.config, store=store).analyze(
+            cur.apk, renames=renames
+        )
+        return cur.apk.program, report
+
+    def test_full_mode(self, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        v1 = build_version("reddinator@v1")
+        Extractocol(v1.config).analyze(v1.apk)
+        assert calls == []  # no store, no manifest, no fingerprints
+        Extractocol(v1.config, store=ResultStore(tmp_path)).analyze(v1.apk)
+        assert len(calls) == 1
+
+    def test_non_renamed_warm_run(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        v1 = build_version("reddinator@v1")
+        Extractocol(v1.config, store=store).analyze(v1.apk)
+        calls = self._count_calls(monkeypatch)
+        program, warm = self._warm(store, "reddinator@v1", "reddinator@v2")
+        assert warm.phase_stats.incremental["reused"] > 0
+        assert len(calls) == 1
+        assert calls[0] is program
+
+    def test_renamed_warm_run(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        v1 = build_version("tzm@v1")
+        Extractocol(v1.config, store=store).analyze(v1.apk)
+        calls = self._count_calls(monkeypatch)
+        program, warm = self._warm(store, "tzm@v1", "tzm@v2")
+        assert warm.phase_stats.incremental["dirty_methods"] == 0
+        # the base-namespace copy for the plan, then the live program for
+        # the manifest
+        assert len(calls) == 2
+        assert calls[0] is not program
+        assert calls[1] is program
+
+    def test_manifest_carries_only_what_the_planner_reads(self, tmp_path):
+        v1 = build_version("reddinator@v1")
+        engine = Extractocol(v1.config, store=ResultStore(tmp_path))
+        engine.analyze(v1.apk)
+        assert set(engine.last_manifest) == {
+            "schema", "app", "config_key", "methods", "method_fields", "dps",
+        }
+
+
+#: sha256 of the sorted compact JSON of ``{label: fingerprint_program(...)}``
+#: over the four corpus lineage bases and the v1s of synth:evolution*45@7,
+#: each fingerprinted after its setup passes and demarcation scan
+FINGERPRINT_GOLDEN = (
+    "1d72e9cf8826d8746f3828306e43d4af324fb33427bee266ac4948ececc2160f"
+)
+
+
+class TestFingerprintRecipe:
+    def test_recipe_is_pinned(self):
+        labels = [
+            f"{app}@v1" for app in ("reddinator", "wallabag", "twister", "tzm")
+        ] + [
+            f"{key}@v1"
+            for key in parse_population("synth:evolution*45@7").keys()
+        ]
+        data = {}
+        for label in labels:
+            built = build_version(label)
+            data[label] = fingerprints_in_base_namespace(
+                built.apk, built.config
+            )
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        message = (
+            "a fingerprint recipe change must bump MANIFEST_SCHEMA and "
+            "FINGERPRINT_GOLDEN together, so stored manifests are never "
+            "diffed against fingerprints made by a different recipe"
+        )
+        assert MANIFEST_SCHEMA == 1, message
+        assert digest == FINGERPRINT_GOLDEN, message
 
 
 class TestSelfWarm:
@@ -158,8 +282,8 @@ class TestHierarchyDirtying:
     def test_superclass_change_dirties_subclass_methods(self):
         before = self._program("app.Lib")
         after = self._program("app.OtherLib")
-        fp_before, _ = fingerprint_program(before, CallGraph(before))
-        fp_after, _ = fingerprint_program(after, CallGraph(after))
+        fp_before = fingerprint_program(before, CallGraph(before))
+        fp_after = fingerprint_program(after, CallGraph(after))
         sub = "<app.Sub: void go()>"
         unrelated = "<app.Unrelated: void stay()>"
         assert fp_before[sub] != fp_after[sub]
@@ -167,8 +291,9 @@ class TestHierarchyDirtying:
 
 
 class TestCachePoisoning:
-    """A manifest written under a different schema or config hash must be
-    invisible — the engine falls back to full analysis, never stale reuse."""
+    """A manifest written under a different schema or config hash, missing
+    a key the planner reads, or not readable at all must be invisible — the
+    engine falls back to full analysis, never stale reuse or a crash."""
 
     @staticmethod
     def _seed_store(tmp_path):
@@ -196,10 +321,8 @@ class TestCachePoisoning:
         self._poison(store, app, key, config_key="0" * 16)
         assert store.get_manifest(app, key) is None
 
-    def test_poisoned_manifest_forces_full_reanalysis(self, tmp_path):
-        store, app, key = self._seed_store(tmp_path)
-        self._poison(store, app, key, schema=MANIFEST_SCHEMA + 1)
-
+    @staticmethod
+    def _assert_warm_run_is_full(store):
         v2 = build_version("reddinator@v2")
         v2.config.mode = "incremental"
         warm = Extractocol(v2.config, store=store).analyze(v2.apk)
@@ -211,6 +334,36 @@ class TestCachePoisoning:
             build_version("reddinator@v2").apk
         )
         assert report_to_dict(warm) == report_to_dict(cold)
+
+    def test_poisoned_manifest_forces_full_reanalysis(self, tmp_path):
+        store, app, key = self._seed_store(tmp_path)
+        self._poison(store, app, key, schema=MANIFEST_SCHEMA + 1)
+        self._assert_warm_run_is_full(store)
+
+    @pytest.mark.parametrize("field", ["methods", "method_fields", "dps"])
+    def test_missing_planner_key_is_a_miss(self, tmp_path, field):
+        store, app, key = self._seed_store(tmp_path)
+        path = store.manifest_path(manifest_key(app, key))
+        envelope = json.loads(path.read_text())
+        del envelope["manifest"][field]
+        path.write_text(json.dumps(envelope))
+        assert store.get_manifest(app, key) is None
+        self._assert_warm_run_is_full(store)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("methods", []), ("method_fields", None), ("dps", {})],
+    )
+    def test_ill_typed_planner_key_is_a_miss(self, tmp_path, field, value):
+        store, app, key = self._seed_store(tmp_path)
+        self._poison(store, app, key, **{field: value})
+        assert store.get_manifest(app, key) is None
+
+    def test_non_utf8_manifest_is_a_miss(self, tmp_path):
+        store, app, key = self._seed_store(tmp_path)
+        store.manifest_path(manifest_key(app, key)).write_bytes(b"\xff\xfe")
+        assert store.get_manifest(app, key) is None
+        self._assert_warm_run_is_full(store)
 
     def test_semantic_config_change_misses_the_manifest(self, tmp_path):
         """A different semantic config has a different cache key — the old

@@ -131,6 +131,45 @@ class TestResultStore:
         store.path_for(key).write_text("{ torn write")
         assert store.get(apk_digest(apk), config.cache_key()) is None
 
+    def test_non_utf8_entry_is_a_miss_and_skipped(
+        self, tmp_path, diode_report
+    ):
+        apk, config, report = diode_report
+        store = ResultStore(tmp_path / "store")
+        good = store.put(apk_digest(apk), config.cache_key(), report)
+        bad = result_key("ff" * 32, config.cache_key())
+        store.path_for(bad).parent.mkdir(parents=True, exist_ok=True)
+        store.path_for(bad).write_bytes(b"\xff\xfe")
+        assert store.load(bad) is None
+        assert [e["key"] for e in store.list_entries()] == [good]
+
+        store.path_for(good).write_bytes(b"\xff\xfe")
+        assert store.get(apk_digest(apk), config.cache_key()) is None
+        assert store.list_entries() == []
+
+    def test_non_utf8_lease_has_no_holder(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        path = store.lease_path("k")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\xff\xfe")
+        assert store.lease_holder("k") is None
+
+    def test_manifest_is_compact_sorted_json_without_digest(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        manifest = {
+            "schema": 1, "app": "a", "config_key": "c",
+            "methods": {"m": "f"}, "method_fields": {}, "dps": [],
+        }
+        key = store.put_manifest(manifest)
+        text = store.manifest_path(key).read_text()
+        envelope = json.loads(text)
+        assert text == json.dumps(
+            envelope, sort_keys=True, separators=(",", ":")
+        )
+        assert "apk_digest" not in envelope
+        assert envelope["manifest"] == manifest
+        assert store.get_manifest("a", "c") == manifest
+
     def test_no_temp_file_residue(self, tmp_path, diode_report):
         apk, config, report = diode_report
         store = ResultStore(tmp_path / "store")
