@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
+import zlib
 from pathlib import Path
 
 from ..ir.parser import parse_program
@@ -81,20 +82,55 @@ def save_apk(apk: Apk, path: str | Path) -> Path:
     return path
 
 
-def load_apk(path: str | Path) -> Apk:
-    """Load an APK model from a ``.sapk`` directory or zip."""
-    path = Path(path)
-    if path.is_file() and path.suffix == ".zip":
-        with zipfile.ZipFile(path) as zf:
-            raw = {name: zf.read(name).decode() for name in _FILES}
-    elif path.is_dir():
-        raw = {name: (path / name).read_text() for name in _FILES}
-    else:
-        raise FileNotFoundError(f"no .sapk bundle at {path}")
+class BundleError(ValueError):
+    """A ``.sapk`` bundle that is not a readable archive, lacks a member,
+    or has a member that does not decode into its model.  The message
+    names the bundle and the member."""
 
-    manifest = Manifest.from_dict(json.loads(raw["manifest.json"]))
-    resources = Resources.from_dict(json.loads(raw["resources.json"]))
-    entrypoints = [
+
+def load_apk(path: str | Path) -> Apk:
+    """Load an APK model from a ``.sapk`` directory or zip.
+
+    A path that does not exist raises :class:`FileNotFoundError`; any
+    other unreadable or malformed bundle raises :class:`BundleError`."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no .sapk bundle at {path}")
+    if not (path.is_dir() or path.suffix == ".zip"):
+        raise BundleError(f"{path}: a .sapk bundle is a directory or a .zip")
+    try:
+        if path.is_dir():
+            blobs = {name: (path / name).read_bytes() for name in _FILES}
+        else:
+            with zipfile.ZipFile(path) as zf:
+                blobs = {name: zf.read(name) for name in _FILES}
+    except (zipfile.BadZipFile, zlib.error) as exc:
+        raise BundleError(f"{path}: not a readable zip archive ({exc})") from exc
+    except (KeyError, OSError) as exc:
+        raise BundleError(f"{path}: cannot read bundle member ({exc})") from exc
+
+    def decode(name, build):
+        try:
+            return build(blobs[name].decode("utf-8"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise BundleError(
+                f"{path}: malformed {name}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return Apk(
+        manifest=decode(
+            "manifest.json", lambda text: Manifest.from_dict(json.loads(text))
+        ),
+        program=decode("classes.jimple", parse_program),
+        resources=decode(
+            "resources.json", lambda text: Resources.from_dict(json.loads(text))
+        ),
+        entrypoints=decode("entrypoints.json", _entrypoints),
+    )
+
+
+def _entrypoints(text: str) -> list[EntryPoint]:
+    return [
         EntryPoint(
             method_id=e["method_id"],
             kind=TriggerKind(e.get("kind", "ui")),
@@ -103,15 +139,8 @@ def load_apk(path: str | Path) -> Apk:
             side_effect=e.get("side_effect", False),
             custom_ui=e.get("custom_ui", False),
         )
-        for e in json.loads(raw["entrypoints.json"])
+        for e in json.loads(text)
     ]
-    program = parse_program(raw["classes.jimple"])
-    return Apk(
-        manifest=manifest,
-        program=program,
-        resources=resources,
-        entrypoints=entrypoints,
-    )
 
 
-__all__ = ["apk_digest", "bundle_contents", "load_apk", "save_apk"]
+__all__ = ["BundleError", "apk_digest", "bundle_contents", "load_apk", "save_apk"]

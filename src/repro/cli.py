@@ -34,6 +34,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
+
+
+def _fail(message: str) -> NoReturn:
+    """Reject bad input: one line on stderr, exit status 2 (argparse's
+    usage-error code).  Status 1 stays a verdict: a breaking ``diff``,
+    new ``lint`` errors, a ``bench check`` regression."""
+    print(f"repro: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _load(target: str):
@@ -48,7 +57,7 @@ def _load_versioned(target: str):
     — the rename map incremental mode threads through for obfuscated
     re-releases (``None`` for every other target form)."""
     from repro import AnalysisConfig
-    from repro.apk.loader import load_apk
+    from repro.apk.loader import BundleError, load_apk
     from repro.corpus import app_keys, get_spec
 
     if "@" in target and not Path(target).exists():
@@ -57,21 +66,24 @@ def _load_versioned(target: str):
         try:
             built = build_version(target)
         except (KeyError, ValueError) as exc:
-            raise SystemExit(str(exc))
+            _fail(str(exc))
         return built.apk, built.config, built.renames_from_base
     if target.startswith("syn-") or target in app_keys():
         try:
             spec = get_spec(target)
         except KeyError as exc:
-            raise SystemExit(str(exc))
+            _fail(str(exc))
         return spec.build_apk(), AnalysisConfig(
             async_heuristic=(spec.kind == "closed"),
             scope_prefixes=spec.scope_prefixes,
         ), None
     path = Path(target)
     if path.exists():
-        return load_apk(path), AnalysisConfig(), None
-    raise SystemExit(
+        try:
+            return load_apk(path), AnalysisConfig(), None
+        except BundleError as exc:
+            _fail(str(exc))
+    _fail(
         f"'{target}' is neither a corpus app key, a synthesized app key "
         f"(syn-<family>-s<seed>-<index>), a lineage label (app@vN), nor "
         f"an .sapk bundle; known keys: {', '.join(app_keys())}"
@@ -340,11 +352,11 @@ def cmd_trace(args) -> int:
         try:
             events = validate_jsonl(Path(args.from_file).read_text())
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"{args.from_file}: {exc}")
+            _fail(f"{args.from_file}: {exc}")
         root = events_to_span(events)
     else:
         if not args.target:
-            raise SystemExit("trace needs a target (or --from FILE)")
+            _fail("trace needs a target (or --from FILE)")
         from repro import Extractocol
         from repro.obs.tracer import Tracer
 
@@ -373,7 +385,7 @@ def cmd_explain(args) -> int:
     try:
         result = explain(apk, config, request=args.request, field=args.field)
     except LookupError as exc:
-        raise SystemExit(str(exc))
+        _fail(str(exc))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -443,8 +455,9 @@ def cmd_diff(args) -> int:
 
     Exit code contract (for CI gates): ``1`` when the diff contains a
     breaking change, ``0`` otherwise — including the self-diff and pure
-    additions.  Resolution failures exit 2 via :class:`SystemExit`.
+    additions.  An unresolvable target or a malformed bundle exits 2.
     """
+    from repro.apk.loader import BundleError
     from repro.diff import diff_targets, render_markdown
     from repro.service.store import ResultStore, canonical_json
 
@@ -458,7 +471,7 @@ def cmd_diff(args) -> int:
             e for e in store.list_entries() if e["app"] == args.latest
         ]
         if len(entries) < 2:
-            raise SystemExit(
+            _fail(
                 f"store has {len(entries)} report(s) for {args.latest!r}; "
                 f"need at least two versions to diff "
                 f"(populate with 'repro batch')"
@@ -466,13 +479,13 @@ def cmd_diff(args) -> int:
         old_target, new_target = entries[-2]["key"], entries[-1]["key"]
     else:
         if not args.old or not args.new:
-            raise SystemExit("need two targets (or --latest APP)")
+            _fail("need two targets (or --latest APP)")
         old_target, new_target = args.old, args.new
 
     try:
         diff = diff_targets(old_target, new_target, store=store)
-    except LookupError as exc:
-        raise SystemExit(str(exc))
+    except (LookupError, BundleError) as exc:
+        _fail(str(exc))
 
     if args.json:
         print(canonical_json(diff.to_dict()))
@@ -511,7 +524,7 @@ def cmd_batch(args) -> int:
     try:
         targets = expand_batch_targets(targets)
     except LookupError as exc:
-        raise SystemExit(str(exc))
+        _fail(str(exc))
 
     store = ResultStore(Path(args.store).expanduser())
     metrics = MetricsRegistry()
@@ -539,7 +552,7 @@ def cmd_batch(args) -> int:
             out_meta=out_meta,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        _fail(str(exc))
     wall = time.perf_counter() - t0
     records = [r.to_dict() for r in shard_records]
 
@@ -625,7 +638,7 @@ def cmd_runs(args) -> int:
         return 0
     record = ledger.get(args.run)
     if record is None:
-        raise SystemExit(
+        _fail(
             f"no run {args.run!r} in {ledger.path} "
             f"(try: repro runs list --store {args.store})"
         )
@@ -671,7 +684,7 @@ def cmd_search(args) -> int:
             cursor=args.cursor,
         )
     except QueryError as exc:
-        raise SystemExit(f"bad query: {exc}")
+        _fail(f"bad query: {exc}")
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
         return 0 if result["total"] else 1
@@ -720,7 +733,7 @@ def cmd_bench_check(args) -> int:
             if p.exists()
         ]
     if not baselines:
-        raise SystemExit(
+        _fail(
             "no baseline given and no BENCH_*.json found in the current "
             "directory"
         )
@@ -731,7 +744,7 @@ def cmd_bench_check(args) -> int:
         try:
             baseline = load_bench(path)
         except (OSError, ValueError) as exc:
-            raise SystemExit(str(exc))
+            _fail(str(exc))
         kind = bench_kind(baseline)
         if args.candidate:
             candidate = load_bench(args.candidate)
@@ -740,7 +753,7 @@ def cmd_bench_check(args) -> int:
 
             record = RunLedger(Path(args.store).expanduser()).get(args.run)
             if record is None:
-                raise SystemExit(f"no run {args.run!r} in the ledger")
+                _fail(f"no run {args.run!r} in the ledger")
             candidate = candidate_from_run(record)
         else:
             # fresh measurement; batch_scale, incremental and search
@@ -829,6 +842,8 @@ def __getattr__(name: str):
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.config import MODES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Extractocol (CoNEXT 2016) reproduction"
     )
@@ -871,15 +886,11 @@ def main(argv: list[str] | None = None) -> int:
                            help="corpus key, lineage label (app@vN), or "
                                 ".sapk path")
     p_analyze.add_argument("--json", action="store_true")
-    p_analyze.add_argument("--mode",
-                           choices=["full", "targeted", "incremental"],
-                           default="full",
-                           help="analysis mode: full = whole-program "
-                                "pipeline; targeted = demand-"
-                                "driven slicing seeded by a bytecode "
-                                "search; incremental = replay cached DP "
-                                "slices of unchanged methods from the "
-                                "store's manifest (all three produce "
+    p_analyze.add_argument("--mode", choices=MODES, default="full",
+                           help="analysis mode: full = slice every "
+                                "demarcation point; incremental = replay "
+                                "cached DP slices of unchanged methods "
+                                "from the store's manifest (both produce "
                                 "byte-identical reports)")
     p_analyze.add_argument("--store", metavar="DIR", default=None,
                            help="result store holding/receiving the "

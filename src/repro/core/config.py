@@ -8,9 +8,12 @@ from dataclasses import dataclass, fields
 
 #: Fields that select *how* the analysis executes, not *what* it computes.
 #: Reports are identical across these knobs (provenance recording only adds
-#: side tables to the slices; the three modes are pinned byte-identical), so
+#: side tables to the slices; both modes yield the full-mode report), so
 #: the service result store must not shard its cache on them.
 _EXECUTION_FIELDS = frozenset({"record_provenance", "mode"})
+
+#: The values of :attr:`AnalysisConfig.mode`.
+MODES = ("full", "incremental")
 
 
 @dataclass
@@ -60,23 +63,19 @@ class AnalysisConfig:
     #: error-severity findings; "strict" aborts on warnings too.  Semantic:
     #: findings land in the serialised report, so the cache shards on it.
     lint_level: str = "off"
-    #: how the engine decides what to analyze (``repro.incr``):
+    #: how the engine decides what to analyze (one of :data:`MODES`):
     #:
-    #: ============== =====================================================
-    #: ``"full"``      whole-program pipeline
-    #: ``"targeted"``  demand-driven: demarcation points found by the cheap
-    #:                 seed index, def-use materialized only for the
-    #:                 backward-reachable region (SEM006 lints the seed
-    #:                 index against the full scan)
+    #: ================= ==================================================
+    #: ``"full"``        slice every demarcation point
     #: ``"incremental"`` replay cached DP slices whose fingerprinted
-    #:                 backward-reachable method set is unchanged since the
-    #:                 stored manifest; re-slice only dirtied DPs
-    #: ============== =====================================================
+    #:                   backward-reachable method set is unchanged since
+    #:                   the stored manifest; re-slice only dirtied DPs
+    #:                   (``repro.incr``)
+    #: ================= ==================================================
     #:
     #: An execution knob: reports are byte-identical across modes (warm
-    #: incremental runs assert identity against the cold report; targeted
-    #: equivalence is pinned by tests and kept honest by lint rule SEM006),
-    #: so the result store must not shard on it.
+    #: incremental runs assert identity against the cold report), so the
+    #: result store must not shard on it.
     mode: str = "full"
 
     @property
@@ -111,4 +110,23 @@ class AnalysisConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-__all__ = ["AnalysisConfig"]
+def apply_overrides(config: AnalysisConfig, overrides: dict | None) -> None:
+    """Set ``overrides`` (field name → JSON value, as a request carries
+    them) on ``config``; raises :class:`ValueError` for a non-object, an
+    unknown field or an unknown mode."""
+    if not overrides:
+        return
+    if not isinstance(overrides, dict):
+        raise ValueError("AnalysisConfig overrides must be a JSON object")
+    names = {f.name for f in fields(config)}
+    for name, value in overrides.items():
+        if name not in names:
+            raise ValueError(f"unknown AnalysisConfig field {name!r}")
+        if name == "mode" and value not in MODES:
+            raise ValueError(f"unknown analysis mode: {value!r}")
+        if name == "scope_prefixes":
+            value = tuple(value)
+        setattr(config, name, value)
+
+
+__all__ = ["MODES", "AnalysisConfig", "apply_overrides"]

@@ -30,7 +30,7 @@ from ..signature.builder import SignatureInterpreter
 from ..slicing.demarcation import DemarcationRegistry
 from ..slicing.slicer import NetworkSlicer
 from ..taint.engine import TaintConfig
-from .config import AnalysisConfig
+from .config import MODES, AnalysisConfig
 from .report import AnalysisReport
 
 
@@ -65,22 +65,19 @@ class Extractocol:
     def analyze(self, apk: Apk, *, renames=None) -> AnalysisReport:
         """Analyze ``apk`` under ``config.mode``:
 
-        * ``full`` — the reference whole-program pipeline;
-        * ``targeted`` — demand-driven: demarcation scan restricted to the
-          bytecode-search seed index, def-use warmed for the reachable
-          region only (:mod:`repro.incr.targeted`);
+        * ``full`` — scan every demarcation point and slice each one;
         * ``incremental`` — diff the store's manifest for this app against
           the new program's fingerprints and replay unchanged DP slices
           (:mod:`repro.incr.reuse`); ``renames`` is the
           :class:`~repro.apk.rewrite.RenameMap` from the manifest's version
           to this one, for obfuscated re-releases.
 
-        All three produce byte-identical reports.  When a ``store`` was
-        given, every mode leaves a fresh manifest behind for the next
+        Both produce byte-identical reports.  When a ``store`` was
+        given, either mode leaves a fresh manifest behind for the next
         warm run (skipped under ``record_provenance`` — provenance tables
         are not serialized, so cached slices could not carry them).
         """
-        if self.config.mode not in ("full", "targeted", "incremental"):
+        if self.config.mode not in MODES:
             raise ValueError(f"unknown analysis mode: {self.config.mode!r}")
         started = time.perf_counter()
         stats = PhaseStats()
@@ -150,14 +147,7 @@ class Extractocol:
                 index=index,
             )
             fingerprints = None
-            if self.config.mode == "targeted":
-                from ..incr.targeted import TargetedSearch
-
-                search = TargetedSearch(program, callgraph, self.registry)
-                dps = search.scan()
-                sp.count("region_methods", index.warm(search.region(dps)))
-                slicing = slicer.slice_all(span=sp, dps=dps)
-            elif self.config.mode == "incremental":
+            if self.config.mode == "incremental":
                 slicing, fingerprints = self._slice_incremental(
                     apk, slicer, callgraph, sp,
                     event_roots=event_roots,

@@ -1,32 +1,23 @@
-"""Incremental & demand-driven targeted analysis (``repro.incr``).
+"""Incremental analysis (``repro.incr``).
 
-Two ways to avoid whole-program work:
+:mod:`repro.incr.manifest` / :mod:`repro.incr.reuse` — content-hashed IR
+fingerprints rolled into a per-app manifest stored beside the report
+envelope; a :class:`~repro.incr.reuse.ReuseIndex` compares manifests
+across versions (through the :class:`~repro.apk.rewrite.RenameMap` for
+obfuscated re-releases) and replays cached demarcation-point slices whose
+backward-reachable method set is unchanged, so warm re-analysis costs
+~O(changed methods).
 
-* :mod:`repro.incr.manifest` / :mod:`repro.incr.reuse` — content-hashed
-  IR fingerprints rolled into a per-app manifest stored beside the report
-  envelope; a :class:`~repro.incr.reuse.ReuseIndex` compares manifests
-  across versions (through the
-  :class:`~repro.apk.rewrite.RenameMap` for obfuscated re-releases) and
-  replays cached demarcation-point slices whose backward-reachable method
-  set is unchanged, so warm re-analysis costs ~O(changed methods).
-* :mod:`repro.incr.targeted` — a BackDroid-style demand-driven pass that
-  finds demarcation points with a cheap bytecode-search seed index and
-  materializes def-use only for the backward-reachable region, instead of
-  indexing the whole program up front.
-
-Both are selected via ``AnalysisConfig(mode=...)`` / ``repro analyze
---mode`` and produce byte-identical reports to the full pipeline.
+Selected via ``AnalysisConfig(mode="incremental")`` / ``repro analyze
+--mode incremental``; the report is byte-identical to a full run.
 """
 
 from .manifest import MANIFEST_SCHEMA, build_manifest
 from .reuse import ReuseIndex, ReusePlan
-from .targeted import TargetedSearch, seed_sites
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "ReuseIndex",
     "ReusePlan",
-    "TargetedSearch",
     "build_manifest",
-    "seed_sites",
 ]

@@ -142,7 +142,13 @@ class _MethodParser:
         if text == "null":
             return NULL
         if text.startswith(("'", '"')):
-            return StringConst(ast.literal_eval(text))
+            try:
+                value = ast.literal_eval(text)
+            except (SyntaxError, ValueError):
+                value = None
+            if not isinstance(value, str):
+                raise self.fail(f"cannot parse string constant {text!r}")
+            return StringConst(value)
         if text.startswith("class "):
             return ClassConst(text[len("class "):].strip())
         if re.fullmatch(r"-?\d+", text):

@@ -109,10 +109,7 @@ RULES: dict[str, RuleSpec] = {
                  "listener-style demarcation point has no resolvable callback"),
         RuleSpec("SEM005", Severity.ERROR,
                  "entry point references a method the program does not define"),
-        RuleSpec("SEM006", Severity.WARNING,
-                 "demarcation point invisible to targeted mode's bytecode-"
-                 "search seed index (matched via the receiver's declared "
-                 "type only)"),
+        # SEM006 is retired with targeted mode; ids are never reused.
         # -- SIG: post-analysis signature lints
         RuleSpec("SIG001", Severity.WARNING,
                  "transaction URI signature is wildcard-only"),

@@ -18,13 +18,6 @@ it loud:
   class could not be resolved: the response slice will be empty.
 * **SEM005** (error) — an entry point naming a method the program does not
   define.
-* **SEM006** (warning) — a demarcation point the full scanner finds but
-  targeted mode's bytecode-search seed index
-  (:func:`repro.incr.targeted.seed_sites`) cannot: the site only matches
-  via the receiver local's *declared* type, while the invoke's static
-  signature names an unregistered class.  ``--mode targeted`` would miss
-  this DP, so the blind spot is surfaced before anyone trusts that mode
-  on the app.
 
 The pass builds its **own** call graph.  ``scan_demarcation_points`` and
 ``discover_callbacks`` register implicit edges and *pop* the affected
@@ -179,27 +172,6 @@ def soundness_program(
                     index=dp.site.index,
                 )
             )
-
-    # -- SEM006: targeted-mode seed-index blind spots ---------------------
-    from ..incr.targeted import seed_sites
-
-    seeds = seed_sites(program, registry)
-    for dp in dps:
-        if dp.site in seeds:
-            continue
-        method = program.method_by_id(dp.site.method_id)
-        out.append(
-            make_finding(
-                "SEM006",
-                f"demarcation point {dp.spec.class_name}."
-                f"{dp.spec.method_name} is invisible to the targeted-mode "
-                "seed index (matched only via the receiver's declared "
-                "type); --mode targeted would miss it",
-                class_name=method.class_name,
-                method_id=dp.site.method_id,
-                index=dp.site.index,
-            )
-        )
     return out
 
 

@@ -251,57 +251,5 @@ class ProgramIndex:
             self.field_stores  # builds both
         return self._fields[1]
 
-    # -------------------------------------------------------------- warm-up
-    def warm(self, method_ids: set[str] | None = None) -> int:
-        """Eagerly build artifacts (field index always; per-method artifacts
-        for ``method_ids``, or every method with a body when None).
-
-        Targeted mode passes its demand-driven region here — the memos
-        stay lazy for everything else, so a method outside the region
-        still materializes correctly if the engine reaches it.  Returns
-        the number of methods warmed.
-        """
-        self.field_stores
-        if method_ids is None:
-            methods = [m for m in self.program.methods() if m.body is not None]
-        else:
-            methods = []
-            for mid in method_ids:
-                try:
-                    m = self.program.method_by_id(mid)
-                except KeyError:
-                    continue
-                if m.body is not None:
-                    methods.append(m)
-        for m in methods:
-            self.reach_masks(m)
-            self.defuse_of(m)
-            self.mention_sites(m)
-        return len(methods)
-
-    def invalidate(self, method_ids: set[str]) -> None:
-        """Drop the per-method memos of ``method_ids`` (plus the
-        program-wide heap index, which any of them may contribute to).
-
-        The fingerprint-aware reuse hook: a session re-analyzing a
-        mutated program keeps one index alive and evicts exactly the
-        methods whose fingerprints changed instead of rebuilding from
-        scratch.
-        """
-        for mid in method_ids:
-            for memo in (
-                self._cfgs,
-                self._defuse,
-                self._reach,
-                self._reach_to,
-                self._mentions,
-                self._mention_masks,
-                self._stmt_locals,
-                self._loops,
-                self._rpo,
-            ):
-                memo.pop(mid, None)
-        self._fields = None
-
 
 __all__ = ["ProgramIndex", "compute_reach_masks", "field_key"]

@@ -35,7 +35,8 @@ Endpoints::
     GET  /healthz          liveness + queue snapshot
 
 ``POST /analyze`` answers ``202`` with the job (``200`` when the result
-was already stored — the job is born done as a cache hit).  The server is
+was already stored — the job is born done as a cache hit), and ``400`` for
+a malformed bundle or an unknown config field or mode.  The server is
 a ``ThreadingHTTPServer``: concurrent posts for the same APK are collapsed
 onto one job by the scheduler's in-flight deduplication.
 """
@@ -52,7 +53,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from ..apk.loader import load_apk
-from ..core.config import AnalysisConfig
+from ..core.config import AnalysisConfig, apply_overrides
 from ..obs.metrics import render_prometheus
 from .jobs import JobScheduler, QueueFull, resolve_target
 from .metrics import MetricsRegistry
@@ -193,13 +194,7 @@ class AnalysisService:
             tmp.flush()
             apk = load_apk(tmp.name)
         config = AnalysisConfig()
-        if overrides:
-            for name, value in overrides.items():
-                if not hasattr(config, name):
-                    raise ValueError(f"unknown AnalysisConfig field {name!r}")
-                if name == "scope_prefixes":
-                    value = tuple(value)
-                setattr(config, name, value)
+        apply_overrides(config, overrides)
         return apk, config, apk.name or "uploaded"
 
     def handle_metrics(self) -> dict:

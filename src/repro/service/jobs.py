@@ -34,7 +34,7 @@ from pathlib import Path
 from ..apk.loader import apk_digest as compute_apk_digest
 from ..apk.loader import load_apk
 from ..apk.model import Apk
-from ..core.config import AnalysisConfig
+from ..core.config import AnalysisConfig, apply_overrides
 from ..perf.parallel import resolve_workers
 from .metrics import MetricsRegistry
 from .store import ResultStore
@@ -138,13 +138,7 @@ def resolve_target(
         apk = load_apk(path)
         config = AnalysisConfig()
         label = apk.name or path.stem
-    if overrides:
-        for name, value in overrides.items():
-            if not hasattr(config, name):
-                raise ValueError(f"unknown AnalysisConfig field {name!r}")
-            if name == "scope_prefixes":
-                value = tuple(value)
-            setattr(config, name, value)
+    apply_overrides(config, overrides)
     return apk, config, label
 
 

@@ -24,8 +24,9 @@ The two-level fan-out keeps directories small for fleet-sized corpora.
 
 **Leases** are the cross-process companion to the atomic object writes:
 multiple analyzer processes (or daemons) sharing one store claim a lease
-file — ``O_CREAT | O_EXCL``, so exactly one claimant wins — before running
-an analysis, giving in-flight deduplication that survives process
+file — written aside, then ``os.link``-ed into place, so exactly one
+claimant wins and the lease never exists without its content — before
+running an analysis, giving in-flight deduplication that survives process
 boundaries.  A lease records its holder's pid and claim time; leases whose
 holder died or whose age exceeds the TTL are *stale* and may be broken by
 the next claimant (same-host pid liveness — fleet deployments sharing a
@@ -122,10 +123,13 @@ class ResultStore:
     def claim(self, name: str, *, owner: str | None = None) -> bool:
         """Atomically claim the lease ``name``; True when this caller won.
 
-        Exactly one concurrent claimant succeeds (``O_CREAT | O_EXCL``).
-        A lease left behind by a dead or timed-out holder is broken and
-        re-claimed transparently.  Claims are advisory: they coordinate
-        *work*, never object reads/writes (those stay atomic on their own).
+        The payload is written to a temp file in ``leases/`` and then
+        hard-linked into place: ``os.link`` refuses an existing name, so
+        exactly one concurrent claimant succeeds, and the lease never
+        exists without its content.  A lease left behind by a dead or
+        timed-out holder is broken and re-claimed transparently.  Claims
+        are advisory: they coordinate *work*, never object reads/writes
+        (those stay atomic on their own).
         """
         path = self.lease_path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -136,21 +140,30 @@ class ResultStore:
                 "claimed_unix": time.time(),
             }
         )
-        for attempt in range(2):  # second pass only after breaking a stale lease
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt == 0 and self._lease_stale(path):
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                    continue
-                return False
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{name}.", suffix=".tmp"
+        )
+        try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)
-            return True
-        return False
+            for attempt in range(2):  # second pass only after breaking a stale lease
+                try:
+                    os.link(tmp, path)
+                except FileExistsError:
+                    if attempt == 0 and self._lease_stale(path):
+                        try:
+                            os.unlink(path)
+                        except OSError:
+                            pass
+                        continue
+                    return False
+                return True
+            return False
+        finally:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
     def release(self, name: str) -> None:
         """Drop the lease ``name`` (idempotent)."""
@@ -161,25 +174,25 @@ class ResultStore:
 
     def lease_holder(self, name: str) -> dict | None:
         """The live lease's recorded holder, or ``None`` when unclaimed
-        (or unreadable — a claim racing its own write)."""
+        (or unreadable)."""
         try:
             return json.loads(self.lease_path(name).read_text())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
 
     def _lease_stale(self, path: Path) -> bool:
-        """A lease is stale when its holder process is gone (same host)
-        or the lease outlived the TTL."""
+        """A lease is stale when its holder process is gone (same host),
+        the lease outlived the TTL, or it cannot be read: :meth:`claim`
+        links every lease in whole, so no live claimant leaves one
+        unreadable."""
         try:
             info = json.loads(path.read_text())
             claimed = float(info.get("claimed_unix", 0.0))
             pid = int(info.get("pid", 0))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError):
-            # unreadable/corrupt: stale only once it has had time to settle
-            try:
-                return time.time() - path.stat().st_mtime > self.lease_ttl
-            except OSError:
-                return False  # vanished — the holder released it; not stale
+        except FileNotFoundError:
+            return False  # vanished — the holder released it; not stale
+        except (OSError, AttributeError, TypeError, ValueError):
+            return True
         if time.time() - claimed > self.lease_ttl:
             return True
         if pid > 0:

@@ -153,8 +153,6 @@ def scan_demarcation_points(
     program: Program,
     callgraph: CallGraph,
     registry: DemarcationRegistry | None = None,
-    *,
-    only_sites: set[StmtRef] | None = None,
 ) -> list[DPInstance]:
     """Find every demarcation-point call site in the program.
 
@@ -162,18 +160,12 @@ def scan_demarcation_points(
     the app callback class:  it inspects the static types of values flowing
     into the request object's constructor and of the DP call's arguments,
     and picks program classes defining the family's callback subsignature.
-
-    ``only_sites`` restricts matching to the given call sites — targeted
-    mode passes its seed index here; matching and ordering are otherwise
-    identical to the unrestricted scan.
     """
     registry = registry or DemarcationRegistry()
     instances: list[DPInstance] = []
     for ref, expr in sorted(
         callgraph.library_sites.items(), key=lambda kv: (kv[0].method_id, kv[0].index)
     ):
-        if only_sites is not None and ref not in only_sites:
-            continue
         receiver = expr.sig.class_name
         if isinstance(expr.base, Local):
             receiver = expr.base.type.name

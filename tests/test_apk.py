@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import pytest
 
 from repro.apk import (
@@ -18,6 +20,7 @@ from repro.apk import (
     rename_program,
     save_apk,
 )
+from repro.apk.loader import BundleError
 from repro.ir import ProgramBuilder, validate_program
 from repro.ir.printer import print_program
 
@@ -118,6 +121,41 @@ class TestLoader:
     def test_missing_bundle_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_apk(tmp_path / "nope.sapk")
+
+    @pytest.mark.parametrize("member,data", [
+        pytest.param("manifest.json", b"", id="manifest-empty"),
+        pytest.param("manifest.json", b"{}", id="manifest-no-package"),
+        pytest.param("manifest.json", b"[]", id="manifest-array"),
+        pytest.param("resources.json", b"[]", id="resources-array"),
+        pytest.param("entrypoints.json", b"[{", id="entrypoints-torn"),
+        pytest.param("entrypoints.json",
+                     b'[{"method_id": "m", "kind": "nope"}]',
+                     id="entrypoints-bad-kind"),
+        pytest.param("classes.jimple", b"class com.demo.Main {",
+                     id="jimple-torn"),
+        pytest.param("classes.jimple", b"\xff\xfe", id="jimple-not-utf8"),
+    ])
+    def test_malformed_member_raises_one_typed_error(
+        self, tmp_path, member, data
+    ):
+        bundle = save_apk(make_apk(), tmp_path / "demo.sapk")
+        (bundle / member).write_bytes(data)
+        with pytest.raises(BundleError, match=member):
+            load_apk(bundle)
+
+    def test_unreadable_container_raises_the_typed_error(self, tmp_path):
+        not_zip = tmp_path / "upload.zip"
+        not_zip.write_bytes(b"not a zip archive")
+        with pytest.raises(BundleError, match="zip"):
+            load_apk(not_zip)
+        with zipfile.ZipFile(tmp_path / "partial.zip", "w") as zf:
+            zf.writestr("manifest.json", "{}")
+        with pytest.raises(BundleError, match="resources.json"):
+            load_apk(tmp_path / "partial.zip")
+        bundle = save_apk(make_apk(), tmp_path / "demo.sapk")
+        (bundle / "classes.jimple").unlink()
+        with pytest.raises(BundleError, match="classes.jimple"):
+            load_apk(bundle)
 
 
 class TestObfuscation:

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.cli import main, report_to_dict
 
@@ -41,8 +47,22 @@ class TestCli:
         assert "transactions: 1" in out
 
     def test_analyze_unknown_target_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["analyze", "not-an-app"])
+        assert exc.value.code == 2
+
+    def test_unknown_mode_is_rejected(self, capsys):
+        from repro import AnalysisConfig, Extractocol
+        from repro.corpus import build_app
+
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "ted", "--mode", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()  # swallow argparse's usage message
+        with pytest.raises(ValueError, match="unknown analysis mode"):
+            Extractocol(AnalysisConfig(mode="bogus")).analyze(
+                build_app("ted")
+            )
 
     def test_fuzz_modes(self, capsys):
         manual = run_cli(capsys, "fuzz", "radioreddit", "--mode", "manual")
@@ -126,7 +146,9 @@ class TestBatch:
         with pytest.raises(SystemExit) as exc:
             main(["batch", "diode", "ted", "--store", str(store),
                   "--workers", "2"])
-        assert "fork" in str(exc.value) and "spawn" in str(exc.value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "fork" in err and "spawn" in err
         assert not list(store.rglob("*.json*"))  # nothing analyzed or logged
         # one worker runs in-process and never reads the variable
         out = run_cli(capsys, "batch", "diode", "--store", str(store),
@@ -190,11 +212,86 @@ class TestDiff:
             main(["diff", "--latest", "ghost", "--store", str(tmp_path / "s")])
 
     def test_missing_targets_exit(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["diff", "--store", str(tmp_path / "s")])
-        with pytest.raises(SystemExit):
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
             main(["diff", "tzm", "no-such-app",
                   "--store", str(tmp_path / "s")])
+        assert exc.value.code == 2
+
+
+_MEMBERS = ("manifest.json", "resources.json", "entrypoints.json",
+            "classes.jimple")
+
+
+@pytest.fixture(scope="module")
+def wallabag_bundle(tmp_path_factory):
+    from repro.apk.loader import save_apk
+    from repro.corpus import build_app
+
+    return save_apk(build_app("wallabag"),
+                    tmp_path_factory.mktemp("bundle") / "wallabag.sapk")
+
+
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestMalformedBundles:
+    """A bundle member that does not load is an input error: every verb
+    that reads a bundle exits 2 with one stderr line naming the member,
+    never with a traceback, and never with the 1 that ``diff`` and
+    ``lint`` reserve for a verdict."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(member=st.sampled_from(_MEMBERS),
+           flip=st.integers(0, 255), at=st.integers(0, 2**20))
+    @example(member="classes.jimple", flip=0, at=200)
+    @example(member="classes.jimple", flip=0x9C, at=0)  # "c" -> \xff
+    @example(member="entrypoints.json", flip=0, at=5)  # "[\n  {"
+    @example(member="manifest.json", flip=0, at=0)  # empty
+    @example(member="classes.jimple", flip=0x01, at=1280)  # 'http://...&
+    def test_truncated_or_flipped_member_exits_2(
+        self, wallabag_bundle, member, flip, at
+    ):
+        """``flip`` 0 truncates the member at ``at``; any other value is
+        XOR-ed into the byte there."""
+        from repro.apk.loader import BundleError, load_apk
+
+        data = (wallabag_bundle / member).read_bytes()
+        at %= len(data)
+        if flip:
+            data = data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+        else:
+            data = data[:at]
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.sapk"
+            shutil.copytree(wallabag_bundle, bad)
+            (bad / member).write_bytes(data)
+            try:
+                load_apk(bad)
+            except BundleError:
+                pass
+            else:
+                assume(False)  # the mutation still loads: not malformed
+            for argv in (
+                ["analyze", str(bad)],
+                ["lint", str(bad)],
+                ["diff", str(bad), str(wallabag_bundle)],
+                ["explain", str(bad), "1", "uri"],
+                ["trace", str(bad)],
+            ):
+                code, err = _exit_and_stderr(argv)
+                assert code == 2, (argv, err)
+                assert err.count("\n") == 1 and member in err, (argv, err)
 
 
 class TestReportDict:
@@ -251,8 +348,9 @@ class TestSynthCli:
         assert "transactions: 1" in out
 
     def test_analyze_malformed_synth_key_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["analyze", "syn-ghost-s7-0000"])
+        assert exc.value.code == 2
 
     def test_batch_population_spec(self, capsys, tmp_path):
         out = run_cli(capsys, "batch", "--corpus", "synth:mega*3@7",

@@ -208,6 +208,8 @@ class TestCliVerbs:
             second = json.loads(capsys.readouterr().out)
             assert second["hits"] != first["hits"]
 
-    def test_bad_query_exits_with_message(self, store_root):
-        with pytest.raises(SystemExit, match="bad query"):
+    def test_bad_query_exits_with_message(self, store_root, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli_main(["search", "like:oops", "--store", store_root])
+        assert exc.value.code == 2
+        assert "bad query" in capsys.readouterr().err

@@ -292,22 +292,6 @@ def fx_sem005():
     return soundness_program(pb.build(), ["<app.Ghost: void gone()>"])
 
 
-def fx_sem006():
-    pb = ProgramBuilder()
-    m = pb.class_("app.Main").method("go")
-    client = m.new("org.apache.http.client.HttpClient")
-    req = m.new("org.apache.http.client.methods.HttpGet", ["http://x/"])
-    # The invoke's static signature names an unregistered subclass; only
-    # the receiver local's declared type matches the registry, which the
-    # targeted-mode seed index never consults.
-    m.vcall(
-        client, "execute", [req], "org.apache.http.HttpResponse",
-        on="app.StealthClient",
-    )
-    m.ret_void()
-    return soundness_program(pb.build())
-
-
 # ---------------------------------------------------------------------------
 # SIG0xx — post-analysis signature fixtures (report-shaped stand-ins).
 
@@ -365,7 +349,7 @@ FIXTURES = {
     "IR017": fx_ir017,
     "DF001": fx_df001, "DF002": fx_df002, "DF003": fx_df003,
     "SEM001": fx_sem001, "SEM002": fx_sem002, "SEM003": fx_sem003,
-    "SEM004": fx_sem004, "SEM005": fx_sem005, "SEM006": fx_sem006,
+    "SEM004": fx_sem004, "SEM005": fx_sem005,
     "SIG001": fx_sig001, "SIG002": fx_sig002, "SIG003": fx_sig003,
 }
 

@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zipfile
 
 import pytest
 
@@ -173,6 +174,27 @@ class TestOperationalEndpoints:
         status, _ = _request(service, "POST", "/analyze", b"not json",
                              headers={"Content-Type": "application/json"})
         assert status == 400
+
+    def test_malformed_upload_is_a_bad_request(self, service, tmp_path):
+        zipped = {"Content-Type": "application/zip"}
+        status, data = _request(service, "POST", "/analyze", b"not a zip",
+                                headers=zipped)
+        assert status == 400 and "zip" in data["error"]
+        partial = tmp_path / "partial.zip"
+        with zipfile.ZipFile(partial, "w") as zf:
+            zf.writestr("manifest.json", '{"package": "com.a"}')
+        status, data = _request(service, "POST", "/analyze",
+                                partial.read_bytes(), headers=zipped)
+        assert status == 400 and "resources.json" in data["error"]
+
+    def test_unknown_mode_is_a_bad_request_cold_and_warm(self, service):
+        bad = {"target": "diode", "config": {"mode": "bogus"}}
+        status, data = post(service, "/analyze", bad)  # cold store
+        assert status == 400 and "mode" in data["error"]
+        _, data = post(service, "/analyze", {"target": "diode"})
+        wait_done(service, data["job"]["id"])
+        status, data = post(service, "/analyze", bad)  # report now cached
+        assert status == 400 and "mode" in data["error"]
 
 
 class TestFleetTelemetryEndpoints:

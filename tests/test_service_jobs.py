@@ -83,7 +83,7 @@ class TestHappyPath:
             apk = build_app("blippex")
             j1 = sched.submit(apk, AnalysisConfig())
             assert sched.wait([j1], timeout=30)
-            j2 = sched.submit(apk, AnalysisConfig(mode="targeted"))
+            j2 = sched.submit(apk, AnalysisConfig(mode="incremental"))
             assert j2.cache_hit
 
 

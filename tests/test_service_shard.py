@@ -246,13 +246,35 @@ class TestLeases:
         assert store.claim("k")
         assert not store.claim("k")
 
-    def test_corrupt_lease_respects_settle_window(self, tmp_path):
-        store = ResultStore(tmp_path / "s", lease_ttl=0.05)
+    def test_unreadable_lease_is_stale_at_once(self, tmp_path):
+        """``claim`` links every lease in with its payload, so no live
+        claimant leaves an empty or corrupt one: it is broken at once, not
+        after the TTL."""
+        store = ResultStore(tmp_path / "s")  # default 600 s TTL
         store.leases.mkdir(parents=True, exist_ok=True)
-        store.lease_path("k").write_text("not json at all")
-        assert not store.claim("k")  # too fresh to judge
-        time.sleep(0.1)
-        assert store.claim("k")  # settled past the TTL: stale
+        for junk in (b"", b"not json at all", b"[]", b"\xff\xfe"):
+            store.lease_path("k").write_bytes(junk)
+            assert store.claim("k", owner="successor")
+            assert store.lease_holder("k")["owner"] == "successor"
+            store.release("k")
+
+    def test_claimant_killed_before_link_leaves_no_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """A claimant that dies after writing its payload aside but before
+        linking it into place leaves no lease behind."""
+        store = ResultStore(tmp_path / "s")
+
+        def killed(src, dst):
+            raise KeyboardInterrupt("killed between write and link")
+
+        monkeypatch.setattr("repro.service.store.os.link", killed)
+        with pytest.raises(KeyboardInterrupt):
+            store.claim("k", owner="victim")
+        monkeypatch.undo()
+        assert not store.lease_path("k").exists()
+        assert store.claim("k", owner="successor")
+        assert store.lease_holder("k")["owner"] == "successor"
 
     def test_concurrent_claimants_exactly_one_winner(self, tmp_path):
         store = ResultStore(tmp_path / "s")

@@ -32,7 +32,6 @@ class TestCacheKey:
         base = AnalysisConfig()
         for variant in (
             AnalysisConfig(record_provenance=True),
-            AnalysisConfig(mode="targeted"),
             AnalysisConfig(mode="incremental"),
         ):
             assert variant.cache_key() == base.cache_key()
@@ -59,7 +58,7 @@ class TestCacheKey:
             Extractocol(config).analyze(apk)
             for config in (
                 AnalysisConfig(),
-                AnalysisConfig(mode="targeted"),
+                AnalysisConfig(mode="incremental"),
                 AnalysisConfig(record_provenance=True),
             )
         ]
