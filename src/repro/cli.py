@@ -23,7 +23,6 @@
     python -m repro runs list                   # run-ledger history
     python -m repro runs show <run-id>          # one run, with failures
     python -m repro trace --from fleet.trace.jsonl --flame
-    python -m repro bench check                 # regression gate vs BENCH_*.json
     python -m repro serve --port 8425           # HTTP analysis service
 """
 
@@ -40,7 +39,7 @@ from typing import NoReturn
 def _fail(message: str) -> NoReturn:
     """Reject bad input: one line on stderr, exit status 2 (argparse's
     usage-error code).  Status 1 stays a verdict: a breaking ``diff``,
-    new ``lint`` errors, a ``bench check`` regression."""
+    new ``lint`` errors."""
     print(f"repro: {message}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -709,107 +708,6 @@ def cmd_mcp(args) -> int:
     return serve(ResultStore(Path(args.store).expanduser()))
 
 
-def cmd_bench_check(args) -> int:
-    """Gate on performance regressions against checked-in BENCH_*.json."""
-    from repro.obs.benchcheck import (
-        bench_kind,
-        candidate_from_run,
-        compare_benches,
-        fresh_candidate,
-        load_bench,
-        render_check,
-    )
-
-    baselines = list(args.baselines)
-    if not baselines:
-        baselines = [
-            str(p)
-            for p in (
-                Path("BENCH_batch_scale.json"),
-                Path("BENCH_corpus_scale.json"),
-                Path("BENCH_incremental.json"),
-                Path("BENCH_search.json"),
-            )
-            if p.exists()
-        ]
-    if not baselines:
-        _fail(
-            "no baseline given and no BENCH_*.json found in the current "
-            "directory"
-        )
-
-    results = []
-    skipped = []
-    for path in baselines:
-        try:
-            baseline = load_bench(path)
-        except (OSError, ValueError) as exc:
-            _fail(str(exc))
-        kind = bench_kind(baseline)
-        if args.candidate:
-            candidate = load_bench(args.candidate)
-        elif args.run:
-            from repro.obs.ledger import RunLedger
-
-            record = RunLedger(Path(args.store).expanduser()).get(args.run)
-            if record is None:
-                _fail(f"no run {args.run!r} in the ledger")
-            candidate = candidate_from_run(record)
-        else:
-            # fresh measurement; batch_scale, incremental and search
-            # define one
-            if kind == "incremental":
-                from repro.obs.benchcheck import fresh_incremental_candidate
-
-                candidate = fresh_incremental_candidate(baseline)
-            elif kind == "search":
-                from repro.obs.benchcheck import fresh_search_candidate
-
-                candidate = fresh_search_candidate(baseline)
-            elif kind != "batch_scale":
-                skipped.append(f"{path}: no fresh-run source for {kind!r} "
-                               f"benches; pass --candidate or --run")
-                continue
-            else:
-                workers = args.fresh_workers or min(
-                    int(w) for w in baseline.get("by_workers", {"1": 0})
-                )
-                candidate = fresh_candidate(baseline, workers=workers)
-        results.append(
-            compare_benches(
-                baseline,
-                candidate,
-                bench_name=str(path),
-                threshold=args.threshold,
-            )
-        )
-
-    if args.json:
-        print(json.dumps(
-            {
-                "ok": all(r.ok for r in results),
-                "results": [r.to_dict() for r in results],
-                "skipped": skipped,
-            },
-            indent=2,
-            sort_keys=True,
-        ))
-    else:
-        for result in results:
-            print(render_check(result))
-        for note in skipped:
-            print(f"(skipped) {note}")
-    regressed = [r for r in results if not r.ok]
-    if regressed and args.warn_only:
-        print(
-            f"WARN-ONLY: {len(regressed)} bench(es) regressed beyond "
-            f"{args.threshold:.0%} but exit is forced to 0",
-            file=sys.stderr,
-        )
-        return 0
-    return 1 if regressed else 0
-
-
 def cmd_serve(args) -> int:
     from repro.service.api import AnalysisService
 
@@ -1114,38 +1012,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_mcp.add_argument("--store", default=_default_store(), metavar="DIR")
     p_mcp.set_defaults(fn=cmd_mcp)
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark tooling (regression gating)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="action", required=True)
-    p_check = bench_sub.add_parser(
-        "check",
-        help="compare a candidate measurement against checked-in "
-             "BENCH_*.json; exit 1 on regression",
-    )
-    p_check.add_argument("baselines", nargs="*",
-                         help="baseline BENCH_*.json files (default: the "
-                              "ones in the current directory)")
-    p_check.add_argument("--candidate", metavar="FILE", default=None,
-                         help="candidate bench JSON (same shape as the "
-                              "baseline)")
-    p_check.add_argument("--run", metavar="RUN_ID", default=None,
-                         help="use a run-ledger entry as the candidate")
-    p_check.add_argument("--store", default=_default_store(), metavar="DIR",
-                         help="store whose ledger --run reads")
-    p_check.add_argument("--fresh-workers", type=int, default=0, metavar="N",
-                         help="worker count for the fresh measurement "
-                              "(default: the baseline's smallest row)")
-    p_check.add_argument("--threshold", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="allowed degradation before failing "
-                              "(default 0.25 = 25%%)")
-    p_check.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0 (CI smoke on "
-                              "shared runners)")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(fn=cmd_bench_check)
 
     p_serve = sub.add_parser("serve", help="run the HTTP analysis service")
     p_serve.add_argument("--host", default="127.0.0.1")

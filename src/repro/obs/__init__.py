@@ -4,10 +4,9 @@ Zero-dependency tracing (nested spans with deterministic ids), per-phase
 stats embedded in analysis reports, a unified metrics registry with
 Prometheus text exposition, trace export (JSONL / collapsed stacks),
 taint provenance ("why is this field in the signature?"), and the fleet
-telemetry layer (cross-process trace aggregation, run ledger, bench
-regression gating).
+telemetry layer (cross-process trace aggregation, run ledger).
 
-The provenance, ledger, and bench-check helpers are imported lazily:
+The provenance and ledger helpers are imported lazily:
 provenance pulls in the full pipeline (`repro.core.extractocol`), which
 itself imports this package for tracing.
 """
@@ -27,7 +26,6 @@ from .fleet import (
     BatchProgress,
     WorkerTelemetry,
     family_of,
-    fingerprint_mismatches,
     host_fingerprint,
     merge_worker_traces,
     read_heartbeats,
@@ -65,11 +63,9 @@ __all__ = [
     "Tracer",
     "WorkerTelemetry",
     "collapsed_stacks",
-    "compare_benches",
     "events_to_span",
     "explain",
     "family_of",
-    "fingerprint_mismatches",
     "host_fingerprint",
     "merge_worker_traces",
     "new_run_id",
@@ -92,7 +88,6 @@ _LAZY = {
     "RunLedger": "ledger",
     "RunRecord": "ledger",
     "new_run_id": "ledger",
-    "compare_benches": "benchcheck",
 }
 
 

@@ -67,10 +67,10 @@ _SYN_KEY_RE = re.compile(r"^syn-([a-z0-9_]+)-s\d+-\d+$")
 def host_fingerprint() -> dict:
     """The facts that make performance numbers comparable across hosts.
 
-    Stamped into every bench report's ``meta.host`` and every run-ledger
-    entry; ``repro bench check`` refuses to compare silently across
-    differing fingerprints (single-core CI numbers vs a 16-core
-    workstation are different experiments).
+    Stamped into every run-ledger entry (``repro runs show`` prints it),
+    so a run's timings are read against the host that produced them:
+    single-core CI numbers and a 16-core workstation's are different
+    experiments.
     """
     from ..perf.parallel import usable_cpus
 
@@ -81,19 +81,6 @@ def host_fingerprint() -> dict:
         "cpu_count": os.cpu_count() or 1,
         "usable_cpus": usable_cpus(),
     }
-
-
-def fingerprint_mismatches(baseline: dict, candidate: dict) -> list[str]:
-    """Human-readable differences between two host fingerprints (empty
-    when the hosts are performance-comparable)."""
-    out: list[str] = []
-    for key in ("usable_cpus", "cpu_count", "python", "platform", "machine"):
-        a, b = baseline.get(key), candidate.get(key)
-        if a is None or b is None:
-            continue  # legacy reports may lack a field; not a mismatch
-        if a != b:
-            out.append(f"{key}: baseline {a!r} != candidate {b!r}")
-    return out
 
 
 def family_of(app_key: str) -> str:
@@ -466,7 +453,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "WorkerTelemetry",
     "family_of",
-    "fingerprint_mismatches",
     "fleet_trace_path",
     "host_fingerprint",
     "merge_worker_traces",

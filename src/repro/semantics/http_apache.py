@@ -40,7 +40,11 @@ def _entity_body(entity) -> tuple[Term | None, str | None]:
 def register(model: SemanticModel) -> None:
     @model.register(tuple(_METHOD_CLASSES), "<init>")
     def request_init(ctx, site, expr, base, args):
-        method = _METHOD_CLASSES[expr.sig.class_name]
+        # dispatch matched the receiver's declared type; the invoke's own
+        # signature class may still name something else
+        method = _METHOD_CLASSES.get(expr.sig.class_name)
+        if method is None:
+            return UNHANDLED
         uri = to_term(args[0]) if args else Unknown("url")
         return Effect(
             result=None,

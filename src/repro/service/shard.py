@@ -42,6 +42,7 @@ import traceback
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -491,15 +492,31 @@ def run_sharded_batch(
         ]
         for p in procs:
             p.start()
-        exited = 0
-        while exited < len(procs):
-            message = out_q.get()
-            if message[0] == "exit":
-                exited += 1
-            else:
-                handle(message)
-        for p in procs:
+        # Wake on a message or a worker's death, whichever comes first: a
+        # SIGKILLed worker never runs the ``finally`` that announces its
+        # exit.  A worker's messages are in the pipe before it dies, so
+        # once the queue is drained an unannounced dead worker crashed.
+        # (``SimpleQueue`` offers its read end to ``wait`` only as
+        # ``_reader``.)
+        running = {p.sentinel for p in procs}
+        announced: set[int] = set()
+        while running:
+            ready = wait([out_q._reader, *running])
+            while not out_q.empty():
+                message = out_q.get()
+                if message[0] == "exit":
+                    announced.add(message[1]["worker"])
+                else:
+                    handle(message)
+            running.difference_update(ready)
+        # Reap only now: a worker's batch claims stay live while its pid
+        # exists, so no other worker re-runs an entry it already reported.
+        for i, p in enumerate(procs):
             p.join()
+            if i not in announced:
+                crashes.append(
+                    {"worker": i, "error": f"exit code {p.exitcode}"}
+                )
 
     store = ResultStore(store_root)
     for index in range(len(targets)):

@@ -15,7 +15,6 @@ from repro.obs.fleet import (
     BatchProgress,
     WorkerTelemetry,
     family_of,
-    fingerprint_mismatches,
     host_fingerprint,
     merge_worker_traces,
     percentile,
@@ -37,18 +36,6 @@ class TestHostFingerprint:
             "python", "platform", "machine", "cpu_count", "usable_cpus"
         }
         assert fp["usable_cpus"] >= 1
-
-    def test_mismatches_lists_differing_keys(self):
-        a = host_fingerprint()
-        b = dict(a, usable_cpus=a["usable_cpus"] + 8, python="2.7.0")
-        notes = fingerprint_mismatches(a, b)
-        assert len(notes) == 2
-        assert any("usable_cpus" in n for n in notes)
-        assert any("python" in n for n in notes)
-
-    def test_missing_keys_are_not_mismatches(self):
-        # legacy bench reports may lack newer fingerprint fields
-        assert fingerprint_mismatches({"python": "3.11"}, {}) == []
 
     def test_family_of(self):
         assert family_of("syn-transports-s7-0041") == "transports"

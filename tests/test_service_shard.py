@@ -10,12 +10,16 @@ head-of-line blocks the jobs queued behind its backoff.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
 import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service import JobScheduler, JobStatus, ResultStore
@@ -203,6 +207,94 @@ def test_start_method_env_override(monkeypatch):
     assert default_start_method() == "spawn"
     monkeypatch.setenv("REPRO_START_METHOD", "not-a-method")
     assert default_start_method() is None
+
+
+# ------------------------------------------------------------ killed workers
+KILL_TARGETS = ["diode", "ted", "tzm", "wallabag"]
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the block, instead of hanging the suite, once it has run
+    ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ted_kills_its_worker(monkeypatch):
+    """Analysing TED SIGKILLs the worker process doing it, so no
+    ``finally`` runs (the OOM killer, an operator).  Only a forked worker
+    inherits the patch; the test process itself is never killed."""
+    if "fork" not in available_start_methods():
+        pytest.skip("fork unavailable")
+    from repro.core.extractocol import Extractocol
+
+    analyze = Extractocol.analyze
+    test_pid = os.getpid()
+
+    def killed_on_ted(self, apk):
+        if apk.name == "TED" and os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return analyze(self, apk)
+
+    monkeypatch.setattr(Extractocol, "analyze", killed_on_ted)
+    return monkeypatch
+
+
+class TestKilledWorker:
+    def test_entry_fails_and_a_rerun_matches_a_clean_store(
+        self, tmp_path, ted_kills_its_worker
+    ):
+        with deadline(60):
+            records = run_sharded_batch(tmp_path / "s", KILL_TARGETS,
+                                        workers=2, start_method="fork")
+        by_target = {r.target: r for r in records}
+        assert by_target["ted"].status == "failed"
+        assert "no result from shard worker (exit code -9)" in (
+            by_target["ted"].error
+        )
+        assert [t for t, r in by_target.items() if r.status == "done"] == [
+            "diode", "tzm", "wallabag"
+        ]
+
+        ted_kills_its_worker.undo()
+        metrics = MetricsRegistry()
+        with deadline(60):
+            rerun = run_sharded_batch(tmp_path / "s", KILL_TARGETS, workers=2,
+                                      start_method="fork", metrics=metrics)
+        assert [r.status for r in rerun] == ["done"] * len(KILL_TARGETS)
+        assert metrics.counter("analyses_run").value == 1  # TED only
+
+        run_sharded_batch(tmp_path / "clean", KILL_TARGETS, workers=1)
+        healed = ResultStore(tmp_path / "s")
+        clean = ResultStore(tmp_path / "clean")
+        assert healed.entries() == clean.entries()
+        for key in clean.entries():
+            assert canonical_json(healed.load(key)["report"]) == (
+                canonical_json(clean.load(key)["report"])
+            ), key
+        assert not list(healed.leases.glob("*.lease"))
+
+    def test_cli_batch_exits_1(self, tmp_path, capsys, ted_kills_its_worker):
+        ted_kills_its_worker.setenv("REPRO_START_METHOD", "fork")
+        with deadline(60):
+            code = main(["batch", *KILL_TARGETS, "--workers", "2",
+                         "--store", str(tmp_path / "s"), "--json"])
+        assert code == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["failed"] == 1
+        assert [j["target"] for j in data["jobs"] if j["status"] != "done"] \
+            == ["ted"]
 
 
 # -------------------------------------------------------------------- leases
