@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import AnalysisConfig, Extractocol
+from repro import Extractocol
 from repro.corpus import app_keys, get_spec
 
 
@@ -27,11 +27,8 @@ def main() -> None:
           f"{apk.program.statement_count()} statements, "
           f"{len(apk.entrypoints)} entry points\n")
 
-    config = AnalysisConfig(
-        async_heuristic=(spec.kind == "closed"),
-        scope_prefixes=spec.scope_prefixes,
-    )
-    report = Extractocol(config).analyze(apk)
+    # the paper's §5.1 per-app setup (async heuristic, Kayak's scope)
+    report = Extractocol(spec.analysis_config()).analyze(apk)
 
     print(report.summary())
     print("\nreconstructed HTTP transactions:")

@@ -72,10 +72,7 @@ def _load_versioned(target: str):
             spec = get_spec(target)
         except KeyError as exc:
             _fail(str(exc))
-        return spec.build_apk(), AnalysisConfig(
-            async_heuristic=(spec.kind == "closed"),
-            scope_prefixes=spec.scope_prefixes,
-        ), None
+        return spec.build_apk(), spec.analysis_config(), None
     path = Path(target)
     if path.exists():
         try:
@@ -198,12 +195,10 @@ def cmd_analyze(args) -> int:
     import time as _time
 
     started_unix = _time.time()
-    t0 = _time.perf_counter()
     engine = Extractocol(config, tracer=tracer, store=store)
     report = engine.analyze(apk, renames=renames)
-    wall = _time.perf_counter() - t0
-    stats = getattr(report, "phase_stats", None)
-    if stats is not None and stats.incremental is not None:
+    stats = report.phase_stats
+    if stats.incremental is not None:
         i = stats.incremental
         print(
             f"incremental: reused={i['reused']} "
@@ -219,7 +214,6 @@ def cmd_analyze(args) -> int:
     if args.ledger:
         from repro.obs.ledger import RunLedger, RunRecord, new_run_id
 
-        stats = getattr(report, "phase_stats", None)
         run_id = new_run_id()
         record = RunRecord.from_batch(
             run_id=run_id,
@@ -227,11 +221,11 @@ def cmd_analyze(args) -> int:
             records=[{
                 "target": args.target,
                 "status": "done",
-                "seconds": wall,
-                "phase_seconds": dict(stats.seconds) if stats else {},
+                "seconds": report.analysis_seconds,
+                "phase_seconds": dict(stats.seconds),
             }],
             started_unix=started_unix,
-            wall_s=round(wall, 4),
+            wall_s=round(report.analysis_seconds, 4),
             executor="serial",
             workers=1,
         )
@@ -507,7 +501,7 @@ def cmd_batch(args) -> int:
     from repro.obs.fleet import BatchProgress, run_telemetry_dir
     from repro.obs.ledger import RunLedger, RunRecord, new_run_id
     from repro.perf.parallel import resolve_workers
-    from repro.service import MetricsRegistry, ResultStore
+    from repro.service import ResultStore
     from repro.service.shard import expand_batch_targets, run_sharded_batch
 
     targets = list(args.targets)
@@ -526,7 +520,6 @@ def cmd_batch(args) -> int:
         _fail(str(exc))
 
     store = ResultStore(Path(args.store).expanduser())
-    metrics = MetricsRegistry()
     run_id = new_run_id()
     telemetry_dir = None
     if not args.no_telemetry:
@@ -544,7 +537,6 @@ def cmd_batch(args) -> int:
             workers=resolve_workers(args.workers),
             retries=args.retries,
             timeout=args.timeout,
-            metrics=metrics,
             run_id=run_id,
             telemetry_dir=telemetry_dir,
             progress=progress,
@@ -555,7 +547,7 @@ def cmd_batch(args) -> int:
     wall = time.perf_counter() - t0
     records = [r.to_dict() for r in shard_records]
 
-    analyses = metrics.counter("analyses_run").value
+    analyses = sum(r["counters"].get("analyses_run", 0) for r in records)
     failed = [r["target"] for r in records if r["status"] != "done"]
     hits = sum(1 for r in records if r["cache_hit"])
 
@@ -571,7 +563,7 @@ def cmd_batch(args) -> int:
                 wall_s=round(wall, 4),
                 executor="process" if workers > 1 else "serial",
                 workers=workers,
-                work_steals=metrics.counter("work_steals").value,
+                work_steals=sum(1 for r in records if r["stolen"]),
                 telemetry_dir=(
                     str(telemetry_dir) if telemetry_dir is not None else None
                 ),

@@ -92,20 +92,17 @@ class Extractocol:
             from ..lint.runner import gate as lint_gate
             from ..lint.runner import lint_apk
 
-            with app_span.child("phase:lint") as sp:
-                t0 = time.perf_counter()
+            with stats.phase("lint", app_span) as sp:
                 lint_report = lint_apk(
                     apk, registry=self.registry, model=self.model
                 )
                 lint_gate(lint_report, self.config.lint_level)
                 lint_findings = lint_report.findings
-                stats.seconds["lint"] = time.perf_counter() - t0
                 for severity, amount in lint_report.counts().items():
                     if amount:
                         sp.count(f"findings_{severity}", amount)
 
-        with app_span.child("phase:setup") as sp:
-            t0 = time.perf_counter()
+        with stats.phase("setup", app_span) as sp:
             callgraph = build_callgraph(program)
 
             # Implicit call flows (AsyncTask & friends, §3.4) extend the
@@ -129,11 +126,9 @@ class Extractocol:
             index = ProgramIndex(program, callgraph)
             sp.count("entrypoints", len(apk.entrypoints))
             sp.count("statements", program.statement_count())
-            stats.seconds["setup"] = time.perf_counter() - t0
 
         # Phase 1 — network-aware program slicing.
-        with app_span.child("phase:slicing") as sp:
-            t0 = time.perf_counter()
+        with stats.phase("slicing", app_span) as sp:
             slicer = NetworkSlicer(
                 program,
                 callgraph,
@@ -162,7 +157,6 @@ class Extractocol:
                 apk, callgraph, slicing, fingerprints,
                 event_roots=event_roots, cbinfo=cbinfo,
             )
-            stats.seconds["slicing"] = time.perf_counter() - t0
             stats.count("demarcation_points", len(slicing.slices))
             for s in slicing.slices:
                 for name, amount in s.request.stats.items():
@@ -171,8 +165,7 @@ class Extractocol:
                     stats.count(f"taint_{name}", amount)
 
         # Phase 2 — signature extraction over the slices.
-        with app_span.child("phase:signatures") as sp:
-            t0 = time.perf_counter()
+        with stats.phase("signatures", app_span) as sp:
             relevant = None
             if self.config.use_slicing:
                 relevant = self._relevant_methods(slicing, callgraph)
@@ -198,17 +191,14 @@ class Extractocol:
             )
             roots = [(ep.method_id, ep.kind.value) for ep in apk.entrypoints]
             result = interp.run(roots, span=sp)
-            stats.seconds["signatures"] = time.perf_counter() - t0
             stats.count("methods_evaluated", len(result.evaluated_methods))
 
         # Phase 3 — transactions + dependencies.
-        with app_span.child("phase:dependencies") as sp:
-            t0 = time.perf_counter()
+        with stats.phase("dependencies", app_span) as sp:
             transactions = [from_record(r) for r in result.transactions]
             transactions = self._scope_filter(transactions, program)
             infer_dependencies(transactions, span=sp if sp else None)
             transactions = _dedupe(transactions)
-            stats.seconds["dependencies"] = time.perf_counter() - t0
             stats.count("transactions", len(transactions))
 
         report = AnalysisReport(

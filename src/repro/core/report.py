@@ -58,8 +58,8 @@ class AnalysisReport:
     demarcation_points: int = 0
     analysis_seconds: float = 0.0
     #: per-phase timing/counter profile (``repro.obs``); like
-    #: ``analysis_seconds`` it is run-specific, so the default
-    #: serialisation omits it (``include_phase_stats`` opts in)
+    #: ``analysis_seconds`` it is run-specific, so the serialisation omits
+    #: it (the store envelope carries it beside the report payload)
     phase_stats: PhaseStats | None = None
     #: lint findings (``repro.lint`` Diagnostic list) attached when the
     #: analysis ran with ``AnalysisConfig.lint_level != "off"``; empty
@@ -232,12 +232,10 @@ def _txn_to_dict(txn) -> dict:
     }
 
 
-def report_to_dict(report, *, include_phase_stats: bool = False) -> dict:
+def report_to_dict(report) -> dict:
     """JSON-serialisable view of an :class:`AnalysisReport` (live or one
     rebuilt by :func:`report_from_dict`).  Timing is intentionally omitted
-    so two runs over the same APK/config serialise identically;
-    ``include_phase_stats`` opts the run-specific phase profile back in
-    (the exact-round-trip contract then only holds per run)."""
+    so two runs over the same APK/config serialise identically."""
     out = {
         "app": report.app,
         "stats": report.stats().as_row(),
@@ -246,8 +244,6 @@ def report_to_dict(report, *, include_phase_stats: bool = False) -> dict:
         "transactions": [_txn_to_dict(t) for t in report.transactions],
         "unidentified": [_txn_to_dict(t) for t in report.unidentified],
     }
-    if include_phase_stats and report.phase_stats is not None:
-        out["phase_stats"] = report.phase_stats.to_dict()
     if report.lint_findings:
         out["lint"] = [f.to_dict() for f in report.lint_findings]
     return out
@@ -302,8 +298,6 @@ def report_from_dict(data: dict) -> AnalysisReport:
         slice_fraction=data.get("slice_fraction", 0.0),
         demarcation_points=data.get("demarcation_points", 0),
     )
-    if "phase_stats" in data:
-        report.phase_stats = PhaseStats.from_dict(data["phase_stats"])
     if "lint" in data:
         from ..lint.diagnostics import Diagnostic
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..apk.model import Apk
+from ..core.config import AnalysisConfig
 from ..runtime.httpstack import Network
 
 
@@ -78,6 +79,15 @@ class AppSpec:
     #: class-name prefixes for scoped analysis (Kayak case study)
     scope_prefixes: tuple[str, ...] = ()
     notes: str = ""
+
+    def analysis_config(self) -> AnalysisConfig:
+        """A fresh config with the paper's §5.1 per-app setup: async
+        heuristic off for open-source apps, on for closed-source; Kayak
+        scoped to its own classes."""
+        return AnalysisConfig(
+            async_heuristic=(self.kind == "closed"),
+            scope_prefixes=self.scope_prefixes,
+        )
 
 
 __all__ = ["AppSpec", "EndpointTruth", "GroundTruth"]

@@ -85,11 +85,7 @@ def _mutated(base: Callable[[], GenApp], *edits) -> Callable[[], BuiltVersion]:
             edit(spec)
         app_spec = build_generated_app(spec)
         return BuiltVersion(
-            apk=app_spec.build_apk(),
-            config=AnalysisConfig(
-                async_heuristic=(app_spec.kind == "closed"),
-                scope_prefixes=app_spec.scope_prefixes,
-            ),
+            apk=app_spec.build_apk(), config=app_spec.analysis_config()
         )
 
     return build
@@ -106,10 +102,7 @@ def _obfuscated(base: Callable[[], GenApp]) -> Callable[[], BuiltVersion]:
         result = obfuscate(app_spec.build_apk())
         return BuiltVersion(
             apk=result.apk,
-            config=AnalysisConfig(
-                async_heuristic=(app_spec.kind == "closed"),
-                scope_prefixes=app_spec.scope_prefixes,
-            ),
+            config=app_spec.analysis_config(),
             renames_from_base=result.renames,
         )
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from ..core.config import AnalysisConfig
 from ..core.extractocol import Extractocol
 from ..core.report import AnalysisReport
 from ..corpus import app_keys, get_spec
@@ -27,15 +26,6 @@ class AppEvaluation:
         return self.spec.key
 
 
-def _config_for(spec: AppSpec) -> AnalysisConfig:
-    """The paper's §5.1 setup: async heuristic off for open-source apps,
-    on for closed-source; Kayak scoped to com.kayak."""
-    return AnalysisConfig(
-        async_heuristic=(spec.kind == "closed"),
-        scope_prefixes=spec.scope_prefixes,
-    )
-
-
 @lru_cache(maxsize=None)
 def evaluate_app(key: str) -> AppEvaluation:
     """Analyze + fuzz one corpus app; results are cached per app."""
@@ -44,7 +34,7 @@ def evaluate_app(key: str) -> AppEvaluation:
     # read-only and the runtime keeps its own heap).  The Network cannot be
     # shared: each fuzzer's FuzzResult owns its network's traffic trace.
     apk = spec.build_apk()
-    report = Extractocol(_config_for(spec)).analyze(apk)
+    report = Extractocol(spec.analysis_config()).analyze(apk)
     manual = ManualUiFuzzer().fuzz(apk, spec.build_network())
     auto = AutoUiFuzzer().fuzz(apk, spec.build_network())
     return AppEvaluation(spec=spec, report=report, manual=manual, auto=auto)

@@ -30,7 +30,6 @@ from .fleet import (
     merge_worker_traces,
     read_heartbeats,
     run_telemetry_dir,
-    worker_liveness,
     write_fleet_trace,
 )
 from .metrics import (
@@ -76,7 +75,6 @@ __all__ = [
     "span_events",
     "to_jsonl",
     "validate_jsonl",
-    "worker_liveness",
     "write_fleet_trace",
     "write_jsonl",
 ]

@@ -34,7 +34,6 @@ discipline as the result store, so a reader never sees a torn beacon.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -44,13 +43,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from .export import TRACE_SCHEMA_VERSION, to_jsonl, validate_jsonl
+from .export import events_to_span, to_jsonl, validate_jsonl
+from .tracer import Span
 
 #: Bump when the heartbeat or merged-trace envelope changes incompatibly.
 TELEMETRY_SCHEMA_VERSION = 1
-
-#: A heartbeat older than this (and whose pid is gone) marks a dead worker.
-HEARTBEAT_STALE_SECONDS = 30.0
 
 #: Span attributes that vary across reruns of the same workload (work
 #: stealing makes worker/shard assignment nondeterministic; lease races
@@ -195,144 +192,43 @@ def read_heartbeats(run_dir: str | os.PathLike) -> list[dict]:
     return out
 
 
-def worker_liveness(
-    heartbeats: list[dict],
-    *,
-    now: float | None = None,
-    stale_after: float = HEARTBEAT_STALE_SECONDS,
-) -> list[dict]:
-    """Each heartbeat annotated with ``alive``: a worker is live when its
-    beacon is fresh or its pid still exists (same host); an ``exited``
-    status is final."""
-    now = time.time() if now is None else now
-    out = []
-    for beat in heartbeats:
-        age = now - float(beat.get("updated_unix", 0.0))
-        if beat.get("status") == "exited":
-            alive = False
-        elif age <= stale_after:
-            alive = True
-        else:
-            alive = _pid_alive(int(beat.get("pid", 0)))
-        out.append(dict(beat, alive=alive, age_s=round(max(0.0, age), 3)))
-    return out
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        pass  # exists but not ours (or unsupported): assume alive
-    return True
-
-
 # ------------------------------------------------------------- trace merging
 def fleet_trace_path(run_dir: str | os.PathLike) -> Path:
     return Path(run_dir) / "fleet.trace.jsonl"
 
 
-def merge_worker_traces(
-    run_dir: str | os.PathLike,
-    *,
-    timings: bool = False,
-    strip_attrs: frozenset = RUN_SPECIFIC_ATTRS,
-) -> str:
+def merge_worker_traces(run_dir: str | os.PathLike) -> str:
     """Merge every ``worker-*.trace.jsonl`` stream in ``run_dir`` into one
     deterministic fleet trace (JSONL text, ``validate_jsonl``-clean).
 
-    Each worker stream's top-level ``job:*`` subtrees are re-rooted under
-    a synthetic ``fleet`` root, ordered by batch-entry ``index``; span ids
-    are recomputed from the rewritten paths, and run-specific attrs (and,
-    unless ``timings=True``, wall seconds) are dropped.  The resulting
+    Each worker stream is rebuilt as a span tree, and its top-level
+    ``job:*`` subtrees are re-rooted under a synthetic ``fleet`` root,
+    ordered by batch-entry ``index`` (``Span.child`` gives a duplicate
+    name its ``#<n>`` suffix).  Run-specific attrs are stripped and the
+    tree is written by :func:`~repro.obs.export.to_jsonl` without wall
+    seconds, so span ids are hashes of the rewritten paths.  The resulting
     span set is the union of the per-worker job subtrees and does not
     depend on which worker analysed (or stole) which entry.
     """
-    run_dir = Path(run_dir)
-    jobs: list[tuple[tuple, list[dict]]] = []
-    for path in sorted(run_dir.glob("worker-*.trace.jsonl")):
-        events = validate_jsonl(path.read_text())
-        by_id = {e["id"]: e for e in events}
-        children: dict[str, list[str]] = {}
-        root_id = events[0]["id"]
-        for event in events:
-            if event["parent"] is not None:
-                children.setdefault(event["parent"], []).append(event["id"])
+    jobs: list[Span] = []
+    for path in sorted(Path(run_dir).glob("worker-*.trace.jsonl")):
+        jobs.extend(events_to_span(validate_jsonl(path.read_text())).children)
+    jobs.sort(key=lambda job: (job.attrs.get("index", 0), job.name))
 
-        def subtree(top_id: str) -> list[dict]:
-            out = [by_id[top_id]]
-            for child_id in children.get(top_id, []):
-                out.extend(subtree(child_id))
-            return out
-
-        for top_id in children.get(root_id, []):
-            top = by_id[top_id]
-            index = top.get("attrs", {}).get("index", 0)
-            jobs.append(((index, top["name"]), subtree(top_id)))
-    jobs.sort(key=lambda j: j[0])
-
-    fleet_id = hashlib.sha256(b"fleet").hexdigest()[:16]
-    lines = [
-        json.dumps(
-            {"type": "meta", "schema": TRACE_SCHEMA_VERSION, "root": "fleet"},
-            sort_keys=True,
-            separators=(",", ":"),
-        ),
-        json.dumps(
-            {
-                "type": "span",
-                "id": fleet_id,
-                "parent": None,
-                "name": "fleet",
-                "path": "fleet",
-                "attrs": {},
-                "counters": {"jobs": len(jobs)},
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ),
-    ]
-    seen: dict[str, int] = {}
-    for _, events in jobs:
-        top = events[0]
-        count = seen.get(top["name"], 0)
-        seen[top["name"]] = count + 1
-        # mirror Span.child's sibling dedup: first keeps the name,
-        # later duplicates get a deterministic #<n> suffix
-        new_name = top["name"] if not count else f"{top['name']}#{count + 1}"
-        old_prefix = top["path"]
-        new_prefix = f"fleet/{new_name}"
-        id_map: dict[str, str] = {}
-        for event in events:
-            new_path = new_prefix + event["path"][len(old_prefix):]
-            new_id = hashlib.sha256(new_path.encode("utf-8")).hexdigest()[:16]
-            id_map[event["id"]] = new_id
-            out_event: dict = {
-                "type": "span",
-                "id": new_id,
-                "parent": (
-                    fleet_id
-                    if event is top
-                    else id_map[event["parent"]]
-                ),
-                "name": new_name if event is top else event["name"],
-                "path": new_path,
-                "attrs": {
-                    k: v
-                    for k, v in sorted(event.get("attrs", {}).items())
-                    if k not in strip_attrs
-                },
-                "counters": event.get("counters", {}),
+    fleet = Span("fleet")
+    fleet.count("jobs", len(jobs))
+    for job in jobs:
+        top = fleet.child(job.name)
+        top.attrs, top.counters = job.attrs, job.counters
+        top.children = job.children
+        for child in top.children:
+            child.parent = top
+        for span in top.walk():
+            span.attrs = {
+                k: v for k, v in span.attrs.items()
+                if k not in RUN_SPECIFIC_ATTRS
             }
-            if timings and "seconds" in event:
-                out_event["seconds"] = event["seconds"]
-            lines.append(
-                json.dumps(out_event, sort_keys=True, separators=(",", ":"))
-            )
-    return "\n".join(lines) + "\n"
+    return to_jsonl(fleet)
 
 
 def write_fleet_trace(run_dir: str | os.PathLike) -> Path:
@@ -374,22 +270,16 @@ class BatchProgress:
         self.latencies: list[float] = []
         self._last_print = 0.0
 
-    # record may be a ShardRecord or its dict form
     def __call__(self, record, done: int, total: int) -> None:
-        get = (
-            record.get
-            if isinstance(record, dict)
-            else lambda k, d=None: getattr(record, k, d)
-        )
+        """Count one completed :class:`~repro.service.shard.ShardRecord`."""
         self.done = done
         self.total = total
-        if get("status") != "done":
+        if record.status != "done":
             self.failed += 1
-        if get("cache_hit"):
+        if record.cache_hit:
             self.cache_hits += 1
-        seconds = get("seconds") or 0.0
-        if seconds:
-            self.latencies.append(float(seconds))
+        if record.seconds:
+            self.latencies.append(record.seconds)
         now = time.monotonic()
         if done < total and now - self._last_print < self.interval:
             return
@@ -448,7 +338,6 @@ class BatchProgress:
 
 __all__ = [
     "BatchProgress",
-    "HEARTBEAT_STALE_SECONDS",
     "RUN_SPECIFIC_ATTRS",
     "TELEMETRY_SCHEMA_VERSION",
     "WorkerTelemetry",
@@ -460,6 +349,5 @@ __all__ = [
     "read_heartbeats",
     "run_telemetry_dir",
     "telemetry_root",
-    "worker_liveness",
     "write_fleet_trace",
 ]

@@ -118,44 +118,38 @@ class RunRecord:
         telemetry_dir: str | None = None,
         fleet_trace: str | None = None,
     ) -> "RunRecord":
-        """Aggregate a batch's per-entry records (``ShardRecord``s or their
-        dict forms) into one ledger entry, including exact nearest-rank
-        latency percentiles and per-phase histogram summaries."""
-
-        def get(record, key, default=None):
-            if isinstance(record, dict):
-                return record.get(key, default)
-            return getattr(record, key, default)
-
+        """Aggregate a batch's per-entry records (``ShardRecord.to_dict()``
+        forms) into one ledger entry, including exact nearest-rank latency
+        percentiles and per-phase histogram summaries."""
         app_hist = Histogram()
         phase_hists: dict[str, Histogram] = {}
         latencies: list[float] = []
         failures: list[dict] = []
         done = failed = cache_hits = analyses_run = 0
         for record in records:
-            status = get(record, "status")
+            status = record.get("status")
             if status == "done":
                 done += 1
             else:
                 failed += 1
                 failures.append(
                     {
-                        "target": get(record, "target"),
-                        "error_type": get(record, "error_type"),
-                        "error_message": get(record, "error_message"),
-                        "error": get(record, "error"),
-                        "traceback": get(record, "traceback"),
+                        "target": record.get("target"),
+                        "error_type": record.get("error_type"),
+                        "error_message": record.get("error_message"),
+                        "error": record.get("error"),
+                        "traceback": record.get("traceback"),
                     }
                 )
-            if get(record, "cache_hit"):
+            if record.get("cache_hit"):
                 cache_hits += 1
             elif status == "done":
                 analyses_run += 1
-            seconds = get(record, "seconds") or 0.0
+            seconds = record.get("seconds") or 0.0
             if seconds:
                 latencies.append(float(seconds))
                 app_hist.observe(float(seconds))
-            for phase, phase_s in (get(record, "phase_seconds") or {}).items():
+            for phase, phase_s in (record.get("phase_seconds") or {}).items():
                 phase_hists.setdefault(phase, Histogram()).observe(
                     float(phase_s)
                 )

@@ -10,9 +10,6 @@ Thread-safety contract: every metric guards *all* of its state behind one
 instance lock — :meth:`Histogram.observe` and :meth:`Histogram.summary`
 in particular take the same lock, so a summary taken mid-storm is always
 internally consistent (``sum(buckets) == count``, ``min <= max``).
-
-This module originated as ``repro.service.metrics``; that path remains a
-re-export shim so existing imports keep working.
 """
 
 from __future__ import annotations

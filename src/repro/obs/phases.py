@@ -1,16 +1,20 @@
 """Per-phase timing/counter profile of one analysis run.
 
-:class:`PhaseStats` is the durable shape: embedded in
+:class:`PhaseStats` is the one timing record of an analysis: embedded in
 :class:`~repro.core.report.AnalysisReport`, carried in the service result
-store's envelope, and printed by ``repro eval --verbose``.  Its dict form
-round-trips exactly (``PhaseStats.from_dict(s.to_dict()) == s``) but is
-**not** part of the default report serialisation — timings differ between
-runs, and the store's byte-identity contract covers the report payload
-only.
+store's envelope, and printed by ``repro eval --verbose``.  Every other
+view of a phase's time (its trace span, a batch record's
+``phase_seconds``, the ledger and ``/metrics`` histograms) is copied from
+it.  Its dict form round-trips exactly
+(``PhaseStats.from_dict(s.to_dict()) == s``) but is never part of the
+report serialisation — timings differ between runs, and the store's
+byte-identity contract covers the report payload only.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 #: Canonical phase names, in pipeline order (paper Figure 2 plus the
@@ -34,6 +38,20 @@ class PhaseStats:
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
+
+    @contextmanager
+    def phase(self, name: str, parent_span):
+        """Time one pipeline phase with one clock: yields the
+        ``phase:<name>`` child of ``parent_span`` and writes the measured
+        seconds to both ``seconds[name]`` and that span.  Untraced,
+        ``parent_span`` is :data:`~repro.obs.tracer.NULL_SPAN`, whose
+        ``child`` is itself, so no span is allocated."""
+        span = parent_span.child(f"phase:{name}")
+        t0 = time.perf_counter()
+        try:
+            yield span
+        finally:
+            span.seconds = self.seconds[name] = time.perf_counter() - t0
 
     # -------------------------------------------------------- serialisation
     def to_dict(self) -> dict:
@@ -62,18 +80,6 @@ class PhaseStats:
                 else None
             ),
         )
-
-    # ------------------------------------------------------------ rendering
-    def table(self) -> str:
-        """One app's phase timings as an aligned two-column table."""
-        lines = [f"{'phase':14s} {'ms':>10s}"]
-        for phase in PHASES:
-            if phase in self.seconds:
-                lines.append(f"{phase:14s} {self.seconds[phase] * 1000:10.2f}")
-        for phase in sorted(set(self.seconds) - set(PHASES)):
-            lines.append(f"{phase:14s} {self.seconds[phase] * 1000:10.2f}")
-        lines.append(f"{'total':14s} {self.total_seconds * 1000:10.2f}")
-        return "\n".join(lines)
 
 
 def phase_table(stats_by_app: dict[str, "PhaseStats"]) -> str:

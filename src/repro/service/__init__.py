@@ -1,7 +1,7 @@
 """The serving layer: batch/daemon analysis around ``Extractocol.analyze``.
 
-PR 1 made one analysis fast; this package makes *fleets* of analyses
-operable.  Three layers, separately usable:
+One analysis is a pure function of ``(APK, config)``; this package makes
+*fleets* of analyses operable.  Four layers, separately usable:
 
 :mod:`repro.service.store`
     Content-addressed, schema-versioned on-disk result store keyed by
@@ -26,9 +26,11 @@ operable.  Three layers, separately usable:
 Fleet telemetry (worker trace streams, heartbeats, the run ledger) lives
 in :mod:`repro.obs.fleet` / :mod:`repro.obs.ledger`; the batch engine and
 the daemon write it, ``repro runs`` / ``repro batch --progress`` /
-``GET /status`` read it.
+``GET /status`` read it.  The daemon's :class:`MetricsRegistry` lives in
+:mod:`repro.obs.metrics` and is re-exported here.
 """
 
+from ..obs.metrics import MetricsRegistry
 from .jobs import (
     Job,
     JobScheduler,
@@ -38,7 +40,6 @@ from .jobs import (
     call_with_timeout,
     resolve_target,
 )
-from .metrics import MetricsRegistry
 from .store import ResultStore, result_key
 
 __all__ = [

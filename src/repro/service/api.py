@@ -54,9 +54,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..apk.loader import load_apk
 from ..core.config import AnalysisConfig, apply_overrides
-from ..obs.metrics import render_prometheus
+from ..obs.metrics import MetricsRegistry, render_prometheus
 from .jobs import JobScheduler, QueueFull, resolve_target
-from .metrics import MetricsRegistry
 from .store import ResultStore
 
 _ZIP_TYPES = {"application/zip", "application/octet-stream"}

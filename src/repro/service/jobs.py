@@ -18,7 +18,8 @@ The scheduler turns ``Extractocol.analyze`` into a managed workload:
 
 ``repro batch`` does not come through here: it runs the batch engine in
 :mod:`repro.service.shard`.  Everything is observable through a
-:class:`~repro.service.metrics.MetricsRegistry`.
+:class:`~repro.obs.metrics.MetricsRegistry`; the analysis histograms
+observe each report's own ``analysis_seconds`` and ``phase_stats``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from ..apk.loader import apk_digest as compute_apk_digest
 from ..apk.loader import load_apk
 from ..apk.model import Apk
 from ..core.config import AnalysisConfig, apply_overrides
+from ..obs.metrics import MetricsRegistry
 from ..perf.parallel import resolve_workers
-from .metrics import MetricsRegistry
 from .store import ResultStore
 
 
@@ -124,10 +125,7 @@ def resolve_target(
     if is_synth_key(target) or target in app_keys():
         spec = get_spec(target)
         apk = spec.build_apk()
-        config = AnalysisConfig(
-            async_heuristic=(spec.kind == "closed"),
-            scope_prefixes=spec.scope_prefixes,
-        )
+        config = spec.analysis_config()
         label = target
     else:
         path = Path(target)
@@ -347,18 +345,17 @@ class JobScheduler:
         apk, config = job._apk, job._config
         job.attempts += 1
         try:
-            started = time.monotonic()
             self.metrics.counter("analyses_run").inc()
             report = call_with_timeout(
                 lambda: self.analyzer(apk, config), self.timeout
             )
-            elapsed = time.monotonic() - started
-            self.metrics.histogram("analyze_seconds").observe(elapsed)
+            seconds = report.analysis_seconds
+            self.metrics.histogram("analyze_seconds").observe(seconds)
             from ..obs.fleet import family_of
 
             self.metrics.histogram(
                 "app_seconds", labels={"family": family_of(job.label)}
-            ).observe(elapsed)
+            ).observe(seconds)
             stats = getattr(report, "phase_stats", None)
             if stats is not None:
                 for phase, phase_s in stats.seconds.items():
@@ -370,10 +367,7 @@ class JobScheduler:
                     f"lint_findings_{finding.severity.value}"
                 ).inc()
             job.result_key = self.store.put(
-                job.apk_digest,
-                job.config_key,
-                report,
-                analysis_seconds=time.monotonic() - started,
+                job.apk_digest, job.config_key, report
             )
             with self._lock:
                 self._finish(job, JobStatus.DONE, key=key)

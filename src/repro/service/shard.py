@@ -21,11 +21,12 @@ process instead of forking, feeding the same coordinator handler:
   analyses across *independent* processes and daemons sharing the store:
   a worker that loses the lease race waits for the winner's envelope to
   land instead of re-analysing.
-* **Result-carried observability.**  Workers cannot share the parent's
-  tracer or metrics registry, so every record travels back over the result
-  queue with its wall time, attempt count and steal provenance; the parent
-  folds them into its :class:`~repro.obs.metrics.MetricsRegistry` and
-  replays one ``job:<label>`` span per record.
+* **Result-carried observability.**  A :class:`ShardRecord` is the one
+  record of a batch entry: it travels back over the result queue with its
+  wall time, attempt count, steal provenance, per-phase seconds (copied
+  from the report's :class:`~repro.obs.phases.PhaseStats`) and counters.
+  The CLI's totals, the run ledger and the progress line are derived from
+  the records; each worker's span stream is written beside them.
 
 Reports written by sharded workers are byte-identical to in-process
 output: the store writes canonical JSON, and
@@ -121,7 +122,8 @@ class ShardRecord:
     traceback: str | None = None
     #: per-phase wall seconds from the worker-side PhaseStats
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: worker-side counter deltas folded into the parent registry
+    #: worker-side counts: ``analyses_run``, ``jobs_retried``,
+    #: ``lease_waits``
     counters: dict[str, int] = field(default_factory=dict)
 
     def fail(self, exc: BaseException, *, trace: bool = False) -> None:
@@ -151,6 +153,7 @@ class ShardRecord:
             "error_message": self.error_message,
             "traceback": self.traceback,
             "phase_seconds": self.phase_seconds,
+            "counters": self.counters,
         }
 
 
@@ -248,7 +251,6 @@ def _process_item(
         for attempt in range(1, retries + 2):
             record.attempts = attempt
             try:
-                t0 = time.monotonic()
                 report = _analyze_once(apk, config, timeout, tracer)
                 record.counters["analyses_run"] = (
                     record.counters.get("analyses_run", 0) + 1
@@ -259,12 +261,7 @@ def _process_item(
                         phase: round(seconds, 6)
                         for phase, seconds in stats.seconds.items()
                     }
-                store.put(
-                    digest,
-                    config.cache_key(),
-                    report,
-                    analysis_seconds=time.monotonic() - t0,
-                )
+                store.put(digest, config.cache_key(), report)
                 record.seconds = time.monotonic() - started
                 return record
             except Exception as exc:
@@ -374,9 +371,7 @@ def _shard_worker(
             done += 1
             if telemetry is not None:
                 telemetry.heartbeat(status="idle", processed=done)
-            out_q.put(("record", record.to_dict() | {
-                "counters": record.counters,
-            }))
+            out_q.put(("record", record.to_dict()))
     except BaseException as exc:  # worker must always announce its exit
         out_q.put(("crash", {"worker": worker_id, "error": repr(exc)}))
         raise
@@ -401,8 +396,6 @@ def run_sharded_batch(
     backoff: float = 0.05,
     timeout: float | None = None,
     start_method: str | None = None,
-    metrics=None,
-    span=None,
     run_id: str | None = None,
     telemetry_dir: str | os.PathLike | None = None,
     progress=None,
@@ -417,10 +410,6 @@ def run_sharded_batch(
     process started with ``start_method`` (default
     :func:`default_start_method`), and a start method that names nothing
     usable raises :class:`ValueError` before any worker starts.
-
-    Worker counters fold into ``metrics`` and each record replays a
-    ``job:<label>`` child span on ``span`` (when given), so the parent's
-    observability view is complete despite the process boundary.
 
     Fleet telemetry: pass ``run_id`` (also used as the batch claim id) and
     ``telemetry_dir`` to make each worker write heartbeats plus a span
@@ -460,12 +449,8 @@ def run_sharded_batch(
         if kind == "crash":
             crashes.append(payload)
         elif kind == "record":
-            counters = payload.pop("counters", {}) or {}
             record = ShardRecord(**payload)
-            record.counters = counters
             records[record.index] = record
-            if metrics is not None:
-                _fold_metrics(metrics, record)
             if progress is not None:
                 progress(record, len(records), len(targets))
 
@@ -521,6 +506,7 @@ def run_sharded_batch(
     store = ResultStore(store_root)
     for index in range(len(targets)):
         store.release(f"batch-{batch_id}-{index}")
+    store.reap_lease_temps()
 
     fleet_trace = None
     if telemetry_dir is not None:
@@ -550,42 +536,8 @@ def run_sharded_batch(
                 label=target,
                 error=f"no result from shard worker ({crash})",
             )
-            if metrics is not None:
-                _fold_metrics(metrics, record)
         out.append(record)
-        if span is not None and span:
-            child = span.child(f"job:{record.label or record.target}")
-            child.seconds = record.seconds
-            child.set("status", record.status)
-            if record.stolen:
-                child.count("stolen", 1)
     return out
-
-
-def _fold_metrics(metrics, record: ShardRecord) -> None:
-    from ..obs.fleet import family_of
-
-    for name, amount in record.counters.items():
-        metrics.counter(name).inc(amount)
-    metrics.counter("jobs_submitted").inc()
-    if record.status == "done":
-        metrics.counter("jobs_done").inc()
-        if record.cache_hit:
-            metrics.counter("cache_hits_batch").inc()
-        else:
-            metrics.histogram("job_seconds").observe(record.seconds)
-            metrics.histogram(
-                "app_seconds",
-                labels={"family": family_of(record.label or record.target)},
-            ).observe(record.seconds)
-    else:
-        metrics.counter("jobs_failed").inc()
-    for phase, phase_s in (record.phase_seconds or {}).items():
-        metrics.histogram(
-            "phase_seconds", labels={"phase": phase}
-        ).observe(phase_s)
-    if record.stolen:
-        metrics.counter("work_steals").inc()
 
 
 __all__ = [

@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 
 from ..core.report import AnalysisReport, report_from_dict, report_to_dict
-from .metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
 #: Bump when the envelope or report dict shape changes incompatibly.
 SCHEMA_VERSION = 1
@@ -172,6 +172,19 @@ class ResultStore:
         except OSError:
             pass
 
+    def reap_lease_temps(self) -> None:
+        """Unlink claim temp files (``leases/.<name>.*.tmp``) older than
+        the lease TTL.  A claimant killed between writing one and linking
+        it into place leaves it behind; a live claimant holds its own for
+        microseconds, so the TTL is a safe bound."""
+        cutoff = time.time() - self.lease_ttl
+        for tmp in self.leases.glob(".*.tmp"):
+            try:
+                if tmp.stat().st_mtime < cutoff:
+                    tmp.unlink()
+            except OSError:
+                pass
+
     def lease_holder(self, name: str) -> dict | None:
         """The live lease's recorded holder, or ``None`` when unclaimed
         (or unreadable)."""
@@ -245,18 +258,14 @@ class ResultStore:
 
     # ------------------------------------------------------------ writes
     def put(
-        self,
-        apk_digest: str,
-        config_key: str,
-        report: AnalysisReport,
-        *,
-        analysis_seconds: float | None = None,
+        self, apk_digest: str, config_key: str, report: AnalysisReport
     ) -> str:
         """Store a report; returns its result key.
 
         The write is atomic: readers either see the complete entry or the
-        previous state, never a torn file.  Timing metadata lives in the
-        envelope — outside ``report`` — so the report payload stays
+        previous state, never a torn file.  Timing metadata — the report's
+        own ``analysis_seconds`` and ``phase_stats`` — lives in the
+        envelope, outside ``report``, so the report payload stays
         byte-identical across runs.
         """
         key = result_key(apk_digest, config_key)
@@ -266,11 +275,7 @@ class ResultStore:
             "apk_digest": apk_digest,
             "config_key": config_key,
             "app": report.app,
-            "analysis_seconds": (
-                analysis_seconds
-                if analysis_seconds is not None
-                else report.analysis_seconds
-            ),
+            "analysis_seconds": report.analysis_seconds,
             "report": report_to_dict(report),
         }
         from ..fleetindex.docs import report_summary

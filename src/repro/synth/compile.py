@@ -43,7 +43,6 @@ from ..apk.model import TriggerKind
 from ..corpus.base import AppSpec
 from ..corpus.generator import GenApp, GenEndpoint, build_generated_app
 from ..corpus.lineage import BuiltVersion, LineageVersion
-from ..core.config import AnalysisConfig
 from .families import Family, family_keys, get_family, resolve_families
 
 _KEY_RE = re.compile(r"^syn-([a-z][a-z0-9]*)-s(\d+)-(\d+)$")
@@ -523,9 +522,7 @@ def _build_mutated(key: str, mutation: str | None):
             result = obfuscate(spec.build_apk())
             return BuiltVersion(
                 apk=result.apk,
-                config=AnalysisConfig(
-                    async_heuristic=(base.kind == "closed"),
-                ),
+                config=spec.analysis_config(),
                 renames_from_base=result.renames,
             )
         spec = copy.deepcopy(base)
@@ -548,10 +545,7 @@ def _build_mutated(key: str, mutation: str | None):
                 raise ValueError(f"unknown mutation {mutation!r}")
         app_spec = build_generated_app(spec)
         return BuiltVersion(
-            apk=app_spec.build_apk(),
-            config=AnalysisConfig(
-                async_heuristic=(app_spec.kind == "closed"),
-            ),
+            apk=app_spec.build_apk(), config=app_spec.analysis_config()
         )
 
     return build

@@ -121,6 +121,20 @@ class TestBatch:
         assert data["jobs"][0]["target"] == "wallabag"
         assert data["jobs"][0]["status"] == "done"
 
+    def test_batch_json_analyses_run_is_the_sum_of_job_counters(
+        self, capsys, tmp_path
+    ):
+        """Every ``--json`` job record carries its ``counters``, and the
+        top-level ``analyses_run`` is derived from them: two entries for
+        one app share one analysis."""
+        out = run_cli(capsys, "batch", "diode", "diode", "tzm", "--store",
+                      str(tmp_path / "store"), "--workers", "2", "--json")
+        data = json.loads(out)
+        assert all("counters" in job for job in data["jobs"])
+        assert data["analyses_run"] == sum(
+            job["counters"].get("analyses_run", 0) for job in data["jobs"]
+        ) == 2
+
     def test_batch_unknown_target_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["batch", "not-an-app", "--store", str(tmp_path / "s")])

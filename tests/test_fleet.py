@@ -4,6 +4,7 @@ fingerprints, live progress, and the shard engine's telemetry wiring."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -20,10 +21,9 @@ from repro.obs.fleet import (
     percentile,
     read_heartbeats,
     run_telemetry_dir,
-    worker_liveness,
 )
 from repro.obs.tracer import Span
-from repro.service.shard import run_sharded_batch
+from repro.service.shard import ShardRecord, run_sharded_batch
 
 TARGETS = ["diode", "ted", "tzm", "kayak"]
 
@@ -71,21 +71,6 @@ class TestHeartbeats:
         WorkerTelemetry(tmp_path, 1, "r").heartbeat(status="idle")
         beats = read_heartbeats(tmp_path)
         assert [b["worker"] for b in beats] == [1]
-
-    def test_liveness_fresh_and_exited(self, tmp_path):
-        WorkerTelemetry(tmp_path, 0, "r").heartbeat(status="running")
-        WorkerTelemetry(tmp_path, 1, "r").heartbeat(status="exited")
-        live = worker_liveness(read_heartbeats(tmp_path))
-        assert [b["alive"] for b in live] == [True, False]
-
-    def test_liveness_stale_dead_pid(self, tmp_path):
-        (tmp_path / "heartbeat-0.json").write_text(json.dumps({
-            "worker": 0, "status": "running", "pid": 2 ** 22 + 12345,
-            "updated_unix": time.time() - 3600,
-        }))
-        live = worker_liveness(read_heartbeats(tmp_path), stale_after=1.0)
-        assert live[0]["alive"] is False
-        assert live[0]["age_s"] > 1000
 
 
 # ------------------------------------------------------------ trace merge
@@ -147,8 +132,6 @@ class TestMergeWorkerTraces:
         assert len({e["id"] for e in events}) == len(events)
 
     def test_ids_recomputed_from_paths(self, tmp_path):
-        import hashlib
-
         _worker_stream(tmp_path, 0, [(0, "x")])
         events = validate_jsonl(merge_worker_traces(tmp_path))
         for event in events:
@@ -157,15 +140,51 @@ class TestMergeWorkerTraces:
             ).hexdigest()[:16]
             assert event["id"] == expected
 
+    def test_merged_bytes_are_pinned(self, tmp_path):
+        """Two workers, a duplicate job name, run-specific attrs at two
+        depths and wall seconds in the streams: the merged bytes are part
+        of the fleet-trace contract, so any merger must produce exactly
+        these."""
+        for worker_id, jobs in ((0, [(0, "x"), (2, "y")]),
+                                (1, [(1, "x"), (3, "z")])):
+            root = Span(f"worker-{worker_id}")
+            root.set("run_id", "r")
+            root.set("worker", worker_id)
+            for index, name in jobs:
+                job = root.child(f"job:{name}")
+                job.set("index", index)
+                job.set("app_key", name)
+                job.set("run_id", "r")
+                job.set("worker", worker_id)
+                job.set("shard", index % 2)
+                job.set("stolen", worker_id != index % 2)
+                job.set("cache_hit", False)
+                job.seconds = 0.25 * (index + 1)
+                job.count("analyses_run")
+                phase = job.child(f"analyze:{name}").child("phase:slicing")
+                phase.set("pid", 100 + worker_id)
+                phase.set("mode", "full")
+                phase.seconds = 0.125
+                phase.count("slices", index + 1)
+            WorkerTelemetry(tmp_path, worker_id, "r").write_trace(root)
+        merged = merge_worker_traces(tmp_path).encode()
+        assert hashlib.sha256(merged).hexdigest() == (
+            "8e9b2af7729af41ed32822253d0b45783cd6e4b66bfec4c15f0c3b70bb3764a6"
+        )
+
 
 # ------------------------------------------------------------- progress
 class TestBatchProgress:
     def test_counts_and_renders(self):
         stream = io.StringIO()
         progress = BatchProgress(3, stream=stream, interval=0.0)
-        progress({"status": "done", "cache_hit": True, "seconds": 0.1}, 1, 3)
-        progress({"status": "failed", "cache_hit": False, "seconds": 0.2}, 2, 3)
-        progress({"status": "done", "cache_hit": False, "seconds": 0.3}, 3, 3)
+        for index, (status, cache_hit, seconds) in enumerate(
+            [("done", True, 0.1), ("failed", False, 0.2), ("done", False, 0.3)]
+        ):
+            record = ShardRecord(index=index, target=f"t{index}", shard=0,
+                                 worker=0, status=status, cache_hit=cache_hit,
+                                 seconds=seconds)
+            progress(record, index + 1, 3)
         out = stream.getvalue()
         assert "[3/3]" in out
         assert "1 cached" in out

@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     render_prometheus,
@@ -200,17 +199,7 @@ class TestLabeledHistogramExposition:
         assert 'repro_up{a="1",b="2"} 1' in render_prometheus(reg_a)
 
 
-class TestServiceShim:
-    def test_service_metrics_reexports_obs_metrics(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.service import metrics as service_metrics
-
-        assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert service_metrics.Counter is obs_metrics.Counter
-        assert service_metrics.Gauge is Gauge
-        assert service_metrics.Histogram is Histogram
-        assert service_metrics.render_prometheus is render_prometheus
-
+class TestCounter:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)

@@ -19,9 +19,9 @@ import time
 
 import pytest
 
+from repro import AnalysisConfig
 from repro.cli import main
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.corpus import build_app
 from repro.service import JobScheduler, JobStatus, ResultStore
 from repro.service.shard import (
     ShardRecord,
@@ -34,6 +34,11 @@ from repro.service.shard import (
 from repro.service.store import canonical_json
 
 TARGETS = ["diode", "ted", "tzm"]
+
+
+def analyses_run(records) -> int:
+    """The batch's analysis count, derived from its records."""
+    return sum(r.counters.get("analyses_run", 0) for r in records)
 
 
 # ------------------------------------------------------------------ sharding
@@ -65,24 +70,19 @@ def test_sharded_batch_matches_in_process_batch_byte_identically(tmp_path):
 
 def test_warm_sharded_batch_is_all_cache_hits(tmp_path):
     run_sharded_batch(tmp_path / "s", TARGETS, workers=2)
-    metrics = MetricsRegistry()
-    records = run_sharded_batch(tmp_path / "s", TARGETS, workers=2,
-                                metrics=metrics)
+    records = run_sharded_batch(tmp_path / "s", TARGETS, workers=2)
     assert all(r.cache_hit and r.status == "done" for r in records)
-    counters = metrics.to_dict()["counters"]
-    assert counters.get("analyses_run", 0) == 0
-    assert counters["cache_hits_batch"] == len(TARGETS)
+    assert analyses_run(records) == 0
 
 
 def test_duplicate_targets_share_one_analysis(tmp_path):
     """Two batch entries for the same app resolve to the same result key;
     the lease protocol must collapse them onto one analysis."""
-    metrics = MetricsRegistry()
     records = run_sharded_batch(tmp_path / "s", ["diode", "diode"],
-                                workers=2, metrics=metrics)
+                                workers=2)
     assert [r.status for r in records] == ["done", "done"]
     assert records[0].result_key == records[1].result_key
-    assert metrics.to_dict()["counters"]["analyses_run"] == 1
+    assert analyses_run(records) == 1
     assert sum(r.cache_hit for r in records) == 1
     assert len(ResultStore(tmp_path / "s").entries()) == 1
 
@@ -127,19 +127,64 @@ def test_done_record_carries_phase_seconds(tmp_path):
     assert record.to_dict()["phase_seconds"] == record.phase_seconds
 
 
-def test_sharded_batch_replays_job_spans(tmp_path):
-    tracer = Tracer()
-    root = tracer.span("batch")
-    run_sharded_batch(tmp_path / "s", TARGETS, workers=2, span=root)
-    names = [c.name for c in root.children]
-    assert names == [f"job:{t}" for t in TARGETS]
-    assert all(c.attrs["status"] == "done" for c in root.children)
-
-
 def test_sharded_batch_leaves_no_leases(tmp_path):
     run_sharded_batch(tmp_path / "s", TARGETS, workers=2)
     store = ResultStore(tmp_path / "s")
     assert not list(store.leases.glob("*.lease"))
+
+
+def test_batch_reaps_lease_temp_files_older_than_the_ttl(tmp_path):
+    """A claimant killed between writing its lease temp file and linking
+    it into place leaves ``leases/.<name>.*.tmp`` behind; the next batch
+    removes those older than the lease TTL and keeps fresh ones."""
+    store = ResultStore(tmp_path / "s")
+    store.leases.mkdir(parents=True)
+    stale = store.leases / ".k.killed.tmp"
+    fresh = store.leases / ".k.live.tmp"
+    for path in (stale, fresh):
+        path.write_text("{}")
+    old = time.time() - store.lease_ttl - 60
+    os.utime(stale, (old, old))
+    run_sharded_batch(store.root, ["diode"], workers=1)
+    assert not stale.exists()
+    assert fresh.exists()
+
+
+@pytest.fixture
+def kept_reports(monkeypatch):
+    """Every report ``Extractocol.analyze`` returns in this process."""
+    from repro.core.extractocol import Extractocol
+
+    analyze = Extractocol.analyze
+    reports = []
+
+    def keep(self, apk, **kwargs):
+        reports.append(analyze(self, apk, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(Extractocol, "analyze", keep)
+    return reports
+
+
+def test_batch_envelope_clock_is_the_reports_own(tmp_path, kept_reports):
+    records = run_sharded_batch(tmp_path / "s", ["diode"], workers=1)
+    envelope = ResultStore(tmp_path / "s").load(records[0].result_key)
+    assert len(kept_reports) == 1
+    assert envelope["analysis_seconds"] == kept_reports[0].analysis_seconds
+
+
+def test_daemon_envelope_clock_is_the_reports_own(tmp_path, kept_reports):
+    """The daemon stores, and its ``analyze_seconds`` histogram observes,
+    the report's own figure."""
+    store = ResultStore(tmp_path / "s")
+    with JobScheduler(store, workers=1) as sched:
+        job = sched.submit(build_app("diode"), AnalysisConfig())
+        assert job.wait(60) and job.status is JobStatus.DONE
+    seconds = kept_reports[0].analysis_seconds
+    assert store.load(job.result_key)["analysis_seconds"] == seconds
+    assert sched.metrics.histogram("analyze_seconds").summary()["sum"] == (
+        seconds
+    )
 
 
 def test_records_carry_one_key_set_at_one_and_two_workers(tmp_path):
@@ -147,12 +192,11 @@ def test_records_carry_one_key_set_at_one_and_two_workers(tmp_path):
     (the CLI renders and ``perfbench`` reads either)."""
     shapes = []
     for workers in (1, 2):
-        metrics = MetricsRegistry()
         records = run_sharded_batch(tmp_path / f"w{workers}", ["diode", "ted"],
-                                    workers=workers, metrics=metrics)
+                                    workers=workers)
         assert [r.target for r in records] == ["diode", "ted"]
         assert all(r.status == "done" for r in records)
-        assert metrics.counter("analyses_run").value == 2
+        assert analyses_run(records) == 2
         shapes.append([set(r.to_dict()) for r in records])
     assert shapes[0] == shapes[1]
     # what perfbench reads from ``repro batch --json`` records
@@ -268,12 +312,11 @@ class TestKilledWorker:
         ]
 
         ted_kills_its_worker.undo()
-        metrics = MetricsRegistry()
         with deadline(60):
             rerun = run_sharded_batch(tmp_path / "s", KILL_TARGETS, workers=2,
-                                      start_method="fork", metrics=metrics)
+                                      start_method="fork")
         assert [r.status for r in rerun] == ["done"] * len(KILL_TARGETS)
-        assert metrics.counter("analyses_run").value == 1  # TED only
+        assert analyses_run(rerun) == 1  # TED only
 
         run_sharded_batch(tmp_path / "clean", KILL_TARGETS, workers=1)
         healed = ResultStore(tmp_path / "s")

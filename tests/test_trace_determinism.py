@@ -90,15 +90,22 @@ class TestPhaseStats:
         )
 
     def test_report_to_dict_omits_phase_stats_by_default(self):
-        from repro.core.report import report_from_dict, report_to_dict
+        from repro.core.report import report_to_dict
 
         _, report = _traced_run(get_spec("blippex").build_apk(), AnalysisConfig())
-        default = report_to_dict(report)
-        assert "phase_stats" not in default
-        opted = report_to_dict(report, include_phase_stats=True)
-        assert opted["phase_stats"] == report.phase_stats.to_dict()
-        rebuilt = report_from_dict(opted)
-        assert rebuilt.phase_stats == report.phase_stats
+        assert "phase_stats" not in report_to_dict(report)
+
+    def test_phase_spans_carry_the_phase_stats_seconds(self):
+        """One clock per phase: each ``phase:*`` span's seconds are the
+        report's ``phase_stats`` figure, bit for bit."""
+        config = AnalysisConfig(lint_level="record")
+        tracer, report = _traced_run(get_spec("blippex").build_apk(), config)
+        spans = {
+            c.name.removeprefix("phase:"): c.seconds
+            for c in tracer.root.children[0].children
+        }
+        assert set(spans) == set(PHASES) | {"lint"}
+        assert spans == report.phase_stats.seconds
 
     def test_store_envelope_carries_phase_stats(self, tmp_path):
         from repro.service.store import ResultStore
