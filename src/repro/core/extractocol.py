@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import replace
 
@@ -76,7 +77,21 @@ class Extractocol:
         given, either mode leaves a fresh manifest behind for the next
         warm run (skipped under ``record_provenance`` — provenance tables
         are not serialized, so cached slices could not carry them).
+
+        The cyclic collector is paused for the call and left as it was
+        found (DESIGN.md "Allocation shape"): an analysis builds no
+        reference cycles, so every collection it would trigger finds
+        nothing.
         """
+        collector_on = gc.isenabled()
+        gc.disable()
+        try:
+            return self._analyze(apk, renames)
+        finally:
+            if collector_on:
+                gc.enable()
+
+    def _analyze(self, apk: Apk, renames) -> AnalysisReport:
         if self.config.mode not in MODES:
             raise ValueError(f"unknown analysis mode: {self.config.mode!r}")
         started = time.perf_counter()

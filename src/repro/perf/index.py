@@ -44,17 +44,11 @@ T = TypeVar("T")
 #: no local (about half of them) instead of one fresh set object each
 _NO_LOCALS: frozenset = frozenset()
 
-_FIELD_KEYS: dict[FieldSig, tuple[str, str]] = {}
-
 
 def field_key(f: FieldSig) -> tuple[str, str]:
-    """Memoized ``(class, name)`` key for a heap cell (field-based heap
-    abstraction) — avoids re-building the tuple in inner propagation loops."""
-    key = _FIELD_KEYS.get(f)
-    if key is None:
-        key = (f.class_name, f.name)
-        _FIELD_KEYS[f] = key
-    return key
+    """``(class, name)`` key for a heap cell (field-based heap
+    abstraction)."""
+    return (f.class_name, f.name)
 
 
 def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:

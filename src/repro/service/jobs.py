@@ -24,6 +24,7 @@ observe each report's own ``analysis_seconds`` and ``phase_stats``.
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 import time
@@ -154,9 +155,14 @@ def call_with_timeout(fn, timeout: float | None):
 
     Shared by the thread scheduler and the batch engine's workers — the
     deadline semantics must match so a target fails identically under
-    both."""
+    both.
+
+    A timed-out ``fn`` is abandoned on its daemon thread, which may never
+    return; an analysis pauses the cyclic collector until it returns, so
+    the timeout turns the collector back on if it was on at the call."""
     if timeout is None:
         return fn()
+    collector_on = gc.isenabled()
     box: dict = {}
 
     def run() -> None:
@@ -169,6 +175,8 @@ def call_with_timeout(fn, timeout: float | None):
     t.start()
     t.join(timeout)
     if t.is_alive():
+        if collector_on:
+            gc.enable()
         raise JobTimeout(f"analysis exceeded {timeout:g}s deadline")
     if "error" in box:
         raise box["error"]

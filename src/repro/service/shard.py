@@ -22,7 +22,7 @@ process instead of forking, feeding the same coordinator handler:
   a worker that loses the lease race waits for the winner's envelope to
   land instead of re-analysing.
 * **Result-carried observability.**  A :class:`ShardRecord` is the one
-  record of a batch entry: it travels back over the result queue with its
+  record of a batch entry: it travels back over its worker's pipe with its
   wall time, attempt count, steal provenance, per-phase seconds (copied
   from the report's :class:`~repro.obs.phases.PhaseStats`) and counters.
   The CLI's totals, the run ledger and the progress line are derived from
@@ -297,14 +297,15 @@ def _shard_worker(
     retries: int,
     backoff: float,
     timeout: float | None,
-    out_q,
+    out,
     telemetry_dir: str | None = None,
 ) -> None:
     """Analyzer worker: drain the owned shard front-to-back, then steal
     other shards back-to-front.  Every item is gated on the batch-local
     claim, so each batch entry is processed (and reported) exactly once
-    across all workers.  ``out_q`` only needs ``put``: a worker process
-    gets the coordinator's queue, the in-process worker its handler.
+    across all workers.  ``out`` only needs ``send``: a worker process
+    gets the write end of its own pipe, the in-process worker the
+    coordinator's handler.
 
     With ``telemetry_dir`` set, the worker emits fleet telemetry: a
     heartbeat beacon around every item and a full span stream
@@ -371,9 +372,9 @@ def _shard_worker(
             done += 1
             if telemetry is not None:
                 telemetry.heartbeat(status="idle", processed=done)
-            out_q.put(("record", record.to_dict()))
+            out.send(("record", record.to_dict()))
     except BaseException as exc:  # worker must always announce its exit
-        out_q.put(("crash", {"worker": worker_id, "error": repr(exc)}))
+        out.send(("crash", {"worker": worker_id, "error": repr(exc)}))
         raise
     finally:
         if telemetry is not None:
@@ -383,7 +384,7 @@ def _shard_worker(
                 except OSError:
                     pass  # telemetry must never take the batch down
             telemetry.heartbeat(status="exited", processed=done)
-        out_q.put(("exit", {"worker": worker_id, "processed": done}))
+        out.send(("exit", {"worker": worker_id, "processed": done}))
 
 
 def run_sharded_batch(
@@ -458,7 +459,7 @@ def run_sharded_batch(
             retries, backoff, timeout)
     if workers == 1:
         try:
-            _shard_worker(0, *args, SimpleNamespace(put=handle),
+            _shard_worker(0, *args, SimpleNamespace(send=handle),
                           telemetry_dir)
         except Exception:
             # a worker process would die printing this; the crash is
@@ -466,34 +467,39 @@ def run_sharded_batch(
             traceback.print_exc()
     else:
         ctx = multiprocessing.get_context(method)
-        out_q = ctx.SimpleQueue()
-        procs = [
-            ctx.Process(
+        # One pipe per worker, so a worker killed in the middle of a write
+        # tears its own stream and blocks no other worker.  Each write end
+        # is closed here once its worker holds it, before the next worker
+        # forks, so a worker holds the only write end of its pipe and EOF
+        # on the pipe means the worker exited.  A SIGKILLed worker never
+        # runs the ``finally`` that announces its exit: its pipe ends
+        # without an "exit" message, or in a frame torn short.
+        procs = []
+        pipes = []  # read ends
+        for i in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            p = ctx.Process(
                 target=_shard_worker,
-                args=(i, *args, out_q, telemetry_dir),
+                args=(i, *args, writer, telemetry_dir),
                 daemon=True,
             )
-            for i in range(workers)
-        ]
-        for p in procs:
             p.start()
-        # Wake on a message or a worker's death, whichever comes first: a
-        # SIGKILLed worker never runs the ``finally`` that announces its
-        # exit.  A worker's messages are in the pipe before it dies, so
-        # once the queue is drained an unannounced dead worker crashed.
-        # (``SimpleQueue`` offers its read end to ``wait`` only as
-        # ``_reader``.)
-        running = {p.sentinel for p in procs}
+            writer.close()
+            procs.append(p)
+            pipes.append(reader)
         announced: set[int] = set()
-        while running:
-            ready = wait([out_q._reader, *running])
-            while not out_q.empty():
-                message = out_q.get()
+        while pipes:
+            for reader in wait(pipes):
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):  # exited, or died mid-frame
+                    reader.close()
+                    pipes.remove(reader)
+                    continue
                 if message[0] == "exit":
                     announced.add(message[1]["worker"])
                 else:
                     handle(message)
-            running.difference_update(ready)
         # Reap only now: a worker's batch claims stay live while its pid
         # exists, so no other worker re-runs an entry it already reported.
         for i, p in enumerate(procs):

@@ -3,7 +3,9 @@
 The contracts under test: the :class:`ProgramIndex` artifacts equal the
 freshly computed reference relations they replace (report identity is
 pinned by the golden oracle in ``test_golden_reports.py``); the index is
-the only CFG memo, so an analysis pins nothing once it returns; and the
+the only CFG memo, so an analysis pins nothing once it returns; an
+analysis pauses the cyclic collector and leaves it as it found it, which
+costs nothing because an analysis builds no reference cycles; and the
 batch-level worker-sizing knob normalises as documented.
 """
 
@@ -11,21 +13,29 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
+import threading
 import weakref
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.cfg.callgraph import build_callgraph
 from repro.cfg.cfg import cfg_of
+from repro.core import extractocol
 from repro.core.config import AnalysisConfig
 from repro.core.extractocol import Extractocol, _dedupe
-from repro.corpus import build_app, get_spec
+from repro.corpus import app_keys, build_app, get_spec
+from repro.corpus.lineage import build_version
 from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transaction
 from repro.evalx import runner
 from repro.ir.statements import AssignStmt, StmtRef
 from repro.ir.values import InstanceFieldRef, Local, StaticFieldRef, walk_values
 from repro.perf.index import ProgramIndex, compute_reach_masks, field_key
 from repro.perf.parallel import resolve_workers, usable_cpus
+from repro.service.jobs import JobTimeout, call_with_timeout, resolve_target
+from repro.service.store import ResultStore
 from repro.signature.lang import Const
 from repro.slicing.slicer import NetworkSlicer
 from repro.taint.defuse import LazyDefUse, compute_defuse
@@ -167,6 +177,208 @@ def test_analysis_pins_no_method_after_the_apk_is_dropped():
     del apk, method
     gc.collect()
     assert alive() is None
+
+
+# --------------------------------------------------------- collector pause
+def _set_collector(on: bool) -> None:
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_restored():
+    """Put the collector back as the test found it."""
+    was_on = gc.isenabled()
+    yield
+    _set_collector(was_on)
+
+
+@pytest.mark.parametrize("outcome", ["report", "unknown mode", "phase raises"])
+@pytest.mark.parametrize("found_on", [True, False], ids=["on", "off"])
+def test_analyze_leaves_the_collector_as_it_found_it(
+    found_on, outcome, monkeypatch, collector_restored
+):
+    apk = build_app("diode")
+    config = AnalysisConfig()
+    if outcome == "unknown mode":
+        config = AnalysisConfig(mode="targeted")
+    elif outcome == "phase raises":
+        def fail(*args, **kwargs):
+            raise RuntimeError("setup failed")
+
+        monkeypatch.setattr(extractocol, "build_callgraph", fail)
+    _set_collector(found_on)
+    if outcome == "report":
+        assert Extractocol(config).analyze(apk).transactions
+    else:
+        error = ValueError if outcome == "unknown mode" else RuntimeError
+        with pytest.raises(error):
+            Extractocol(config).analyze(apk)
+    assert gc.isenabled() is found_on
+
+
+def test_no_automatic_collection_starts_during_an_analysis(monkeypatch):
+    """With the young threshold at 1, an enabled collector starts a
+    collection on almost every allocation; from the first phase's entry
+    to the last phase's exit, none may start."""
+    apk = build_app("diode")
+    inside: list[bool] = []
+    starts: list[int] = []
+    build, dedupe = extractocol.build_callgraph, extractocol._dedupe
+
+    def first_phase(*args, **kwargs):
+        inside.append(True)
+        return build(*args, **kwargs)
+
+    def last_phase(*args, **kwargs):
+        try:
+            return dedupe(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    def on_collection(phase, info):
+        if phase == "start" and inside:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(extractocol, "build_callgraph", first_phase)
+    monkeypatch.setattr(extractocol, "_dedupe", last_phase)
+    threshold = gc.get_threshold()
+    gc.callbacks.append(on_collection)
+    gc.set_threshold(1)
+    try:
+        assert Extractocol().analyze(apk).transactions
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(on_collection)
+    assert starts == [], f"{len(starts)} collections started mid-analysis"
+
+
+def test_overlapping_analyses_leave_the_collector_on(monkeypatch):
+    """Four threads (more than the cores a CI host has) run two analyses
+    each, every one held at its first phase until all four are inside,
+    with the interpreter switching threads as often as it can.  Each
+    analysis restores only what it found, so whichever order they finish
+    in, the collector ends on."""
+    apks = [build_app(key) for key in ("diode", "ted", "tzm", "wallabag")]
+    all_inside = threading.Barrier(len(apks), timeout=60)
+    build = extractocol.build_callgraph
+
+    def meet(*args, **kwargs):
+        all_inside.wait()
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(extractocol, "build_callgraph", meet)
+    errors: list[BaseException] = []
+
+    def run(apk):
+        try:
+            for _ in range(2):
+                Extractocol().analyze(apk)
+        except BaseException as exc:
+            errors.append(exc)
+
+    assert gc.isenabled()
+    threads = [threading.Thread(target=run, args=(apk,)) for apk in apks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert gc.isenabled()
+
+
+def test_timed_out_analysis_leaves_the_collector_on(monkeypatch):
+    """``call_with_timeout`` abandons an analysis that blocks past the
+    deadline, with the collector still paused by it; the timeout turns
+    the collector back on."""
+    apk = build_app("diode")
+    release, finished = threading.Event(), threading.Event()
+    build = extractocol.build_callgraph
+
+    def blocked(*args, **kwargs):
+        release.wait(60)
+        return build(*args, **kwargs)
+
+    def analyzer():
+        try:
+            return Extractocol().analyze(apk)
+        finally:
+            finished.set()
+
+    monkeypatch.setattr(extractocol, "build_callgraph", blocked)
+    assert gc.isenabled()
+    try:
+        with pytest.raises(JobTimeout):
+            call_with_timeout(analyzer, 0.2)
+        assert gc.isenabled()
+    finally:
+        release.set()
+        # the abandoned analysis restores the collector before it ends
+        assert finished.wait(60)
+    assert gc.isenabled()
+
+
+# ----------------------------------------------------- no reference cycles
+#: apps also run incrementally (cold, then warm), linted and with provenance
+FEW_APPS = ("pinterest", "reddinator", "ted")
+
+
+def test_analyses_build_no_reference_cycles(tmp_path):
+    """The collector pause is free only because an analysis builds no
+    reference cycles: under the pause, a cycle would live until its
+    analysis ends.  After each analysis a full collection must find
+    nothing; each app is built and the heap collected first.  A failure
+    names the types the collection found."""
+
+    def collect_after(label, analyze):
+        gc.collect()
+        report = analyze()
+        # saved, not freed: garbage found before the analysis would come
+        # back as garbage once ``gc.garbage`` lets go of it
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = gc.collect()
+            assert found == 0, (label, found, Counter(
+                type(obj).__name__ for obj in gc.garbage).most_common(10))
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        return report
+
+    store = ResultStore(tmp_path)
+    for key in app_keys():
+        apk, config, _ = resolve_target(key)
+        collect_after(("full", key), lambda: Extractocol(config).analyze(apk))
+    for key in FEW_APPS:
+        apk, config, _ = resolve_target(key)
+        incremental = replace(config, mode="incremental")
+        for leg in ("cold", "warm"):
+            report = collect_after(
+                (leg, key),
+                lambda: Extractocol(incremental, store=store).analyze(apk),
+            )
+        assert report.phase_stats.incremental["reused"] > 0, key
+        for change in ({"lint_level": "record"}, {"record_provenance": True}):
+            collect_after(
+                (change, key),
+                lambda: Extractocol(replace(config, **change)).analyze(apk),
+            )
+    # a renamed re-release compares fingerprints in its base's namespace
+    for label in ("tzm@v1", "tzm@v2"):
+        built = build_version(label)
+        incremental = replace(built.config, mode="incremental")
+        report = collect_after(label, lambda: Extractocol(
+            incremental, store=store
+        ).analyze(built.apk, renames=built.renames_from_base))
+    assert report.phase_stats.incremental["reused"] > 0
 
 
 # --------------------------------------------- call graph reverse adjacency

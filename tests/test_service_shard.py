@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import signal
+import struct
 import threading
 import time
 
@@ -295,38 +296,82 @@ def ted_kills_its_worker(monkeypatch):
     return monkeypatch
 
 
+@pytest.fixture
+def ted_tears_its_record(monkeypatch):
+    """The worker that analysed TED is SIGKILLed halfway through writing
+    TED's record: the frame's length header and half its payload reach
+    the pipe.  The patch sits under ``Connection.send`` and under a shared
+    ``SimpleQueue.put`` alike; the latter holds the queue's write lock
+    around it, so there every other worker blocks on its next ``put``."""
+    if "fork" not in available_start_methods():
+        pytest.skip("fork unavailable")
+    from multiprocessing.connection import Connection
+
+    from repro.core.extractocol import Extractocol
+
+    analyze = Extractocol.analyze
+    send_bytes = Connection._send_bytes
+    test_pid = os.getpid()
+    armed: list[bool] = []  # a forked worker appends to its own copy
+
+    def arm_on_ted(self, apk):
+        if apk.name == "TED" and os.getpid() != test_pid:
+            armed.append(True)
+        return analyze(self, apk)
+
+    def torn(self, buf):
+        if armed:
+            os.write(self.fileno(),
+                     struct.pack("!i", len(buf)) + bytes(buf[:len(buf) // 2]))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return send_bytes(self, buf)
+
+    monkeypatch.setattr(Extractocol, "analyze", arm_on_ted)
+    monkeypatch.setattr(Connection, "_send_bytes", torn)
+    return monkeypatch
+
+
+def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int):
+    """TED's entry fails with its worker's exit code while the other
+    entries finish; with ``patch`` undone, a rerun runs ``reanalyzed``
+    analyses (TED's, or none if TED's envelope landed before its worker
+    died) and leaves a store identical to a clean one."""
+    with deadline(60):
+        records = run_sharded_batch(root / "s", KILL_TARGETS,
+                                    workers=2, start_method="fork")
+    by_target = {r.target: r for r in records}
+    assert by_target["ted"].status == "failed"
+    assert "no result from shard worker (exit code -9)" in (
+        by_target["ted"].error
+    )
+    assert [t for t, r in by_target.items() if r.status == "done"] == [
+        "diode", "tzm", "wallabag"
+    ]
+
+    patch.undo()
+    with deadline(60):
+        rerun = run_sharded_batch(root / "s", KILL_TARGETS, workers=2,
+                                  start_method="fork")
+    assert [r.status for r in rerun] == ["done"] * len(KILL_TARGETS)
+    assert analyses_run(rerun) == reanalyzed
+
+    run_sharded_batch(root / "clean", KILL_TARGETS, workers=1)
+    healed = ResultStore(root / "s")
+    clean = ResultStore(root / "clean")
+    assert healed.entries() == clean.entries()
+    for key in clean.entries():
+        assert canonical_json(healed.load(key)["report"]) == (
+            canonical_json(clean.load(key)["report"])
+        ), key
+    assert not list(healed.leases.glob("*.lease"))
+
+
 class TestKilledWorker:
     def test_entry_fails_and_a_rerun_matches_a_clean_store(
         self, tmp_path, ted_kills_its_worker
     ):
-        with deadline(60):
-            records = run_sharded_batch(tmp_path / "s", KILL_TARGETS,
-                                        workers=2, start_method="fork")
-        by_target = {r.target: r for r in records}
-        assert by_target["ted"].status == "failed"
-        assert "no result from shard worker (exit code -9)" in (
-            by_target["ted"].error
-        )
-        assert [t for t, r in by_target.items() if r.status == "done"] == [
-            "diode", "tzm", "wallabag"
-        ]
-
-        ted_kills_its_worker.undo()
-        with deadline(60):
-            rerun = run_sharded_batch(tmp_path / "s", KILL_TARGETS, workers=2,
-                                      start_method="fork")
-        assert [r.status for r in rerun] == ["done"] * len(KILL_TARGETS)
-        assert analyses_run(rerun) == 1  # TED only
-
-        run_sharded_batch(tmp_path / "clean", KILL_TARGETS, workers=1)
-        healed = ResultStore(tmp_path / "s")
-        clean = ResultStore(tmp_path / "clean")
-        assert healed.entries() == clean.entries()
-        for key in clean.entries():
-            assert canonical_json(healed.load(key)["report"]) == (
-                canonical_json(clean.load(key)["report"])
-            ), key
-        assert not list(healed.leases.glob("*.lease"))
+        assert_ted_lost_then_healed(tmp_path, ted_kills_its_worker,
+                                    reanalyzed=1)
 
     def test_cli_batch_exits_1(self, tmp_path, capsys, ted_kills_its_worker):
         ted_kills_its_worker.setenv("REPRO_START_METHOD", "fork")
@@ -338,6 +383,15 @@ class TestKilledWorker:
         assert data["failed"] == 1
         assert [j["target"] for j in data["jobs"] if j["status"] != "done"] \
             == ["ted"]
+
+
+class TestTornRecordFrame:
+    def test_other_workers_finish_and_a_rerun_matches_a_clean_store(
+        self, tmp_path, ted_tears_its_record
+    ):
+        # the worker stores TED's envelope before it sends the record
+        assert_ted_lost_then_healed(tmp_path, ted_tears_its_record,
+                                    reanalyzed=0)
 
 
 # -------------------------------------------------------------------- leases
