@@ -1,4 +1,4 @@
-"""Graph substrate: basic blocks, CFGs, dominators/loops, call graph, ICFG."""
+"""Graph substrate: basic blocks, CFGs, dominators/loops, call graph."""
 
 from .blocks import BasicBlock, find_leaders, partition_blocks
 from .callgraph import CallGraph, CallSite, build_callgraph
@@ -12,6 +12,5 @@ from .dominators import (
     natural_loops,
     reverse_postorder,
 )
-from .icfg import ICFG
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -526,7 +526,7 @@ def cmd_batch(args) -> int:
         telemetry_dir = run_telemetry_dir(store.root, run_id)
     progress = None
     if args.progress:
-        progress = BatchProgress(len(targets), run_dir=telemetry_dir)
+        progress = BatchProgress(len(targets))
     out_meta: dict = {}
     started_unix = time.time()
     t0 = time.perf_counter()
@@ -547,44 +547,36 @@ def cmd_batch(args) -> int:
     wall = time.perf_counter() - t0
     records = [r.to_dict() for r in shard_records]
 
-    analyses = sum(r["counters"].get("analyses_run", 0) for r in records)
-    failed = [r["target"] for r in records if r["status"] != "done"]
-    hits = sum(1 for r in records if r["cache_hit"])
-
+    # the printed totals and the ledger entry are one derivation
+    workers = out_meta["workers"]
+    run = RunRecord.from_batch(
+        run_id=run_id,
+        label=label,
+        records=records,
+        started_unix=started_unix,
+        wall_s=round(wall, 4),
+        executor="process" if workers > 1 else "serial",
+        workers=workers,
+        telemetry_dir=(
+            str(telemetry_dir) if telemetry_dir is not None else None
+        ),
+        fleet_trace=out_meta.get("fleet_trace"),
+    )
     if not args.no_ledger:
-        workers = out_meta["workers"]
-        ledger = RunLedger(store.root)
-        ledger.append(
-            RunRecord.from_batch(
-                run_id=run_id,
-                label=label,
-                records=records,
-                started_unix=started_unix,
-                wall_s=round(wall, 4),
-                executor="process" if workers > 1 else "serial",
-                workers=workers,
-                work_steals=sum(1 for r in records if r["stolen"]),
-                telemetry_dir=(
-                    str(telemetry_dir) if telemetry_dir is not None else None
-                ),
-                fleet_trace=out_meta.get("fleet_trace"),
-            )
-        )
+        RunLedger(store.root).append(run)
 
     if args.json:
         print(json.dumps({
             "run_id": run_id,
             "jobs": records,
-            "cache_hits": hits,
-            "analyses_run": analyses,
-            "failed": len(failed),
+            "cache_hits": run.cache_hits,
+            "analyses_run": run.analyses_run,
+            "failed": run.failed,
             "store": store.stats(),
-            "telemetry_dir": (
-                str(telemetry_dir) if telemetry_dir is not None else None
-            ),
-            "fleet_trace": out_meta.get("fleet_trace"),
+            "telemetry_dir": run.telemetry_dir,
+            "fleet_trace": run.fleet_trace,
         }, indent=2, sort_keys=True))
-        return 1 if failed else 0
+        return 1 if run.failed else 0
 
     print(f"{'target':16s} {'status':8s} {'cache':6s} {'txns':>5s} {'ms':>8s}")
     for record in records:
@@ -604,13 +596,13 @@ def cmd_batch(args) -> int:
             print(f"  error: {record['error']}")
     print()
     print(
-        f"{len(records)} jobs: {len(records) - len(failed)} done "
-        f"({hits} cached), {len(failed)} failed; "
-        f"analyses run: {analyses}; store: {store.stats()['entries']} entries"
+        f"{run.targets} jobs: {run.done} done ({run.cache_hits} cached), "
+        f"{run.failed} failed; analyses run: {run.analyses_run}; "
+        f"store: {store.stats()['entries']} entries"
     )
     if not args.no_ledger:
         print(f"run {run_id} recorded; inspect with: repro runs show {run_id}")
-    return 1 if failed else 0
+    return 1 if run.failed else 0
 
 
 def cmd_runs(args) -> int:
@@ -931,7 +923,7 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument("--workers", type=int, default=0, metavar="N",
                          help="analyzer workers (0 = one per CPU); one "
                               "runs in-process, more are worker processes "
-                              "that steal work from each other")
+                              "that each take the next target when free")
     p_batch.add_argument("--timeout", type=float, default=None, metavar="SEC",
                          help="per-job analysis deadline")
     p_batch.add_argument("--retries", type=int, default=1, metavar="N",
@@ -940,11 +932,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="machine-readable batch summary")
     p_batch.add_argument("--progress", action="store_true",
                          help="live progress on stderr: throughput, ETA, "
-                              "failures, and straggler flagging from the "
-                              "worker heartbeats")
+                              "failures, and workers whose current target "
+                              "runs far longer than the median")
     p_batch.add_argument("--no-telemetry", action="store_true",
-                         help="skip worker trace streams, heartbeats and "
-                              "the merged fleet trace")
+                         help="skip the worker trace streams and the "
+                              "merged fleet trace")
     p_batch.add_argument("--no-ledger", action="store_true",
                          help="skip the run-ledger entry")
     p_batch.set_defaults(fn=cmd_batch)

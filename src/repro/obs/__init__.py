@@ -28,7 +28,6 @@ from .fleet import (
     family_of,
     host_fingerprint,
     merge_worker_traces,
-    read_heartbeats,
     run_telemetry_dir,
     write_fleet_trace,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "merge_worker_traces",
     "new_run_id",
     "phase_table",
-    "read_heartbeats",
     "render_prometheus",
     "run_telemetry_dir",
     "span_events",

@@ -1,58 +1,48 @@
-"""Fleet telemetry: cross-process trace aggregation, worker heartbeats,
-host fingerprints, and live batch progress.
+"""Fleet telemetry: cross-process trace aggregation, host fingerprints,
+and live batch progress.
 
 The sharded batch engine (:mod:`repro.service.shard`) runs N analyzer
-*processes*; their spans and liveness cannot ride the parent's in-memory
-tracer.  This module defines the on-disk telemetry protocol that bridges
-the process boundary:
+*processes*; their spans cannot ride the parent's in-memory tracer.  This
+module defines the on-disk telemetry protocol that bridges the process
+boundary:
 
 Telemetry directory layout (one per batch run, beside the result store)::
 
     <store root>/telemetry/<run_id>/
         worker-<n>.trace.jsonl    # the worker's span stream (with timings)
-        heartbeat-<n>.json        # atomically-replaced liveness beacon
         fleet.trace.jsonl         # coordinator-merged deterministic trace
 
 **Correlation ids.**  Every worker-emitted ``job:<target>`` span is tagged
-with ``run_id`` / ``worker`` / ``shard`` / ``app_key`` / ``index`` attrs,
-so any span in any stream can be joined back to its batch entry and run
-ledger row.
+with ``run_id`` / ``worker`` / ``app_key`` / ``index`` attrs, so any span
+in any stream can be joined back to its batch entry and run ledger row.
 
 **Deterministic merge.**  :func:`merge_worker_traces` re-roots every
 ``job:*`` subtree under one synthetic ``fleet`` root, ordered by batch
-entry index with run-specific attrs (which worker ran it, whether it was
-stolen, wall seconds) stripped — so the merged trace's span set is a pure
-function of the workload: byte-identical across reruns regardless of
-scheduling, work stealing, or worker count.  Span ids stay content hashes
-of the rewritten paths, exactly as :mod:`repro.obs.export` defines them.
-The run-specific facts remain available in the per-worker streams and the
-run ledger.
-
-Heartbeats are written with the same atomic temp-file + ``os.replace``
-discipline as the result store, so a reader never sees a torn beacon.
+entry index with run-specific attrs (which worker ran it, wall seconds)
+stripped — so the merged trace's span set is a pure function of the
+workload: byte-identical across reruns regardless of scheduling or worker
+count.  Span ids stay content hashes of the rewritten paths, exactly as
+:mod:`repro.obs.export` defines them.  The run-specific facts remain
+available in the per-worker streams and the run ledger.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import re
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from .export import events_to_span, to_jsonl, validate_jsonl
 from .tracer import Span
 
-#: Bump when the heartbeat or merged-trace envelope changes incompatibly.
-TELEMETRY_SCHEMA_VERSION = 1
-
-#: Span attributes that vary across reruns of the same workload (work
-#: stealing makes worker/shard assignment nondeterministic; lease races
-#: decide who takes the cache hit).  Stripped from the merged fleet trace;
-#: preserved in the per-worker streams.
+#: Span attributes that vary across reruns of the same workload (which
+#: worker takes an entry depends on timing; lease races decide who takes
+#: the cache hit; ``shard`` and ``stolen`` appear in streams written before
+#: the batch engine became a single dispatcher).  Stripped from the merged
+#: fleet trace; preserved in the per-worker streams.
 RUN_SPECIFIC_ATTRS = frozenset(
     {"run_id", "worker", "shard", "stolen", "cache_hit", "pid"}
 )
@@ -111,62 +101,17 @@ def run_telemetry_dir(
     return path
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 # ---------------------------------------------------------------- worker side
 class WorkerTelemetry:
-    """One shard worker's telemetry emitter: heartbeat beacon + span
-    stream.  Lives inside the worker process; everything it writes is a
-    plain file another process can read while the worker runs."""
+    """One shard worker's span stream.  Lives inside the worker process;
+    the coordinator reads the stream once the worker has exited."""
 
     def __init__(self, run_dir: str | os.PathLike, worker_id: int,
                  run_id: str) -> None:
         self.run_dir = Path(run_dir)
         self.worker_id = worker_id
         self.run_id = run_id
-        self.heartbeat_path = self.run_dir / f"heartbeat-{worker_id}.json"
         self.trace_path = self.run_dir / f"worker-{worker_id}.trace.jsonl"
-
-    def heartbeat(
-        self,
-        *,
-        status: str,
-        in_flight: str | None = None,
-        processed: int = 0,
-    ) -> None:
-        """Atomically replace this worker's liveness beacon.  ``status``
-        is ``running`` (with the in-flight app key) / ``idle`` /
-        ``exited``; ``updated_unix`` doubles as the in-flight item's start
-        time, which is how the progress renderer flags stragglers."""
-        _atomic_write(
-            self.heartbeat_path,
-            json.dumps(
-                {
-                    "schema": TELEMETRY_SCHEMA_VERSION,
-                    "run_id": self.run_id,
-                    "worker": self.worker_id,
-                    "pid": os.getpid(),
-                    "status": status,
-                    "in_flight": in_flight,
-                    "processed": processed,
-                    "updated_unix": time.time(),
-                },
-                sort_keys=True,
-            ),
-        )
 
     def write_trace(self, root_span) -> Path:
         """Persist the worker's span tree as JSONL (timings included —
@@ -174,22 +119,6 @@ class WorkerTelemetry:
         *merged* trace's contract)."""
         self.trace_path.write_text(to_jsonl(root_span, timings=True))
         return self.trace_path
-
-
-# ----------------------------------------------------------- heartbeat reads
-def read_heartbeats(run_dir: str | os.PathLike) -> list[dict]:
-    """All worker heartbeats in a telemetry directory, sorted by worker.
-    Torn/corrupt beacons are skipped (the next atomic replace heals them)."""
-    out: list[dict] = []
-    for path in sorted(Path(run_dir).glob("heartbeat-*.json")):
-        try:
-            beat = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(beat, dict) and "worker" in beat:
-            out.append(beat)
-    out.sort(key=lambda b: b.get("worker", 0))
-    return out
 
 
 # ------------------------------------------------------------- trace merging
@@ -208,7 +137,7 @@ def merge_worker_traces(run_dir: str | os.PathLike) -> str:
     tree is written by :func:`~repro.obs.export.to_jsonl` without wall
     seconds, so span ids are hashes of the rewritten paths.  The resulting
     span set is the union of the per-worker job subtrees and does not
-    depend on which worker analysed (or stole) which entry.
+    depend on which worker analysed which entry.
     """
     jobs: list[Span] = []
     for path in sorted(Path(run_dir).glob("worker-*.trace.jsonl")):
@@ -242,11 +171,11 @@ def write_fleet_trace(run_dir: str | os.PathLike) -> Path:
 class BatchProgress:
     """Live progress renderer for ``repro batch --progress``.
 
-    Called once per completed batch entry (the sharded engine's result
-    loop); prints throughput, ETA and failures at most every
-    ``interval`` seconds, and flags stragglers — workers whose in-flight
-    app has been running much longer than the median completed latency —
-    from the heartbeat beacons in ``run_dir``.
+    Called once per completed batch entry by the batch coordinator; prints
+    throughput, ETA and failures at most every ``interval`` seconds, and
+    flags stragglers — workers whose in-flight entry has been running much
+    longer than the median completed latency — from the coordinator's own
+    map of which entry each worker holds and since when.
     """
 
     def __init__(
@@ -254,13 +183,11 @@ class BatchProgress:
         total: int,
         *,
         stream=None,
-        run_dir: str | os.PathLike | None = None,
         interval: float = 0.5,
         straggler_factor: float = 8.0,
     ) -> None:
         self.total = total
         self.stream = stream if stream is not None else sys.stderr
-        self.run_dir = Path(run_dir) if run_dir is not None else None
         self.interval = interval
         self.straggler_factor = straggler_factor
         self.started = time.monotonic()
@@ -268,12 +195,17 @@ class BatchProgress:
         self.failed = 0
         self.cache_hits = 0
         self.latencies: list[float] = []
+        #: worker -> (target, monotonic start) of the entry it holds
+        self.in_flight: dict[int, tuple[str, float]] = {}
         self._last_print = 0.0
 
-    def __call__(self, record, done: int, total: int) -> None:
-        """Count one completed :class:`~repro.service.shard.ShardRecord`."""
+    def __call__(self, record, done: int, total: int,
+                 in_flight: dict | None = None) -> None:
+        """Count one completed :class:`~repro.service.shard.ShardRecord`;
+        ``in_flight`` is the coordinator's map of the entries still held."""
         self.done = done
         self.total = total
+        self.in_flight = in_flight or {}
         if record.status != "done":
             self.failed += 1
         if record.cache_hit:
@@ -313,23 +245,21 @@ class BatchProgress:
         return " ".join(parts)
 
     def stragglers(self, *, now: float | None = None) -> list[dict]:
-        """Workers whose in-flight item has exceeded ``straggler_factor``
+        """Workers whose in-flight entry has exceeded ``straggler_factor``
         × the median completed latency (min 1s)."""
-        if self.run_dir is None or not self.latencies:
+        if not self.latencies:
             return []
         ordered = sorted(self.latencies)
         threshold = max(1.0, self.straggler_factor * percentile(ordered, 0.5))
-        now = time.time() if now is None else now
+        now = time.monotonic() if now is None else now
         out = []
-        for beat in read_heartbeats(self.run_dir):
-            if beat.get("status") != "running" or not beat.get("in_flight"):
-                continue
-            in_flight_s = now - float(beat.get("updated_unix", now))
+        for worker, (target, since) in sorted(self.in_flight.items()):
+            in_flight_s = now - since
             if in_flight_s > threshold:
                 out.append(
                     {
-                        "worker": beat["worker"],
-                        "in_flight": beat["in_flight"],
+                        "worker": worker,
+                        "in_flight": target,
                         "in_flight_s": round(in_flight_s, 3),
                     }
                 )
@@ -339,14 +269,12 @@ class BatchProgress:
 __all__ = [
     "BatchProgress",
     "RUN_SPECIFIC_ATTRS",
-    "TELEMETRY_SCHEMA_VERSION",
     "WorkerTelemetry",
     "family_of",
     "fleet_trace_path",
     "host_fingerprint",
     "merge_worker_traces",
     "percentile",
-    "read_heartbeats",
     "run_telemetry_dir",
     "telemetry_root",
     "write_fleet_trace",

@@ -15,7 +15,7 @@ should degrade gracefully.  Unparseable lines are likewise skipped.
 A record captures everything needed to answer "what did this run do and
 how fast" without re-running it: the workload (corpus spec / target
 label), the execution shape (executor, workers, host fingerprint),
-outcome tallies (done / failed / cache hits / steals), per-app and
+outcome tallies (done / failed / cache hits / analyses run), per-app and
 per-phase latency histograms, structured failure details, and pointers
 into the run's telemetry directory.
 """
@@ -59,7 +59,6 @@ class RunRecord:
     failed: int = 0
     cache_hits: int = 0
     analyses_run: int = 0
-    work_steals: int = 0
     apps_per_sec: float = 0.0
     p50_s: float = 0.0
     p99_s: float = 0.0
@@ -89,7 +88,6 @@ class RunRecord:
             "failed": self.failed,
             "cache_hits": self.cache_hits,
             "analyses_run": self.analyses_run,
-            "work_steals": self.work_steals,
             "apps_per_sec": self.apps_per_sec,
             "p50_s": self.p50_s,
             "p99_s": self.p99_s,
@@ -113,14 +111,15 @@ class RunRecord:
         wall_s: float,
         executor: str = "process",
         workers: int = 0,
-        work_steals: int = 0,
         config_overrides: dict | None = None,
         telemetry_dir: str | None = None,
         fleet_trace: str | None = None,
     ) -> "RunRecord":
         """Aggregate a batch's per-entry records (``ShardRecord.to_dict()``
         forms) into one ledger entry, including exact nearest-rank latency
-        percentiles and per-phase histogram summaries."""
+        percentiles and per-phase histogram summaries.  ``analyses_run``
+        sums the records' ``counters``, so an entry whose analysis re-ran
+        (a failed ``put`` is retried) counts every run."""
         app_hist = Histogram()
         phase_hists: dict[str, Histogram] = {}
         latencies: list[float] = []
@@ -143,8 +142,9 @@ class RunRecord:
                 )
             if record.get("cache_hit"):
                 cache_hits += 1
-            elif status == "done":
-                analyses_run += 1
+            analyses_run += (record.get("counters") or {}).get(
+                "analyses_run", 0
+            )
             seconds = record.get("seconds") or 0.0
             if seconds:
                 latencies.append(float(seconds))
@@ -167,7 +167,6 @@ class RunRecord:
             failed=failed,
             cache_hits=cache_hits,
             analyses_run=analyses_run,
-            work_steals=work_steals,
             apps_per_sec=(len(records) / wall_s) if wall_s > 0 else 0.0,
             p50_s=percentile(latencies, 0.50),
             p99_s=percentile(latencies, 0.99),
@@ -285,8 +284,7 @@ def render_run(record: dict) -> str:
         f"targets   {record.get('targets')}  done={record.get('done')}"
         f"  failed={record.get('failed')}"
         f"  cache_hits={record.get('cache_hits')}"
-        f"  analyses_run={record.get('analyses_run')}"
-        f"  steals={record.get('work_steals')}",
+        f"  analyses_run={record.get('analyses_run')}",
         f"latency   p50={record.get('p50_s', 0.0):.4f}s"
         f"  p99={record.get('p99_s', 0.0):.4f}s",
     ]

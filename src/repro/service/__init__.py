@@ -13,9 +13,10 @@ One analysis is a pure function of ``(APK, config)``; this package makes
     retry with backoff and graceful drain.
 
 :mod:`repro.service.shard`
-    The batch engine: work-stealing analyzer workers over one shared
-    store, coordinated by lease files — in-process at one worker, worker
-    processes above that.
+    The batch engine: a coordinator hands each analyzer worker its next
+    entry over the worker's own pipe, and result-key leases dedup
+    analyses across processes sharing the store — in-process at one
+    worker, worker processes above that.
 
 :mod:`repro.service.api`
     Stdlib HTTP JSON API (``repro serve``) exposing submit/status/report/
@@ -23,7 +24,7 @@ One analysis is a pure function of ``(APK, config)``; this package makes
 
 ``repro batch`` (CLI) drives the batch engine directly, no HTTP involved.
 
-Fleet telemetry (worker trace streams, heartbeats, the run ledger) lives
+Fleet telemetry (worker trace streams, the run ledger) lives
 in :mod:`repro.obs.fleet` / :mod:`repro.obs.ledger`; the batch engine and
 the daemon write it, ``repro runs`` / ``repro batch --progress`` /
 ``GET /status`` read it.  The daemon's :class:`MetricsRegistry` lives in

@@ -1,32 +1,30 @@
-"""The batch engine: work-stealing analyzer workers over one shared
-result store.
+"""The batch engine: one coordinator dispatching entries to analyzer
+workers over one shared result store.
 
 Analyses are pure-Python CPU work, so threads top out at the GIL.
-:func:`run_sharded_batch` therefore shards a batch across ``N`` analyzer
-*processes*; at one worker it runs that worker's loop in the calling
-process instead of forking, feeding the same coordinator handler:
+:func:`run_sharded_batch` therefore spreads a batch over ``N`` analyzer
+*processes*; at one worker it runs the same per-entry function over the
+targets in order in the calling process instead of forking:
 
-* **Static shards, dynamic stealing.**  Worker ``i`` owns the round-robin
-  shard ``targets[i::N]`` as a deque: it pops its own work from the front,
-  and once drained walks the other shards *from the back* (the classic
-  work-stealing order — stealers and owners collide as late as possible).
-  No shared queue process: coordination happens through atomic claim files
-  in the store, so a worker that finishes early drains the stragglers'
-  tails instead of idling.
-* **Two-level claims.**  A batch-local *claim* (``batch-<id>-<index>``)
-  makes exactly one worker responsible for a target before any expensive
-  resolution happens, and guarantees exactly one result record per batch
-  entry.  After resolution, the store-wide *lease* on the result key
-  (:meth:`~repro.service.store.ResultStore.claim`) dedups in-flight
-  analyses across *independent* processes and daemons sharing the store:
-  a worker that loses the lease race waits for the winner's envelope to
-  land instead of re-analysing.
+* **One dispatcher.**  The coordinator hands each worker one entry index
+  at a time over that worker's own duplex pipe; the worker sends back the
+  entry's :class:`ShardRecord` and gets the next index, or ``None`` to
+  stop.  Entries go out in input order to whichever worker is free, so a
+  fast worker takes more of them, and the coordinator always knows which
+  entry each worker holds and since when.  A worker that dies (EOF or a
+  torn frame on its pipe) fails exactly the entry it held, with its own
+  exit code; the entries nobody started go to the live workers.
+* **The result-key lease.**  After resolution, the store-wide *lease* on
+  the result key (:meth:`~repro.service.store.ResultStore.claim`) dedups
+  in-flight analyses across *independent* processes and daemons sharing
+  the store: a worker that loses the lease race waits for the winner's
+  envelope to land instead of re-analysing.
 * **Result-carried observability.**  A :class:`ShardRecord` is the one
   record of a batch entry: it travels back over its worker's pipe with its
-  wall time, attempt count, steal provenance, per-phase seconds (copied
-  from the report's :class:`~repro.obs.phases.PhaseStats`) and counters.
-  The CLI's totals, the run ledger and the progress line are derived from
-  the records; each worker's span stream is written beside them.
+  wall time, attempt count, per-phase seconds (copied from the report's
+  :class:`~repro.obs.phases.PhaseStats`) and counters.  The CLI's totals,
+  the run ledger and the progress line are derived from the records; each
+  worker's span stream is written beside them.
 
 Reports written by sharded workers are byte-identical to in-process
 output: the store writes canonical JSON, and
@@ -43,9 +41,9 @@ import traceback
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import util
 from multiprocessing.connection import wait
 from pathlib import Path
-from types import SimpleNamespace
 
 #: Start methods this module knows how to drive, in preference order.
 START_METHODS = ("fork", "spawn")
@@ -97,18 +95,21 @@ def expand_batch_targets(targets: list[str]) -> list[str]:
     return targets
 
 
+class LeaseWaitTimeout(TimeoutError):
+    """Another process held the entry's result-key lease for longer than
+    :data:`LEASE_WAIT_SECONDS` without storing a result."""
+
+
 @dataclass
 class ShardRecord:
-    """One batch entry's outcome, as reported by the worker that owned it."""
+    """One batch entry's outcome, as reported by the worker that ran it."""
 
     index: int
     target: str
-    shard: int
-    #: which worker actually ran it (!= shard when the item was stolen)
+    #: the worker that held the entry (-1 when no worker started it)
     worker: int
     status: str = "done"  # done | failed
     cache_hit: bool = False
-    stolen: bool = False
     label: str = ""
     result_key: str | None = None
     attempts: int = 0
@@ -139,11 +140,9 @@ class ShardRecord:
         return {
             "index": self.index,
             "target": self.target,
-            "shard": self.shard,
             "worker": self.worker,
             "status": self.status,
             "cache_hit": self.cache_hit,
-            "stolen": self.stolen,
             "label": self.label,
             "result_key": self.result_key,
             "attempts": self.attempts,
@@ -155,11 +154,6 @@ class ShardRecord:
             "phase_seconds": self.phase_seconds,
             "counters": self.counters,
         }
-
-
-def shard_of(targets: list, shard: int, workers: int) -> list[tuple[int, object]]:
-    """Round-robin shard ``shard`` of ``targets`` with original indices."""
-    return [(i, t) for i, t in enumerate(targets) if i % workers == shard]
 
 
 def _analyze_once(apk, config, timeout: float | None, tracer=None):
@@ -182,13 +176,12 @@ def _process_item(
     overrides: dict | None,
     *,
     worker_id: int,
-    shard: int,
     retries: int,
     backoff: float,
     timeout: float | None,
     span=None,
 ) -> ShardRecord:
-    """Resolve, dedup and (if needed) analyse one claimed batch entry.
+    """Resolve, dedup and (if needed) analyse one batch entry.
     When ``span`` is given the analysis trace nests under it (see
     :class:`~repro.obs.tracer.SpanTracer`)."""
     from ..obs.tracer import SpanTracer
@@ -196,13 +189,7 @@ def _process_item(
     from .store import result_key
 
     tracer = SpanTracer(span) if span is not None and span else None
-    record = ShardRecord(
-        index=index,
-        target=target,
-        shard=shard,
-        worker=worker_id,
-        stolen=(shard != worker_id),
-    )
+    record = ShardRecord(index=index, target=target, worker=worker_id)
     try:
         apk, config, label = resolve_target(target, overrides)
     except Exception as exc:
@@ -237,13 +224,10 @@ def _process_item(
                 break  # holder vanished without a result — take over
             time.sleep(_LEASE_POLL)
         else:
-            record.status = "failed"
-            record.error_type = "LeaseWaitTimeout"
-            record.error_message = (
+            record.fail(LeaseWaitTimeout(
                 f"timed out waiting for in-flight analysis of {key} "
                 f"(lease holder: {store.lease_holder(key)})"
-            )
-            record.error = record.error_message
+            ))
             record.seconds = time.monotonic() - started
             return record
 
@@ -287,104 +271,94 @@ def _process_item(
         store.release(key)
 
 
-def _shard_worker(
-    worker_id: int,
-    workers: int,
-    targets: list[str],
-    store_root: str,
-    overrides: dict | None,
-    batch_id: str,
-    retries: int,
-    backoff: float,
-    timeout: float | None,
-    out,
-    telemetry_dir: str | None = None,
-) -> None:
-    """Analyzer worker: drain the owned shard front-to-back, then steal
-    other shards back-to-front.  Every item is gated on the batch-local
-    claim, so each batch entry is processed (and reported) exactly once
-    across all workers.  ``out`` only needs ``send``: a worker process
-    gets the write end of its own pipe, the in-process worker the
-    coordinator's handler.
+class _Worker:
+    """One analyzer's state across the entries it runs: a store handle and,
+    with telemetry on, the span tree its ``job:<target>`` spans join."""
 
-    With ``telemetry_dir`` set, the worker emits fleet telemetry: a
-    heartbeat beacon around every item and a full span stream
-    (``worker-<n>.trace.jsonl``) where each processed entry is a
-    ``job:<target>`` span — tagged with run/worker/shard correlation
-    ids — under which the whole analysis trace nests.
-    """
-    from .store import ResultStore
+    def __init__(
+        self,
+        worker_id: int,
+        targets: list[str],
+        store_root: str,
+        overrides: dict | None,
+        batch_id: str,
+        retries: int,
+        backoff: float,
+        timeout: float | None,
+        telemetry_dir: str | None,
+    ) -> None:
+        from .store import ResultStore
 
-    telemetry = None
-    root_span = None
-    if telemetry_dir is not None:
-        from ..obs.fleet import WorkerTelemetry
-        from ..obs.tracer import Span
+        self.worker_id = worker_id
+        self.targets = targets
+        self.store = ResultStore(store_root)
+        self.overrides = overrides
+        self.batch_id = batch_id
+        self.retries = retries
+        self.backoff = backoff
+        self.timeout = timeout
+        self.telemetry = self.root_span = None
+        if telemetry_dir is not None:
+            from ..obs.fleet import WorkerTelemetry
+            from ..obs.tracer import Span
 
-        telemetry = WorkerTelemetry(telemetry_dir, worker_id, batch_id)
-        root_span = Span(f"worker-{worker_id}")
-        root_span.set("run_id", batch_id)
-        root_span.set("worker", worker_id)
+            self.telemetry = WorkerTelemetry(telemetry_dir, worker_id,
+                                             batch_id)
+            self.root_span = Span(f"worker-{worker_id}")
+            self.root_span.set("run_id", batch_id)
+            self.root_span.set("worker", worker_id)
 
-    store = ResultStore(store_root)
-    own: deque = deque(shard_of(targets, worker_id, workers))
-    steal_order: list[tuple[int, object]] = []
-    for victim in range(1, workers):
-        other = shard_of(targets, (worker_id + victim) % workers, workers)
-        steal_order.extend(reversed(other))
-    work = list(own) + steal_order
-    done = 0
+    def run(self, index: int) -> ShardRecord:
+        """Run entry ``index``; with telemetry on it becomes a ``job:<target>``
+        span, tagged with run/worker correlation ids, under which the whole
+        analysis trace nests."""
+        target = self.targets[index]
+        job_span = None
+        if self.root_span is not None:
+            job_span = self.root_span.child(f"job:{target}")
+            job_span.set("index", index)
+            job_span.set("app_key", str(target))
+            job_span.set("run_id", self.batch_id)
+            job_span.set("worker", self.worker_id)
+        record = _process_item(
+            self.store,
+            index,
+            target,
+            self.overrides,
+            worker_id=self.worker_id,
+            retries=self.retries,
+            backoff=self.backoff,
+            timeout=self.timeout,
+            span=job_span,
+        )
+        if job_span is not None:
+            job_span.seconds = record.seconds
+            job_span.set("status", record.status)
+            job_span.set("cache_hit", record.cache_hit)
+            for name, amount in record.counters.items():
+                job_span.count(name, amount)
+        return record
+
+    def close(self) -> None:
+        """Write the worker's span stream, if it keeps one."""
+        if self.telemetry is not None:
+            try:
+                self.telemetry.write_trace(self.root_span)
+            except OSError:
+                pass  # telemetry must never take the batch down
+
+
+def _shard_worker(worker_id: int, conn, *args) -> None:
+    """Analyzer worker process: receive an entry index over ``conn``, send
+    back its record, and repeat until the coordinator sends ``None``."""
+    worker = _Worker(worker_id, *args)
     try:
-        for index, target in work:
-            if not store.claim(f"batch-{batch_id}-{index}", owner=f"w{worker_id}"):
-                continue  # another worker owns this entry
-            job_span = None
-            if root_span is not None:
-                job_span = root_span.child(f"job:{target}")
-                job_span.set("index", index)
-                job_span.set("app_key", str(target))
-                job_span.set("run_id", batch_id)
-                job_span.set("worker", worker_id)
-                job_span.set("shard", index % workers)
-            if telemetry is not None:
-                telemetry.heartbeat(
-                    status="running", in_flight=str(target), processed=done
-                )
-            record = _process_item(
-                store,
-                index,
-                target,
-                overrides,
-                worker_id=worker_id,
-                shard=index % workers,
-                retries=retries,
-                backoff=backoff,
-                timeout=timeout,
-                span=job_span,
-            )
-            if job_span is not None:
-                job_span.seconds = record.seconds
-                job_span.set("status", record.status)
-                job_span.set("stolen", record.stolen)
-                job_span.set("cache_hit", record.cache_hit)
-                for name, amount in record.counters.items():
-                    job_span.count(name, amount)
-            done += 1
-            if telemetry is not None:
-                telemetry.heartbeat(status="idle", processed=done)
-            out.send(("record", record.to_dict()))
-    except BaseException as exc:  # worker must always announce its exit
-        out.send(("crash", {"worker": worker_id, "error": repr(exc)}))
-        raise
+        while (index := conn.recv()) is not None:
+            conn.send(worker.run(index).to_dict())
+    except (EOFError, ConnectionError):
+        pass  # the coordinator is gone; nobody is left to report to
     finally:
-        if telemetry is not None:
-            if root_span is not None:
-                try:
-                    telemetry.write_trace(root_span)
-                except OSError:
-                    pass  # telemetry must never take the batch down
-            telemetry.heartbeat(status="exited", processed=done)
-        out.send(("exit", {"worker": worker_id, "processed": done}))
+        worker.close()
 
 
 def run_sharded_batch(
@@ -406,20 +380,21 @@ def run_sharded_batch(
     :class:`ShardRecord` per target, in input order.
 
     The worker count is clamped to the number of targets.  At one worker
-    the worker loop runs in this process (no fork, and
-    ``REPRO_START_METHOD`` is not read); otherwise each worker is a
-    process started with ``start_method`` (default
-    :func:`default_start_method`), and a start method that names nothing
-    usable raises :class:`ValueError` before any worker starts.
+    the entries run in this process (no fork, and ``REPRO_START_METHOD``
+    is not read); otherwise each worker is a process started with
+    ``start_method`` (default :func:`default_start_method`), and a start
+    method that names nothing usable raises :class:`ValueError` before any
+    worker starts.
 
-    Fleet telemetry: pass ``run_id`` (also used as the batch claim id) and
-    ``telemetry_dir`` to make each worker write heartbeats plus a span
-    stream there; after the batch the coordinator merges the streams into
-    a deterministic ``fleet.trace.jsonl``.  ``progress`` is called as
-    ``progress(record, done, total)`` per completed entry (live, in
-    completion order).  ``out_meta``, when given, is filled with the run's
-    side facts (run_id, effective worker count, telemetry/fleet-trace
-    paths).
+    Fleet telemetry: pass ``run_id`` and ``telemetry_dir`` to make each
+    worker write a span stream there; after the batch the coordinator
+    merges the streams into a deterministic ``fleet.trace.jsonl``.
+    ``progress`` is called as ``progress(record, done, total, in_flight)``
+    per completed entry (live, in completion order), where ``in_flight``
+    maps each worker still holding an entry to ``(target, since)``, a
+    :func:`time.monotonic` start.  ``out_meta``, when given, is filled
+    with the run's side facts (run_id, effective worker count,
+    telemetry/fleet-trace paths).
     """
     from .store import ResultStore
 
@@ -443,76 +418,88 @@ def run_sharded_batch(
         os.makedirs(telemetry_dir, exist_ok=True)
 
     records: dict[int, ShardRecord] = {}
-    crashes: list[dict] = []
+    held: dict[int, tuple[int, float]] = {}  # worker -> (entry, since)
 
-    def handle(message: tuple) -> None:
-        kind, payload = message
-        if kind == "crash":
-            crashes.append(payload)
-        elif kind == "record":
-            record = ShardRecord(**payload)
-            records[record.index] = record
-            if progress is not None:
-                progress(record, len(records), len(targets))
+    def handle(record: ShardRecord) -> None:
+        records[record.index] = record
+        if progress is not None:
+            in_flight = {w: (targets[i], since)
+                         for w, (i, since) in held.items()}
+            progress(record, len(records), len(targets), in_flight)
 
-    args = (workers, list(targets), str(store_root), overrides, batch_id,
-            retries, backoff, timeout)
+    def lose(index: int, worker: int, reason: str) -> None:
+        handle(ShardRecord(index=index, target=targets[index], worker=worker,
+                           status="failed", label=targets[index],
+                           error=f"no result from shard worker ({reason})"))
+
+    args = (list(targets), str(store_root), overrides, batch_id, retries,
+            backoff, timeout, telemetry_dir)
     if workers == 1:
+        worker = _Worker(0, *args)
         try:
-            _shard_worker(0, *args, SimpleNamespace(send=handle),
-                          telemetry_dir)
-        except Exception:
-            # a worker process would die printing this; the crash is
-            # announced, so its unreported entries fail below
-            traceback.print_exc()
+            for index in range(len(targets)):
+                try:
+                    record = worker.run(index)
+                except Exception as exc:
+                    # a worker process would die printing this, losing the
+                    # entry it held and leaving the rest to nobody
+                    traceback.print_exc()
+                    lose(index, 0, repr(exc))
+                    break
+                handle(record)
+        finally:
+            worker.close()
     else:
         ctx = multiprocessing.get_context(method)
-        # One pipe per worker, so a worker killed in the middle of a write
-        # tears its own stream and blocks no other worker.  Each write end
-        # is closed here once its worker holds it, before the next worker
-        # forks, so a worker holds the only write end of its pipe and EOF
-        # on the pipe means the worker exited.  A SIGKILLed worker never
-        # runs the ``finally`` that announces its exit: its pipe ends
-        # without an "exit" message, or in a frame torn short.
-        procs = []
-        pipes = []  # read ends
-        for i in range(workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            p = ctx.Process(
-                target=_shard_worker,
-                args=(i, *args, writer, telemetry_dir),
-                daemon=True,
-            )
-            p.start()
-            writer.close()
-            procs.append(p)
-            pipes.append(reader)
-        announced: set[int] = set()
-        while pipes:
-            for reader in wait(pipes):
-                try:
-                    message = reader.recv()
-                except (EOFError, OSError):  # exited, or died mid-frame
-                    reader.close()
-                    pipes.remove(reader)
-                    continue
-                if message[0] == "exit":
-                    announced.add(message[1]["worker"])
-                else:
-                    handle(message)
-        # Reap only now: a worker's batch claims stay live while its pid
-        # exists, so no other worker re-runs an entry it already reported.
-        for i, p in enumerate(procs):
-            p.join()
-            if i not in announced:
-                crashes.append(
-                    {"worker": i, "error": f"exit code {p.exitcode}"}
-                )
+        pending = deque(range(len(targets)))  # entries nobody started
+        procs = {}  # the coordinator's end of each pipe -> (worker, process)
 
-    store = ResultStore(store_root)
+        def dispatch(conn, worker: int) -> None:
+            """Hand ``worker`` the next entry nobody started, or ``None``."""
+            index = pending.popleft() if pending else None
+            try:
+                conn.send(index)
+            except OSError:  # it died after its last record
+                if index is not None:
+                    pending.appendleft(index)
+                return
+            if index is not None:
+                held[worker] = (index, time.monotonic())
+
+        for i in range(workers):
+            conn, child = ctx.Pipe()
+            # Every worker forked from here on inherits this end and closes
+            # its copy; otherwise this worker would never read EOF once the
+            # coordinator is gone.
+            util.register_after_fork(conn, type(conn).close)
+            p = ctx.Process(target=_shard_worker, args=(i, child, *args),
+                            daemon=True)
+            p.start()
+            # Closed before the next worker forks, so this worker holds the
+            # only copy of its end: EOF on ``conn`` means it exited.
+            child.close()
+            procs[conn] = (i, p)
+            dispatch(conn, i)
+        while procs:
+            for conn in wait(list(procs)):
+                worker, p = procs[conn]
+                try:
+                    payload = conn.recv()
+                except (EOFError, OSError):  # exited, or died mid-frame
+                    conn.close()
+                    del procs[conn]
+                    p.join()
+                    if worker in held:
+                        index, _since = held.pop(worker)
+                        lose(index, worker, f"exit code {p.exitcode}")
+                    continue
+                del held[worker]
+                handle(ShardRecord(**payload))
+                dispatch(conn, worker)
     for index in range(len(targets)):
-        store.release(f"batch-{batch_id}-{index}")
-    store.reap_lease_temps()
+        if index not in records:
+            lose(index, -1, "every worker exited before it started")
+    ResultStore(store_root).reap_lease_temps()
 
     fleet_trace = None
     if telemetry_dir is not None:
@@ -527,29 +514,13 @@ def run_sharded_batch(
         out_meta["workers"] = workers
         out_meta["telemetry_dir"] = telemetry_dir
         out_meta["fleet_trace"] = fleet_trace
-
-    out: list[ShardRecord] = []
-    for index, target in enumerate(targets):
-        record = records.get(index)
-        if record is None:  # owning worker crashed before reporting
-            crash = crashes[0]["error"] if crashes else "worker exited early"
-            record = ShardRecord(
-                index=index,
-                target=target,
-                shard=index % workers,
-                worker=-1,
-                status="failed",
-                label=target,
-                error=f"no result from shard worker ({crash})",
-            )
-        out.append(record)
-    return out
+    return [records[index] for index in range(len(targets))]
 
 
 __all__ = [
     "LEASE_WAIT_SECONDS",
+    "LeaseWaitTimeout",
     "ShardRecord",
     "expand_batch_targets",
     "run_sharded_batch",
-    "shard_of",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.cfg import (
-    ICFG,
     build_callgraph,
     cfg_of,
     dominates,
@@ -58,16 +57,13 @@ class TestCFG:
                 assert src in cfg.stmt_pred[d]
 
     def test_cfg_cache(self, branchy_program):
-        """The per-analysis ProgramIndex and each ICFG memoize CFGs;
-        ``cfg_of`` itself builds afresh, so no process-wide table pins
-        method bodies."""
+        """The per-analysis ProgramIndex memoizes CFGs; ``cfg_of`` itself
+        builds afresh, so no process-wide table pins method bodies."""
         from repro.perf.index import ProgramIndex
 
         method = _run_method(branchy_program)
         index = ProgramIndex(branchy_program)
         assert index.cfg_of(method) is index.cfg_of(method)
-        icfg = ICFG(branchy_program)
-        assert icfg.cfg(method) is icfg.cfg(method.method_id)
         assert cfg_of(method) is not cfg_of(method)
 
 
@@ -161,21 +157,3 @@ class TestCallGraph:
         cg.add_implicit_edge(site, sink.method_id, "test")
         assert sink.method_id in cg.callees_of(site)
         assert site in cg.callers_of(sink.method_id)
-
-
-class TestICFG:
-    def test_navigation(self, branchy_program):
-        icfg = ICFG(branchy_program)
-        run = _run_method(branchy_program)
-        entry = icfg.entry_ref(run)
-        assert icfg.stmt_of(entry) is run.body.statements[0]
-        succs = icfg.succ_refs(entry)
-        assert succs and all(r.method_id == run.method_id for r in succs)
-        # predecessor of successor includes entry
-        assert entry in icfg.pred_refs(succs[0])
-
-    def test_return_refs(self, branchy_program):
-        icfg = ICFG(branchy_program)
-        run = _run_method(branchy_program)
-        rets = icfg.return_refs(run)
-        assert len(rets) >= 1

@@ -1,12 +1,11 @@
-"""Fleet telemetry tests: heartbeats, cross-process trace aggregation
-(determinism, span-set equality with the per-worker streams), host
-fingerprints, live progress, and the shard engine's telemetry wiring."""
+"""Fleet telemetry tests: cross-process trace aggregation (determinism,
+span-set equality with the per-worker streams), host fingerprints, live
+progress, and the shard engine's telemetry wiring."""
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import time
 
 import pytest
@@ -19,7 +18,6 @@ from repro.obs.fleet import (
     host_fingerprint,
     merge_worker_traces,
     percentile,
-    read_heartbeats,
     run_telemetry_dir,
 )
 from repro.obs.tracer import Span
@@ -49,28 +47,6 @@ class TestHostFingerprint:
         assert percentile(values, 1.0) == 4.0
         assert percentile(values, 0.5) == 3.0  # round(0.5*3)=2
         assert percentile([], 0.5) == 0.0
-
-
-# -------------------------------------------------------------- heartbeats
-class TestHeartbeats:
-    def test_write_read_roundtrip(self, tmp_path):
-        telemetry = WorkerTelemetry(tmp_path, 3, "run-x")
-        telemetry.heartbeat(status="running", in_flight="ted", processed=2)
-        beats = read_heartbeats(tmp_path)
-        assert len(beats) == 1
-        beat = beats[0]
-        assert beat["worker"] == 3
-        assert beat["run_id"] == "run-x"
-        assert beat["status"] == "running"
-        assert beat["in_flight"] == "ted"
-        assert beat["processed"] == 2
-        assert beat["pid"] > 0
-
-    def test_corrupt_beacon_skipped(self, tmp_path):
-        (tmp_path / "heartbeat-0.json").write_text("{torn")
-        WorkerTelemetry(tmp_path, 1, "r").heartbeat(status="idle")
-        beats = read_heartbeats(tmp_path)
-        assert [b["worker"] for b in beats] == [1]
 
 
 # ------------------------------------------------------------ trace merge
@@ -181,8 +157,8 @@ class TestBatchProgress:
         for index, (status, cache_hit, seconds) in enumerate(
             [("done", True, 0.1), ("failed", False, 0.2), ("done", False, 0.3)]
         ):
-            record = ShardRecord(index=index, target=f"t{index}", shard=0,
-                                 worker=0, status=status, cache_hit=cache_hit,
+            record = ShardRecord(index=index, target=f"t{index}", worker=0,
+                                 status=status, cache_hit=cache_hit,
                                  seconds=seconds)
             progress(record, index + 1, 3)
         out = stream.getvalue()
@@ -191,22 +167,26 @@ class TestBatchProgress:
         assert "1 FAILED" in out
         assert "done" in out
 
-    def test_straggler_flagging(self, tmp_path):
-        progress = BatchProgress(10, stream=io.StringIO(), run_dir=tmp_path)
-        progress.latencies = [0.01, 0.01, 0.02]
-        (tmp_path / "heartbeat-2.json").write_text(json.dumps({
-            "worker": 2, "status": "running", "in_flight": "slow-app",
-            "pid": 1, "updated_unix": time.time() - 120.0,
-        }))
-        (tmp_path / "heartbeat-3.json").write_text(json.dumps({
-            "worker": 3, "status": "idle", "in_flight": None,
-            "pid": 1, "updated_unix": time.time(),
-        }))
+    def test_straggler_flagging(self):
+        """Stragglers come from the coordinator's map of which entry each
+        worker holds and since when."""
+        progress = BatchProgress(10, stream=io.StringIO())
+        now = time.monotonic()
+        for index, seconds in enumerate([0.01, 0.01, 0.02]):
+            record = ShardRecord(index=index, target=f"t{index}", worker=0,
+                                 seconds=seconds)
+            progress(record, index + 1, 10, {
+                2: ("slow-app", now - 120.0),
+                3: ("quick-app", now),
+            })
         stragglers = progress.stragglers()
         assert [s["worker"] for s in stragglers] == [2]
         assert stragglers[0]["in_flight"] == "slow-app"
         assert stragglers[0]["in_flight_s"] > 100
         assert "stragglers: w2:slow-app" in progress.render()
+        # an entry handed back clears its worker's flag
+        progress(ShardRecord(index=3, target="slow-app", worker=2), 4, 10, {})
+        assert progress.stragglers() == []
 
 
 # --------------------------------------------------- shard engine wiring
@@ -222,7 +202,7 @@ class TestShardedBatchTelemetry:
             run_id="run1",
             telemetry_dir=run_dir,
             out_meta=meta,
-            progress=lambda r, done, total: seen.append((done, total)),
+            progress=lambda r, done, total, held: seen.append((done, total)),
         )
         assert [r.status for r in records] == ["done"] * len(TARGETS)
         assert meta["run_id"] == "run1"
@@ -230,12 +210,12 @@ class TestShardedBatchTelemetry:
         # progress fired once per entry with a running done-count
         assert [d for d, _ in seen] == list(range(1, len(TARGETS) + 1))
         assert all(t == len(TARGETS) for _, t in seen)
-        # every worker left a final heartbeat and a validating stream
-        beats = read_heartbeats(run_dir)
-        assert [b["status"] for b in beats] == ["exited", "exited"]
-        assert sum(b["processed"] for b in beats) == len(TARGETS)
+        # one validating stream per worker and the merged trace, no other
+        # file (no heartbeats)
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "fleet.trace.jsonl", "worker-0.trace.jsonl", "worker-1.trace.jsonl"
+        ]
         streams = sorted(run_dir.glob("worker-*.trace.jsonl"))
-        assert len(streams) == 2
         worker_jobs = []
         for stream in streams:
             events = validate_jsonl(stream.read_text())

@@ -21,7 +21,8 @@ from repro.obs.ledger import (
 def _batch_record(run_id="abc123def456", **kwargs):
     records = [
         {"target": "a", "status": "done", "cache_hit": False,
-         "seconds": 0.1, "phase_seconds": {"slicing": 0.05, "setup": 0.01}},
+         "seconds": 0.1, "phase_seconds": {"slicing": 0.05, "setup": 0.01},
+         "counters": {"analyses_run": 1}},
         {"target": "b", "status": "done", "cache_hit": True, "seconds": 0.001},
         {"target": "c", "status": "failed", "cache_hit": False,
          "seconds": 0.2, "error": "ValueError: boom",
@@ -49,7 +50,7 @@ class TestRunRecord:
         assert record.done == 2
         assert record.failed == 1
         assert record.cache_hits == 1
-        assert record.analyses_run == 1  # done and not a cache hit
+        assert record.analyses_run == 1  # the records' counters
         assert record.apps_per_sec == pytest.approx(6.0)
         # exact nearest-rank percentiles over [0.001, 0.1, 0.2]
         assert record.p50_s == pytest.approx(0.1)
@@ -205,6 +206,33 @@ class TestCli:
         record = RunLedger(store).records()[-1]
         assert record["workers"] == 1
         assert record["executor"] == "serial"  # ran in-process
+
+    def test_ledger_counts_the_analyses_the_records_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A failed ``put`` is retried by re-running the analysis.  The
+        records then count two analyses, and the ledger entry derived from
+        them says the same."""
+        from repro.cli import main
+        from repro.service import ResultStore
+
+        put = ResultStore.put
+        failed: list[bool] = []
+
+        def put_fails_once(self, *args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise OSError("injected put failure")
+            return put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put", put_fails_once)
+        store = tmp_path / "store"
+        assert main(["batch", "diode", "--store", str(store), "--workers",
+                     "1", "--no-telemetry", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [job["attempts"] for job in data["jobs"]] == [2]
+        assert data["analyses_run"] == 2
+        assert RunLedger(store).records()[-1]["analyses_run"] == 2
 
     def test_analyze_ledger_flag(self, tmp_path, capsys):
         from repro.cli import main

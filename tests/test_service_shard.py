@@ -3,23 +3,30 @@ protocol, and the daemon scheduler's non-blocking retry.
 
 Contracts: a sharded batch writes byte-identical envelopes to an
 in-process (one-worker) batch; every batch entry is reported exactly once
-no matter which worker steals it; concurrent analyses of the same result
-key are deduplicated through lease files; and a retrying job never
-head-of-line blocks the jobs queued behind its backoff.
+no matter which worker runs it, and a dead worker loses only the entry it
+held; concurrent analyses of the same result key are deduplicated through
+lease files; and a retrying job never head-of-line blocks the jobs queued
+behind its backoff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import multiprocessing
 import os
 import signal
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import AnalysisConfig
 from repro.cli import main
 from repro.corpus import build_app
@@ -30,7 +37,6 @@ from repro.service.shard import (
     default_start_method,
     expand_batch_targets,
     run_sharded_batch,
-    shard_of,
 )
 from repro.service.store import canonical_json
 
@@ -43,16 +49,6 @@ def analyses_run(records) -> int:
 
 
 # ------------------------------------------------------------------ sharding
-def test_shards_partition_the_targets():
-    targets = [f"t{i}" for i in range(11)]
-    seen: list[tuple[int, object]] = []
-    for w in range(4):
-        shard = shard_of(targets, w, 4)
-        assert all(i % 4 == w for i, _ in shard)
-        seen.extend(shard)
-    assert sorted(seen) == list(enumerate(targets))
-
-
 def test_sharded_batch_matches_in_process_batch_byte_identically(tmp_path):
     records = run_sharded_batch(tmp_path / "proc", TARGETS, workers=2)
     assert [r.status for r in records] == ["done"] * len(TARGETS)
@@ -201,7 +197,7 @@ def test_records_carry_one_key_set_at_one_and_two_workers(tmp_path):
         shapes.append([set(r.to_dict()) for r in records])
     assert shapes[0] == shapes[1]
     # what perfbench reads from ``repro batch --json`` records
-    read = {"target", "status", "cache_hit", "result_key", "worker", "stolen"}
+    read = {"target", "status", "cache_hit", "result_key", "worker"}
     assert all(read <= shape for shape in shapes[0])
 
 
@@ -211,7 +207,7 @@ def test_in_process_batch_reports_progress_live(tmp_path):
     store = ResultStore(tmp_path / "s")
     seen = []
 
-    def progress(record, done, total):
+    def progress(record, done, total, in_flight):
         seen.append((done, total, len(store.entries())))
 
     run_sharded_batch(store.root, TARGETS, workers=1, progress=progress)
@@ -275,11 +271,9 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture
-def ted_kills_its_worker(monkeypatch):
-    """Analysing TED SIGKILLs the worker process doing it, so no
-    ``finally`` runs (the OOM killer, an operator).  Only a forked worker
-    inherits the patch; the test process itself is never killed."""
+def die_in_workers(monkeypatch, deaths: dict) -> None:
+    """A forked worker that starts analysing an app named in ``deaths``
+    calls ``deaths[name]()``, which ends it; the test process never does."""
     if "fork" not in available_start_methods():
         pytest.skip("fork unavailable")
     from repro.core.extractocol import Extractocol
@@ -287,12 +281,24 @@ def ted_kills_its_worker(monkeypatch):
     analyze = Extractocol.analyze
     test_pid = os.getpid()
 
-    def killed_on_ted(self, apk):
-        if apk.name == "TED" and os.getpid() != test_pid:
-            os.kill(os.getpid(), signal.SIGKILL)
+    def dying(self, apk):
+        if apk.name in deaths and os.getpid() != test_pid:
+            deaths[apk.name]()
         return analyze(self, apk)
 
-    monkeypatch.setattr(Extractocol, "analyze", killed_on_ted)
+    monkeypatch.setattr(Extractocol, "analyze", dying)
+
+
+def sigkill() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def ted_kills_its_worker(monkeypatch):
+    """Analysing TED SIGKILLs the worker process doing it, so no
+    ``finally`` runs (the OOM killer, an operator).  Only a forked worker
+    inherits the patch; the test process itself is never killed."""
+    die_in_workers(monkeypatch, {"TED": sigkill})
     return monkeypatch
 
 
@@ -394,6 +400,155 @@ class TestTornRecordFrame:
                                     reanalyzed=0)
 
 
+class TestDispatcher:
+    """The coordinator hands out one entry at a time, so it knows which
+    entry each worker holds when that worker dies."""
+
+    def test_each_lost_entry_names_its_own_workers_exit_code(
+        self, tmp_path, monkeypatch
+    ):
+        die_in_workers(monkeypatch, {"TED": sigkill, "TZM": lambda: os._exit(3)})
+        with deadline(60):
+            records = run_sharded_batch(tmp_path / "s", KILL_TARGETS,
+                                        workers=3, start_method="fork")
+        by_target = {r.target: r for r in records}
+        assert by_target["ted"].error == (
+            "no result from shard worker (exit code -9)"
+        )
+        assert by_target["tzm"].error == (
+            "no result from shard worker (exit code 3)"
+        )
+        assert [t for t, r in by_target.items() if r.status == "done"] == [
+            "diode", "wallabag"
+        ]
+        # each lost record names the worker that held its entry
+        lost = {by_target["ted"].worker, by_target["tzm"].worker}
+        assert len(lost) == 2 and -1 not in lost
+
+    def test_entries_nobody_started_fail_once_every_worker_died(
+        self, tmp_path, monkeypatch
+    ):
+        die_in_workers(monkeypatch, {"Diode": sigkill, "TED": sigkill,
+                                     "TZM": sigkill, "Wallabag": sigkill})
+        with deadline(60):
+            records = run_sharded_batch(tmp_path / "s", KILL_TARGETS,
+                                        workers=2, start_method="fork")
+        assert [r.status for r in records] == ["failed"] * len(KILL_TARGETS)
+        assert [r.error for r in records[:2]] == [
+            "no result from shard worker (exit code -9)"
+        ] * 2
+        assert [(r.worker, r.error) for r in records[2:]] == [
+            (-1, "no result from shard worker "
+                 "(every worker exited before it started)")
+        ] * 2
+
+    def test_an_entry_sent_to_a_worker_that_just_exited_goes_to_another(
+        self, tmp_path, monkeypatch
+    ):
+        """Diode's worker exits right after sending Diode's record, so the
+        coordinator's next send to it fails: that entry goes back to the
+        queue and the other worker runs it and every later one."""
+        if "fork" not in available_start_methods():
+            pytest.skip("fork unavailable")
+        from multiprocessing.connection import Connection
+
+        send = Connection.send
+        test_pid = os.getpid()
+
+        def send_then_exit(self, obj):
+            send(self, obj)
+            if os.getpid() != test_pid and isinstance(obj, dict) and (
+                obj["target"] == "diode"
+            ):
+                os._exit(0)
+
+        monkeypatch.setattr(Connection, "send", send_then_exit)
+        children = len(multiprocessing.active_children())
+
+        def progress(record, done, total, in_flight):
+            while (record.target == "diode"
+                   and len(multiprocessing.active_children()) > children + 1):
+                time.sleep(0.01)  # until Diode's worker has exited
+
+        with deadline(60):
+            records = run_sharded_batch(tmp_path / "s", KILL_TARGETS,
+                                        workers=2, start_method="fork",
+                                        progress=progress)
+        assert [r.status for r in records] == ["done"] * len(KILL_TARGETS)
+        survivor = records[1].worker
+        assert records[0].worker != survivor
+        assert [r.worker for r in records[2:]] == [survivor, survivor]
+
+    def test_workers_exit_quietly_once_the_coordinator_is_gone(self, tmp_path):
+        """A worker reads EOF (or a broken pipe) once its coordinator dies,
+        and exits without a traceback.  ``communicate`` returns only when
+        every process holding the captured stderr pipe, the workers
+        included, has exited."""
+        if "fork" not in available_start_methods():
+            pytest.skip("fork unavailable")
+        script = textwrap.dedent("""
+            import os, signal, sys
+            from repro.core.extractocol import Extractocol
+            from repro.service.shard import run_sharded_batch
+
+            analyze = Extractocol.analyze
+            coordinator = os.getpid()
+
+            def kill_coordinator(self, apk):
+                if apk.name == "TED":
+                    os.kill(coordinator, signal.SIGKILL)
+                return analyze(self, apk)
+
+            Extractocol.analyze = kill_coordinator
+            run_sharded_batch(sys.argv[1], ["diode", "ted", "tzm", "wallabag"],
+                              workers=2, start_method="fork")
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "s")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        )
+        try:
+            _out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # workers a failure left
+        assert proc.returncode == -signal.SIGKILL
+        assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_leaves_no_claim_files_and_only_trace_files(
+    tmp_path, monkeypatch, workers
+):
+    """The coordinator's dispatch alone decides who runs an entry: the
+    only leases a batch takes are the store-wide result-key leases, and
+    its telemetry is the worker streams and their merge."""
+    if "fork" not in available_start_methods():
+        pytest.skip("fork unavailable")
+    claimed = tmp_path / "claimed.txt"
+    claim = ResultStore.claim
+
+    def spy(self, name, **kwargs):
+        with open(claimed, "a") as fh:  # forked workers append too
+            fh.write(name + "\n")
+        return claim(self, name, **kwargs)
+
+    monkeypatch.setattr(ResultStore, "claim", spy)
+    run_dir = tmp_path / "s" / "telemetry" / "r"
+    records = run_sharded_batch(tmp_path / "s", TARGETS, workers=workers,
+                                start_method="fork", run_id="r",
+                                telemetry_dir=run_dir)
+    names = claimed.read_text().split()
+    assert sorted(names) == sorted(r.result_key for r in records)
+    assert not any(name.startswith("batch-") for name in names)
+    assert list(ResultStore(tmp_path / "s").leases.iterdir()) == []
+    assert sorted(p.name for p in run_dir.iterdir()) == ["fleet.trace.jsonl"] + [
+        f"worker-{n}.trace.jsonl" for n in range(workers)
+    ]
+
+
 # -------------------------------------------------------------------- leases
 class TestLeases:
     def test_claim_is_exclusive_then_released(self, tmp_path):
@@ -484,6 +639,60 @@ class TestLeases:
         assert len(wins) == 1
 
 
+class TestLeaseWait:
+    """A worker whose result key is leased by another live process waits
+    for that process's envelope instead of analysing."""
+
+    @pytest.fixture
+    def leased_diode(self, tmp_path):
+        """A store whose diode result key another live holder leases."""
+        from repro.apk.loader import apk_digest
+        from repro.service import resolve_target, result_key
+
+        apk, config, _label = resolve_target("diode")
+        store = ResultStore(tmp_path / "s")
+        key = result_key(apk_digest(apk), config.cache_key())
+        assert store.claim(key, owner="other-daemon")
+        yield store, apk, config
+        store.release(key)
+
+    def test_wait_times_out_naming_the_holder(self, leased_diode, monkeypatch):
+        store, _apk, _config = leased_diode
+        monkeypatch.setattr("repro.service.shard.LEASE_WAIT_SECONDS", 0.2)
+        [record] = run_sharded_batch(store.root, ["diode"], workers=1)
+        assert record.status == "failed"
+        assert record.error_type == "LeaseWaitTimeout"
+        assert record.error == f"LeaseWaitTimeout: {record.error_message}"
+        assert "'owner': 'other-daemon'" in record.error_message
+        assert analyses_run([record]) == 0
+
+    def test_holders_envelope_landing_is_a_cache_hit(
+        self, leased_diode, monkeypatch
+    ):
+        from repro.apk.loader import apk_digest
+        from repro.core.extractocol import Extractocol
+
+        store, apk, config = leased_diode
+        report = Extractocol(config).analyze(apk)
+        claim = ResultStore.claim
+
+        def refused_then_lands(self, name, **kwargs):
+            won = claim(self, name, **kwargs)
+            if not won and not store.entries():
+                # the holder stores its result while this worker waits
+                store.put(apk_digest(apk), config.cache_key(), report)
+            return won
+
+        def no_analysis(self, apk):
+            raise AssertionError("the waiting worker analysed")
+
+        monkeypatch.setattr(ResultStore, "claim", refused_then_lands)
+        monkeypatch.setattr(Extractocol, "analyze", no_analysis)
+        [record] = run_sharded_batch(store.root, ["diode"], workers=1)
+        assert record.status == "done" and record.cache_hit
+        assert record.counters == {"lease_waits": 1}
+
+
 # --------------------------------------------------- non-blocking retry/backoff
 class FlakyOnce:
     """Fails the first call for a chosen app, succeeds otherwise."""
@@ -571,8 +780,8 @@ def test_no_drain_shutdown_cancels_backed_off_retry(tmp_path):
 
 
 def test_shard_record_round_trips_through_queue_payload():
-    record = ShardRecord(index=3, target="ted", shard=1, worker=0,
-                        stolen=True, label="ted", attempts=2, seconds=0.5)
+    record = ShardRecord(index=3, target="ted", worker=0, label="ted",
+                         attempts=2, seconds=0.5)
     payload = json.loads(json.dumps(record.to_dict()))
     clone = ShardRecord(**payload)
     assert clone == record
