@@ -38,8 +38,8 @@ class AnalysisConfig:
     other events.
 
     There is one analysis engine: every run builds one
-    :class:`~repro.perf.index.ProgramIndex` (CFGs, def-use chains,
-    reachability bitmasks and the heap field index, memoized per analysis)
+    :class:`~repro.perf.index.ProgramIndex` (CFGs, one slicing table per
+    method and the heap field index, memoized per analysis)
     shared by both taint directions, the slicer and the signature
     interpreter, and slices demarcation points one after another.
     Parallelism lives a level up, across apps: ``repro batch`` shards a

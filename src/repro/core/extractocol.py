@@ -168,16 +168,17 @@ class Extractocol:
             else:
                 slicing = slicer.slice_all(span=sp)
             self.last_slicing = slicing
-            self._store_manifest(
-                apk, callgraph, slicing, fingerprints,
-                event_roots=event_roots, cbinfo=cbinfo,
-            )
             stats.count("demarcation_points", len(slicing.slices))
             for s in slicing.slices:
                 for name, amount in s.request.stats.items():
                     stats.count(f"taint_{name}", amount)
                 for name, amount in s.response.stats.items():
                     stats.count(f"taint_{name}", amount)
+        self._store_manifest(
+            apk, callgraph, slicing, fingerprints,
+            event_roots=event_roots, cbinfo=cbinfo,
+            stats=stats, app_span=app_span,
+        )
 
         # Phase 2 — signature extraction over the slices.
         with stats.phase("signatures", app_span) as sp:
@@ -307,10 +308,12 @@ class Extractocol:
         ), live_fp
 
     def _store_manifest(
-        self, apk, callgraph, slicing, fingerprints, *, event_roots, cbinfo
+        self, apk, callgraph, slicing, fingerprints, *, event_roots, cbinfo,
+        stats, app_span,
     ):
-        """Leave a manifest behind for the next warm run (any mode).
-        ``fingerprints`` is the reuse plan's live map, if it made one
+        """Leave a manifest behind for the next warm run (any mode), timed
+        as the ``manifest`` phase: only runs that write a manifest have
+        one.  ``fingerprints`` is the reuse plan's live map, if it made one
         (slicing adds no call-graph edges after the scan); else it is
         computed here.  Skipped without a store (fingerprinting prints the
         whole program) and under ``record_provenance`` (prov tables don't
@@ -320,19 +323,20 @@ class Extractocol:
             return
         from ..incr.manifest import build_manifest
 
-        if fingerprints is None:
-            fingerprints = self._fingerprints(
-                apk, callgraph, event_roots=event_roots, cbinfo=cbinfo
+        with stats.phase("manifest", app_span):
+            if fingerprints is None:
+                fingerprints = self._fingerprints(
+                    apk, callgraph, event_roots=event_roots, cbinfo=cbinfo
+                )
+            manifest = build_manifest(
+                app=apk.name,
+                config_key=self.config.cache_key(),
+                methods=fingerprints,
+                program=apk.program,
+                slicing=slicing,
             )
-        manifest = build_manifest(
-            app=apk.name,
-            config_key=self.config.cache_key(),
-            methods=fingerprints,
-            program=apk.program,
-            slicing=slicing,
-        )
-        self.last_manifest = manifest
-        self.store.put_manifest(manifest)
+            self.last_manifest = manifest
+            self.store.put_manifest(manifest)
 
     @staticmethod
     def _fingerprints(apk, callgraph, *, event_roots, cbinfo):

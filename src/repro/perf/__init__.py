@@ -2,9 +2,9 @@
 worker sizing used by batch-level parallelism.
 
 :class:`ProgramIndex` materializes per-method analysis artifacts (CFGs,
-def-use chains, statement reachability, mention sites, the global field
-read/write index) once per analysis and shares them between both taint
-directions, the :class:`~repro.slicing.slicer.NetworkSlicer` and the
+one slicing table per method, loop structure, the global field read/write
+index) once per analysis and shares them between both taint directions,
+the :class:`~repro.slicing.slicer.NetworkSlicer` and the
 :class:`~repro.signature.builder.SignatureInterpreter`.
 
 :mod:`repro.perf.parallel` sizes the engines that fan *apps* out (the

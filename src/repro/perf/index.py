@@ -1,14 +1,19 @@
 """Shared, memoized per-method analysis artifacts.
 
-:class:`ProgramIndex` computes control-flow graphs, def-use chains,
-reachability sets and the heap field index once per analysis: every
-artifact is keyed by method id, built lazily, and shared by the taint
-engine (both directions), the network slicer's object-aware augmentation
-and the signature interpreter.  All artifacts are derived from immutable
-IR, so a built entry is valid for the lifetime of the program object.  The
-index is also the only CFG memo: artifacts live exactly as long as the
-analysis that owns the index, so a long-lived process (a shard worker,
-``repro serve``) does not pin the bodies of apps it has finished.
+:class:`ProgramIndex` computes control-flow graphs, slicing tables, loop
+structure and the heap field index once per analysis: every artifact is
+keyed by method id, built lazily, and shared by the taint engine (both
+directions), the network slicer's object-aware augmentation and the
+signature interpreter.  All artifacts are derived from immutable IR, so a
+built entry is valid for the lifetime of the program object.  The index is
+also the only CFG memo: artifacts live exactly as long as the analysis
+that owns the index, so a long-lived process (a shard worker, ``repro
+serve``) does not pin the bodies of apps it has finished.
+
+A :class:`SliceTable` holds everything slicing reads about one method and
+is built in one walk over the body; :func:`compute_reach_masks` and
+:func:`repro.taint.defuse.compute_defuse` are the independent references
+the tests compare it against.
 
 The artifacts that exist per statement or per local are tuples of ints
 where possible: the cyclic collector stops tracking those, while tracked
@@ -28,7 +33,7 @@ from ..cfg.cfg import ControlFlowGraph
 from ..cfg.dominators import LoopInfo, loop_info, reverse_postorder
 from ..ir.method import Method
 from ..ir.program import Program
-from ..ir.statements import AssignStmt, StmtRef
+from ..ir.statements import AssignStmt, Stmt, StmtRef
 from ..ir.values import (
     FieldSig,
     InstanceFieldRef,
@@ -36,12 +41,11 @@ from ..ir.values import (
     StaticFieldRef,
     walk_values,
 )
-from ..taint.defuse import LazyDefUse
 
 T = TypeVar("T")
 
-#: the one empty local set, shared by every statement that defines or uses
-#: no local (about half of them) instead of one fresh set object each
+#: the one empty local set, shared by every statement that uses no local
+#: (about half of them) instead of one fresh set object each
 _NO_LOCALS: frozenset = frozenset()
 
 
@@ -52,7 +56,9 @@ def field_key(f: FieldSig) -> tuple[str, str]:
 
 
 def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:
-    """Forward statement-level reachability as reflexive bitmasks."""
+    """Forward statement-level reachability as reflexive bitmasks, by
+    sweeping to a fixpoint — the reference :attr:`SliceTable.reach` is
+    tested against."""
     succ = cfg.stmt_succ
     reach = [1 << i for i in range(n_statements)]
     changed = True
@@ -68,16 +74,135 @@ def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:
     return reach
 
 
+def _close(
+    order: range,
+    edges: dict[int, tuple[int, ...]],
+    masks: list[int],
+    cyclic: bool,
+) -> None:
+    """OR every statement's ``edges`` neighbours' masks into its own,
+    visiting statements in ``order``: one sweep when every edge runs with
+    ``order``, else sweeps until nothing changes."""
+    while True:
+        changed = False
+        for i in order:
+            acc = masks[i]
+            for j in edges.get(i, ()):
+                acc |= masks[j]
+            if acc != masks[i]:
+                masks[i] = acc
+                changed = True
+        if not (cyclic and changed):
+            return
+
+
+class SliceTable:
+    """Everything the taint engine and the slicer read about one method,
+    built in one walk over its body.
+
+    * per statement ``i``: ``defined[i]``, the local it defines (or
+      ``None``), and ``used[i]``, the locals it reads;
+    * per local: ``def_sites`` / ``use_sites``, statement indices in
+      statement order, and ``mentions``, a bitmask of the statements that
+      define or use it (the candidates for backward region building);
+    * per statement, as bitmasks with bit ``j`` for statement ``j``:
+      ``reach[i]``, the statements reachable from ``i``, ``reach_to[j]``,
+      the statements that reach ``j`` (both reflexive), and the
+      definitions reaching ``i``'s entry, read through
+      :meth:`reaching_defs`.
+
+    Each bitmask relation is one sweep in statement order (reverse order
+    for ``reach``).  Only when the CFG has a back edge (an edge to an
+    index at or below its source) does a sweep repeat until nothing
+    changes: without one, every neighbour a sweep reads is already final.
+    """
+
+    __slots__ = (
+        "defined", "used", "def_sites", "use_sites", "mentions",
+        "reach", "reach_to", "_defs_in",
+    )
+
+    def __init__(self, stmts: list[Stmt], cfg: ControlFlowGraph | None) -> None:
+        """``cfg`` is the body's CFG, or ``None`` when it has no
+        statements."""
+        n = len(stmts)
+        defined: list[Local | None] = [None] * n
+        used: list[frozenset[Local]] = [_NO_LOCALS] * n
+        def_sites: dict[Local, list[int]] = {}
+        use_sites: dict[Local, list[int]] = {}
+        mentions: dict[Local, int] = {}
+        # per local, the bits of the statements defining it: its
+        # reaching-definition kill set
+        kill: dict[Local, int] = {}
+        for i, stmt in enumerate(stmts):
+            bit = 1 << i
+            for d in stmt.defs():
+                if isinstance(d, Local):
+                    defined[i] = d
+                    def_sites.setdefault(d, []).append(i)
+                    mentions[d] = mentions.get(d, 0) | bit
+                    kill[d] = kill.get(d, 0) | bit
+                    break
+            reads = frozenset(
+                v for use in stmt.uses() for v in walk_values(use)
+                if isinstance(v, Local)
+            )
+            if reads:
+                used[i] = reads
+                for v in reads:
+                    use_sites.setdefault(v, []).append(i)
+                    mentions[v] = mentions.get(v, 0) | bit
+        self.defined = defined
+        self.used = used
+        self.def_sites = {k: tuple(v) for k, v in def_sites.items()}
+        self.use_sites = {k: tuple(v) for k, v in use_sites.items()}
+        self.mentions = mentions
+        self.reach = [1 << i for i in range(n)]
+        self.reach_to = [1 << i for i in range(n)]
+        self._defs_in = [0] * n
+        if not n:
+            return
+        succ, pred = cfg.stmt_succ, cfg.stmt_pred
+        cyclic = any(s <= i for i, dests in succ.items() for s in dests)
+        _close(range(n - 1, -1, -1), succ, self.reach, cyclic)
+        _close(range(n), pred, self.reach_to, cyclic)
+
+        # reaching definitions at each statement's entry; a definition is
+        # the bit of the statement making it
+        defs_in = self._defs_in
+        defs_out = [0] * n
+        while True:
+            changed = False
+            for i in range(n):
+                acc = 0
+                for p in pred.get(i, ()):
+                    acc |= defs_out[p]
+                local = defined[i]
+                out = acc if local is None else (acc & ~kill[local]) | (1 << i)
+                if acc != defs_in[i] or out != defs_out[i]:
+                    defs_in[i] = acc
+                    defs_out[i] = out
+                    changed = True
+            if not (cyclic and changed):
+                break
+
+    def reaching_defs(self, stmt: Stmt, local: Local) -> tuple[int, ...]:
+        """Indices of ``local``'s definitions that reach the entry of
+        ``stmt``, in statement order."""
+        mask = self._defs_in[stmt.index]
+        return tuple(
+            d for d in self.def_sites.get(local, ()) if (mask >> d) & 1
+        )
+
+
 class ProgramIndex:
     """Per-analysis memo of per-method artifacts plus program-wide indexes.
 
     Per-method (lazy, built on first request):
 
-    * :meth:`cfg_of` / :meth:`defuse_of` — the CFG and def-use chains
-    * :meth:`reach_masks` — statement reachability bitmasks
-    * :meth:`mention_sites` — statement indices mentioning each local
-      (definition or use), the candidate set for backward region building
-    * :meth:`stmt_locals` — per-statement defined and used local sets
+    * :meth:`cfg_of` — the CFG
+    * :meth:`slice_table` — the :class:`SliceTable` both taint directions
+      and the slicer read
     * :meth:`loop_info` / :meth:`rpo` — loop structure and traversal order
       for the signature interpreter
 
@@ -89,12 +214,7 @@ class ProgramIndex:
         self.program = program
         self.callgraph = callgraph
         self._cfgs: dict[str, ControlFlowGraph] = {}
-        self._defuse: dict[str, LazyDefUse] = {}
-        self._reach: dict[str, list[int]] = {}
-        self._reach_to: dict[str, list[int]] = {}
-        self._mentions: dict[str, dict[Local, tuple[int, ...]]] = {}
-        self._mention_masks: dict[str, dict[Local, int]] = {}
-        self._stmt_locals: dict[str, tuple[list[frozenset], list[frozenset]]] = {}
+        self._tables: dict[str, SliceTable] = {}
         self._loops: dict[str, LoopInfo] = {}
         self._rpo: dict[str, list[int]] = {}
         self._fields: tuple[dict, dict] | None = None
@@ -112,97 +232,17 @@ class ProgramIndex:
     def cfg_of(self, method: Method) -> ControlFlowGraph:
         return self._memo(self._cfgs, method, ControlFlowGraph)
 
-    def defuse_of(self, method: Method) -> LazyDefUse:
-        def build(m: Method) -> LazyDefUse:
-            # reuse the per-statement used-local sets instead of re-walking
-            # every value tree, and materialise reaching-defs lazily — taint
-            # facts only query a subset of (statement, local) pairs
-            uses = self.stmt_locals(m)[1]
-            return LazyDefUse(m, uses, self.cfg_of(m) if uses else None)
-
-        return self._memo(self._defuse, method, build)
-
-    def reach_masks(self, method: Method) -> list[int]:
-        def build(m: Method) -> list[int]:
-            n = len(m.body.statements) if m.body else 0
-            return compute_reach_masks(self.cfg_of(m), n)
-
-        return self._memo(self._reach, method, build)
-
-    def reach_to_masks(self, method: Method) -> list[int]:
-        """Transpose of :meth:`reach_masks`: ``to[j]`` has bit ``i`` set
-        when statement ``i`` reaches statement ``j`` (reflexively).  One AND
-        with this column selects "statements that reach the use" without a
-        per-statement bit probe."""
-
-        def build(m: Method) -> list[int]:
-            # same fixpoint as compute_reach_masks on the reversed edges —
-            # O(statements) big-int ops per pass instead of iterating every
-            # set bit of the forward relation
-            n = len(m.body.statements) if m.body else 0
-            pred = self.cfg_of(m).stmt_pred
-            to = [1 << i for i in range(n)]
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    acc = to[i]
-                    for p in pred.get(i, ()):
-                        acc |= to[p]
-                    if acc != to[i]:
-                        to[i] = acc
-                        changed = True
-            return to
-
-        return self._memo(self._reach_to, method, build)
-
-    def mention_masks(self, method: Method) -> dict[Local, int]:
-        """Bitmask form of :meth:`mention_sites` (bit per statement)."""
-
-        def build(m: Method) -> dict[Local, int]:
-            return {
-                local: sum(1 << s for s in sites)
-                for local, sites in self.mention_sites(m).items()
-            }
-
-        return self._memo(self._mention_masks, method, build)
-
-    def mention_sites(self, method: Method) -> dict[Local, tuple[int, ...]]:
-        def build(m: Method) -> dict[Local, tuple[int, ...]]:
-            out: dict[Local, list[int]] = {}
-            defs_at, uses_at = self.stmt_locals(m)
-            for idx, (defs, uses) in enumerate(zip(defs_at, uses_at)):
-                for local in defs | uses:
-                    out.setdefault(local, []).append(idx)
-            return {local: tuple(sites) for local, sites in out.items()}
-
-        return self._memo(self._mentions, method, build)
-
-    def stmt_locals(
-        self, method: Method
-    ) -> tuple[list[frozenset], list[frozenset]]:
-        """(locals defined, locals used), each a list indexed by statement.
-        Two lists rather than a pair per statement: a per-statement tuple of
-        sets stays tracked by the cyclic collector."""
-
-        def build(m: Method) -> tuple[list[frozenset], list[frozenset]]:
-            defs_at: list[frozenset] = []
-            uses_at: list[frozenset] = []
-            if m.body is None:
-                return defs_at, uses_at
-            for stmt in m.body:
-                defs_at.append(frozenset(
-                    d for d in stmt.defs() if isinstance(d, Local)
-                ) or _NO_LOCALS)
-                uses_at.append(frozenset(
-                    v
-                    for use in stmt.uses()
-                    for v in walk_values(use)
-                    if isinstance(v, Local)
-                ) or _NO_LOCALS)
-            return defs_at, uses_at
-
-        return self._memo(self._stmt_locals, method, build)
+    def slice_table(self, method_id: str) -> SliceTable:
+        """The slicing table of the method ``method_id`` names (keyed by
+        id: the slicer holds statement refs, not methods)."""
+        table = self._tables.get(method_id)
+        if table is None:
+            method = self.program.method_by_id(method_id)
+            stmts = method.body.statements if method.body is not None else []
+            table = self._tables[method_id] = SliceTable(
+                stmts, self.cfg_of(method) if stmts else None
+            )
+        return table
 
     def loop_info(self, method: Method) -> LoopInfo:
         return self._memo(self._loops, method, lambda m: loop_info(self.cfg_of(m)))
@@ -246,4 +286,4 @@ class ProgramIndex:
         return self._fields[1]
 
 
-__all__ = ["ProgramIndex", "compute_reach_masks", "field_key"]
+__all__ = ["ProgramIndex", "SliceTable", "compute_reach_masks", "field_key"]

@@ -18,7 +18,7 @@ from ..ir.program import Program
 from ..ir.statements import StmtRef
 from ..ir.values import Local
 from ..obs.tracer import NULL_SPAN
-from ..perf.index import ProgramIndex
+from ..perf.index import ProgramIndex, SliceTable
 from ..taint.engine import TaintConfig, TaintEngine
 from ..taint.slices import SliceResult
 from .demarcation import DPInstance, DemarcationRegistry, scan_demarcation_points
@@ -86,7 +86,6 @@ class NetworkSlicer:
         self.callgraph = callgraph
         self.registry = registry or DemarcationRegistry()
         self.index = index if index is not None else ProgramIndex(program, callgraph)
-        self._stmt_tables: dict[str, list | None] = {}
         self.engine = TaintEngine(
             program,
             callgraph,
@@ -138,74 +137,61 @@ class NetworkSlicer:
         return report
 
     # -- object-aware augmentation (paper §3.1) -------------------------------
-    def _locals_of(self, method_id: str) -> tuple[list, list] | None:
-        """The method's per-statement (defined, used) local sets, via the
-        shared index; None when the method is unknown."""
-        table = self._stmt_tables.get(method_id, False)
-        if table is False:
-            try:
-                method = self.program.method_by_id(method_id)
-            except KeyError:
-                table = None
-            else:
-                table = self.index.stmt_locals(method)
-            self._stmt_tables[method_id] = table
-        return table
-
     def _augment(self, response: SliceResult, request: SliceResult) -> None:
         """Pull statements the forward slice depends on but does not contain
         — initialisation of objects created before the demarcation point —
         from the request slice sharing the same DP.  Repeats until no
-        statements are added."""
+        statements are added.
+
+        ``defined`` / ``used`` hold the response slice's (method id, local)
+        pairs; a statement's locals are read from its method's slicing
+        table once, when it joins.  Each round snapshots the dangling
+        locals (``used - defined``) before each of its two sweeps:
+        statements joining during a sweep do not change what that sweep
+        looks for."""
+        slice_table = self.index.slice_table
+        defined: set[tuple[str, Local]] = set()
+        used: set[tuple[str, Local]] = set()
+
+        def add_locals(ref: StmtRef, table: SliceTable) -> None:
+            mid = ref.method_id
+            local = table.defined[ref.index]
+            if local is not None:
+                defined.add((mid, local))
+            for v in table.used[ref.index]:
+                used.add((mid, v))
+
+        for ref in response.stmts:
+            add_locals(ref, slice_table(ref.method_id))
         changed = True
         while changed:
             changed = False
-            needed = self._dangling_locals(response)
+            needed = used - defined
             # 1) prefer statements already in the request slice sharing the DP
             for ref in request.stmts:
                 if ref in response.stmts:
                     continue
-                table = self._locals_of(ref.method_id)
-                if table is None:
-                    continue
-                if any((ref.method_id, v) in needed for v in table[0][ref.index]):
+                table = slice_table(ref.method_id)
+                local = table.defined[ref.index]
+                if local is not None and (ref.method_id, local) in needed:
                     response.stmts.add(ref)
+                    add_locals(ref, table)
                     changed = True
             # 2) objects initialised before the DP outside any slice: pull
             # their defining statements from the containing method directly
             # ("the complete context of objects contained within", §3.1)
-            still_needed = self._dangling_locals(response)
             by_method: dict[str, set[Local]] = {}
-            for method_id, local in still_needed:
+            for method_id, local in used - defined:
                 by_method.setdefault(method_id, set()).add(local)
             for method_id, locals_ in by_method.items():
-                try:
-                    method = self.program.method_by_id(method_id)
-                except KeyError:
-                    continue
-                assert method.body is not None
-                defs_at, _uses_at = self.index.stmt_locals(method)
-                for idx, defs in enumerate(defs_at):
-                    if defs & locals_:
-                        ref = StmtRef(method.method_id, idx)
+                table = slice_table(method_id)
+                for idx, local in enumerate(table.defined):
+                    if local in locals_:
+                        ref = StmtRef(method_id, idx)
                         if ref not in response.stmts:
                             response.stmts.add(ref)
+                            add_locals(ref, table)
                             changed = True
-
-    def _dangling_locals(self, sl: SliceResult) -> set[tuple[str, Local]]:
-        """Locals used in the slice whose definition is not in the slice."""
-        defined: set[tuple[str, Local]] = set()
-        used: set[tuple[str, Local]] = set()
-        for ref in sl.stmts:
-            table = self._locals_of(ref.method_id)
-            if table is None:
-                continue
-            mid = ref.method_id
-            for d in table[0][ref.index]:
-                defined.add((mid, d))
-            for v in table[1][ref.index]:
-                used.add((mid, v))
-        return used - defined
 
 
 __all__ = ["DPSlices", "NetworkSlicer", "SlicingReport"]

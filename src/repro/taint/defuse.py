@@ -4,6 +4,11 @@ The taint engine propagates facts through locals flow-sensitively: a use of
 local ``x`` at statement ``s`` is linked to exactly the definitions of ``x``
 that reach ``s``.  Field and array cells are handled globally (field-based)
 by the engine itself; this module is purely intra-procedural.
+
+The engine reads reaching definitions from the slicing table
+(:class:`repro.perf.index.SliceTable`); :func:`compute_defuse` is the
+fully materialised reference, computed independently by a
+statement-level worklist, that the table is tested against.
 """
 
 from __future__ import annotations
@@ -62,16 +67,17 @@ def _sites(sites: dict[Local, list[int]]) -> dict[Local, tuple[int, ...]]:
     return {local: tuple(idx) for local, idx in sites.items()}
 
 
-def _reaching_bits(
-    method: Method, cfg: ControlFlowGraph
-) -> tuple[dict[Local, tuple[int, ...]], list[int], list[int]]:
-    """The worklist core shared by both def-use variants: per-local
-    definition sites, each statement's definition bit, and the
-    per-statement reaching-definition bitmasks at statement entry."""
+def compute_defuse(method: Method) -> DefUseInfo:
+    """Flow-sensitive reaching definitions via a statement-level worklist,
+    fully materialised — the reference the slicing table is tested
+    against."""
+    info = DefUseInfo(method)
     body = method.body
-    assert body is not None
+    if body is None or not body.statements:
+        return info
     stmts = body.statements
     n = len(stmts)
+    cfg = ControlFlowGraph(method)
 
     def_local: list[Local | None] = [None] * n
     def_bit: list[int] = [0] * n
@@ -108,25 +114,12 @@ def _reaching_bits(
             stmt_in[i] = new_in
             stmt_out[i] = new_out
             worklist.extend(succ.get(i, ()))
-    return _sites(def_sites), def_bit, stmt_in
-
-
-def compute_defuse(method: Method) -> DefUseInfo:
-    """Flow-sensitive reaching definitions via a statement-level worklist,
-    fully materialised — the reference :class:`LazyDefUse` is tested
-    against."""
-    info = DefUseInfo(method)
-    body = method.body
-    if body is None or not body.statements:
-        return info
-    info.def_sites, def_bit, stmt_in = _reaching_bits(
-        method, ControlFlowGraph(method)
-    )
+    info.def_sites = _sites(def_sites)
 
     # Materialise the def→use relation.
     use_sites: dict[Local, list[int]] = {}
     reached: dict[tuple[int, Local], list[int]] = {}
-    for i, stmt in enumerate(body.statements):
+    for i, stmt in enumerate(stmts):
         mask = stmt_in[i]
         for local in _used_locals(stmt):
             use_sites.setdefault(local, []).append(i)
@@ -142,45 +135,4 @@ def compute_defuse(method: Method) -> DefUseInfo:
     return info
 
 
-class LazyDefUse:
-    """Query-compatible def-use view that answers ``reaching_defs`` from
-    the reaching-definition bitmasks on demand instead of materialising
-    every (statement, local) pair.
-
-    Built by :meth:`repro.perf.index.ProgramIndex.defuse_of` from the
-    index's CFG and per-statement used-local sets: taint facts only touch a
-    subset of the pairs, so the full materialisation (and the
-    ``uses_reached`` inverse, which no analysis consumes) would be wasted
-    work.  Answers are bit-for-bit equal to :func:`compute_defuse`'s."""
-
-    __slots__ = ("method", "def_sites", "use_sites", "_def_bit", "_stmt_in")
-
-    def __init__(
-        self,
-        method: Method,
-        stmt_uses: list[frozenset[Local]],
-        cfg: ControlFlowGraph | None,
-    ) -> None:
-        self.method = method
-        if method.body is None or not method.body.statements:
-            self.def_sites: dict[Local, tuple[int, ...]] = {}
-            self.use_sites: dict[Local, tuple[int, ...]] = {}
-            self._def_bit: list[int] = []
-            self._stmt_in: list[int] = []
-            return
-        self.def_sites, self._def_bit, self._stmt_in = _reaching_bits(method, cfg)
-        use_sites: dict[Local, list[int]] = {}
-        for i, used in enumerate(stmt_uses):
-            for local in used:
-                use_sites.setdefault(local, []).append(i)
-        self.use_sites = _sites(use_sites)
-
-    def reaching_defs(self, stmt: Stmt, local: Local) -> tuple[int, ...]:
-        mask = self._stmt_in[stmt.index]
-        bit = self._def_bit
-        return tuple(
-            d for d in self.def_sites.get(local, ()) if (mask >> bit[d]) & 1
-        )
-
-
-__all__ = ["DefUseInfo", "LazyDefUse", "compute_defuse"]
+__all__ = ["DefUseInfo", "compute_defuse"]

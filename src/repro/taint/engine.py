@@ -105,7 +105,10 @@ class TaintEngine:
         self.callgraph = callgraph
         self.config = config or TaintConfig()
         #: memoized per-method artifacts, shared with the slicer and the
-        #: signature interpreter when the caller passes one
+        #: signature interpreter when the caller passes one; both
+        #: directions read each method's def/use sites, reaching
+        #: definitions, reachability and mention masks from its one
+        #: :class:`~repro.perf.index.SliceTable`
         self.index = index if index is not None else ProgramIndex(program, callgraph)
         #: method id -> set of entry-point roots whose event may run it.
         self.event_roots = event_roots or {}
@@ -121,9 +124,6 @@ class TaintEngine:
         #: whose code could have influenced the slice (the incremental
         #: engine's reuse precondition)
         self._visited: set[str] | None = None
-        #: per-method (defuse, reach, reach-to, mention-mask) bundle so each
-        #: propagation step pays one dict probe, not four
-        self._tables: dict[str, tuple] = {}
         self._field_stores: dict[tuple[str, str], list[StmtRef]] | None = None
         self._field_loads: dict[tuple[str, str], list[StmtRef]] | None = None
 
@@ -207,38 +207,23 @@ class TaintEngine:
         }
         return result
 
-    def _slice_tables(self, method: Method) -> tuple:
-        """(defuse, reach masks, reach-to masks, mention masks) of
-        ``method``, bundled under one engine-local probe."""
-        mid = method.method_id
-        tables = self._tables.get(mid)
-        if tables is None:
-            idx = self.index
-            tables = (
-                idx.defuse_of(method),
-                idx.reach_masks(method),
-                idx.reach_to_masks(method),
-                idx.mention_masks(method),
-            )
-            self._tables[mid] = tables
-        return tables
-
     def _backward_step(self, ref, local, hops, result, need) -> None:
         method = self._method(ref.method_id)
         assert method.body is not None
-        du, masks, reach_to, mention = self._slice_tables(method)
+        mid = method.method_id
+        table = self.index.slice_table(mid)
         use_stmt = method.stmt_at(ref.index)
-        result.tainted_locals.add((method.method_id, local))
-        defs = du.reaching_defs(use_stmt, local)
-        if not defs and local in set(use_stmt.defs()):
+        result.tainted_locals.add((mid, local))
+        defs = table.reaching_defs(use_stmt, local)
+        if not defs and table.defined[ref.index] == local:
             defs = (ref.index,)
         # the def→use region is a three-way bitmask intersection
         # (statements the def reaches ∩ statements that reach the use ∩
         # statements mentioning the local)
-        use_mask = reach_to[ref.index] & mention.get(local, 0)
-        mid = method.method_id
+        use_mask = table.reach_to[ref.index] & table.mentions.get(local, 0)
+        reach = table.reach
         for d_idx in defs:
-            region = (masks[d_idx] & use_mask) | (1 << d_idx)
+            region = (reach[d_idx] & use_mask) | (1 << d_idx)
             while region:
                 low = region & -region
                 s_idx = low.bit_length() - 1
@@ -250,10 +235,11 @@ class TaintEngine:
                     result.prov.setdefault(
                         s_ref, None if s_ref == ref else ref
                     )
-                self._backward_inflows(method, stmt, local, hops, result, need)
+                self._backward_inflows(
+                    method, stmt, s_ref, local, hops, result, need
+                )
 
-    def _backward_inflows(self, method, stmt, local, hops, result, need) -> None:
-        ref = method.stmt_ref(stmt)
+    def _backward_inflows(self, method, stmt, ref, local, hops, result, need) -> None:
         # 1) the statement (re)defines the tainted local: chase the RHS
         if isinstance(stmt, AssignStmt) and stmt.target == local:
             self._backward_rhs(method, stmt, stmt.rhs, hops, result, need)
@@ -426,9 +412,9 @@ class TaintEngine:
         return result
 
     def _uses_after(self, method: Method, local: Local, from_idx: int) -> list[int]:
-        du, masks, _, _ = self._slice_tables(method)
-        mask = masks[from_idx]
-        return [s for s in du.use_sites.get(local, ()) if (mask >> s) & 1]
+        table = self.index.slice_table(method.method_id)
+        mask = table.reach[from_idx]
+        return [s for s in table.use_sites.get(local, ()) if (mask >> s) & 1]
 
     def _forward_step(self, ref, local, hops, result, fact) -> None:
         method = self._method(ref.method_id)

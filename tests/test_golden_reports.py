@@ -11,8 +11,15 @@
 plus ``AnalysisConfig().cache_key()`` and each corpus config's
 ``cache_key()``, so stored results stay cache hits across refactors.
 
-A refactor that changes any report, or any cache key, fails here.  After a
-deliberate output change, regenerate the data file with::
+Next to each report digest it pins, for the same run, the sha256 of the
+per-DP slices (``dp_to_dict`` of every entry of ``last_slicing.slices``)
+and the report's ``phase_stats.counters``: a report sees slices only
+through their union and the signatures, so a change that moves a
+statement between two demarcation points' slices, or changes the work
+the taint engine counts, fails here too.
+
+A refactor that changes any report, slice, counter or cache key fails
+here.  After a deliberate output change, regenerate the data file with::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -28,17 +35,29 @@ GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
 SYNTH_POPULATION = "synth:all*100@7"
 
 
-def _digest(report) -> str:
-    from repro.core.report import report_to_dict
-
-    blob = json.dumps(report_to_dict(report), sort_keys=True)
+def _sha256(data) -> str:
+    blob = json.dumps(data, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _pins(config, apk) -> tuple[str, str, dict]:
+    """(report digest, per-DP slice digest, counters) of one analysis."""
+    from repro.core.extractocol import Extractocol
+    from repro.core.report import report_to_dict
+    from repro.incr.manifest import dp_to_dict
+
+    engine = Extractocol(config)
+    report = engine.analyze(apk)
+    return (
+        _sha256(report_to_dict(report)),
+        _sha256([dp_to_dict(s) for s in engine.last_slicing.slices]),
+        dict(report.phase_stats.counters),
+    )
 
 
 def compute_golden() -> dict:
     """Analyze the oracle's population and return its digest table."""
     from repro.core.config import AnalysisConfig
-    from repro.core.extractocol import Extractocol
     from repro.corpus import app_keys
     from repro.service.jobs import resolve_target
     from repro.synth import expand_targets
@@ -47,18 +66,28 @@ def compute_golden() -> dict:
         "default_cache_key": AnalysisConfig().cache_key(),
         "corpus": {},
         "synth": {},
+        "synth_slices": {},
+        "synth_counters": {},
     }
     for key in app_keys():
         apk, config, _ = resolve_target(key)
         entry = {"cache_key": config.cache_key()}
         for heuristic in (True, False):
             run = replace(config, async_heuristic=heuristic)
-            report = Extractocol(run).analyze(apk)
-            entry["async_on" if heuristic else "async_off"] = _digest(report)
+            name = "async_on" if heuristic else "async_off"
+            (
+                entry[name],
+                entry[f"{name}_slices"],
+                entry[f"{name}_counters"],
+            ) = _pins(run, apk)
         out["corpus"][key] = entry
     for key in expand_targets([SYNTH_POPULATION]):
         apk, config, _ = resolve_target(key)
-        out["synth"][key] = _digest(Extractocol(config).analyze(apk))
+        (
+            out["synth"][key],
+            out["synth_slices"][key],
+            out["synth_counters"][key],
+        ) = _pins(config, apk)
     return out
 
 
@@ -67,26 +96,38 @@ def test_reports_match_golden_digests():
     got = compute_golden()
     assert got["default_cache_key"] == golden["default_cache_key"]
     assert sorted(got["corpus"]) == sorted(golden["corpus"])
-    assert sorted(got["synth"]) == sorted(golden["synth"])
+    for table in ("synth", "synth_slices", "synth_counters"):
+        assert sorted(got[table]) == sorted(golden[table])
     mismatched = [
         f"{key}:{field}"
         for key, entry in golden["corpus"].items()
         for field, value in entry.items()
         if got["corpus"][key][field] != value
     ] + [
-        key
-        for key, value in golden["synth"].items()
-        if got["synth"][key] != value
+        f"{table}:{key}"
+        for table in ("synth", "synth_slices", "synth_counters")
+        for key, value in golden[table].items()
+        if got[table][key] != value
     ]
-    assert not mismatched, f"reports or cache keys drifted: {mismatched}"
+    assert not mismatched, (
+        f"reports, slices, counters or cache keys drifted: {mismatched}"
+    )
 
 
 def test_golden_covers_the_whole_oracle_population():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert len(golden["corpus"]) == 34
-    assert len(golden["synth"]) == 100
+    for table in ("synth", "synth_slices", "synth_counters"):
+        assert len(golden[table]) == 100
     for entry in golden["corpus"].values():
-        assert set(entry) == {"cache_key", "async_on", "async_off"}
+        assert set(entry) == {
+            "cache_key",
+            *(
+                f"{run}{pin}"
+                for run in ("async_on", "async_off")
+                for pin in ("", "_slices", "_counters")
+            ),
+        }
 
 
 if __name__ == "__main__":

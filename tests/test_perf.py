@@ -1,8 +1,8 @@
 """Tests for the memoized analysis engine (`repro.perf`).
 
-The contracts under test: the :class:`ProgramIndex` artifacts equal the
-freshly computed reference relations they replace (report identity is
-pinned by the golden oracle in ``test_golden_reports.py``); the index is
+The contracts under test: every method's slicing table equals the
+independently computed reference relations (report identity is pinned by
+the golden oracle in ``test_golden_reports.py``); the index is
 the only CFG memo, so an analysis pins nothing once it returns; an
 analysis pauses the cyclic collector and leaves it as it found it, which
 costs nothing because an analysis builds no reference cycles; and the
@@ -38,7 +38,9 @@ from repro.service.jobs import JobTimeout, call_with_timeout, resolve_target
 from repro.service.store import ResultStore
 from repro.signature.lang import Const
 from repro.slicing.slicer import NetworkSlicer
-from repro.taint.defuse import LazyDefUse, compute_defuse
+from repro.taint.defuse import compute_defuse
+
+from conftest import build_branchy_program
 
 
 # -------------------------------------------------- index artifact equality
@@ -81,59 +83,86 @@ def _bodied_methods(program):
     return [m for m in program.methods() if m.body is not None]
 
 
-def test_reach_masks_equal_reference_sets(indexed_program):
-    program, index = indexed_program
-    for method in _bodied_methods(program):
-        masks = index.reach_masks(method)
-        expected = _brute_reach_sets(method)
-        assert [_bits(m) for m in masks] == expected, method.method_id
+@pytest.fixture(scope="module")
+def tabled_methods():
+    """(index, method) for every bodied method of the 34 corpus apps and
+    of conftest's branchy program, whose loop gives it a back edge."""
+    programs = [build_app(key).program for key in app_keys()]
+    programs.append(build_branchy_program().build())
+    out = []
+    for program in programs:
+        index = ProgramIndex(program)
+        out.extend((index, m) for m in _bodied_methods(program))
+    return out
 
 
-def test_reach_to_masks_are_exact_transpose(indexed_program):
-    program, index = indexed_program
-    for method in _bodied_methods(program):
-        fwd = index.reach_masks(method)
-        to = index.reach_to_masks(method)
+def _has_back_edge(method) -> bool:
+    succ = cfg_of(method).stmt_succ
+    return any(s <= i for i, dests in succ.items() for s in dests)
+
+
+def test_reach_masks_equal_reference_sets(tabled_methods):
+    for index, method in tabled_methods:
+        reach = index.slice_table(method.method_id).reach
+        assert [_bits(m) for m in reach] == _brute_reach_sets(method), (
+            method.method_id
+        )
+        n = len(method.body.statements)
+        assert reach == compute_reach_masks(cfg_of(method), n)
+
+
+def test_reach_to_masks_are_exact_transpose(tabled_methods):
+    for index, method in tabled_methods:
+        fwd = _brute_reach_sets(method)
+        to = index.slice_table(method.method_id).reach_to
         n = len(fwd)
         assert len(to) == n
         for j in range(n):
-            expected = {i for i in range(n) if (fwd[i] >> j) & 1}
+            expected = {i for i in range(n) if j in fwd[i]}
             assert _bits(to[j]) == expected, (method.method_id, j)
 
 
-def test_mention_sites_and_masks_match_statement_walk(indexed_program):
-    program, index = indexed_program
-    for method in _bodied_methods(program):
+def test_table_locals_and_mentions_match_statement_walk(tabled_methods):
+    for index, method in tabled_methods:
+        table = index.slice_table(method.method_id)
         brute: dict[Local, set[int]] = {}
         for idx, stmt in enumerate(method.body.statements):
-            touched = {d for d in stmt.defs() if isinstance(d, Local)}
-            for use in stmt.uses():
-                touched |= {v for v in walk_values(use) if isinstance(v, Local)}
-            for local in touched:
+            defined = [d for d in stmt.defs() if isinstance(d, Local)]
+            used = {
+                v
+                for use in stmt.uses()
+                for v in walk_values(use)
+                if isinstance(v, Local)
+            }
+            assert len(defined) <= 1
+            assert table.defined[idx] == (defined[0] if defined else None)
+            assert table.used[idx] == used, (method.method_id, idx)
+            for local in {*defined, *used}:
                 brute.setdefault(local, set()).add(idx)
-        sites = index.mention_sites(method)
-        assert {loc: set(s) for loc, s in sites.items()} == brute
-        masks = index.mention_masks(method)
-        assert {loc: _bits(m) for loc, m in masks.items()} == brute
+        n = len(method.body.statements)
+        assert len(table.defined) == len(table.used) == n
+        assert {loc: _bits(m) for loc, m in table.mentions.items()} == brute
+        # statements that read no local share one empty set
+        assert len({id(u) for u in table.used if not u}) <= 1
 
 
-def test_lazy_defuse_answers_equal_full_computation(indexed_program):
-    program, index = indexed_program
-    lazy_seen = 0
-    for method in _bodied_methods(program):
+def test_table_defuse_answers_equal_full_computation(tabled_methods):
+    back_edges = 0
+    for index, method in tabled_methods:
+        back_edges += _has_back_edge(method)
         full = compute_defuse(method)
-        du = index.defuse_of(method)
-        if isinstance(du, LazyDefUse):
-            lazy_seen += 1
-        assert du.def_sites == full.def_sites
-        assert du.use_sites == full.use_sites
+        table = index.slice_table(method.method_id)
+        assert table.def_sites == full.def_sites
+        assert table.use_sites == full.use_sites
         for local, uses in full.use_sites.items():
             for use_idx in uses:
                 stmt = method.body.statements[use_idx]
-                assert du.reaching_defs(stmt, local) == full.reaching_defs(
+                assert table.reaching_defs(stmt, local) == full.reaching_defs(
                     stmt, local
                 ), (method.method_id, use_idx, local.name)
-    assert lazy_seen > 0  # the lazy path is actually exercised
+    # the table's sweeps repeat only for a method with a back edge: the
+    # checks cover that path too
+    assert 0 < back_edges < len(tabled_methods)
 
 
 def test_field_index_matches_statement_scan(indexed_program):

@@ -103,6 +103,43 @@ class TestAugmentation:
         ]
         assert any("'prefix-'" in t for t in texts), texts
 
+    def test_prefers_the_request_slice_definition(self):
+        """A dangling local is first resolved from the request slice of the
+        same DP; only what is still dangling pulls every definition in
+        its method.  ``tag``'s overwritten first definition reaches
+        neither slice, so it stays out of the response slice."""
+        pb = ProgramBuilder()
+        cb = pb.class_("t.App")
+        m = cb.method("go")
+        tag = m.let("tag", "java.lang.String", "stale-")
+        m.assign(tag, "prefix-")
+        url = m.concat(tag, "https://aug.test/x")
+        req = m.new("org.apache.http.client.methods.HttpGet", [url])
+        client = m.local("client", "org.apache.http.client.HttpClient")
+        m.assign(client, None)
+        resp = m.vcall(client, "execute", [req],
+                       returns="org.apache.http.HttpResponse",
+                       on="org.apache.http.client.HttpClient")
+        body = m.scall("org.apache.http.util.EntityUtils", "toString", [resp],
+                       returns="java.lang.String")
+        labeled = m.concat(tag, body)
+        m.scall("android.util.Log", "d", ["t", labeled])
+        m.ret_void()
+        program = pb.build()
+        slicer = NetworkSlicer(program, build_callgraph(program))
+        dp_slices = slicer.slice_dp(slicer.scan()[0])
+
+        def texts(stmts):
+            return [
+                str(program.method_by_id(r.method_id).stmt_at(r.index))
+                for r in stmts
+            ]
+
+        assert any("'prefix-'" in t for t in texts(dp_slices.request.stmts))
+        response = texts(dp_slices.response.stmts)
+        assert any("'prefix-'" in t for t in response), response
+        assert not any("'stale-'" in t for t in response), response
+
 
 class TestSlicingReport:
     def test_fraction_and_missed_flows_aggregate(self):

@@ -107,6 +107,42 @@ class TestPhaseStats:
         assert set(spans) == set(PHASES) | {"lint"}
         assert spans == report.phase_stats.seconds
 
+    def test_manifest_write_is_booked_under_its_own_phase(
+        self, tmp_path, monkeypatch
+    ):
+        """A store-connected analysis times its fingerprint pass and
+        manifest write as the ``manifest`` phase, not as slicing; runs
+        that write no manifest have no such phase."""
+        import time
+
+        from repro.incr import manifest
+        from repro.service.store import ResultStore
+
+        pause = 0.25
+        build_manifest = manifest.build_manifest
+
+        def slow_build_manifest(*args, **kwargs):
+            time.sleep(pause)
+            return build_manifest(*args, **kwargs)
+
+        monkeypatch.setattr(manifest, "build_manifest", slow_build_manifest)
+        apk = get_spec("blippex").build_apk()
+        store = ResultStore(tmp_path)
+        tracer = Tracer()
+        engine = Extractocol(AnalysisConfig(), tracer=tracer, store=store)
+        seconds = engine.analyze(apk).phase_stats.seconds
+        assert engine.last_manifest is not None
+        assert seconds["manifest"] >= pause
+        assert seconds["slicing"] < pause
+        spans = {
+            c.name.removeprefix("phase:"): c.seconds
+            for c in tracer.root.children[0].children
+        }
+        assert spans == seconds
+        # under record_provenance no manifest is written
+        engine = Extractocol(AnalysisConfig(record_provenance=True), store=store)
+        assert "manifest" not in engine.analyze(apk).phase_stats.seconds
+
     def test_store_envelope_carries_phase_stats(self, tmp_path):
         from repro.service.store import ResultStore
 
