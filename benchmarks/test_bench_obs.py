@@ -4,9 +4,11 @@ The acceptance bar: with tracing disabled (the NULL_TRACER default), the
 instrumented pipeline must cost no more than ~2% over an untraced run.
 The null tracer is a falsy singleton, so every instrumentation site is a
 single cheap branch; we assert a generous 1.10x ceiling on min-of-N
-timings to keep the guard robust against scheduler noise on shared CI
-boxes while still catching any real regression (an accidental eager
-span allocation shows up as 1.5-3x on these millisecond-scale apps).
+timings, taken in alternating rounds so a host whose speed drifts during
+the measurement slows both sides alike, to keep the guard robust against
+scheduler noise on shared CI boxes while still catching any real
+regression (an accidental eager span allocation shows up as 1.5-3x on
+these millisecond-scale apps).
 """
 
 from __future__ import annotations
@@ -20,14 +22,18 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 ROUNDS = 7
 
 
-def _min_seconds(make_engine, apk, config) -> float:
-    best = float("inf")
+def _min_seconds(make_a, make_b, apk, config) -> tuple[float, float]:
+    """Best time of each of two engine configurations over ``ROUNDS``
+    rounds, one run of each per round: the host's drift over the
+    measurement then touches both alike."""
+    best = [float("inf"), float("inf")]
     for _ in range(ROUNDS):
-        engine = make_engine(config)
-        t0 = time.perf_counter()
-        engine.analyze(apk)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for i, make_engine in enumerate((make_a, make_b)):
+            engine = make_engine(config)
+            t0 = time.perf_counter()
+            engine.analyze(apk)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def test_null_tracer_overhead_within_bounds(benchmark):
@@ -36,11 +42,10 @@ def test_null_tracer_overhead_within_bounds(benchmark):
     apk = spec.build_apk()
 
     def run():
-        baseline = _min_seconds(lambda c: Extractocol(c), apk, config)
-        instrumented = _min_seconds(
-            lambda c: Extractocol(c, tracer=NULL_TRACER), apk, config
+        return _min_seconds(
+            lambda c: Extractocol(c),
+            lambda c: Extractocol(c, tracer=NULL_TRACER), apk, config,
         )
-        return baseline, instrumented
 
     baseline, instrumented = benchmark.pedantic(run, rounds=1, iterations=1)
     ratio = instrumented / baseline
@@ -59,9 +64,10 @@ def test_active_tracer_still_cheap(benchmark):
     apk = spec.build_apk()
 
     def run():
-        off = _min_seconds(lambda c: Extractocol(c), apk, config)
-        on = _min_seconds(lambda c: Extractocol(c, tracer=Tracer()), apk, config)
-        return off, on
+        return _min_seconds(
+            lambda c: Extractocol(c),
+            lambda c: Extractocol(c, tracer=Tracer()), apk, config,
+        )
 
     off, on = benchmark.pedantic(run, rounds=1, iterations=1)
     assert on / off <= 1.25, f"active tracing costs {on / off:.2f}x (budget 1.25x)"

@@ -66,10 +66,6 @@ class DeobfuscationMap:
     ambiguous_classes: int = 0
     unmatched_classes: int = 0
 
-    @property
-    def rename_map(self) -> RenameMap:
-        return self.renames
-
 
 def build_deobfuscation_map(
     obfuscated: Program,

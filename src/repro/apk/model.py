@@ -75,12 +75,6 @@ class Apk:
     def name(self) -> str:
         return self.manifest.label
 
-    def entrypoint_methods(self) -> list[str]:
-        return [ep.method_id for ep in self.entrypoints]
-
-    def lifecycle_entrypoints(self) -> list[EntryPoint]:
-        return [ep for ep in self.entrypoints if ep.kind == TriggerKind.LIFECYCLE]
-
     def __repr__(self) -> str:
         return (
             f"Apk({self.package}, {len(self.program.classes)} classes, "

@@ -28,10 +28,6 @@ class BasicBlock:
         return self.statements[-1].index
 
     @property
-    def leader(self) -> Stmt:
-        return self.statements[0]
-
-    @property
     def terminator(self) -> Stmt:
         return self.statements[-1]
 

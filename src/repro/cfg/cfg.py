@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ..ir.method import Method
-from ..ir.statements import GotoStmt, IfStmt, Stmt
+from ..ir.statements import GotoStmt, IfStmt
 from .blocks import BasicBlock, partition_blocks
 
 
@@ -19,10 +19,6 @@ class ControlFlowGraph:
     def __init__(self, method: Method) -> None:
         self.method = method
         self.blocks: list[BasicBlock] = partition_blocks(method)
-        self._block_of_stmt: dict[int, BasicBlock] = {}
-        for block in self.blocks:
-            for stmt in block:
-                self._block_of_stmt[stmt.index] = block
         self.succ: dict[int, list[int]] = {b.bid: [] for b in self.blocks}
         self.pred: dict[int, list[int]] = {b.bid: [] for b in self.blocks}
         self._build_edges()
@@ -56,9 +52,6 @@ class ControlFlowGraph:
 
     def predecessors(self, block: BasicBlock) -> list[BasicBlock]:
         return [self.blocks[i] for i in self.pred[block.bid]]
-
-    def block_of(self, stmt: Stmt) -> BasicBlock:
-        return self._block_of_stmt[stmt.index]
 
     # -- statement-level adjacency ---------------------------------------------
     # Adjacency values are tuples of ints, which the cyclic collector stops

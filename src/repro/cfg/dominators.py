@@ -128,9 +128,6 @@ class LoopInfo:
     def is_header(self, bid: int) -> bool:
         return bid in self.headers
 
-    def is_latch(self, bid: int) -> bool:
-        return bid in self.latches
-
     def in_loop(self, bid: int) -> bool:
         return bool(self.membership.get(bid))
 

@@ -713,16 +713,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def __getattr__(name: str):
-    """Backwards-compat: ``report_to_dict`` moved to ``repro.core.report``;
-    keep the old import path alive without paying the import at startup."""
-    if name == "report_to_dict":
-        from repro.core.report import report_to_dict
-
-        return report_to_dict
-    raise AttributeError(f"module 'repro.cli' has no attribute {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     from repro.core.config import MODES
 

@@ -188,9 +188,12 @@ def resolve_diff_target(target: str, *, store=None):
 
 
 def _analyze(apk, config, *, store=None, renames=None):
-    """Analyze one diff operand.  With a store, the re-analysis is
-    near-free on warm lineages: an already-stored report short-circuits
-    outright, otherwise the run goes through ``incremental`` mode (the
+    """Analyze one diff operand.  With a store, a warm operand is read
+    once and costs no analysis; a cold one goes through the store
+    protocol batch workers and daemon jobs share
+    (:func:`~repro.service.shard.analyze_through_store`), so a report
+    another process stores meanwhile under its result-key lease is read
+    back.  Otherwise the run goes through ``incremental`` mode (the
     previous version's manifest replays unchanged DP slices, mapped
     through ``renames`` for obfuscated rebuilds) and both the report and
     the fresh manifest are written back."""
@@ -199,16 +202,28 @@ def _analyze(apk, config, *, store=None, renames=None):
     if store is None:
         return Extractocol(config).analyze(apk)
     from ..apk.loader import apk_digest
+    from ..core.report import report_from_dict
+    from ..service.shard import analyze_through_store
+    from ..service.store import result_key
+
+    def analyze():
+        config.mode = "incremental"
+        return Extractocol(config, store=store).analyze(apk, renames=renames)
 
     digest = apk_digest(apk)
     config_key = config.cache_key()
-    cached = store.get_report(digest, config_key)
-    if cached is not None:
-        return cached
-    config.mode = "incremental"
-    report = Extractocol(config, store=store).analyze(apk, renames=renames)
-    store.put(digest, config_key, report)
-    return report
+    key = result_key(digest, config_key)
+    envelope = store.lookup(key)
+    if envelope is not None:
+        store.record(hit=True)
+    else:
+        report = analyze_through_store(
+            store, digest, config_key, analyze, counters={}
+        )
+        if report is not None:
+            return report
+        envelope = store.lookup(key)
+    return report_from_dict(envelope["report"])
 
 
 def diff_targets(

@@ -44,10 +44,6 @@ class Table1Row:
         return row_for(self.key)
 
 
-def _truth_cell(truth, method: str | None, measure) -> int:
-    return truth.count(method, visible_to=measure)
-
-
 def row_for_app(key: str) -> Table1Row:
     ev = evaluate_app(key)
     spec = ev.spec

@@ -25,20 +25,22 @@ deltas into the segments durably and deletes them.
 **Crash safety.**  Segment/doc files are content-addressed and the
 manifest is written atomically last, so a crashed builder leaves either
 the old index or the new one, never a torn tree (orphaned segment files
-are garbage-collected by the next fold).  A corrupt pending delta — a
-writer that died mid-``put`` — is re-extracted from its stored envelope
-(the filename is the result key), or dropped when the envelope never
-landed either.
+are garbage-collected by the next fold).  A segment or doc registry the
+manifest names that cannot be read (damaged on disk) or has another
+schema is skipped by readers, and the next fold rebuilds from the
+envelopes, rewriting every file even where the fresh bytes keep the
+damaged file's name.  A corrupt pending delta — a writer that died
+mid-``put`` — is re-extracted from its stored envelope (the filename is
+the result key), or dropped when the envelope never landed either.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 
+from ..service.store import atomic_write, canonical_json
 from .docs import doc_from_envelope, extract_doc
 
 #: Bump when the index layout (manifest, segment, docs or pending record
@@ -64,27 +66,6 @@ def pending_dir(store_root: str | Path) -> Path:
 
 def manifest_path(store_root: str | Path) -> Path:
     return index_root(store_root) / "MANIFEST.json"
-
-
-def _canonical(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".idx.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _read_json(path: Path) -> dict | None:
@@ -116,8 +97,8 @@ def write_pending_delta(store_root: str | Path, key: str, app: str,
         "app": app,
         "doc": extract_doc(key, app, report),
     }
-    _atomic_write(pending_dir(store_root) / f"{key}.json",
-                  _canonical(record))
+    atomic_write(pending_dir(store_root) / f"{key}.json",
+                 canonical_json(record))
 
 
 def _load_pending(store, *, consume_errors: bool = True) -> tuple[dict, list]:
@@ -221,7 +202,7 @@ class FleetIndex:
         return self
 
     def load(self) -> "FleetIndex":
-        self.docs, self.postings = _load_tree(self.store, self.manifest())
+        self.docs, self.postings, _ = _load_tree(self.store, self.manifest())
         pending, _stale = _load_pending(self.store, consume_errors=False)
         self.pending_count = 0
         for key, doc in sorted(pending.items()):
@@ -288,17 +269,22 @@ class FleetIndex:
         }
 
 
-def _load_tree(store, manifest: dict | None) -> tuple[dict, dict]:
-    """Rehydrate ``(doc registry, postings)`` from the manifest tree —
-    empty maps when there is no (or a foreign-schema) index yet."""
+def _load_tree(store, manifest: dict | None) -> tuple[dict, dict, bool]:
+    """Rehydrate ``(doc registry, postings, intact)`` from the manifest
+    tree — empty maps when there is no (or a foreign-schema) index yet.
+    A file the manifest names that cannot be read or has another schema
+    is skipped and clears ``intact``: readers keep what is left, a fold
+    rebuilds."""
     docs: dict[str, dict] = {}
     postings: dict[str, set[Posting]] = {}
     if manifest is None:
-        return docs, postings
+        return docs, postings, False
     root = index_root(store.root)
+    intact = True
     for sha in manifest.get("segments", {}).values():
         segment = _read_json(root / "segments" / f"{sha}.json")
         if segment is None or segment.get("schema") != INDEX_SCHEMA:
+            intact = False
             continue
         for term, term_postings in segment.get("terms", {}).items():
             postings[term] = {
@@ -307,7 +293,9 @@ def _load_tree(store, manifest: dict | None) -> tuple[dict, dict]:
     registry = _read_json(root / "docs" / f"{manifest.get('docs')}.json")
     if registry is not None and registry.get("schema") == INDEX_SCHEMA:
         docs = dict(registry.get("docs", {}))
-    return docs, postings
+    else:
+        intact = False
+    return docs, postings, intact
 
 
 # ------------------------------------------------------------- building
@@ -326,15 +314,17 @@ def build_index(store, *, rebuild: bool = False) -> dict:
     """Build or update the on-disk index; returns its stats dict.
 
     Default mode folds pending deltas into the existing segments
-    (building from scratch when no index exists); ``rebuild=True`` always
-    re-extracts every envelope.  Either path writes the exact same bytes
-    for the same store contents.
+    (building from scratch when no index exists or a file its manifest
+    names is damaged); ``rebuild=True`` always re-extracts every
+    envelope.  Either path writes the exact same bytes for the same store
+    contents.
     """
     manifest = _read_json(manifest_path(store.root))
     if manifest is not None and manifest.get("schema") != INDEX_SCHEMA:
         manifest = None  # foreign schema: rebuild rather than mis-fold
-        rebuild = True
-    rebuild = rebuild or manifest is None
+    if not rebuild:
+        registry, postings, intact = _load_tree(store, manifest)
+        rebuild = not intact  # no index, or a damaged one: rebuild
 
     pending, stale = _load_pending(store)
     consumed = [pending_dir(store.root) / f"{key}.json" for key in pending]
@@ -343,15 +333,13 @@ def build_index(store, *, rebuild: bool = False) -> dict:
         # every pending delta's envelope is part of the scan (or gone),
         # so a full build consumes the whole pending set
         fresh = _extract_all(store)
-        registry: dict[str, dict] = {}
-        postings: dict[str, set[Posting]] = {}
-        folded = len(fresh)
+        registry = {}
+        postings = {}
     else:
-        registry, postings = _load_tree(store, manifest)
         fresh = {
             key: doc for key, doc in pending.items() if key not in registry
         }
-        folded = len(fresh)
+    folded = len(fresh)
 
     for key in sorted(fresh):
         doc = fresh[key]
@@ -359,7 +347,8 @@ def build_index(store, *, rebuild: bool = False) -> dict:
         for term, term_postings in _doc_postings(key, doc).items():
             postings.setdefault(term, set()).update(term_postings)
 
-    stats = _write_index_from_postings(store, registry, postings)
+    stats = _write_index_from_postings(store, registry, postings,
+                                       rewrite=rebuild)
     _consume(consumed + stale)
     stats["folded"] = folded
     stats["rebuilt"] = rebuild
@@ -367,9 +356,13 @@ def build_index(store, *, rebuild: bool = False) -> dict:
 
 
 def _write_index_from_postings(store, registry: dict[str, dict],
-                               postings: dict[str, set[Posting]]) -> dict:
+                               postings: dict[str, set[Posting]], *,
+                               rewrite: bool) -> dict:
     """Serialise postings + registry into the content-addressed tree and
-    swing the manifest; garbage-collects superseded files."""
+    swing the manifest; garbage-collects superseded files.  A fold skips
+    a file whose name exists (same name, same bytes); ``rewrite`` writes
+    every file, so a rebuild replaces a damaged one its fresh bytes still
+    name."""
     root = index_root(store.root)
     seg_dir = root / "segments"
     docs_dir = root / "docs"
@@ -385,24 +378,24 @@ def _write_index_from_postings(store, registry: dict[str, dict],
     segment_shas: dict[str, str] = {}
     keep_segments: set[str] = set()
     for slot, terms in enumerate(slots):
-        text = _canonical({
+        text = canonical_json({
             "schema": INDEX_SCHEMA, "slot": slot, "terms": terms
         })
         sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
         segment_shas[f"{slot:02d}"] = sha
         keep_segments.add(f"{sha}.json")
         path = seg_dir / f"{sha}.json"
-        if not path.exists():
-            _atomic_write(path, text)
+        if rewrite or not path.exists():
+            atomic_write(path, text)
 
-    registry_text = _canonical({
+    registry_text = canonical_json({
         "schema": INDEX_SCHEMA,
         "docs": {key: registry[key] for key in sorted(registry)},
     })
     docs_sha = hashlib.sha256(registry_text.encode("utf-8")).hexdigest()
     docs_path = docs_dir / f"{docs_sha}.json"
-    if not docs_path.exists():
-        _atomic_write(docs_path, registry_text)
+    if rewrite or not docs_path.exists():
+        atomic_write(docs_path, registry_text)
 
     stats = {
         "docs": len(registry),
@@ -411,7 +404,7 @@ def _write_index_from_postings(store, registry: dict[str, dict],
         "postings": sum(len(p) for p in postings.values()),
         "segments": N_SLOTS,
     }
-    _atomic_write(manifest_path(store.root), _canonical({
+    atomic_write(manifest_path(store.root), canonical_json({
         "schema": INDEX_SCHEMA,
         "slots": N_SLOTS,
         "segments": segment_shas,

@@ -21,24 +21,28 @@ class ValidationError:
     method_id: str
     index: int
     message: str
+    #: the ``IR0xx`` lint rule this error is reported under
+    rule: str
 
     def __str__(self) -> str:
         return f"{self.method_id}#{self.index}: {self.message}"
 
 
 def validate_method(method: Method) -> list[ValidationError]:
+    """Structural errors of one body, in statement order, each tagged with
+    its lint rule (IR001–IR007; ``repro lint`` reports exactly these)."""
     errors: list[ValidationError] = []
     body = method.body
     if body is None:
         return errors
 
-    def err(index: int, message: str) -> None:
-        errors.append(ValidationError(method.method_id, index, message))
+    def err(rule: str, index: int, message: str) -> None:
+        errors.append(ValidationError(method.method_id, index, message, rule))
 
     declared = set(body.locals.values())
     n = len(body.statements)
     if n == 0:
-        err(-1, "empty body")
+        err("IR001", -1, "empty body")
         return errors
 
     identities_done = False
@@ -46,27 +50,28 @@ def validate_method(method: Method) -> list[ValidationError]:
         if isinstance(stmt, (IfStmt, GotoStmt)):
             for target in stmt.branch_targets():
                 if target not in body.labels:
-                    err(stmt.index, f"branch to undefined label {target!r}")
+                    err("IR002", stmt.index, f"branch to undefined label {target!r}")
                 elif body.labels[target] >= n:
-                    err(stmt.index, f"label {target!r} points past end of body")
+                    err("IR003", stmt.index, f"label {target!r} points past end of body")
         if isinstance(stmt, IdentityStmt):
             if identities_done:
-                err(stmt.index, "identity statement after ordinary statements")
+                err("IR004", stmt.index, "identity statement after ordinary statements")
             if not isinstance(stmt.rhs, (ParamRef, ThisRef)):
-                err(stmt.index, "identity rhs must be @this or @parameter")
+                err("IR005", stmt.index, "identity rhs must be @this or @parameter")
         else:
             identities_done = True
         for use in stmt.uses():
             for value in walk_values(use):
                 if isinstance(value, Local) and value not in declared:
-                    err(stmt.index, f"use of undeclared local {value.name!r}")
+                    err("IR006", stmt.index, f"use of undeclared local {value.name!r}")
         for d in stmt.defs():
             for value in walk_values(d):
                 if isinstance(value, Local) and value not in declared:
-                    err(stmt.index, f"definition of undeclared local {value.name!r}")
+                    err("IR006", stmt.index,
+                        f"definition of undeclared local {value.name!r}")
 
     if body.statements[-1].falls_through:
-        err(n - 1, "control falls off the end of the body")
+        err("IR007", n - 1, "control falls off the end of the body")
     return errors
 
 
@@ -108,12 +113,14 @@ def validate_program(program: Program) -> list[ValidationError]:
         errors.extend(validate_method(method))
     for cycle in superclass_cycles(program):
         if len(cycle) == 1:
-            errors.append(ValidationError(cycle[0], -1, "class extends itself"))
+            errors.append(
+                ValidationError(cycle[0], -1, "class extends itself", "IR008")
+            )
             continue
         loop = " -> ".join(cycle + [cycle[0]])
         for name in cycle:
             errors.append(
-                ValidationError(name, -1, f"superclass cycle: {loop}")
+                ValidationError(name, -1, f"superclass cycle: {loop}", "IR008")
             )
     return errors
 

@@ -71,12 +71,6 @@ class LintReport:
     def counts(self) -> dict[str, int]:
         return count_by_severity(self.findings)
 
-    def by_rule(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.rule] = out.get(f.rule, 0) + 1
-        return dict(sorted(out.items()))
-
     def to_dict(self) -> dict:
         return {
             "app": self.app,

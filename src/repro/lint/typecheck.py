@@ -1,7 +1,7 @@
 """Whole-program typechecker for the three-address IR (``IR0xx`` rules).
 
 Subsumes and extends :mod:`repro.ir.validate`: the structural rules
-(IR001–IR007) mirror ``validate_method`` one-for-one; IR008 reports
+(IR001–IR007) are ``validate_method``'s rule-tagged errors; IR008 reports
 superclass cycles (via :func:`repro.ir.validate.superclass_cycles`); the
 remaining rules are the class-hierarchy-aware type checks — assignment and
 cast compatibility, invoke arity and argument types, field-store and
@@ -26,9 +26,7 @@ from ..ir.method import Method
 from ..ir.program import Program
 from ..ir.statements import (
     AssignStmt,
-    GotoStmt,
     IdentityStmt,
-    IfStmt,
     ReturnStmt,
     Stmt,
 )
@@ -44,7 +42,7 @@ from ..ir.types import (
     VOID,
     class_t,
 )
-from ..ir.validate import superclass_cycles
+from ..ir.validate import superclass_cycles, validate_method
 from ..ir.values import (
     ArrayRef,
     BinOpExpr,
@@ -67,7 +65,6 @@ from ..ir.values import (
     ThisRef,
     UnOpExpr,
     Value,
-    walk_values,
 )
 from .diagnostics import Diagnostic, make_finding
 
@@ -224,61 +221,22 @@ def compatible(src: Type | None, dst: Type | None, hier: Hierarchy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structural rules (IR001–IR007): validate_method with rule ids attached.
+# Structural rules (IR001–IR007): validate_method's rule-tagged errors.
+
+#: structural rules after which no CFG can be built for the body
+_CFG_BREAKING = frozenset({"IR001", "IR002", "IR003", "IR007"})
 
 
 def _check_structure(method: Method, out: list[Diagnostic]) -> bool:
     """Emit structural findings; returns False when the body is too broken
     for CFG construction (dataflow lints must then skip this method)."""
-    body = method.body
-    if body is None:
-        return True
-    cls, mid = method.class_name, method.method_id
-
-    def err(rule: str, index: int, message: str) -> None:
-        out.append(
-            make_finding(rule, message, class_name=cls, method_id=mid, index=index)
-        )
-
-    n = len(body.statements)
-    if n == 0:
-        err("IR001", -1, "empty body")
-        return False
-
     cfg_safe = True
-    identities_done = False
-    declared = set(body.locals.values())
-    for stmt in body.statements:
-        if isinstance(stmt, (IfStmt, GotoStmt)):
-            for target in stmt.branch_targets():
-                if target not in body.labels:
-                    err("IR002", stmt.index, f"branch to undefined label {target!r}")
-                    cfg_safe = False
-                elif body.labels[target] >= n:
-                    err("IR003", stmt.index, f"label {target!r} points past end of body")
-                    cfg_safe = False
-        if isinstance(stmt, IdentityStmt):
-            if identities_done:
-                err("IR004", stmt.index, "identity statement after ordinary statements")
-            if not isinstance(stmt.rhs, (ParamRef, ThisRef)):
-                err("IR005", stmt.index, "identity rhs must be @this or @parameter")
-        else:
-            identities_done = True
-        for use in stmt.uses():
-            for value in walk_values(use):
-                if isinstance(value, Local) and value not in declared:
-                    err("IR006", stmt.index, f"use of undeclared local {value.name!r}")
-        for d in stmt.defs():
-            for value in walk_values(d):
-                if isinstance(value, Local) and value not in declared:
-                    err(
-                        "IR006",
-                        stmt.index,
-                        f"definition of undeclared local {value.name!r}",
-                    )
-    if body.statements[-1].falls_through:
-        err("IR007", n - 1, "control falls off the end of the body")
-        cfg_safe = False
+    for error in validate_method(method):
+        out.append(make_finding(
+            error.rule, error.message, class_name=method.class_name,
+            method_id=error.method_id, index=error.index,
+        ))
+        cfg_safe = cfg_safe and error.rule not in _CFG_BREAKING
     return cfg_safe
 
 

@@ -107,10 +107,6 @@ class Runtime:
         self._text_idx += 1
         return value
 
-    def set_text_inputs(self, inputs: list[str]) -> None:
-        self._text_inputs = list(inputs) or ["input"]
-        self._text_idx = 0
-
     def intent_extra(self, key: str) -> str:
         return self._intent_extras.get(key, f"extra-{key}")
 

@@ -122,9 +122,6 @@ class SemanticModel:
                 return h
         return None
 
-    def modeled_classes(self) -> set[str]:
-        return {c for c, _ in self._handlers}
-
     def merge(self, other: "SemanticModel") -> None:
         self._handlers.update(other._handlers)
         self._dispatch.update(other._dispatch)

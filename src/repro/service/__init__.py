@@ -14,9 +14,11 @@ One analysis is a pure function of ``(APK, config)``; this package makes
 
 :mod:`repro.service.shard`
     The batch engine: a coordinator hands each analyzer worker its next
-    entry over the worker's own pipe, and result-key leases dedup
-    analyses across processes sharing the store — in-process at one
-    worker, worker processes above that.
+    entry over the worker's own pipe — in-process at one worker, worker
+    processes above that.  Its store protocol,
+    :func:`~repro.service.shard.analyze_through_store`, which daemon jobs
+    and ``repro diff --store`` share, dedups analyses across processes
+    sharing the store through result-key leases.
 
 :mod:`repro.service.api`
     Stdlib HTTP JSON API (``repro serve``) exposing submit/status/report/

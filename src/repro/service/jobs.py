@@ -6,8 +6,12 @@ The scheduler turns ``Extractocol.analyze`` into a managed workload:
   :func:`repro.perf.parallel.resolve_workers`: ``0`` means one worker per
   CPU),
 * **result-store integration** — a submit whose ``(apk digest, config
-  key)`` is already stored completes immediately as a cache hit; a fresh
-  result is written back on success,
+  key)`` is already stored completes immediately as a cache hit; every
+  other attempt goes through the store protocol the batch engine and
+  ``repro diff --store`` share
+  (:func:`~repro.service.shard.analyze_through_store`: result-key lease,
+  re-probe, analyse, put), so daemons and batches sharing one store run
+  one analysis per key,
 * **in-flight deduplication** — concurrent submits of the same key share
   one job (and therefore exactly one analysis),
 * **per-job timeout**, **retry with exponential backoff** on analyzer
@@ -153,9 +157,9 @@ def call_with_timeout(fn, timeout: float | None):
     """Run ``fn()`` under a wall-clock deadline; raises :class:`JobTimeout`
     when it blows through.  ``None`` means no deadline (no helper thread).
 
-    Shared by the thread scheduler and the batch engine's workers — the
-    deadline semantics must match so a target fails identically under
-    both.
+    The store protocol (:func:`~repro.service.shard.analyze_through_store`)
+    runs every daemon and batch analysis through it, so a target blows
+    its deadline identically under both.
 
     A timed-out ``fn`` is abandoned on its daemon thread, which may never
     return; an analysis pauses the cyclic collector until it returns, so
@@ -272,7 +276,10 @@ class JobScheduler:
             self._jobs[job.job_id] = job
             self.metrics.counter("jobs_submitted").inc()
 
-            if self.store.get(digest, config_key) is not None:
+            if self.store.lookup(key) is not None:
+                # only the hit counts here: a queued job's attempt
+                # counts its own outcome (analyze_through_store)
+                self.store.record(hit=True)
                 self._finish(job, JobStatus.DONE, cache_hit=True, key=key)
                 return job
 
@@ -343,43 +350,29 @@ class JobScheduler:
                 self._queue.task_done()
 
     def _run_job(self, job: Job) -> None:
-        """One analysis attempt.  A retryable failure does not sleep here:
-        the backoff runs on a daemon :class:`threading.Timer` that
-        re-enqueues the job, so this worker goes straight back to the queue
-        instead of head-of-line blocking every job behind the backoff (the
-        old inline ``time.sleep`` stalled a 1-worker pool for the whole
-        window)."""
+        """One attempt through the store protocol
+        (:func:`~repro.service.shard.analyze_through_store`): a result
+        another process stored meanwhile ends the job as a cache hit.  A
+        retryable failure does not sleep here: the backoff runs on a
+        daemon :class:`threading.Timer` that re-enqueues the job, so this
+        worker goes straight back to the queue instead of head-of-line
+        blocking every job behind the backoff."""
+        from .shard import LeaseWaitTimeout, analyze_through_store
+
         key = f"{job.apk_digest}-{job.config_key}"
         apk, config = job._apk, job._config
         job.attempts += 1
-        try:
-            self.metrics.counter("analyses_run").inc()
-            report = call_with_timeout(
-                lambda: self.analyzer(apk, config), self.timeout
-            )
-            seconds = report.analysis_seconds
-            self.metrics.histogram("analyze_seconds").observe(seconds)
-            from ..obs.fleet import family_of
 
-            self.metrics.histogram(
-                "app_seconds", labels={"family": family_of(job.label)}
-            ).observe(seconds)
-            stats = getattr(report, "phase_stats", None)
-            if stats is not None:
-                for phase, phase_s in stats.seconds.items():
-                    self.metrics.histogram(
-                        "phase_seconds", labels={"phase": phase}
-                    ).observe(phase_s)
-            for finding in getattr(report, "lint_findings", ()) or ():
-                self.metrics.counter(
-                    f"lint_findings_{finding.severity.value}"
-                ).inc()
-            job.result_key = self.store.put(
-                job.apk_digest, job.config_key, report
+        def analyze():
+            self.metrics.counter("analyses_run").inc()
+            return self.analyzer(apk, config)
+
+        try:
+            report = analyze_through_store(
+                self.store, job.apk_digest, job.config_key, analyze,
+                counters={}, owner=f"daemon-{job.job_id}",
+                timeout=self.timeout,
             )
-            with self._lock:
-                self._finish(job, JobStatus.DONE, key=key)
-            return
         except JobTimeout as exc:
             # a deadline blow-through is not transient: do not retry
             job.error = str(exc)
@@ -387,7 +380,10 @@ class JobScheduler:
         except Exception as exc:
             job.error = f"{type(exc).__name__}: {exc}"
             job.traceback = traceback_mod.format_exc()
-            if job.attempts <= self.retries:
+            # a holder that never stores is not transient either
+            if job.attempts <= self.retries and not isinstance(
+                exc, LeaseWaitTimeout
+            ):
                 if self._schedule_retry(job):
                     return
                 # shutting down: nothing is queued behind this worker any
@@ -397,6 +393,29 @@ class JobScheduler:
                 time.sleep(self.backoff * (2 ** (job.attempts - 1)))
                 self._run_job(job)
                 return
+        else:
+            if report is not None:  # fresh: observe the report's own clock
+                from ..obs.fleet import family_of
+
+                seconds = report.analysis_seconds
+                self.metrics.histogram("analyze_seconds").observe(seconds)
+                self.metrics.histogram(
+                    "app_seconds", labels={"family": family_of(job.label)}
+                ).observe(seconds)
+                stats = getattr(report, "phase_stats", None)
+                if stats is not None:
+                    for phase, phase_s in stats.seconds.items():
+                        self.metrics.histogram(
+                            "phase_seconds", labels={"phase": phase}
+                        ).observe(phase_s)
+                for finding in getattr(report, "lint_findings", ()) or ():
+                    self.metrics.counter(
+                        f"lint_findings_{finding.severity.value}"
+                    ).inc()
+            with self._lock:
+                self._finish(job, JobStatus.DONE, key=key,
+                             cache_hit=report is None)
+            return
         with self._lock:
             self._finish(job, JobStatus.FAILED, key=key)
 
@@ -444,11 +463,11 @@ class JobScheduler:
         """Terminal transition; caller holds ``self._lock``."""
         job.status = status
         job.cache_hit = cache_hit
-        if cache_hit:
-            job.started_at = job.finished_at = time.monotonic()
+        job.finished_at = time.monotonic()
+        if job.started_at is None:  # a hit at submit never ran
+            job.started_at = job.finished_at
+        if status is JobStatus.DONE:
             job.result_key = key
-        else:
-            job.finished_at = time.monotonic()
         self._inflight.pop(key, None)
         if status is JobStatus.DONE:
             self.metrics.counter("jobs_done").inc()

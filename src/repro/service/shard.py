@@ -14,11 +14,14 @@ targets in order in the calling process instead of forking:
   entry each worker holds and since when.  A worker that dies (EOF or a
   torn frame on its pipe) fails exactly the entry it held, with its own
   exit code; the entries nobody started go to the live workers.
-* **The result-key lease.**  After resolution, the store-wide *lease* on
-  the result key (:meth:`~repro.service.store.ResultStore.claim`) dedups
-  in-flight analyses across *independent* processes and daemons sharing
-  the store: a worker that loses the lease race waits for the winner's
-  envelope to land instead of re-analysing.
+* **One store protocol.**  After resolution, every attempt goes through
+  :func:`analyze_through_store`, which daemon jobs
+  (:mod:`repro.service.jobs`) and ``repro diff --store`` call too: probe
+  the store, take the store-wide *lease* on the result key
+  (:meth:`~repro.service.store.ResultStore.claim`) or wait for its
+  holder's envelope, probe again once the lease is won, and only then
+  analyse, put and release.  Independent batches and daemons sharing a
+  store therefore run one analysis per result key.
 * **Result-carried observability.**  A :class:`ShardRecord` is the one
   record of a batch entry: it travels back over its worker's pipe with its
   wall time, attempt count, per-phase seconds (copied from the report's
@@ -48,8 +51,8 @@ from pathlib import Path
 #: Start methods this module knows how to drive, in preference order.
 START_METHODS = ("fork", "spawn")
 
-#: How long a worker waits (total) for another process's in-flight analysis
-#: of the same key before giving up and analysing itself.
+#: How long an attempt waits (total) for another process's in-flight
+#: analysis of the same key before it fails with :class:`LeaseWaitTimeout`.
 LEASE_WAIT_SECONDS = 60.0
 _LEASE_POLL = 0.02
 
@@ -156,24 +159,71 @@ class ShardRecord:
         }
 
 
-def _analyze_once(apk, config, timeout: float | None, tracer=None):
+def analyze_through_store(
+    store,
+    digest: str,
+    config_key: str,
+    analyze,
+    *,
+    counters: dict,
+    owner: str | None = None,
+    timeout: float | None = None,
+):
+    """One analysis attempt through the store: the protocol batch workers,
+    daemon jobs and ``repro diff --store`` share.
+
+    Probe the store; on a miss take the result-key lease, or wait for its
+    holder's envelope (:class:`LeaseWaitTimeout` once the holder has kept
+    the lease :data:`LEASE_WAIT_SECONDS` without storing).  Once the lease
+    is won, probe again: the holder may have stored its result and
+    released between the probe and the claim.  Only then run ``analyze()``
+    under :func:`~repro.service.jobs.call_with_timeout`, ``put`` its
+    report and release the lease.
+
+    Returns the fresh report, or ``None`` when the result was already
+    stored (the caller reads it back if it needs it).  Whatever
+    ``analyze`` or the store raises propagates, lease released; retries
+    are the caller's.  The probes do no accounting: the attempt counts
+    one store outcome, a hit when the result came from the store and a
+    miss when it was analysed.  ``counters`` gains ``lease_waits`` when
+    the stored result came from a holder this attempt waited for.
+    """
     from .jobs import call_with_timeout
+    from .store import result_key
 
-    def run():
-        from ..core.extractocol import Extractocol
-
-        if tracer is not None:
-            return Extractocol(config, tracer=tracer).analyze(apk)
-        return Extractocol(config).analyze(apk)
-
-    return call_with_timeout(run, timeout)
+    key = result_key(digest, config_key)
+    deadline = time.monotonic() + LEASE_WAIT_SECONDS
+    waited = False
+    while store.lookup(key) is None:
+        if store.claim(key, owner=owner):
+            try:
+                if store.lookup(key) is None:
+                    store.record(hit=False)
+                    report = call_with_timeout(analyze, timeout)
+                    store.put(digest, config_key, report)
+                    return report
+            finally:
+                store.release(key)
+            break
+        # another process is analysing this key right now: wait for its
+        # envelope instead of duplicating the work
+        if time.monotonic() >= deadline:
+            raise LeaseWaitTimeout(
+                f"timed out waiting for in-flight analysis of {key} "
+                f"(lease holder: {store.lease_holder(key)})"
+            )
+        waited = True
+        time.sleep(_LEASE_POLL)
+    store.record(hit=True)
+    if waited:
+        counters["lease_waits"] = 1
+    return None
 
 
 def _process_item(
     store,
     index: int,
     target: str,
-    overrides: dict | None,
     *,
     worker_id: int,
     retries: int,
@@ -181,94 +231,77 @@ def _process_item(
     timeout: float | None,
     span=None,
 ) -> ShardRecord:
-    """Resolve, dedup and (if needed) analyse one batch entry.
-    When ``span`` is given the analysis trace nests under it (see
-    :class:`~repro.obs.tracer.SpanTracer`)."""
-    from ..obs.tracer import SpanTracer
-    from .jobs import resolve_target
+    """Resolve one batch entry and run it through
+    :func:`analyze_through_store`, retrying a failed analysis with
+    backoff.  When ``span`` is given the analysis trace nests under it
+    (see :class:`~repro.obs.tracer.SpanTracer`)."""
+    from ..apk.loader import apk_digest
+    from ..core.extractocol import Extractocol
+    from ..obs.tracer import NULL_TRACER, SpanTracer
+    from .jobs import JobTimeout, resolve_target
     from .store import result_key
 
-    tracer = SpanTracer(span) if span is not None and span else None
+    tracer = SpanTracer(span) if span else NULL_TRACER
     record = ShardRecord(index=index, target=target, worker=worker_id)
     try:
-        apk, config, label = resolve_target(target, overrides)
+        apk, config, label = resolve_target(target)
     except Exception as exc:
         record.fail(exc, trace=True)
         record.label = target
         return record
     record.label = label
-
-    from ..apk.loader import apk_digest
-
     digest = apk_digest(apk)
-    key = result_key(digest, config.cache_key())
-    record.result_key = key
+    config_key = config.cache_key()
+    record.result_key = result_key(digest, config_key)
     started = time.monotonic()
 
-    if store.get(digest, config.cache_key()) is not None:
-        record.cache_hit = True
-        record.seconds = time.monotonic() - started
-        return record
+    def analyze():
+        report = Extractocol(config, tracer=tracer).analyze(apk)
+        record.counters["analyses_run"] = (
+            record.counters.get("analyses_run", 0) + 1
+        )
+        return report
 
-    if not store.claim(key, owner=f"shard-{worker_id}"):
-        # an independent process is analysing this key right now: wait for
-        # its envelope instead of duplicating the work
-        deadline = time.monotonic() + LEASE_WAIT_SECONDS
-        while time.monotonic() < deadline:
-            if store.get(digest, config.cache_key()) is not None:
-                record.cache_hit = True
-                record.counters["lease_waits"] = 1
-                record.seconds = time.monotonic() - started
-                return record
-            if store.claim(key, owner=f"shard-{worker_id}"):
-                break  # holder vanished without a result — take over
-            time.sleep(_LEASE_POLL)
-        else:
-            record.fail(LeaseWaitTimeout(
-                f"timed out waiting for in-flight analysis of {key} "
-                f"(lease holder: {store.lease_holder(key)})"
-            ))
-            record.seconds = time.monotonic() - started
-            return record
-
-    try:
-        for attempt in range(1, retries + 2):
+    for attempt in range(1, retries + 2):
+        try:
+            report = analyze_through_store(
+                store, digest, config_key, analyze,
+                counters=record.counters,
+                owner=f"shard-{worker_id}", timeout=timeout,
+            )
+        except LeaseWaitTimeout as exc:
+            record.fail(exc)
+            break
+        except Exception as exc:
+            # structured detail only; status stays "done" until the retry
+            # budget is exhausted (a later attempt may succeed)
             record.attempts = attempt
-            try:
-                report = _analyze_once(apk, config, timeout, tracer)
-                record.counters["analyses_run"] = (
-                    record.counters.get("analyses_run", 0) + 1
+            record.error_type = type(exc).__name__
+            record.error_message = str(exc)
+            record.error = f"{record.error_type}: {record.error_message}"
+            record.traceback = traceback.format_exc()
+            if isinstance(exc, JobTimeout):
+                break  # a deadline blow-through is not transient
+            if attempt <= retries:
+                record.counters["jobs_retried"] = (
+                    record.counters.get("jobs_retried", 0) + 1
                 )
-                stats = getattr(report, "phase_stats", None)
-                if stats is not None:
-                    record.phase_seconds = {
-                        phase: round(seconds, 6)
-                        for phase, seconds in stats.seconds.items()
-                    }
-                store.put(digest, config.cache_key(), report)
-                record.seconds = time.monotonic() - started
-                return record
-            except Exception as exc:
-                # structured detail only; status stays "done" until the
-                # retry budget is exhausted (a later attempt may succeed)
-                record.error_type = type(exc).__name__
-                record.error_message = str(exc)
-                record.error = f"{record.error_type}: {record.error_message}"
-                record.traceback = traceback.format_exc()
-                from .jobs import JobTimeout
-
-                if isinstance(exc, JobTimeout):
-                    break  # a deadline blow-through is not transient
-                if attempt <= retries:
-                    record.counters["jobs_retried"] = (
-                        record.counters.get("jobs_retried", 0) + 1
-                    )
-                    time.sleep(backoff * (2 ** (attempt - 1)))
-        record.status = "failed"
+                time.sleep(backoff * (2 ** (attempt - 1)))
+            continue
+        if report is None:
+            record.cache_hit = True
+        else:
+            record.attempts = attempt
+            if report.phase_stats is not None:
+                record.phase_seconds = {
+                    phase: round(seconds, 6)
+                    for phase, seconds in report.phase_stats.seconds.items()
+                }
         record.seconds = time.monotonic() - started
         return record
-    finally:
-        store.release(key)
+    record.status = "failed"
+    record.seconds = time.monotonic() - started
+    return record
 
 
 class _Worker:
@@ -280,7 +313,6 @@ class _Worker:
         worker_id: int,
         targets: list[str],
         store_root: str,
-        overrides: dict | None,
         batch_id: str,
         retries: int,
         backoff: float,
@@ -292,7 +324,6 @@ class _Worker:
         self.worker_id = worker_id
         self.targets = targets
         self.store = ResultStore(store_root)
-        self.overrides = overrides
         self.batch_id = batch_id
         self.retries = retries
         self.backoff = backoff
@@ -324,7 +355,6 @@ class _Worker:
             self.store,
             index,
             target,
-            self.overrides,
             worker_id=self.worker_id,
             retries=self.retries,
             backoff=self.backoff,
@@ -366,7 +396,6 @@ def run_sharded_batch(
     targets: list[str],
     *,
     workers: int,
-    overrides: dict | None = None,
     retries: int = 1,
     backoff: float = 0.05,
     timeout: float | None = None,
@@ -432,8 +461,8 @@ def run_sharded_batch(
                            status="failed", label=targets[index],
                            error=f"no result from shard worker ({reason})"))
 
-    args = (list(targets), str(store_root), overrides, batch_id, retries,
-            backoff, timeout, telemetry_dir)
+    args = (list(targets), str(store_root), batch_id, retries, backoff,
+            timeout, telemetry_dir)
     if workers == 1:
         worker = _Worker(0, *args)
         try:
@@ -521,6 +550,7 @@ __all__ = [
     "LEASE_WAIT_SECONDS",
     "LeaseWaitTimeout",
     "ShardRecord",
+    "analyze_through_store",
     "expand_batch_targets",
     "run_sharded_batch",
 ]

@@ -77,6 +77,27 @@ def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` durably and atomically: a temp file in
+    the same directory, fsynced, then ``os.replace``-d into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:8]}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultStore:
     """Durable cache of analysis reports, content-addressed and versioned.
 
@@ -219,21 +240,27 @@ class ResultStore:
 
     # ------------------------------------------------------------- reads
     def get(self, apk_digest: str, config_key: str) -> dict | None:
-        """The stored envelope for ``(apk, config)``, or ``None`` on miss.
+        """The stored envelope for ``(apk, config)``, or ``None`` on miss;
+        a cache probe, so it counts a hit or a miss."""
+        envelope = self.lookup(result_key(apk_digest, config_key))
+        self.record(hit=envelope is not None)
+        return envelope
 
-        Unreadable, corrupt or schema-incompatible entries count as misses:
-        the caller re-analyses and the fresh ``put`` replaces them.
+    def lookup(self, key: str) -> dict | None:
+        """The stored envelope under result key ``key``, or ``None``, with
+        no hit/miss accounting.
+
+        Unreadable, corrupt or schema-incompatible entries read as
+        ``None``: the caller re-analyses and the fresh ``put`` replaces
+        them.
         """
-        key = result_key(apk_digest, config_key)
         envelope = self.load(key)
         if (
             envelope is None
             or envelope.get("schema") != SCHEMA_VERSION
             or "report" not in envelope
         ):
-            self._record(hit=False)
             return None
-        self._record(hit=True)
         return envelope
 
     def load(self, key: str) -> dict | None:
@@ -315,7 +342,7 @@ class ResultStore:
         (see :mod:`repro.fleetindex.index`); index bookkeeping failures
         never fail the durable write itself.
         """
-        self._atomic_write(self.path_for(key), key, canonical_json(envelope))
+        atomic_write(self.path_for(key), canonical_json(envelope))
         with self._lock:
             self.writes += 1
         if self.metrics is not None:
@@ -332,24 +359,6 @@ class ResultStore:
                 pass
         return key
 
-    def _atomic_write(self, path: Path, key: str, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # --------------------------------------------------------- manifests
     def put_manifest(self, manifest: dict) -> str:
         """Store an incremental manifest (:mod:`repro.incr.manifest`) in
@@ -365,7 +374,7 @@ class ResultStore:
             "manifest": manifest,
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
-        self._atomic_write(self.manifest_path(key), key, text)
+        atomic_write(self.manifest_path(key), text)
         with self._lock:
             self.manifest_writes += 1
         if self.metrics is not None:
@@ -410,7 +419,9 @@ class ResultStore:
         return manifest
 
     # ------------------------------------------------------------- stats
-    def _record(self, *, hit: bool) -> None:
+    def record(self, *, hit: bool) -> None:
+        """Count one cache outcome: a result served from the store, or one
+        that had to be analysed."""
         with self._lock:
             if hit:
                 self.hits += 1
@@ -482,6 +493,7 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "ResultStore",
     "SCHEMA_VERSION",
+    "atomic_write",
     "canonical_json",
     "manifest_key",
     "result_key",

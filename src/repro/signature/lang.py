@@ -36,10 +36,6 @@ class Term:
     def walk(self) -> Iterator["Term"]:
         yield self
 
-    def is_constant(self) -> bool:
-        """True when the term contains no Unknown parts."""
-        return all(not isinstance(t, Unknown) for t in self.walk())
-
 
 @dataclass(frozen=True)
 class Const(Term):

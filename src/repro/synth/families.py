@@ -70,12 +70,6 @@ class Family:
     def grid_size(self) -> int:
         return prod(len(values) for _, values in self.axes)
 
-    def axis_values(self, axis: str) -> tuple[str, ...]:
-        for name, values in self.axes:
-            if name == axis:
-                return values
-        raise KeyError(f"family {self.name!r} has no axis {axis!r}")
-
 
 #: The shipped families.  Names are single lowercase words — they embed in
 #: app keys (``syn-<family>-s<seed>-<index>``) whose parser splits on "-".

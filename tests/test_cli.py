@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cli import main, report_to_dict
+from repro.cli import main
+from repro.core.report import report_to_dict
 
 
 def run_cli(capsys, *argv) -> str:

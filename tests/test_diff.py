@@ -268,6 +268,71 @@ class TestStoreCache:
         store = ResultStore(tmp_path)
         assert cached_diff(store, "nope", "nada") is None
 
+    def test_operand_leased_by_another_owner_is_read_back(
+        self, tmp_path, monkeypatch
+    ):
+        """``diff --store`` takes the result-key lease batch workers and
+        daemon jobs take: while another owner holds it, the operand waits
+        for that owner's report instead of analysing it again."""
+        from repro.apk.loader import apk_digest
+        from repro.diff.engine import resolve_diff_target
+        from repro.service.store import ResultStore, result_key
+
+        apk, config, _ = resolve_target("tzm")
+        report = Extractocol(config).analyze(apk)
+        digest = apk_digest(apk)
+        key = result_key(digest, config.cache_key())
+        store = ResultStore(tmp_path)
+        assert store.claim(key, owner="other-daemon")
+        claim = ResultStore.claim
+
+        def refused_then_stored(self, name, **kwargs):
+            won = claim(self, name, **kwargs)
+            if not won and not store.entries():
+                # the holder stores its result, then releases
+                store.put(digest, config.cache_key(), report)
+                store.release(key)
+            return won
+
+        def no_analysis(self, apk, **kwargs):
+            raise AssertionError("diff analysed a leased operand")
+
+        monkeypatch.setattr(ResultStore, "claim", refused_then_stored)
+        monkeypatch.setattr(Extractocol, "analyze", no_analysis)
+        got, renames, label = resolve_diff_target("tzm", store=store)
+        assert report_to_dict(got) == report_to_dict(report)
+        assert (renames, label) == (None, "tzm")
+        assert store.lease_holder(key) is None
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_warm_operand_is_read_once(self, tmp_path, monkeypatch):
+        """A stored operand costs one envelope read, one cache hit and no
+        analysis."""
+        from repro.apk.loader import apk_digest
+        from repro.diff.engine import resolve_diff_target
+        from repro.service.store import ResultStore
+
+        apk, config, _ = resolve_target("tzm")
+        report = Extractocol(config).analyze(apk)
+        store = ResultStore(tmp_path)
+        key = store.put(apk_digest(apk), config.cache_key(), report)
+        load = ResultStore.load
+        reads: list[str] = []
+
+        def counted(self, name):
+            reads.append(name)
+            return load(self, name)
+
+        def no_analysis(self, apk, **kwargs):
+            raise AssertionError("diff analysed a stored operand")
+
+        monkeypatch.setattr(ResultStore, "load", counted)
+        monkeypatch.setattr(Extractocol, "analyze", no_analysis)
+        got, _renames, _label = resolve_diff_target("tzm", store=store)
+        assert report_to_dict(got) == report_to_dict(report)
+        assert reads.count(key) == 1
+        assert (store.hits, store.misses) == (1, 0)
+
 
 class TestModel:
     def test_dict_round_trip_preserves_verdict(self):

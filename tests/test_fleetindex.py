@@ -182,6 +182,66 @@ class TestCrashRecovery:
         assert not bogus.exists()
         assert FleetIndex(store).refresh().stats()["docs"] == 4
 
+    @staticmethod
+    def _tear_largest(store, damaged: str) -> Path:
+        """Tear the largest segment (or the doc registry) the manifest
+        names; returns its path."""
+        manifest = FleetIndex(store).manifest()
+        names = (manifest["segments"].values() if damaged == "segments"
+                 else [manifest["docs"]])
+        victim = max(
+            (index_root(store.root) / damaged / f"{name}.json"
+             for name in names),
+            key=lambda path: path.stat().st_size,
+        )
+        victim.write_text('{"schema": 1, "terms": ')
+        return victim
+
+    @pytest.mark.parametrize("damaged", ["segments", "docs"])
+    @pytest.mark.parametrize("put_between", [False, True])
+    def test_fold_over_a_damaged_tree_rebuilds(self, tmp_path, damaged,
+                                               put_between):
+        """A segment or the doc registry the manifest names is torn: the
+        next fold rebuilds the whole tree, with or without a report put
+        in between.  With none the fresh bytes keep the torn file's name,
+        and the fold still rewrites it."""
+        targets = expand_targets([SPEC])
+        store = ResultStore(tmp_path / "damaged")
+
+        def put(target):
+            apk, config, _ = resolve_target(target)
+            store.put(compute_apk_digest(apk), config.cache_key(),
+                      _default_analyzer(apk, config))
+
+        for target in targets[:-1] if put_between else targets:
+            put(target)
+        build_index(store)
+        victim = self._tear_largest(store, damaged)
+        if put_between:
+            put(targets[-1])
+        stats = build_index(store)
+
+        clean = fill_store(tmp_path / "clean")
+        build_index(clean)
+        assert stats["rebuilt"] and stats["docs"] == len(targets)
+        if not put_between:
+            assert json.loads(victim.read_text())["schema"] == 1
+        assert index_tree(store.root) == index_tree(clean.root)
+        assert (FleetIndex(store).load().stats()
+                == FleetIndex(clean).load().stats())
+        assert not build_index(store)["rebuilt"]  # intact again
+
+    def test_reader_keeps_what_a_damaged_tree_still_holds(self, tmp_path):
+        """Until a fold rebuilds it, a torn segment costs readers that
+        segment's terms and nothing else."""
+        store = fill_store(tmp_path / "reader")
+        build_index(store)
+        before = FleetIndex(store).load().stats()
+        self._tear_largest(store, "segments")
+        after = FleetIndex(store).load().stats()
+        assert after["docs"] == before["docs"]
+        assert 0 < after["terms"] < before["terms"]
+
     def test_foreign_schema_index_rebuilt(self, tmp_path):
         store = fill_store(tmp_path / "foreign")
         build_index(store)

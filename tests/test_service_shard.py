@@ -5,8 +5,8 @@ Contracts: a sharded batch writes byte-identical envelopes to an
 in-process (one-worker) batch; every batch entry is reported exactly once
 no matter which worker runs it, and a dead worker loses only the entry it
 held; concurrent analyses of the same result key are deduplicated through
-lease files; and a retrying job never head-of-line blocks the jobs queued
-behind its backoff.
+lease files, whether batch workers, daemon jobs or both take them; and a
+retrying job never head-of-line blocks the jobs queued behind its backoff.
 """
 
 from __future__ import annotations
@@ -372,6 +372,38 @@ def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int):
     assert not list(healed.leases.glob("*.lease"))
 
 
+def test_two_concurrent_batches_over_one_store_analyse_each_target_once(
+    tmp_path,
+):
+    """Fault matrix: two ``repro batch`` processes start together over the
+    same targets and store.  Both exit 0, their ``analyses_run`` add up to
+    one per target, and the store's report payloads match a store one
+    batch filled."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    command = [sys.executable, "-m", "repro", "batch", *TARGETS, "--store",
+               str(tmp_path / "shared"), "--workers", "1", "--no-telemetry",
+               "--no-ledger", "--json"]
+    procs = [
+        subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    runs = [json.loads(out) for out in outputs]
+    assert sum(run["analyses_run"] for run in runs) == len(set(TARGETS))
+
+    run_sharded_batch(tmp_path / "single", TARGETS, workers=1)
+    shared = ResultStore(tmp_path / "shared")
+    single = ResultStore(tmp_path / "single")
+    assert shared.entries() == single.entries()
+    for key in single.entries():
+        assert canonical_json(shared.load(key)["report"]) == (
+            canonical_json(single.load(key)["report"])
+        ), key
+    assert not list(shared.leases.glob("*.lease"))
+
+
 class TestKilledWorker:
     def test_entry_fails_and_a_rerun_matches_a_clean_store(
         self, tmp_path, ted_kills_its_worker
@@ -691,6 +723,194 @@ class TestLeaseWait:
         [record] = run_sharded_batch(store.root, ["diode"], workers=1)
         assert record.status == "done" and record.cache_hit
         assert record.counters == {"lease_waits": 1}
+
+    def test_holder_storing_between_probe_and_claim_is_a_cache_hit(
+        self, tmp_path, monkeypatch
+    ):
+        """The holder stores its result and releases between this worker's
+        probe and its claim, so the claim wins: the probe after it finds
+        the envelope and nothing is analysed twice."""
+        from repro.apk.loader import apk_digest
+        from repro.core.extractocol import Extractocol
+        from repro.service import resolve_target
+
+        apk, config, _label = resolve_target("diode")
+        report = Extractocol(config).analyze(apk)
+        store = ResultStore(tmp_path / "s")
+        claim = ResultStore.claim
+
+        def lands_before_claim(self, name, **kwargs):
+            if not store.entries():
+                store.put(apk_digest(apk), config.cache_key(), report)
+            return claim(self, name, **kwargs)
+
+        def no_analysis(self, apk):
+            raise AssertionError("the worker analysed a stored result")
+
+        monkeypatch.setattr(ResultStore, "claim", lands_before_claim)
+        monkeypatch.setattr(Extractocol, "analyze", no_analysis)
+        [record] = run_sharded_batch(store.root, ["diode"], workers=1)
+        assert record.status == "done" and record.cache_hit
+        assert record.error is None  # no failed analysis retried into a hit
+        assert record.attempts == analyses_run([record]) == 0
+        assert not list(store.leases.glob("*.lease"))
+
+    def test_daemon_job_whose_holder_stores_counts_one_hit(
+        self, leased_diode, monkeypatch
+    ):
+        """A daemon job that waits out several polls for the holder's
+        envelope ends a cache hit, and its store counts that one hit and
+        no miss: the probes themselves count nothing."""
+        from repro.apk.loader import apk_digest
+        from repro.core.extractocol import Extractocol
+
+        store, apk, config = leased_diode
+        report = Extractocol(config).analyze(apk)
+        claim = ResultStore.claim
+        refused: list[str] = []
+
+        def refused_then_lands(self, name, **kwargs):
+            won = claim(self, name, **kwargs)
+            if not won:
+                refused.append(name)
+                if len(refused) == 5:  # the holder stores after a while
+                    store.put(apk_digest(apk), config.cache_key(), report)
+            return won
+
+        def no_analysis(apk, config):
+            raise AssertionError("the waiting job analysed")
+
+        monkeypatch.setattr(ResultStore, "claim", refused_then_lands)
+        with JobScheduler(store, workers=1, analyzer=no_analysis) as sched:
+            job = sched.submit(apk, config)
+            assert job.wait(30)
+        assert job.status is JobStatus.DONE and job.cache_hit
+        assert len(refused) == 5
+        assert (store.hits, store.misses) == (1, 0)
+        assert sched.metrics.counter("cache_hits").value == 1
+        assert sched.metrics.counter("cache_misses").value == 0
+
+    def test_daemon_lease_wait_timeout_is_terminal(
+        self, leased_diode, monkeypatch
+    ):
+        """A daemon job waits on another owner's lease like a batch worker
+        does, and a holder that never stores fails it without a retry."""
+        store, apk, config = leased_diode
+        monkeypatch.setattr("repro.service.shard.LEASE_WAIT_SECONDS", 0.2)
+        with JobScheduler(store, workers=1, retries=3, backoff=0.01) as sched:
+            job = sched.submit(apk, config)
+            assert job.wait(30)
+        assert job.status is JobStatus.FAILED and job.attempts == 1
+        assert job.error.startswith("LeaseWaitTimeout: ")
+        assert "'owner': 'other-daemon'" in job.error
+        assert sched.metrics.counter("analyses_run").value == 0
+
+
+# ------------------------------------------------------- one store protocol
+class TestOneStoreProtocol:
+    """Daemon jobs take the result-key lease batch workers take, so a
+    daemon and a batch, or two daemons, sharing one store run one analysis
+    per key; a job whose result landed while it waited is a cache hit."""
+
+    def test_daemon_job_and_batch_analyse_a_shared_target_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.extractocol import Extractocol
+
+        store = ResultStore(tmp_path / "s")
+        started, batch_claimed = threading.Event(), threading.Event()
+        daemon_analyses: list[str] = []
+        claim = ResultStore.claim
+
+        def claim_seen(self, name, **kwargs):
+            won = claim(self, name, **kwargs)
+            if threading.current_thread().name == "batch":
+                batch_claimed.set()
+            return won
+
+        def held_until_the_batch_claims(apk, config):
+            daemon_analyses.append(apk.name)
+            started.set()
+            batch_claimed.wait(10)
+            return Extractocol(config).analyze(apk)
+
+        monkeypatch.setattr(ResultStore, "claim", claim_seen)
+        records = []
+        batch = threading.Thread(
+            target=lambda: records.extend(
+                run_sharded_batch(store.root, ["diode"], workers=1)
+            ),
+            name="batch",
+        )
+        with JobScheduler(store, workers=1,
+                          analyzer=held_until_the_batch_claims) as sched:
+            job = sched.submit_target("diode")
+            assert started.wait(30)
+            batch.start()
+            batch.join(60)
+            assert job.wait(30)
+        [record] = records
+        assert job.status is JobStatus.DONE and not job.cache_hit
+        assert record.status == "done" and record.cache_hit
+        assert len(daemon_analyses) + analyses_run(records) == 1
+
+    def test_each_daemon_job_counts_one_store_outcome(self, tmp_path):
+        """A fresh job counts one miss, however many times its attempt
+        probes the store; the same job again is one hit."""
+        store = ResultStore(tmp_path / "s")
+        with JobScheduler(store, workers=1) as sched:
+            fresh = sched.submit_target("diode")
+            assert fresh.wait(60)
+            assert (store.hits, store.misses) == (0, 1)
+            warm = sched.submit_target("diode")
+        assert fresh.status is JobStatus.DONE and not fresh.cache_hit
+        assert warm.status is JobStatus.DONE and warm.cache_hit
+        assert (store.hits, store.misses) == (1, 1)
+        assert sched.metrics.counter("cache_hits").value == 1
+        assert sched.metrics.counter("cache_misses").value == 1
+
+    def test_two_schedulers_over_one_store_root_run_one_analysis(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.extractocol import Extractocol
+
+        started, contender = threading.Event(), threading.Event()
+        analyses: list[str] = []
+        claims: list[bool] = []
+        claim = ResultStore.claim
+
+        def claim_counted(self, name, **kwargs):
+            claims.append(claim(self, name, **kwargs))
+            if len(claims) >= 2:
+                contender.set()
+            return claims[-1]
+
+        def first(apk, config):
+            analyses.append("first")
+            started.set()
+            contender.wait(10)  # until the second daemon has tried
+            return Extractocol(config).analyze(apk)
+
+        def second(apk, config):
+            analyses.append("second")
+            contender.set()
+            return Extractocol(config).analyze(apk)
+
+        monkeypatch.setattr(ResultStore, "claim", claim_counted)
+        root = tmp_path / "s"
+        with JobScheduler(ResultStore(root), workers=1,
+                          analyzer=first) as one, \
+                JobScheduler(ResultStore(root), workers=1,
+                             analyzer=second) as two:
+            job_one = one.submit_target("diode")
+            assert started.wait(30)
+            job_two = two.submit_target("diode")
+            assert one.wait([job_one], 60) and two.wait([job_two], 60)
+        assert analyses == ["first"]
+        assert job_one.status is JobStatus.DONE and not job_one.cache_hit
+        assert job_two.status is JobStatus.DONE and job_two.cache_hit
+        assert job_two.result_key == job_one.result_key
+        assert claims[0] and not any(claims[1:])  # the second waited
 
 
 # --------------------------------------------------- non-blocking retry/backoff
