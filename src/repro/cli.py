@@ -959,8 +959,8 @@ def main(argv: list[str] | None = None) -> int:
                               "~/.cache/repro/store)")
     p_index.add_argument("--rebuild", action="store_true",
                          help="re-extract every stored envelope instead of "
-                              "folding pending deltas (same bytes either "
-                              "way)")
+                              "folding only the reports the index lacks "
+                              "(same bytes either way)")
     p_index.add_argument("--json", action="store_true")
     p_index.set_defaults(fn=cmd_index)
 

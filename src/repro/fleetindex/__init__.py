@@ -1,8 +1,8 @@
 """Fleet-wide protocol intelligence: a cross-app inverted index over the
 ResultStore, query grammar + similarity search, and an MCP-style catalog
 server.  See ``docs`` (term extraction), ``index`` (segment tree +
-pending-delta protocol), ``query`` (grammar/pagination) and ``mcp``
-(stdio JSON-RPC)."""
+pending markers, whose documents readers derive from the envelopes),
+``query`` (grammar/pagination) and ``mcp`` (stdio JSON-RPC)."""
 
 from .docs import (
     SUMMARY_SCHEMA,
@@ -17,7 +17,6 @@ from .index import (
     FleetIndex,
     build_index,
     index_root,
-    write_pending_delta,
 )
 from .query import (
     QueryError,
@@ -47,5 +46,4 @@ __all__ = [
     "report_summary",
     "run_search",
     "signature_label",
-    "write_pending_delta",
 ]

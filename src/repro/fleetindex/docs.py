@@ -10,10 +10,10 @@ for the inverted index plus a display label, and the compact
 ``put`` time.
 
 Everything here is a pure function of the canonical report dict
-(:func:`repro.core.report.report_to_dict` output), so a document computed
-at ``put`` time (the pending-delta path) is byte-identical to one
-computed during a full rebuild from the stored envelope — which is what
-makes incremental fold-in reproduce a full rebuild exactly.
+(:func:`repro.core.report.report_to_dict` output), so the document a
+reader derives for an unfolded report, the one a fold indexes and the one
+a full rebuild indexes are byte-identical — which is what makes
+incremental fold-in reproduce a full rebuild exactly.
 
 Term namespaces::
 
@@ -196,9 +196,12 @@ def extract_doc(key: str, app: str, report: dict) -> dict:
     }
 
 
-def doc_from_envelope(envelope: dict) -> dict | None:
+def doc_from_envelope(envelope) -> dict | None:
     """:func:`extract_doc` over a stored envelope; ``None`` for
-    non-report envelopes (diff caches, manifests)."""
+    non-report envelopes (diff caches, manifests) and for anything that
+    is not an envelope (a missing file, a JSON array)."""
+    if not isinstance(envelope, dict):
+        return None
     report = envelope.get("report")
     key = envelope.get("key")
     if not isinstance(report, dict) or not key:

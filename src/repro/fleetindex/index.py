@@ -1,4 +1,4 @@
-"""The on-disk inverted index: segments, manifest, pending deltas.
+"""The on-disk inverted index: segments, manifest, pending markers.
 
 Layout — a side-band ``index/`` tree inside the result store, invisible
 to report listings exactly like the ``manifests/`` tree::
@@ -6,7 +6,7 @@ to report listings exactly like the ``manifests/`` tree::
     <store>/index/MANIFEST.json        schema, segment ids, stats
     <store>/index/segments/<sha>.json  term -> postings, sharded by term
     <store>/index/docs/<sha>.json      doc registry (key -> app/summary/labels)
-    <store>/index/pending/<key>.json   one delta per un-indexed envelope
+    <store>/index/pending/<key>.json   empty marker: a report not yet folded
 
 **Determinism.**  Index bytes are a pure function of the set of indexed
 envelopes: postings are sorted, terms shard to one of :data:`N_SLOTS`
@@ -16,11 +16,13 @@ independently built indexes over the same store are therefore
 byte-identical trees, and an incremental fold-in reproduces exactly what
 a full rebuild would have written.
 
-**Freshness.**  Every report ``put`` lands a pending-delta record — the
-envelope's fully extracted document — beside the index.  Readers overlay
-pending deltas in memory at load time, so a query issued right after a
-batch sees every new report with zero rebuild; ``repro index`` folds the
-deltas into the segments durably and deletes them.
+**Freshness.**  Every report ``put`` creates an empty marker named by
+the result key once the envelope has landed.  Readers derive each
+unfolded report's document from its envelope at load time (memoized per
+key across reloads: an envelope never changes), so a query issued right
+after a batch sees every new report with zero rebuild; ``repro index``
+folds every stored report the durable tree lacks into the segments and
+then deletes the markers it listed.
 
 **Crash safety.**  Segment/doc files are content-addressed and the
 manifest is written atomically last, so a crashed builder leaves either
@@ -29,9 +31,10 @@ are garbage-collected by the next fold).  A segment or doc registry the
 manifest names that cannot be read (damaged on disk) or has another
 schema is skipped by readers, and the next fold rebuilds from the
 envelopes, rewriting every file even where the fresh bytes keep the
-damaged file's name.  A corrupt pending delta — a writer that died
-mid-``put`` — is re-extracted from its stored envelope (the filename is
-the result key), or dropped when the envelope never landed either.
+damaged file's name.  A report whose marker never landed — its writer
+died between the two, or the marker write failed — is missing from
+readers until the next fold, which finds it by scanning the stored
+envelopes; a marker without an envelope is dropped by the fold.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ import json
 from pathlib import Path
 
 from ..service.store import atomic_write, canonical_json
-from .docs import doc_from_envelope, extract_doc
+from .docs import doc_from_envelope
 
-#: Bump when the index layout (manifest, segment, docs or pending record
-#: shape) changes incompatibly; a mismatched tree reads as "no index".
+#: Bump when the index layout (manifest, segment or docs shape) changes
+#: incompatibly; a mismatched tree reads as "no index".
 INDEX_SCHEMA = 1
 
 #: Terms shard to ``sha256(term) % N_SLOTS`` segments.  Fixed — changing
@@ -82,58 +85,30 @@ def term_slot(term: str) -> int:
 
 
 # ---------------------------------------------------------------- pending
-def write_pending_delta(store_root: str | Path, key: str, app: str,
-                        report: dict) -> None:
-    """Land the pending-delta record for one freshly stored report.
+def write_pending_delta(store_root: str | Path, key: str) -> None:
+    """Mark one freshly stored report as unfolded: an empty
+    ``index/pending/<key>.json``.
 
-    Called by :meth:`ResultStore.put_envelope` on every report write, so
-    batch and daemon stores never go stale: the record carries the fully
-    extracted document, and readers fold it in at load time.  Atomic and
-    idempotent — re-putting the same key rewrites an identical record.
+    Called by :meth:`ResultStore.put_envelope` after the envelope has
+    landed.  The marker carries nothing — readers derive the document
+    from the envelope — so it is not fsynced: a lost marker only hides
+    the report until the next fold, which indexes every stored report
+    the durable tree lacks.
     """
-    record = {
-        "schema": INDEX_SCHEMA,
-        "key": key,
-        "app": app,
-        "doc": extract_doc(key, app, report),
-    }
-    atomic_write(pending_dir(store_root) / f"{key}.json",
-                 canonical_json(record))
+    directory = pending_dir(store_root)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{key}.json").touch()
 
 
-def _load_pending(store, *, consume_errors: bool = True) -> tuple[dict, list]:
-    """Read every pending delta: ``(docs by key, stale file paths)``.
-
-    A record that is unreadable or written under another schema — a
-    crashed writer — is recovered from its stored envelope when possible;
-    otherwise its path is returned as stale (deletable garbage).
-    """
-    docs: dict[str, dict] = {}
-    stale: list[Path] = []
-    pdir = pending_dir(store.root)
+def _marker_names(store_root: str | Path) -> tuple[str, ...]:
+    """The pending markers' file names (``<key>.json``), sorted."""
     try:
-        paths = sorted(p for p in pdir.iterdir() if p.suffix == ".json")
+        return tuple(sorted(
+            p.name for p in pending_dir(store_root).iterdir()
+            if p.suffix == ".json"
+        ))
     except OSError:
-        return docs, stale
-    for path in paths:
-        record = _read_json(path)
-        if (
-            record is not None
-            and record.get("schema") == INDEX_SCHEMA
-            and isinstance(record.get("doc"), dict)
-            and record.get("key") == path.stem
-        ):
-            docs[record["key"]] = record["doc"]
-            continue
-        # crashed or foreign writer: the filename is the result key, so
-        # the document is recoverable from the store itself
-        envelope = store.load(path.stem)
-        doc = doc_from_envelope(envelope) if envelope else None
-        if doc is not None:
-            docs[path.stem] = doc
-        elif consume_errors:
-            stale.append(path)
-    return docs, stale
+        return ()
 
 
 # ----------------------------------------------------------- doc registry
@@ -162,11 +137,11 @@ def _doc_postings(key: str, doc: dict) -> dict[str, set[Posting]]:
 class FleetIndex:
     """An in-memory view of the on-disk index plus its pending overlay.
 
-    ``load()`` reads the manifest tree and folds every pending delta into
-    memory (never onto disk), so the view is always current with the
-    store.  ``refresh()`` is the cheap staleness probe the HTTP service
-    calls per query: it reloads only when the manifest or the pending set
-    changed.
+    ``load()`` reads the manifest tree and overlays, in memory (never on
+    disk), the document of every marked report the tree lacks, derived
+    from its envelope, so the view is current with the store.
+    ``refresh()`` is the cheap staleness probe the HTTP service calls per
+    query: it reloads only when the manifest or the marker set changed.
     """
 
     def __init__(self, store) -> None:
@@ -176,6 +151,8 @@ class FleetIndex:
         self.docs: dict[str, dict] = {}
         self.pending_count = 0
         self._loaded_state: tuple | None = None
+        #: the overlaid documents by result key, kept across reloads
+        self._unfolded: dict[str, dict] = {}
 
     # ------------------------------------------------------------- state
     def _disk_state(self) -> tuple:
@@ -185,14 +162,7 @@ class FleetIndex:
             manifest = (manifest_stat.st_mtime_ns, manifest_stat.st_size)
         except OSError:
             manifest = None
-        try:
-            pending = tuple(sorted(
-                p.name for p in pending_dir(self.store.root).iterdir()
-                if p.suffix == ".json"
-            ))
-        except OSError:
-            pending = ()
-        return (manifest, pending)
+        return (manifest, _marker_names(self.store.root))
 
     def refresh(self) -> "FleetIndex":
         state = self._disk_state()
@@ -203,22 +173,26 @@ class FleetIndex:
 
     def load(self) -> "FleetIndex":
         self.docs, self.postings, _ = _load_tree(self.store, self.manifest())
-        pending, _stale = _load_pending(self.store, consume_errors=False)
-        self.pending_count = 0
-        for key, doc in sorted(pending.items()):
+        unfolded: dict[str, dict] = {}
+        for name in _marker_names(self.store.root):
+            key = name.removesuffix(".json")
             if key in self.docs:
-                continue  # already folded durably; delta is a leftover
+                continue  # already folded durably; the marker is a leftover
+            doc = self._unfolded.get(key)
+            if doc is None:
+                doc = doc_from_envelope(self.store.load(key))
+                if doc is None:
+                    continue  # no stored report under this key
+            unfolded[key] = doc
             self.docs[key] = _registry_entry(doc)
             for term, postings in _doc_postings(key, doc).items():
                 self.postings.setdefault(term, set()).update(postings)
-            self.pending_count += 1
+        self._unfolded = unfolded
+        self.pending_count = len(unfolded)
         return self
 
     def manifest(self) -> dict | None:
-        manifest = _read_json(manifest_path(self.store.root))
-        if manifest is None or manifest.get("schema") != INDEX_SCHEMA:
-            return None
-        return manifest
+        return _read_manifest(self.store.root)
 
     # ------------------------------------------------------------ queries
     def lookup(self, term: str) -> set[Posting]:
@@ -269,6 +243,15 @@ class FleetIndex:
         }
 
 
+def _read_manifest(store_root: str | Path) -> dict | None:
+    """The index manifest, or ``None`` when absent, unreadable or of
+    another schema."""
+    manifest = _read_json(manifest_path(store_root))
+    if manifest is None or manifest.get("schema") != INDEX_SCHEMA:
+        return None
+    return manifest
+
+
 def _load_tree(store, manifest: dict | None) -> tuple[dict, dict, bool]:
     """Rehydrate ``(doc registry, postings, intact)`` from the manifest
     tree — empty maps when there is no (or a foreign-schema) index yet.
@@ -299,59 +282,42 @@ def _load_tree(store, manifest: dict | None) -> tuple[dict, dict, bool]:
 
 
 # ------------------------------------------------------------- building
-def _extract_all(store) -> dict[str, dict]:
-    """Every report envelope's document, keyed by result key."""
-    docs: dict[str, dict] = {}
-    for entry in store.iter_entries():
-        envelope = store.load(entry["key"])
-        doc = doc_from_envelope(envelope) if envelope else None
-        if doc is not None:
-            docs[doc["key"]] = doc
-    return docs
-
-
 def build_index(store, *, rebuild: bool = False) -> dict:
     """Build or update the on-disk index; returns its stats dict.
 
-    Default mode folds pending deltas into the existing segments
-    (building from scratch when no index exists or a file its manifest
-    names is damaged); ``rebuild=True`` always re-extracts every
-    envelope.  Either path writes the exact same bytes for the same store
-    contents.
+    One loop: list the pending markers, index every stored report the
+    doc registry lacks (one envelope read each, marker or not), write the
+    tree, then delete the markers listed.  ``rebuild=True`` runs the same
+    loop from an empty registry, and so does a fold over no index, a
+    foreign-schema one or a damaged one.  Either path writes the exact
+    same bytes for the same store contents.
     """
-    manifest = _read_json(manifest_path(store.root))
-    if manifest is not None and manifest.get("schema") != INDEX_SCHEMA:
-        manifest = None  # foreign schema: rebuild rather than mis-fold
-    if not rebuild:
-        registry, postings, intact = _load_tree(store, manifest)
-        rebuild = not intact  # no index, or a damaged one: rebuild
-
-    pending, stale = _load_pending(store)
-    consumed = [pending_dir(store.root) / f"{key}.json" for key in pending]
-
-    if rebuild:
-        # every pending delta's envelope is part of the scan (or gone),
-        # so a full build consumes the whole pending set
-        fresh = _extract_all(store)
-        registry = {}
-        postings = {}
-    else:
-        fresh = {
-            key: doc for key, doc in pending.items() if key not in registry
-        }
-    folded = len(fresh)
-
-    for key in sorted(fresh):
-        doc = fresh[key]
+    registry, postings, intact = _load_tree(
+        store, None if rebuild else _read_manifest(store.root)
+    )
+    if not intact:
+        registry, postings = {}, {}
+    # listed before the scan: a marker lands after its envelope, so every
+    # marker listed here names a report the scan below sees
+    markers = [pending_dir(store.root) / name
+               for name in _marker_names(store.root)]
+    folded = 0
+    for key in store.entries():
+        if key in registry:
+            continue
+        doc = doc_from_envelope(store.load(key))
+        if doc is None:
+            continue  # a derived artifact (a cached diff), or unreadable
         registry[key] = _registry_entry(doc)
         for term, term_postings in _doc_postings(key, doc).items():
             postings.setdefault(term, set()).update(term_postings)
+        folded += 1
 
     stats = _write_index_from_postings(store, registry, postings,
-                                       rewrite=rebuild)
-    _consume(consumed + stale)
+                                       rewrite=not intact)
+    _consume(markers)
     stats["folded"] = folded
-    stats["rebuilt"] = rebuild
+    stats["rebuilt"] = not intact
     return stats
 
 
@@ -366,8 +332,8 @@ def _write_index_from_postings(store, registry: dict[str, dict],
     root = index_root(store.root)
     seg_dir = root / "segments"
     docs_dir = root / "docs"
-    # the pending drop-box is part of the tree layout: writers expect it
-    # and tree comparisons (diff -r) should see identical structure
+    # the marker directory is part of the tree layout: tree comparisons
+    # (diff -r) should see identical structure
     pending_dir(store.root).mkdir(parents=True, exist_ok=True)
 
     slots: list[dict] = [{} for _ in range(N_SLOTS)]

@@ -15,8 +15,8 @@ fleet without linking against this package:
 The server is deliberately dumb transport: :class:`McpCatalogServer.handle`
 is a pure request-dict → response-dict function (tested without pipes),
 and :func:`serve` is the only loop.  The index is refreshed before every
-tool call, so results include envelopes written after startup (the
-pending-delta overlay keeps that cheap).
+tool call, so results include envelopes written after startup (a
+reload derives only the newly stored reports' documents).
 """
 
 from __future__ import annotations

@@ -528,7 +528,7 @@ def run_sharded_batch(
     for index in range(len(targets)):
         if index not in records:
             lose(index, -1, "every worker exited before it started")
-    ResultStore(store_root).reap_lease_temps()
+    ResultStore(store_root).reap_temp_files()
 
     fleet_trace = None
     if telemetry_dir is not None:

@@ -43,7 +43,7 @@ import threading
 import time
 from pathlib import Path
 
-from ..core.report import AnalysisReport, report_from_dict, report_to_dict
+from ..core.report import AnalysisReport, report_to_dict
 from ..obs.metrics import MetricsRegistry
 
 #: Bump when the envelope or report dict shape changes incompatibly.
@@ -101,8 +101,8 @@ def atomic_write(path: Path, text: str) -> None:
 class ResultStore:
     """Durable cache of analysis reports, content-addressed and versioned.
 
-    ``get``/``put`` operate on report dicts (the :func:`report_to_dict`
-    form); :meth:`get_report` rebuilds a live report view.  Hit/miss/write
+    ``get`` returns the stored envelope, whose ``report`` is the
+    :func:`report_to_dict` form of what ``put`` stored.  Hit/miss/write
     counts are tracked on the instance and mirrored into an optional
     :class:`MetricsRegistry`.
     """
@@ -193,18 +193,22 @@ class ResultStore:
         except OSError:
             pass
 
-    def reap_lease_temps(self) -> None:
-        """Unlink claim temp files (``leases/.<name>.*.tmp``) older than
-        the lease TTL.  A claimant killed between writing one and linking
-        it into place leaves it behind; a live claimant holds its own for
-        microseconds, so the TTL is a safe bound."""
+    def reap_temp_files(self) -> None:
+        """Unlink the store's temp files (``.<name>.*.tmp``) older than
+        the lease TTL: claim temps in ``leases/`` and :func:`atomic_write`
+        temps in ``objects/<xx>/``, ``manifests/`` and ``index/``.  A
+        writer killed between creating one and moving it into place
+        leaves it behind; a live writer holds its own for milliseconds,
+        so the TTL is a safe bound."""
         cutoff = time.time() - self.lease_ttl
-        for tmp in self.leases.glob(".*.tmp"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-            except OSError:
-                pass
+        for pattern in ("leases/.*.tmp", "objects/*/.*.tmp",
+                        "manifests/.*.tmp", "index/.*.tmp"):
+            for tmp in self.root.glob(pattern):
+                try:
+                    if tmp.stat().st_mtime < cutoff:
+                        tmp.unlink()
+                except OSError:
+                    pass
 
     def lease_holder(self, name: str) -> dict | None:
         """The live lease's recorded holder, or ``None`` when unclaimed
@@ -272,14 +276,6 @@ class ResultStore:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
 
-    def get_report(
-        self, apk_digest: str, config_key: str
-    ) -> AnalysisReport | None:
-        envelope = self.get(apk_digest, config_key)
-        if envelope is None:
-            return None
-        return report_from_dict(envelope["report"])
-
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
 
@@ -337,10 +333,12 @@ class ResultStore:
         without a ``report`` key are invisible to :meth:`get` and
         :meth:`list_entries`.
 
-        Report envelopes additionally land a pending-delta record in the
-        side-band ``index/`` tree so the fleet index never goes stale
-        (see :mod:`repro.fleetindex.index`); index bookkeeping failures
-        never fail the durable write itself.
+        This is the one fsynced write of a report.  Report envelopes
+        then also create an empty pending marker in the side-band
+        ``index/`` tree, so fleet index readers overlay the report at once
+        (see :mod:`repro.fleetindex.index`); a failed marker never fails
+        the durable write, and the next index fold indexes the report
+        anyway.
         """
         atomic_write(self.path_for(key), canonical_json(envelope))
         with self._lock:
@@ -351,10 +349,7 @@ class ResultStore:
             from ..fleetindex.index import write_pending_delta
 
             try:
-                write_pending_delta(
-                    self.root, key, envelope.get("app", ""),
-                    envelope["report"],
-                )
+                write_pending_delta(self.root, key)
             except OSError:
                 pass
         return key
@@ -431,14 +426,15 @@ class ResultStore:
             self.metrics.counter("cache_hits" if hit else "cache_misses").inc()
 
     def entries(self) -> list[str]:
-        """All stored result keys (directory scan; for stats/debugging)."""
+        """All stored result keys, sorted (a directory scan)."""
         return sorted(
             p.stem for p in self.objects.glob("*/*.json")
         )
 
-    def iter_entries(self):
-        """Stream metadata for every stored *report* envelope, one at a
-        time in key order — large stores never materialise in memory.
+    def list_entries(self) -> list[dict]:
+        """Metadata for every stored *report* envelope, sorted by
+        ``(app, stored_at, key)``; powers ``GET /reports`` and the CLI's
+        latest-two-versions lookup.
 
         Derived artifacts (diff caches) and unreadable files are skipped;
         the report payload itself is not returned — fetch it via the key.
@@ -448,7 +444,8 @@ class ResultStore:
         """
         from ..fleetindex.docs import envelope_summary
 
-        for path in sorted(self.objects.glob("*/*.json")):
+        out = []
+        for path in self.objects.glob("*/*.json"):
             try:
                 envelope = json.loads(path.read_text())
             except (OSError, UnicodeDecodeError, json.JSONDecodeError):
@@ -456,7 +453,7 @@ class ResultStore:
             if not isinstance(envelope, dict) or "report" not in envelope:
                 continue
             report = envelope.get("report") or {}
-            yield {
+            out.append({
                 "key": envelope.get("key", path.stem),
                 "app": envelope.get("app", ""),
                 "apk_digest": envelope.get("apk_digest", ""),
@@ -465,16 +462,7 @@ class ResultStore:
                 "transactions": len(report.get("transactions", ())),
                 "summary": envelope_summary(envelope),
                 "stored_at": path.stat().st_mtime,
-            }
-
-    def list_entries(self) -> list[dict]:
-        """Metadata for every stored *report* envelope, sorted by
-        ``(app, stored_at, key)``.
-
-        Powers ``GET /reports`` and the CLI's latest-two-versions lookup;
-        prefer :meth:`iter_entries` when streaming order suffices.
-        """
-        out = list(self.iter_entries())
+            })
         out.sort(key=lambda e: (e["app"], e["stored_at"], e["key"]))
         return out
 

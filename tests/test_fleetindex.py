@@ -1,7 +1,7 @@
 """Fleet index contract tests: determinism (independent builds and
-incremental fold-in are byte-identical), crash recovery (stale pending
-deltas), zero-rebuild freshness via the pending overlay, the query
-grammar, and pagination."""
+incremental fold-in are byte-identical), crash recovery (lost and orphan
+pending markers, damaged trees), zero-rebuild freshness via the pending
+overlay, the query grammar, and pagination."""
 
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ class TestDeterminism:
 
     def test_incremental_fold_equals_full_rebuild(self, tmp_path):
         # build over the first half, then put the rest (landing pending
-        # deltas) and fold incrementally
+        # markers) and fold incrementally
         targets = expand_targets([SPEC])
         grown = ResultStore(tmp_path / "grown")
         for target in targets[:2]:
@@ -115,8 +115,8 @@ class TestDeterminism:
 
 class TestFreshness:
     def test_search_after_put_with_zero_rebuild(self, tmp_path):
-        # the acceptance criterion: puts land pending deltas, the reader
-        # overlays them — no build_index call anywhere
+        # the acceptance criterion: puts land pending markers, the reader
+        # overlays their envelopes' documents — no build_index call anywhere
         store = fill_store(tmp_path / "fresh")
         targets = expand_targets([SPEC])
         index = FleetIndex(store).refresh()
@@ -140,6 +140,26 @@ class TestFreshness:
         )
         assert index.refresh().stats()["docs"] == 1
 
+    def test_reload_after_one_put_reads_one_envelope(self, tmp_path,
+                                                     monkeypatch):
+        """The overlay keeps each unfolded report's document across
+        reloads: an envelope never changes, so a reload derives only the
+        new reports' documents."""
+        store = fill_store(tmp_path / "memo")
+        index = FleetIndex(store).refresh()
+        assert index.stats()["pending"] == 4
+
+        apk, config, _ = resolve_target("diode")
+        key = store.put(compute_apk_digest(apk), config.cache_key(),
+                        _default_analyzer(apk, config))
+        loads = []
+        load = store.load
+        monkeypatch.setattr(store, "load",
+                            lambda k: loads.append(k) or load(k))
+        stats = index.refresh().stats()
+        assert loads == [key]
+        assert stats["docs"] == stats["pending"] == 5
+
     def test_fold_consumes_pending(self, tmp_path):
         store = fill_store(tmp_path / "consume")
         assert len(list(pending_dir(store.root).iterdir())) == 4
@@ -148,24 +168,26 @@ class TestFreshness:
 
 
 class TestCrashRecovery:
-    def test_corrupt_pending_recovered_from_envelope(self, tmp_path):
-        store = fill_store(tmp_path / "crash")
-        # a writer died mid-put: torn delta file, but the envelope landed
-        victim = sorted(pending_dir(store.root).iterdir())[0]
-        victim.write_text('{"schema": 1, "key": ')
+    def test_fold_indexes_a_report_whose_marker_was_lost(self, tmp_path):
+        """A writer died between a report's envelope and its marker (or
+        the marker write failed): a fold over an existing index still
+        indexes the report, found by the envelope scan."""
+        store = ResultStore(tmp_path / "lost")
+        build_index(store)  # an index exists, so the next fold is one
+        fill_store(store.root)
+        sorted(pending_dir(store.root).iterdir())[0].unlink()
         stats = build_index(store)
-        assert stats["docs"] == 4  # recovered, nothing lost
+        assert not stats["rebuilt"]
+        assert stats["docs"] == len(store.entries()) == 4
+        assert stats["folded"] == 4
 
         clean = fill_store(tmp_path / "clean")
         build_index(clean)
-        assert index_tree(tmp_path / "crash") == index_tree(tmp_path / "clean")
+        assert index_tree(store.root) == index_tree(clean.root)
 
-    def test_non_utf8_pending_and_manifest_recovered(self, tmp_path):
+    def test_non_utf8_manifest_recovered(self, tmp_path):
         store = fill_store(tmp_path / "bytes")
-        victim = sorted(pending_dir(store.root).iterdir())[0]
-        victim.write_bytes(b"\xff\xfe")
-        assert build_index(store)["docs"] == 4  # recovered from the envelope
-
+        build_index(store)
         (index_root(store.root) / "MANIFEST.json").write_bytes(b"\xff\xfe")
         assert FleetIndex(store).manifest() is None
         assert build_index(store)["docs"] == 4
@@ -173,6 +195,16 @@ class TestCrashRecovery:
         clean = fill_store(tmp_path / "clean")
         build_index(clean)
         assert index_tree(store.root) == index_tree(tmp_path / "clean")
+
+    def test_fold_skips_a_stored_file_that_is_not_an_envelope(self,
+                                                              tmp_path):
+        store = fill_store(tmp_path / "stray")
+        stray = store.path_for("ab" + "0" * 62)
+        stray.parent.mkdir(parents=True, exist_ok=True)
+        stray.write_text("[1, 2]")
+        (pending_dir(store.root) / f"{stray.stem}.json").touch()
+        assert FleetIndex(store).load().stats()["docs"] == 4
+        assert build_index(store)["docs"] == 4
 
     def test_orphan_pending_without_envelope_dropped(self, tmp_path):
         store = fill_store(tmp_path / "orphan")
@@ -355,10 +387,10 @@ class TestSummaries:
         envelope["summary"] = {"schema": 999, "hosts": ["bogus"]}
         assert envelope_summary(envelope) == stamped
 
-    def test_iter_entries_streams_with_summaries(self, store):
-        entries = list(store.iter_entries())
+    def test_list_entries_carry_summaries(self, store):
+        entries = store.list_entries()
         assert len(entries) == 4
         assert all(e["summary"]["hosts"] for e in entries)
-        assert store.list_entries() == sorted(
+        assert entries == sorted(
             entries, key=lambda e: (e["app"], e["stored_at"], e["key"])
         )

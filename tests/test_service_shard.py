@@ -30,6 +30,7 @@ import repro
 from repro import AnalysisConfig
 from repro.cli import main
 from repro.corpus import build_app
+from repro.fleetindex import FleetIndex, build_index, index_root
 from repro.service import JobScheduler, JobStatus, ResultStore
 from repro.service.shard import (
     ShardRecord,
@@ -145,6 +146,27 @@ def test_batch_reaps_lease_temp_files_older_than_the_ttl(tmp_path):
     run_sharded_batch(store.root, ["diode"], workers=1)
     assert not stale.exists()
     assert fresh.exists()
+
+
+def test_batch_reaps_store_temp_files_older_than_the_ttl(tmp_path):
+    """A writer killed inside ``atomic_write`` leaves ``.<name>.*.tmp`` in
+    ``objects/<xx>/``, ``manifests/`` or ``index/``; the next batch
+    removes those older than the lease TTL and keeps fresh ones."""
+    store = ResultStore(tmp_path / "s")
+    stale, fresh = [], []
+    for directory in (store.objects / "ab", store.manifests,
+                      index_root(store.root)):
+        directory.mkdir(parents=True, exist_ok=True)
+        stale.append(directory / ".killed.x1.tmp")
+        fresh.append(directory / ".live.x2.tmp")
+    old = time.time() - store.lease_ttl - 60
+    for path in stale + fresh:
+        path.write_text("{")
+    for path in stale:
+        os.utime(path, (old, old))
+    run_sharded_batch(store.root, ["diode"], workers=1)
+    assert [p for p in stale if p.exists()] == []
+    assert all(p.exists() for p in fresh)
 
 
 @pytest.fixture
@@ -337,11 +359,54 @@ def ted_tears_its_record(monkeypatch):
     return monkeypatch
 
 
-def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int):
+@pytest.fixture
+def ted_dies_mid_put(monkeypatch):
+    """The worker storing TED's report is SIGKILLed inside
+    ``write_pending_delta`` for TED's result key: after TED's envelope
+    landed, before its pending marker, with the result-key lease held."""
+    if "fork" not in available_start_methods():
+        pytest.skip("fork unavailable")
+    from repro.apk.loader import apk_digest
+    from repro.fleetindex import index
+    from repro.service.jobs import resolve_target
+    from repro.service.store import result_key
+
+    apk, config, _ = resolve_target("ted")
+    ted_key = result_key(apk_digest(apk), config.cache_key())
+    mark = index.write_pending_delta
+    test_pid = os.getpid()
+
+    def dying(store_root, key):
+        if key == ted_key and os.getpid() != test_pid:
+            sigkill()
+        return mark(store_root, key)
+
+    monkeypatch.setattr(index, "write_pending_delta", dying)
+    return monkeypatch
+
+
+def index_files(store) -> dict[str, bytes]:
+    """Every fleet index file's bytes, keyed by relative path."""
+    base = index_root(store.root)
+    return {str(p.relative_to(base)): p.read_bytes()
+            for p in sorted(base.rglob("*.json"))}
+
+
+def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int,
+                                stale_leases: int = 0):
     """TED's entry fails with its worker's exit code while the other
     entries finish; with ``patch`` undone, a rerun runs ``reanalyzed``
     analyses (TED's, or none if TED's envelope landed before its worker
-    died) and leaves a store identical to a clean one."""
+    died) and leaves a store identical to a clean one.
+
+    The store has a fleet index before the batch, so folding the healed
+    store is incremental: it must index every stored report and land on
+    the clean store's index bytes and reader stats.  A worker killed
+    after TED's envelope landed but before it released TED's result-key
+    lease leaves that lease behind (``stale_leases``): the rerun is a
+    cache hit and takes no lease, and the dead holder makes it stale for
+    any later claimant."""
+    build_index(ResultStore(root / "s"))
     with deadline(60):
         records = run_sharded_batch(root / "s", KILL_TARGETS,
                                     workers=2, start_method="fork")
@@ -369,7 +434,15 @@ def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int):
         assert canonical_json(healed.load(key)["report"]) == (
             canonical_json(clean.load(key)["report"])
         ), key
-    assert not list(healed.leases.glob("*.lease"))
+    leftover = list(healed.leases.glob("*.lease"))
+    assert len(leftover) == stale_leases
+    assert all(healed._lease_stale(path) for path in leftover)
+
+    for store in (healed, clean):
+        build_index(store)
+    assert index_files(healed) == index_files(clean)
+    assert (FleetIndex(healed).load().stats()
+            == FleetIndex(clean).load().stats())
 
 
 def test_two_concurrent_batches_over_one_store_analyse_each_target_once(
@@ -430,6 +503,16 @@ class TestTornRecordFrame:
         # the worker stores TED's envelope before it sends the record
         assert_ted_lost_then_healed(tmp_path, ted_tears_its_record,
                                     reanalyzed=0)
+
+
+class TestKilledMidPut:
+    def test_a_fold_indexes_the_report_whose_marker_never_landed(
+        self, tmp_path, ted_dies_mid_put
+    ):
+        # TED's envelope is stored, so the rerun is a cache hit that puts
+        # nothing: only the fold's envelope scan can index it
+        assert_ted_lost_then_healed(tmp_path, ted_dies_mid_put,
+                                    reanalyzed=0, stale_leases=1)
 
 
 class TestDispatcher:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -107,12 +108,25 @@ class TestResultStore:
             report_to_dict(fresh)
         )
 
-    def test_get_report_rebuilds_view(self, tmp_path, diode_report):
+    def test_a_report_put_makes_one_durable_write(
+        self, tmp_path, diode_report, monkeypatch
+    ):
+        """The envelope is the only fsynced file of a put: the fleet
+        index's pending marker beside it is empty."""
         apk, config, report = diode_report
         store = ResultStore(tmp_path / "store")
-        store.put(apk_digest(apk), config.cache_key(), report)
-        rebuilt = store.get_report(apk_digest(apk), config.cache_key())
-        assert rebuilt.summary() == report.summary()
+        fsync = os.fsync
+        synced = []
+
+        def counted(fd):
+            synced.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)
+        key = store.put(apk_digest(apk), config.cache_key(), report)
+        assert len(synced) == 1
+        marker = store.root / "index" / "pending" / f"{key}.json"
+        assert marker.read_bytes() == b""
 
     def test_schema_mismatch_is_a_miss(self, tmp_path, diode_report):
         apk, config, report = diode_report
