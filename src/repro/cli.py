@@ -45,45 +45,29 @@ def _fail(message: str) -> NoReturn:
 
 
 def _load(target: str):
-    """Resolve a corpus key or .sapk path into (Apk, AnalysisConfig)."""
+    """Resolve a target into ``(Apk, AnalysisConfig)``."""
     apk, config, _renames = _load_versioned(target)
     return apk, config
 
 
 def _load_versioned(target: str):
-    """Like :func:`_load` but also accepts generated lineage labels
-    (``app@vN``) and returns ``(Apk, AnalysisConfig, renames_from_base)``
-    — the rename map incremental mode threads through for obfuscated
-    re-releases (``None`` for every other target form)."""
-    from repro import AnalysisConfig
-    from repro.apk.loader import BundleError, load_apk
-    from repro.corpus import app_keys, get_spec
+    """Resolve a target as :func:`repro.service.jobs.resolve_target` does
+    (corpus or ``syn-`` key, lineage label ``app@vN``, ``.sapk`` path)
+    into ``(Apk, AnalysisConfig, renames_from_base)``: the rename map of a
+    lineage version, which incremental mode threads through for
+    obfuscated re-releases, is ``None`` for every other target form."""
+    from repro.apk.loader import BundleError
+    from repro.corpus.lineage import build_version, is_version_label
+    from repro.service.jobs import resolve_target
 
-    if "@" in target and not Path(target).exists():
-        from repro.corpus.lineage import build_version
-
-        try:
+    try:
+        if is_version_label(target):
             built = build_version(target)
-        except (KeyError, ValueError) as exc:
-            _fail(str(exc))
-        return built.apk, built.config, built.renames_from_base
-    if target.startswith("syn-") or target in app_keys():
-        try:
-            spec = get_spec(target)
-        except KeyError as exc:
-            _fail(str(exc))
-        return spec.build_apk(), spec.analysis_config(), None
-    path = Path(target)
-    if path.exists():
-        try:
-            return load_apk(path), AnalysisConfig(), None
-        except BundleError as exc:
-            _fail(str(exc))
-    _fail(
-        f"'{target}' is neither a corpus app key, a synthesized app key "
-        f"(syn-<family>-s<seed>-<index>), a lineage label (app@vN), nor "
-        f"an .sapk bundle; known keys: {', '.join(app_keys())}"
-    )
+            return built.apk, built.config, built.renames_from_base
+        apk, config, _label = resolve_target(target)
+    except (LookupError, BundleError) as exc:
+        _fail(str(exc))
+    return apk, config, None
 
 
 def cmd_corpus(args) -> int:
@@ -902,7 +886,8 @@ def main(argv: list[str] | None = None) -> int:
         "batch", help="run targets through the batch engine + result store"
     )
     p_batch.add_argument("targets", nargs="*",
-                         help="corpus keys, syn- keys, population specs "
+                         help="corpus keys, syn- keys, lineage labels "
+                              "(app@vN), population specs "
                               "(synth:<families>*<scale>[@<seed>]) or .sapk "
                               "paths (default: whole corpus)")
     p_batch.add_argument("--corpus", metavar="SPEC", default=None,

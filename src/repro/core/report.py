@@ -1,23 +1,21 @@
 """The analysis report — everything Extractocol outputs for one APK.
 
 Besides the live :class:`AnalysisReport` the pipeline produces, this module
-owns the canonical JSON-serialisable form: :func:`report_to_dict` flattens a
-report (live or deserialised) into plain dicts/strings, and
-:func:`report_from_dict` rebuilds a report view from that form.  The two are
-exact inverses over the dict form — ``report_to_dict(report_from_dict(d))
-== d`` — which is what lets the service result store hand back cached
-reports byte-identical to a fresh run (`repro.service.store`).
+owns its canonical JSON-serialisable form: :func:`report_to_dict` flattens
+a report into plain dicts and strings (signature Terms become their regex
+and term renderings).  That dict is the stored report: the service result
+store writes it, and every reader of a stored report (``GET /report``, the
+fleet index, ``repro diff`` and ``GET /diff``) reads it as data, so a
+cached report is byte-identical to a fresh run (`repro.service.store`).
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from ..deps.transactions import Dependency, Transaction
 from ..obs.phases import PhaseStats
-from ..signature.lang import Const
 
 
 @dataclass
@@ -158,60 +156,7 @@ class AnalysisReport:
 #
 # The dict form deliberately flattens signature Terms to their string/regex
 # renderings — it is a *protocol description*, not a pickle of the analysis
-# internals.  Deserialising therefore yields frozen signature views that
-# carry the rendered strings; everything the report API derives from them
-# (stats, summaries, consumer maps) still works.
-
-
-@dataclass(frozen=True)
-class FrozenRequestSig:
-    """A request signature reconstituted from the serialised form: same
-    read API as :class:`~repro.deps.transactions.RequestSig`, but with the
-    rendered strings as ground truth instead of signature Terms."""
-
-    method: str
-    uri_regex: str
-    headers: tuple[tuple[str, str], ...] = ()
-    body: str | None = None
-    body_kind: str | None = None
-    is_dynamic: bool = False
-
-
-@dataclass(frozen=True)
-class FrozenResponseSig:
-    kind: str
-    body: str | None = None
-    consumers: frozenset[str] = frozenset()
-
-    @property
-    def has_body(self) -> bool:
-        return self.body is not None
-
-
-@dataclass
-class FrozenTransaction:
-    txn_id: int
-    request: FrozenRequestSig
-    response: FrozenResponseSig
-    depends_on: list[Dependency] = field(default_factory=list)
-
-    @property
-    def has_pair(self) -> bool:
-        return self.response.has_body
-
-    def describe(self) -> str:
-        lines = [f"{self.request.method} {self.request.uri_regex}"]
-        for name, value in self.request.headers:
-            lines.append(f"  {name}: {value}")
-        if self.request.body is not None:
-            lines.append(f"  body[{self.request.body_kind}]: {self.request.body}")
-        if self.response.has_body:
-            lines.append(f"  -> response[{self.response.kind}]: {self.response.body}")
-        for c in sorted(self.response.consumers):
-            lines.append(f"  -> consumed by: {c}")
-        for d in self.depends_on:
-            lines.append(f"  <- {d}")
-        return "\n".join(lines)
+# internals — so readers of a stored report take it as data.
 
 
 def _txn_to_dict(txn) -> dict:
@@ -233,9 +178,9 @@ def _txn_to_dict(txn) -> dict:
 
 
 def report_to_dict(report) -> dict:
-    """JSON-serialisable view of an :class:`AnalysisReport` (live or one
-    rebuilt by :func:`report_from_dict`).  Timing is intentionally omitted
-    so two runs over the same APK/config serialise identically."""
+    """JSON-serialisable view of an :class:`AnalysisReport`.  Timing is
+    intentionally omitted so two runs over the same APK/config serialise
+    identically."""
     out = {
         "app": report.app,
         "stats": report.stats().as_row(),
@@ -249,69 +194,8 @@ def report_to_dict(report) -> dict:
     return out
 
 
-_DEP_RE = re.compile(r"^txn(\d+)\[(.*)\] -> txn(\d+)\.(.*)$", re.DOTALL)
-
-
-def _dep_from_str(text: str) -> Dependency:
-    m = _DEP_RE.match(text)
-    if m is None:
-        raise ValueError(f"malformed dependency string: {text!r}")
-    return Dependency(
-        src_txn=int(m.group(1)),
-        src_path=m.group(2),
-        dst_txn=int(m.group(3)),
-        dst_field=m.group(4),
-    )
-
-
-def _txn_from_dict(data: dict) -> FrozenTransaction:
-    return FrozenTransaction(
-        txn_id=data["id"],
-        request=FrozenRequestSig(
-            method=data["method"],
-            uri_regex=data["uri_regex"],
-            headers=tuple(data.get("headers", {}).items()),
-            body=data.get("body"),
-            body_kind=data.get("body_kind"),
-            is_dynamic=data.get("dynamic_uri", False),
-        ),
-        response=FrozenResponseSig(
-            kind=data.get("response_kind", "unknown"),
-            body=data.get("response_body"),
-            consumers=frozenset(data.get("consumers", ())),
-        ),
-        depends_on=[_dep_from_str(d) for d in data.get("depends_on", ())],
-    )
-
-
-def report_from_dict(data: dict) -> AnalysisReport:
-    """Rebuild a report from :func:`report_to_dict` output.
-
-    The result carries :class:`FrozenTransaction` views (rendered strings,
-    not signature Terms), so derived views — ``stats()``, ``summary()``,
-    ``consumers()``, ``transaction()`` — all work, and serialising it again
-    reproduces ``data`` exactly."""
-    report = AnalysisReport(
-        app=data["app"],
-        transactions=[_txn_from_dict(t) for t in data.get("transactions", ())],
-        unidentified=[_txn_from_dict(t) for t in data.get("unidentified", ())],
-        slice_fraction=data.get("slice_fraction", 0.0),
-        demarcation_points=data.get("demarcation_points", 0),
-    )
-    if "lint" in data:
-        from ..lint.diagnostics import Diagnostic
-
-        report.lint_findings = [Diagnostic.from_dict(f) for f in data["lint"]]
-    report.dependencies = [d for t in report.transactions for d in t.depends_on]
-    return report
-
-
 __all__ = [
     "AnalysisReport",
-    "FrozenRequestSig",
-    "FrozenResponseSig",
-    "FrozenTransaction",
     "SignatureStats",
-    "report_from_dict",
     "report_to_dict",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable
 
 from ..apk.model import Apk
@@ -250,11 +251,18 @@ def lineage(family: str) -> list[LineageVersion]:
         ) from None
 
 
-def build_version(label: str) -> BuiltVersion:
-    """Materialise a lineage version from its ``family@vN`` label.
+def is_version_label(target: str) -> bool:
+    """Whether ``target`` names a lineage version (``app@vN``) rather
+    than an app key or an ``.sapk`` path, which may contain ``@``."""
+    return "@" in target and not Path(target).exists()
+
+
+def lineage_version(label: str) -> LineageVersion:
+    """The lineage version ``family@vN`` names, without building it.
 
     Hand-written corpus lineages and synthesized (``syn-...``) lineages
-    share one label grammar, so ``repro diff`` resolves both."""
+    share one label grammar; a label that names no version raises
+    :class:`LookupError`."""
     family, _, version = label.partition("@")
     if not version.startswith("v") or not version[1:].isdigit():
         raise LookupError(
@@ -263,18 +271,25 @@ def build_version(label: str) -> BuiltVersion:
     wanted = int(version[1:])
     for lv in lineage(family):
         if lv.version == wanted:
-            return lv.materialize()
+            return lv
     raise LookupError(
         f"{family!r} has no version {wanted}; versions: "
         f"{[lv.version for lv in lineage(family)]}"
     )
 
 
+def build_version(label: str) -> BuiltVersion:
+    """Materialise a lineage version from its ``family@vN`` label."""
+    return lineage_version(label).materialize()
+
+
 __all__ = [
     "BuiltVersion",
     "LineageVersion",
     "build_version",
+    "is_version_label",
     "lineage",
     "lineage_keys",
+    "lineage_version",
     "lineages",
 ]

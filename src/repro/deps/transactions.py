@@ -7,6 +7,7 @@ exposed both as terms (the internal tree form) and compiled regexes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..ir.statements import StmtRef
@@ -137,6 +138,23 @@ class Dependency:
 
     def __str__(self) -> str:
         return f"txn{self.src_txn}[{self.src_path}] -> txn{self.dst_txn}.{self.dst_field}"
+
+    @staticmethod
+    def parse(text: str) -> "Dependency":
+        """The dependency whose ``str`` is ``text`` (a report dict's
+        ``depends_on`` entry); :class:`ValueError` on any other string."""
+        m = _DEP_RE.match(text)
+        if m is None:
+            raise ValueError(f"malformed dependency string: {text!r}")
+        return Dependency(
+            src_txn=int(m.group(1)),
+            src_path=m.group(2),
+            dst_txn=int(m.group(3)),
+            dst_field=m.group(4),
+        )
+
+
+_DEP_RE = re.compile(r"^txn(\d+)\[(.*)\] -> txn(\d+)\.(.*)$", re.DOTALL)
 
 
 @dataclass

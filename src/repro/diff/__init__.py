@@ -17,11 +17,15 @@ produces a deterministic, serializable :class:`~repro.diff.model
 * **breaking-change verdict** — a removed dependency source (the reddit
   ``modhash`` flow) is breaking; an added optional query key is not.
 
-Entry points: :func:`~repro.diff.engine.diff_reports` for in-process use,
-``repro diff <old> <new>`` on the CLI (exit 1 on breaking changes, for
-CI), ``GET /diff/<key1>/<key2>`` on the analysis service (store-backed
-caching), and :func:`repro.evalx.drift.render_drift_table` over the
-generated version lineages in :mod:`repro.corpus.lineage`.
+The diff reads reports in their canonical dict form
+(:func:`repro.core.report.report_to_dict`), the form the result store
+keeps.  Entry points: :func:`~repro.diff.engine.diff_dicts` for report
+dicts, :func:`~repro.diff.engine.diff_reports` for live reports
+in-process, ``repro diff <old> <new>`` on the CLI (exit 1 on breaking
+changes, for CI), ``GET /diff/<key1>/<key2>`` on the analysis service
+(the two stored report dicts, with store-backed caching), and
+:func:`repro.evalx.drift.render_drift_table` over the generated version
+lineages in :mod:`repro.corpus.lineage`.
 """
 
 from .classify import BREAKING_KINDS
@@ -32,7 +36,6 @@ from .model import (
     ProtocolDiff,
     TxnDelta,
     TxnSummary,
-    diff_from_dict,
     render_markdown,
 )
 
@@ -44,7 +47,6 @@ __all__ = [
     "TxnDelta",
     "TxnSummary",
     "diff_dicts",
-    "diff_from_dict",
     "diff_reports",
     "diff_targets",
     "render_markdown",

@@ -1,19 +1,24 @@
-"""The diff entry points: reports in, :class:`ProtocolDiff` out.
+"""The diff entry points: report dicts in, :class:`ProtocolDiff` out.
 
-Three layers, lowest first:
+A stored report is its canonical dict (:func:`repro.core.report
+.report_to_dict` form), and the diff reads that dict as it is:
 
-* :func:`diff_dicts` — pure function over two canonical report dicts
-  (:func:`repro.core.report.report_to_dict` form).  Deterministic: same
-  dicts in, byte-identical ``to_dict()`` out.
-* :func:`diff_reports` — the same over live/frozen
-  :class:`~repro.core.report.AnalysisReport` objects, with obs
-  instrumentation (a ``diff:`` span carrying matched/added/removed/
-  changed/breaking counters).
+* :func:`diff_dicts` — pure function over two report dicts.
+  Deterministic: same dicts in, byte-identical ``to_dict()`` out.
+* :func:`cached_diff` — two stored reports by result key (``GET
+  /diff``), their dicts passed straight to :func:`diff_dicts`, the diff
+  cached in the store.
+* :func:`diff_reports` — two live
+  :class:`~repro.core.report.AnalysisReport` objects, serialised first.
 * :func:`diff_targets` — CLI-grade resolution: each side may be a corpus
   key, an ``.sapk`` bundle path, a result-store key, or a generated
-  lineage version label (``app@v2``, :mod:`repro.corpus.lineage`).
-  Lineage pairs thread the rename lineage through automatically so an
-  obfuscated rebuild diffs clean.
+  lineage version label (``app@v2``, :mod:`repro.corpus.lineage`), and
+  resolves to a report dict.  Lineage pairs thread the rename lineage
+  through automatically so an obfuscated rebuild diffs clean.
+
+:func:`diff_reports` and :func:`diff_targets` run the diff inside one
+``diff:<old>-><new>`` span carrying matched/added/removed/changed/
+breaking counters.
 """
 
 from __future__ import annotations
@@ -79,19 +84,19 @@ def diff_reports(
     renames=None,
     tracer=NULL_TRACER,
 ) -> ProtocolDiff:
-    """Diff two analysis reports (live or rebuilt by
-    :func:`~repro.core.report.report_from_dict`)."""
+    """Diff two live analysis reports."""
     from ..core.report import report_to_dict
 
-    with tracer.span(
-        f"diff:{old_report.app}->{new_report.app}"
-    ) as span:
-        return diff_dicts(
-            report_to_dict(old_report),
-            report_to_dict(new_report),
-            renames=renames,
-            span=span,
-        )
+    return _traced_diff(
+        report_to_dict(old_report), report_to_dict(new_report),
+        renames=renames, tracer=tracer,
+    )
+
+
+def _traced_diff(old: dict, new: dict, *, renames, tracer) -> ProtocolDiff:
+    """:func:`diff_dicts` inside a ``diff:<old>-><new>`` span."""
+    with tracer.span(f"diff:{old['app']}->{new['app']}") as span:
+        return diff_dicts(old, new, renames=renames, span=span)
 
 
 # ------------------------------------------------------------ store cache
@@ -112,8 +117,6 @@ def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
     :func:`diff_cache_key`, so every ``(old, new)`` pair is computed once
     per store lifetime.
     """
-    from ..core.report import report_from_dict
-
     cache_key = diff_cache_key(old_key, new_key)
     envelope = store.load(cache_key)
     if (
@@ -131,9 +134,7 @@ def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
         or "report" not in new_env
     ):
         return None
-    old_report = report_from_dict(old_env["report"])
-    new_report = report_from_dict(new_env["report"])
-    diff = diff_reports(old_report, new_report)
+    diff = diff_dicts(old_env["report"], new_env["report"])
     # no "report"/"schema" keys: list_entries and cache probes skip this
     store.put_envelope(cache_key, {
         "diff_schema": DIFF_SCHEMA_VERSION,
@@ -147,24 +148,23 @@ def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
 
 # --------------------------------------------------------- CLI resolution
 def resolve_diff_target(target: str, *, store=None):
-    """Resolve one ``repro diff`` operand into ``(report, renames_from_
-    base, label)``.
+    """Resolve one ``repro diff`` operand into ``(report dict, renames_
+    from_base, label)``: the stored report dict, or the
+    :func:`~repro.core.report.report_to_dict` form of a fresh analysis.
 
     Tried in order: result-store key (when a store is given), generated
     lineage version (``app@vN``), corpus key, ``.sapk`` path.  Lineage
     versions return their rename lineage so the caller can thread rename
     tolerance between two versions of the same family.
     """
-    from ..core.report import report_from_dict
+    from ..corpus.lineage import build_version, is_version_label
 
     if store is not None:
         envelope = store.load(target)
         if envelope is not None and "report" in envelope:
-            return report_from_dict(envelope["report"]), None, target
+            return envelope["report"], None, target
 
-    if "@" in target:
-        from ..corpus.lineage import build_version
-
+    if is_version_label(target):
         built = build_version(target)
         report = _analyze(
             built.apk,
@@ -187,10 +187,10 @@ def resolve_diff_target(target: str, *, store=None):
     return report, None, label
 
 
-def _analyze(apk, config, *, store=None, renames=None):
-    """Analyze one diff operand.  With a store, a warm operand is read
-    once and costs no analysis; a cold one goes through the store
-    protocol batch workers and daemon jobs share
+def _analyze(apk, config, *, store=None, renames=None) -> dict:
+    """Analyze one diff operand into its report dict.  With a store, a
+    warm operand is read once and costs no analysis; a cold one goes
+    through the store protocol batch workers and daemon jobs share
     (:func:`~repro.service.shard.analyze_through_store`), so a report
     another process stores meanwhile under its result-key lease is read
     back.  Otherwise the run goes through ``incremental`` mode (the
@@ -198,11 +198,11 @@ def _analyze(apk, config, *, store=None, renames=None):
     through ``renames`` for obfuscated rebuilds) and both the report and
     the fresh manifest are written back."""
     from ..core.extractocol import Extractocol
+    from ..core.report import report_to_dict
 
     if store is None:
-        return Extractocol(config).analyze(apk)
+        return report_to_dict(Extractocol(config).analyze(apk))
     from ..apk.loader import apk_digest
-    from ..core.report import report_from_dict
     from ..service.shard import analyze_through_store
     from ..service.store import result_key
 
@@ -221,9 +221,9 @@ def _analyze(apk, config, *, store=None, renames=None):
             store, digest, config_key, analyze, counters={}
         )
         if report is not None:
-            return report
+            return report_to_dict(report)
         envelope = store.lookup(key)
-    return report_from_dict(envelope["report"])
+    return envelope["report"]
 
 
 def diff_targets(
@@ -235,11 +235,11 @@ def diff_targets(
 ) -> ProtocolDiff:
     """Resolve and diff two CLI-style targets (see
     :func:`resolve_diff_target`)."""
-    old_report, old_renames, _ = resolve_diff_target(old, store=store)
-    new_report, new_renames, _ = resolve_diff_target(new, store=store)
-    renames = _relative_renames(old_renames, new_renames)
-    return diff_reports(
-        old_report, new_report, renames=renames, tracer=tracer
+    old_dict, old_renames, _ = resolve_diff_target(old, store=store)
+    new_dict, new_renames, _ = resolve_diff_target(new, store=store)
+    return _traced_diff(
+        old_dict, new_dict,
+        renames=_relative_renames(old_renames, new_renames), tracer=tracer,
     )
 
 

@@ -47,17 +47,6 @@ class Change:
             "detail": self.detail,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "Change":
-        return Change(
-            kind=data["kind"],
-            severity=data["severity"],
-            field=data["field"],
-            old=data.get("old"),
-            new=data.get("new"),
-            detail=data.get("detail", ""),
-        )
-
     def sort_key(self) -> tuple:
         return (
             SEVERITIES.index(self.severity),
@@ -92,10 +81,6 @@ class TxnSummary:
         return {"id": self.txn_id, "method": self.method,
                 "uri_regex": self.uri_regex}
 
-    @staticmethod
-    def from_dict(data: dict) -> "TxnSummary":
-        return TxnSummary(data["id"], data["method"], data["uri_regex"])
-
 
 @dataclass
 class TxnDelta:
@@ -120,16 +105,6 @@ class TxnDelta:
             "changes": [c.to_dict() for c in sorted(
                 self.changes, key=Change.sort_key)],
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "TxnDelta":
-        return TxnDelta(
-            old_id=data["old_id"],
-            new_id=data["new_id"],
-            label=data["label"],
-            similarity=data["similarity"],
-            changes=[Change.from_dict(c) for c in data.get("changes", ())],
-        )
 
 
 @dataclass
@@ -225,27 +200,6 @@ class ProtocolDiff:
         return "\n".join(lines)
 
 
-def diff_from_dict(data: dict) -> ProtocolDiff:
-    """Rebuild a diff view from :meth:`ProtocolDiff.to_dict` output.
-
-    The rebuilt diff carries only the *changed* matched pairs (the dict
-    form drops unchanged ones), so ``matched`` counts differ from the live
-    object; verdict, breaking set and renderings are all preserved.
-    """
-    diff = ProtocolDiff(
-        old_app=data["old"]["app"],
-        new_app=data["new"]["app"],
-        old_transactions=data["old"]["transactions"],
-        new_transactions=data["new"]["transactions"],
-        matched=[TxnDelta.from_dict(d) for d in data.get("changed", ())],
-        added=[TxnSummary.from_dict(t) for t in data.get("added", ())],
-        removed=[TxnSummary.from_dict(t) for t in data.get("removed", ())],
-        graph_changes=[Change.from_dict(c)
-                       for c in data.get("graph_changes", ())],
-    )
-    return diff
-
-
 def render_markdown(diff: ProtocolDiff) -> str:
     """GitHub-flavoured markdown rendering (``repro diff --markdown``)."""
     changed = sorted((d for d in diff.matched if d.changed),
@@ -295,6 +249,5 @@ __all__ = [
     "SEVERITIES",
     "TxnDelta",
     "TxnSummary",
-    "diff_from_dict",
     "render_markdown",
 ]

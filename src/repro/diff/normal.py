@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..core.report import _dep_from_str
 from ..deps.transactions import Dependency
 
 #: One collapsed non-literal region of a signature regex.
@@ -221,7 +220,7 @@ def txn_view(data: dict, *, consumer_map: dict[str, str] | None = None) -> TxnVi
         ),
         consumers=tuple(sorted(set(consumers))),
         depends_on=tuple(
-            _dep_from_str(d) for d in data.get("depends_on", ())
+            Dependency.parse(d) for d in data.get("depends_on", ())
         ),
         dynamic=data.get("dynamic_uri", False),
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 
-from ..core.report import _dep_from_str
+from ..deps.transactions import Dependency
 from ..diff.normal import WILDCARD, body_keys, parse_uri, untokenize
 
 #: Bump when the summary block's layout changes; readers treat a
@@ -59,7 +59,7 @@ def _clean(text: str) -> str:
 def _dep_fields(dep_str: str) -> set[str]:
     """The queryable field names of one dependency edge string."""
     try:
-        dep = _dep_from_str(dep_str)
+        dep = Dependency.parse(dep_str)
     except ValueError:
         return set()
     fields = {dep.dst_field.lower()}

@@ -10,7 +10,9 @@ The contract that makes findings machine-consumable:
 * **deterministic ordering** — :func:`sort_findings` orders by
   ``(rule, class, method, index, message)``; two lint runs over the same
   program emit byte-identical output,
-* **round-trippable** — ``Diagnostic.from_dict(d.to_dict()) == d``,
+* **plain data once serialised** — :meth:`Diagnostic.to_dict` is the
+  form a report's ``lint`` key and every JSONL finding event carry, and
+  readers consume it as a dict,
 * **schema-checked** — :func:`validate_findings_jsonl` mirrors
   :func:`repro.obs.export.validate_jsonl`: a meta line followed by one
   finding event per line, rejected loudly on any shape violation.
@@ -156,17 +158,6 @@ class Diagnostic:
             "index": self.index,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(
-            rule=data["rule"],
-            severity=Severity(data["severity"]),
-            class_name=data["class"],
-            method_id=data["method"],
-            index=int(data["index"]),
-            message=data["message"],
-        )
 
     def fingerprint(self) -> str:
         """Stable identity for baseline suppression: location + rule.

@@ -78,13 +78,6 @@ class LintReport:
             "findings": [f.to_dict() for f in self.findings],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LintReport":
-        return cls(
-            app=data["app"],
-            findings=[Diagnostic.from_dict(f) for f in data.get("findings", ())],
-        )
-
 
 def lint_program(
     program: Program,

@@ -24,9 +24,9 @@ from .diagnostics import Diagnostic, make_finding
 
 
 def _txn_location(txn) -> tuple[str, str, int]:
-    """(class, method, index) of the transaction's demarcation site; frozen
-    (deserialised) transactions carry no site and degrade to report level."""
-    site = getattr(txn, "site", None)
+    """(class, method, index) of the transaction's demarcation site; a
+    transaction without one degrades to report level."""
+    site = txn.site
     if site is None:
         return "", "", -1
     class_name = site.method_id.strip("<").split(":", 1)[0]

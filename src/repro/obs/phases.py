@@ -5,10 +5,9 @@
 store's envelope, and printed by ``repro eval --verbose``.  Every other
 view of a phase's time (its trace span, a batch record's
 ``phase_seconds``, the ledger and ``/metrics`` histograms) is copied from
-it.  Its dict form round-trips exactly
-(``PhaseStats.from_dict(s.to_dict()) == s``) but is never part of the
-report serialisation — timings differ between runs, and the store's
-byte-identity contract covers the report payload only.
+it.  Its dict form (:meth:`PhaseStats.to_dict`) is envelope metadata,
+never part of the report serialisation — timings differ between runs,
+and the store's byte-identity contract covers the report payload only.
 """
 
 from __future__ import annotations
@@ -67,19 +66,6 @@ class PhaseStats:
                 k: self.incremental[k] for k in sorted(self.incremental)
             }
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseStats":
-        incremental = data.get("incremental")
-        return cls(
-            seconds={k: float(v) for k, v in data.get("seconds", {}).items()},
-            counters={k: int(v) for k, v in data.get("counters", {}).items()},
-            incremental=(
-                {k: int(v) for k, v in incremental.items()}
-                if incremental is not None
-                else None
-            ),
-        )
 
 
 def phase_table(stats_by_app: dict[str, "PhaseStats"]) -> str:

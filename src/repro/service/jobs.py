@@ -121,13 +121,18 @@ class Job:
 def resolve_target(
     target: str, overrides: dict | None = None
 ) -> tuple[Apk, AnalysisConfig, str]:
-    """Resolve a corpus key or ``.sapk`` path into ``(apk, config, label)``
-    with the same per-app defaults the ``analyze`` CLI verb applies, so
-    stored reports are byte-identical to ``repro analyze`` output."""
+    """Resolve a corpus key, ``syn-`` key, lineage version label
+    (``app@vN``) or ``.sapk`` path into ``(apk, config, label)`` with the
+    same per-app defaults the ``analyze`` CLI verb applies, so stored
+    reports are byte-identical to ``repro analyze`` output."""
     from ..corpus import app_keys, get_spec
+    from ..corpus.lineage import build_version, is_version_label
     from ..synth import is_synth_key
 
-    if is_synth_key(target) or target in app_keys():
+    if is_version_label(target):
+        built = build_version(target)
+        apk, config, label = built.apk, built.config, target
+    elif is_synth_key(target) or target in app_keys():
         spec = get_spec(target)
         apk = spec.build_apk()
         config = spec.analysis_config()
@@ -136,7 +141,10 @@ def resolve_target(
         path = Path(target)
         if not path.exists():
             raise LookupError(
-                f"{target!r} is neither a corpus app key nor an .sapk bundle"
+                f"{target!r} is neither a corpus app key, a synthesized "
+                f"app key (syn-<family>-s<seed>-<index>), a lineage label "
+                f"(app@vN), nor an .sapk bundle; known keys: "
+                f"{', '.join(app_keys())}"
             )
         apk = load_apk(path)
         config = AnalysisConfig()

@@ -76,13 +76,18 @@ def default_start_method() -> str | None:
 def expand_batch_targets(targets: list[str]) -> list[str]:
     """Expand population specs (``synth:<families>*<scale>[@<seed>]``) into
     self-describing ``syn-`` keys any worker process can rebuild, and reject
-    a target that names no app before any worker starts."""
+    a target that names no app or lineage version before any worker
+    starts, building none of them."""
     from ..corpus import app_keys
+    from ..corpus.lineage import is_version_label, lineage_version
     from ..synth import expand_targets, is_synth_key, parse_app_key
 
     targets = expand_targets(list(targets))
     known: set[str] | None = None
     for target in targets:
+        if is_version_label(target):
+            lineage_version(target)  # raises LookupError on a bad label
+            continue
         if is_synth_key(target):
             parse_app_key(target)  # raises KeyError on a malformed key
             continue
@@ -93,7 +98,8 @@ def expand_batch_targets(targets: list[str]) -> list[str]:
         if target not in known and not Path(target).exists():
             raise LookupError(
                 f"{target!r} is neither a corpus app key, a synthesized "
-                f"app key, a population spec, nor an .sapk bundle"
+                f"app key, a lineage label (app@vN), a population spec, "
+                f"nor an .sapk bundle"
             )
     return targets
 
@@ -528,7 +534,7 @@ def run_sharded_batch(
     for index in range(len(targets)):
         if index not in records:
             lose(index, -1, "every worker exited before it started")
-    ResultStore(store_root).reap_temp_files()
+    ResultStore(store_root).reap()
 
     fleet_trace = None
     if telemetry_dir is not None:

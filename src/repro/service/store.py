@@ -28,9 +28,10 @@ file — written aside, then ``os.link``-ed into place, so exactly one
 claimant wins and the lease never exists without its content — before
 running an analysis, giving in-flight deduplication that survives process
 boundaries.  A lease records its holder's pid and claim time; leases whose
-holder died or whose age exceeds the TTL are *stale* and may be broken by
-the next claimant (same-host pid liveness — fleet deployments sharing a
-store across hosts should rely on the TTL).
+holder died or whose age exceeds the TTL are *stale*: the next claimant
+breaks one, and the end of every batch reaps them all (same-host pid
+liveness — fleet deployments sharing a store across hosts should rely on
+the TTL).
 """
 
 from __future__ import annotations
@@ -193,13 +194,20 @@ class ResultStore:
         except OSError:
             pass
 
-    def reap_temp_files(self) -> None:
-        """Unlink the store's temp files (``.<name>.*.tmp``) older than
-        the lease TTL: claim temps in ``leases/`` and :func:`atomic_write`
-        temps in ``objects/<xx>/``, ``manifests/`` and ``index/``.  A
-        writer killed between creating one and moving it into place
-        leaves it behind; a live writer holds its own for milliseconds,
-        so the TTL is a safe bound."""
+    def reap(self) -> None:
+        """Unlink what killed writers left behind: every stale lease
+        (:meth:`_lease_stale`) and the temp files (``.<name>.*.tmp``)
+        older than the lease TTL.
+
+        A holder killed after its envelope landed leaves its lease for
+        good, since every later probe is a cache hit that never claims it.
+        The temp files are claim temps in ``leases/`` and
+        :func:`atomic_write` temps in ``objects/<xx>/``, ``manifests/``
+        and ``index/``; a live writer holds its own for milliseconds, so
+        the TTL is a safe bound."""
+        for lease in self.leases.glob("*.lease"):
+            if self._lease_stale(lease):
+                self.release(lease.stem)
         cutoff = time.time() - self.lease_ttl
         for pattern in ("leases/.*.tmp", "objects/*/.*.tmp",
                         "manifests/.*.tmp", "index/.*.tmp"):
@@ -269,12 +277,14 @@ class ResultStore:
 
     def load(self, key: str) -> dict | None:
         """Load an envelope by full result key (no hit/miss accounting —
-        this is the ``GET /report/<key>`` lookup, not a cache probe)."""
+        this is the ``GET /report/<key>`` lookup, not a cache probe).  A
+        file that does not parse as a JSON object reads as ``None``."""
         path = self.path_for(key)
         try:
-            return json.loads(path.read_text())
+            envelope = json.loads(path.read_text())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
+        return envelope if isinstance(envelope, dict) else None
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

@@ -23,7 +23,6 @@ from .compile import (
     parse_app_key,
     parse_population,
     population_manifest,
-    synth_build_version,
     synth_genapp,
     synth_lineage,
     synth_spec,
@@ -52,7 +51,6 @@ __all__ = [
     "parse_population",
     "population_manifest",
     "resolve_families",
-    "synth_build_version",
     "synth_genapp",
     "synth_lineage",
     "synth_spec",

@@ -593,24 +593,6 @@ def synth_lineage(key: str) -> list[LineageVersion]:
     return versions
 
 
-def synth_build_version(label: str) -> BuiltVersion:
-    """Materialise ``syn-<...>@vN``; the synth analogue of
-    :func:`repro.corpus.lineage.build_version`."""
-    key, _, version = label.partition("@")
-    if not version.startswith("v") or not version[1:].isdigit():
-        raise LookupError(
-            f"{label!r} is not a lineage version label (expected app@vN)"
-        )
-    wanted = int(version[1:])
-    for lv in synth_lineage(key):
-        if lv.version == wanted:
-            return lv.materialize()
-    raise LookupError(
-        f"{key!r} has no version {wanted}; versions: "
-        f"{[lv.version for lv in synth_lineage(key)]}"
-    )
-
-
 # -------------------------------------------------- population digest
 def population_manifest(pop: PopulationSpec) -> dict:
     """Deterministic spec-level manifest of a population: per-app grid
@@ -670,7 +652,6 @@ __all__ = [
     "parse_app_key",
     "parse_population",
     "population_manifest",
-    "synth_build_version",
     "synth_genapp",
     "synth_lineage",
     "synth_spec",

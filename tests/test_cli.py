@@ -136,6 +136,26 @@ class TestBatch:
             job["counters"].get("analyses_run", 0) for job in data["jobs"]
         ) == 2
 
+    def test_batch_stores_what_analyze_prints_for_a_lineage_label(
+        self, capsys, tmp_path
+    ):
+        """``repro batch`` resolves ``app@vN`` as ``repro analyze`` does:
+        the stored payload is the report ``analyze --json`` prints."""
+        from repro.service import ResultStore
+
+        printed = json.loads(
+            run_cli(capsys, "analyze", "reddinator@v2", "--json")
+        )
+        assert any("trending" in t["uri_regex"]
+                   for t in printed["transactions"])  # v2's new endpoint
+        out = run_cli(capsys, "batch", "reddinator@v2", "--store",
+                      str(tmp_path / "s"), "--workers", "1", "--json",
+                      "--no-telemetry", "--no-ledger")
+        [job] = json.loads(out)["jobs"]
+        assert (job["status"], job["label"]) == ("done", "reddinator@v2")
+        stored = ResultStore(tmp_path / "s").load(job["result_key"])
+        assert stored["report"] == printed
+
     def test_batch_unknown_target_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["batch", "not-an-app", "--store", str(tmp_path / "s")])

@@ -23,7 +23,6 @@ from repro.diff import (
     Change,
     ProtocolDiff,
     diff_dicts,
-    diff_from_dict,
     diff_reports,
     diff_targets,
     render_markdown,
@@ -235,7 +234,6 @@ class TestDiffTargets:
 
 class TestStoreCache:
     def test_cached_diff_round_trip(self, tmp_path):
-        from repro.core.report import report_from_dict
         from repro.diff.engine import cached_diff, diff_cache_key
         from repro.service.store import ResultStore
 
@@ -300,7 +298,7 @@ class TestStoreCache:
         monkeypatch.setattr(ResultStore, "claim", refused_then_stored)
         monkeypatch.setattr(Extractocol, "analyze", no_analysis)
         got, renames, label = resolve_diff_target("tzm", store=store)
-        assert report_to_dict(got) == report_to_dict(report)
+        assert got == report_to_dict(report)
         assert (renames, label) == (None, "tzm")
         assert store.lease_holder(key) is None
         assert (store.hits, store.misses) == (1, 0)
@@ -329,23 +327,59 @@ class TestStoreCache:
         monkeypatch.setattr(ResultStore, "load", counted)
         monkeypatch.setattr(Extractocol, "analyze", no_analysis)
         got, _renames, _label = resolve_diff_target("tzm", store=store)
-        assert report_to_dict(got) == report_to_dict(report)
+        assert got == report_to_dict(report)
         assert reads.count(key) == 1
         assert (store.hits, store.misses) == (1, 0)
 
 
-class TestModel:
-    def test_dict_round_trip_preserves_verdict(self):
-        old_report, _ = _lineage_report("reddinator@v1")
-        new_report, _ = _lineage_report("reddinator@v3")
-        diff = diff_reports(old_report, new_report)
-        rebuilt = diff_from_dict(json.loads(json.dumps(diff.to_dict())))
-        assert rebuilt.verdict == diff.verdict
-        assert [c.to_dict() for c in rebuilt.breaking_changes()] == [
-            c.to_dict() for c in diff.breaking_changes()
-        ]
-        assert rebuilt.to_dict()["changed"] == diff.to_dict()["changed"]
+def _lineage_pairs() -> list[tuple[str, str]]:
+    """Every pair of versions of each hand-written lineage, then each
+    consecutive pair and v1 -> vN of ``synth:evolution*12@7``'s
+    lineages."""
+    from repro.corpus import lineages
+    from repro.synth import parse_population, synth_lineage
 
+    pairs = []
+    for versions in lineages().values():
+        labels = [v.label for v in versions]
+        pairs += [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    for key in parse_population("synth:evolution*12@7").keys():
+        labels = [v.label for v in synth_lineage(key)]
+        pairs += list(zip(labels, labels[1:]))
+        pairs += [(labels[0], b) for b in labels[2:]]
+    return pairs
+
+
+def test_stored_and_live_reports_diff_alike(tmp_path):
+    """``GET /diff`` (:func:`cached_diff`) diffs the two stored report
+    dicts as they are; ``diff_reports`` serialises two live reports.  On
+    every lineage pair, computed and then served from the cache, the
+    stored path gives the live path's diff."""
+    from repro.apk.loader import apk_digest
+    from repro.diff.engine import cached_diff
+    from repro.service.store import ResultStore, canonical_json
+
+    store = ResultStore(tmp_path)
+    reports, keys = {}, {}
+    pairs = _lineage_pairs()
+    for label in sorted({label for pair in pairs for label in pair}):
+        built = build_version(label)
+        reports[label] = Extractocol(built.config).analyze(built.apk)
+        keys[label] = store.put(apk_digest(built.apk),
+                                built.config.cache_key(), reports[label])
+    verdicts = set()
+    for old, new in pairs:
+        live = diff_reports(reports[old], reports[new]).to_dict()
+        for was_cached in (False, True):
+            stored = cached_diff(store, keys[old], keys[new])
+            assert stored[1] is was_cached
+            assert canonical_json(stored[0]) == canonical_json(live), (
+                old, new)
+        verdicts.add(live["verdict"])
+    assert verdicts == {"identical", "compatible", "breaking"}
+
+
+class TestModel:
     def test_markdown_rendering_mentions_verdict_and_edge(self):
         old_report, _ = _lineage_report("reddinator@v1")
         new_report, _ = _lineage_report("reddinator@v3")

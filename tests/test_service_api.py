@@ -83,6 +83,23 @@ class TestAnalyzeLifecycle:
         _, metrics = get(service, "/metrics")
         assert metrics["counters"]["analyses_run"] == 1
 
+    def test_lineage_label_target(self, service):
+        """``POST /analyze`` takes ``app@vN`` as ``repro analyze`` does;
+        a label that names no version is a 404."""
+        from repro.corpus import build_version
+
+        status, data = post(service, "/analyze", {"target": "reddinator@v2"})
+        assert status == 202
+        job = wait_done(service, data["job"]["id"])
+        assert (job["status"], job["label"]) == ("done", "reddinator@v2")
+        _, envelope = get(service, f"/report/{job['result_key']}")
+        built = build_version("reddinator@v2")
+        assert canonical_json(envelope["report"]) == canonical_json(
+            report_to_dict(Extractocol(built.config).analyze(built.apk))
+        )
+        assert post(service, "/analyze",
+                    {"target": "reddinator@v9"})[0] == 404
+
     def test_config_overrides_shard_results(self, service):
         _, a = post(service, "/analyze", {"target": "wallabag"})
         _, b = post(service, "/analyze",

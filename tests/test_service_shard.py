@@ -258,6 +258,20 @@ def test_all_synth_batch_never_builds_the_corpus_registry(
     assert [r.status for r in records] == ["done", "done"]
 
 
+def test_lineage_labels_are_validated_without_building(monkeypatch):
+    from repro.corpus.lineage import LineageVersion
+
+    def no_build(self):
+        raise AssertionError(f"{self.label} built while validating")
+
+    monkeypatch.setattr(LineageVersion, "materialize", no_build)
+    labels = ["reddinator@v2", "syn-evolution-s7-0000@v2"]
+    assert expand_batch_targets(labels) == labels
+    for bad in ("reddinator@v9", "no-such-app@v1", "reddinator@2"):
+        with pytest.raises(LookupError):
+            expand_batch_targets(["diode", bad])
+
+
 def test_unknown_key_after_synth_keys_still_raises():
     with pytest.raises(LookupError):
         expand_batch_targets(["synth:transports*2@7", "definitely-not-an-app"])
@@ -392,20 +406,18 @@ def index_files(store) -> dict[str, bytes]:
             for p in sorted(base.rglob("*.json"))}
 
 
-def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int,
-                                stale_leases: int = 0):
+def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int):
     """TED's entry fails with its worker's exit code while the other
     entries finish; with ``patch`` undone, a rerun runs ``reanalyzed``
     analyses (TED's, or none if TED's envelope landed before its worker
-    died) and leaves a store identical to a clean one.
+    died) and leaves a store identical to a clean one, with no lease
+    left: a worker killed while it held TED's result-key lease leaves a
+    stale lease that the end of a batch reaps, even when every later
+    probe is a cache hit that never claims it.
 
     The store has a fleet index before the batch, so folding the healed
     store is incremental: it must index every stored report and land on
-    the clean store's index bytes and reader stats.  A worker killed
-    after TED's envelope landed but before it released TED's result-key
-    lease leaves that lease behind (``stale_leases``): the rerun is a
-    cache hit and takes no lease, and the dead holder makes it stale for
-    any later claimant."""
+    the clean store's index bytes and reader stats."""
     build_index(ResultStore(root / "s"))
     with deadline(60):
         records = run_sharded_batch(root / "s", KILL_TARGETS,
@@ -434,9 +446,7 @@ def assert_ted_lost_then_healed(root, patch, *, reanalyzed: int,
         assert canonical_json(healed.load(key)["report"]) == (
             canonical_json(clean.load(key)["report"])
         ), key
-    leftover = list(healed.leases.glob("*.lease"))
-    assert len(leftover) == stale_leases
-    assert all(healed._lease_stale(path) for path in leftover)
+    assert not list(healed.leases.glob("*.lease"))
 
     for store in (healed, clean):
         build_index(store)
@@ -512,7 +522,7 @@ class TestKilledMidPut:
         # TED's envelope is stored, so the rerun is a cache hit that puts
         # nothing: only the fold's envelope scan can index it
         assert_ted_lost_then_healed(tmp_path, ted_dies_mid_put,
-                                    reanalyzed=0, stale_leases=1)
+                                    reanalyzed=0)
 
 
 class TestDispatcher:

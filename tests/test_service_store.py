@@ -144,6 +144,32 @@ class TestResultStore:
         store.path_for(key).write_text("{ torn write")
         assert store.get(apk_digest(apk), config.cache_key()) is None
 
+    def test_non_object_entry_is_a_miss_and_a_batch_replaces_it(
+        self, tmp_path
+    ):
+        """An entry that parses as JSON but not as an object reads as a
+        miss, and a batch entry over it re-analyses and replaces it."""
+        from repro.service.jobs import resolve_target
+        from repro.service.shard import run_sharded_batch
+
+        apk, config, _ = resolve_target("diode")
+        digest, config_key = apk_digest(apk), config.cache_key()
+        store = ResultStore(tmp_path / "store")
+        key = result_key(digest, config_key)
+        store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+        store.path_for(key).write_text("[1, 2]")
+        assert store.load(key) is None
+        assert store.get(digest, config_key) is None
+        assert (store.hits, store.misses) == (0, 1)
+
+        [record] = run_sharded_batch(store.root, ["diode"], workers=1)
+        assert (record.status, record.cache_hit) == ("done", False)
+        assert record.counters == {"analyses_run": 1}
+        fresh = report_to_dict(Extractocol(config).analyze(apk))
+        assert canonical_json(store.load(key)["report"]) == (
+            canonical_json(fresh)
+        )
+
     def test_non_utf8_entry_is_a_miss_and_skipped(
         self, tmp_path, diode_report
     ):
@@ -159,6 +185,18 @@ class TestResultStore:
         store.path_for(good).write_bytes(b"\xff\xfe")
         assert store.get(apk_digest(apk), config.cache_key()) is None
         assert store.list_entries() == []
+
+    def test_reap_releases_stale_leases_only(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        assert store.claim("live")
+        store.lease_path("torn").write_text("{")
+        store.lease_path("expired").write_text(json.dumps(
+            {"pid": os.getpid(), "owner": "x", "claimed_unix": 0.0}
+        ))
+        store.reap()
+        assert sorted(p.name for p in store.leases.iterdir()) == [
+            "live.lease"
+        ]
 
     def test_non_utf8_lease_has_no_holder(self, tmp_path):
         store = ResultStore(tmp_path / "store")

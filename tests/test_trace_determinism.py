@@ -8,15 +8,13 @@ point.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import AnalysisConfig, Extractocol
 from repro.apk.loader import load_apk, save_apk
 from repro.corpus import app_keys, build_app, get_spec
 from repro.obs.export import to_jsonl, validate_jsonl
-from repro.obs.phases import PHASES, PhaseStats
+from repro.obs.phases import PHASES
 from repro.obs.tracer import Tracer
 
 PHASE_SPANS = tuple(f"phase:{p}" for p in PHASES)
@@ -77,17 +75,6 @@ class TestPhaseStats:
         assert set(PHASES) <= set(stats.seconds)
         assert stats.total_seconds == pytest.approx(sum(stats.seconds.values()))
         assert stats.counters["demarcation_points"] == report.demarcation_points
-
-    def test_phase_stats_dict_roundtrip_exact(self):
-        stats = PhaseStats(
-            seconds={"setup": 0.125, "slicing": 1.5},
-            counters={"demarcation_points": 3, "taint_stmts": 42},
-        )
-        rebuilt = PhaseStats.from_dict(stats.to_dict())
-        assert rebuilt == stats
-        assert json.dumps(rebuilt.to_dict(), sort_keys=True) == json.dumps(
-            stats.to_dict(), sort_keys=True
-        )
 
     def test_report_to_dict_omits_phase_stats_by_default(self):
         from repro.core.report import report_to_dict
