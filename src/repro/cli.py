@@ -438,9 +438,13 @@ def cmd_diff(args) -> int:
     from repro.diff import diff_targets, render_markdown
     from repro.service.store import ResultStore, canonical_json
 
+    if not args.latest and not (args.old and args.new):
+        _fail("need two targets (or --latest APP)")
     store = None
-    store_path = Path(args.store).expanduser()
-    if args.latest or (store_path / "objects").exists():
+    store_path = Path(args.store or _default_store()).expanduser()
+    # an explicit --store is opened, and created if missing; the default
+    # store only when it already exists
+    if args.store or args.latest or (store_path / "objects").exists():
         store = ResultStore(store_path)
 
     if args.latest:
@@ -455,8 +459,6 @@ def cmd_diff(args) -> int:
             )
         old_target, new_target = entries[-2]["key"], entries[-1]["key"]
     else:
-        if not args.old or not args.new:
-            _fail("need two targets (or --latest APP)")
         old_target, new_target = args.old, args.new
 
     try:
@@ -565,7 +567,7 @@ def cmd_batch(args) -> int:
     print(f"{'target':16s} {'status':8s} {'cache':6s} {'txns':>5s} {'ms':>8s}")
     for record in records:
         key = record.get("result_key")
-        envelope = store.load(key) if key else None
+        envelope = store.lookup(key) if key else None
         txns = (
             str(len(envelope["report"]["transactions"]))
             if envelope is not None
@@ -677,8 +679,12 @@ def cmd_mcp(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
+
     from repro.service.api import AnalysisService
 
+    # a process manager's SIGTERM drains like Ctrl-C
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     service = AnalysisService(
         Path(args.store).expanduser(),
         host=args.host,
@@ -688,7 +694,7 @@ def cmd_serve(args) -> int:
         retries=args.retries,
     )
     print(f"repro service listening on {service.url} "
-          f"(store: {service.store.root})")
+          f"(store: {service.store.root})", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -854,10 +860,11 @@ def main(argv: list[str] | None = None) -> int:
     p_diff.add_argument("--latest", metavar="APP", default=None,
                         help="diff the two most recently stored reports "
                              "of APP instead of giving explicit targets")
-    p_diff.add_argument("--store", default=_default_store(), metavar="DIR",
+    p_diff.add_argument("--store", default=None, metavar="DIR",
                         help="result store for key resolution and diff "
-                             "caching (default: $REPRO_STORE or "
-                             "~/.cache/repro/store)")
+                             "caching, created if missing (default: "
+                             "$REPRO_STORE or ~/.cache/repro/store, used "
+                             "only if it exists)")
     g_fmt = p_diff.add_mutually_exclusive_group()
     g_fmt.add_argument("--json", action="store_true",
                        help="canonical JSON (byte-stable across reruns)")

@@ -112,10 +112,10 @@ def diff_cache_key(old_key: str, new_key: str) -> str:
 def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
     """The diff of two stored reports, served from the store when cached.
 
-    Returns ``(diff dict, was_cached)``; ``None`` when either report key
-    is absent.  A fresh diff is written back under
-    :func:`diff_cache_key`, so every ``(old, new)`` pair is computed once
-    per store lifetime.
+    Returns ``(diff dict, was_cached)``; ``None`` when either key holds
+    no stored report (:meth:`~repro.service.store.ResultStore.lookup`).
+    A fresh diff is written back under :func:`diff_cache_key`, so every
+    ``(old, new)`` pair is computed once per store lifetime.
     """
     cache_key = diff_cache_key(old_key, new_key)
     envelope = store.load(cache_key)
@@ -125,14 +125,9 @@ def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
         and "diff" in envelope
     ):
         return envelope["diff"], True
-    old_env = store.load(old_key)
-    new_env = store.load(new_key)
-    if (
-        old_env is None
-        or new_env is None
-        or "report" not in old_env
-        or "report" not in new_env
-    ):
+    old_env = store.lookup(old_key)
+    new_env = store.lookup(new_key)
+    if old_env is None or new_env is None:
         return None
     diff = diff_dicts(old_env["report"], new_env["report"])
     # no "report"/"schema" keys: list_entries and cache probes skip this
@@ -160,8 +155,8 @@ def resolve_diff_target(target: str, *, store=None):
     from ..corpus.lineage import build_version, is_version_label
 
     if store is not None:
-        envelope = store.load(target)
-        if envelope is not None and "report" in envelope:
+        envelope = store.lookup(target)
+        if envelope is not None:
             return envelope["report"], None, target
 
     if is_version_label(target):

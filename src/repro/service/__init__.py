@@ -8,9 +8,9 @@ One analysis is a pure function of ``(APK, config)``; this package makes
     ``(APK digest, AnalysisConfig.cache_key())`` with atomic writes.
 
 :mod:`repro.service.jobs`
-    The daemon's bounded-queue thread-pool scheduler with cache
-    integration, in-flight deduplication, per-job timeouts, non-blocking
-    retry with backoff and graceful drain.
+    The daemon's thread-pool scheduler over one bounded waiting list,
+    with cache integration, in-flight deduplication, per-job timeouts,
+    non-blocking retry with backoff and graceful drain.
 
 :mod:`repro.service.shard`
     The batch engine: a coordinator hands each analyzer worker its next
@@ -18,7 +18,8 @@ One analysis is a pure function of ``(APK, config)``; this package makes
     processes above that.  Its store protocol,
     :func:`~repro.service.shard.analyze_through_store`, which daemon jobs
     and ``repro diff --store`` share, dedups analyses across processes
-    sharing the store through result-key leases.
+    sharing the store through result-key leases; its retry rule,
+    :func:`~repro.service.shard.retry_delay`, is the daemon's too.
 
 :mod:`repro.service.api`
     Stdlib HTTP JSON API (``repro serve``) exposing submit/status/report/

@@ -138,7 +138,7 @@ class AnalysisService:
         """One ledger entry summarising the daemon's whole serving run."""
         from ..obs.ledger import RunRecord
 
-        jobs = self.scheduler.jobs()
+        counts = self.scheduler.counts()
         try:
             self.ledger.append(
                 RunRecord(
@@ -149,10 +149,10 @@ class AnalysisService:
                     wall_s=round(time.time() - self._started_unix, 3),
                     executor="thread",
                     workers=self.scheduler.workers,
-                    targets=len(jobs),
-                    done=sum(j.status.value == "done" for j in jobs),
-                    failed=sum(j.status.value == "failed" for j in jobs),
-                    cache_hits=sum(j.cache_hit for j in jobs),
+                    targets=counts.total(),
+                    done=counts["done"],
+                    failed=counts["failed"],
+                    cache_hits=sum(j.cache_hit for j in self.scheduler.jobs()),
                 )
             )
         except OSError:
@@ -196,7 +196,15 @@ class AnalysisService:
         apply_overrides(config, overrides)
         return apk, config, apk.name or "uploaded"
 
+    def _set_job_gauges(self) -> None:
+        """Set the ``queue_depth`` and ``running`` gauges from the job
+        table's counts."""
+        counts = self.scheduler.counts()
+        self.metrics.gauge("queue_depth").set(counts["queued"])
+        self.metrics.gauge("running").set(counts["running"])
+
     def handle_metrics(self) -> dict:
+        self._set_job_gauges()
         data = self.metrics.to_dict()
         data["store"] = self.store.stats()
         return data
@@ -205,6 +213,7 @@ class AnalysisService:
         """The registry in Prometheus text exposition format, with the
         store stats mirrored in as gauges and one ``worker_up`` liveness
         gauge per scheduler worker."""
+        self._set_job_gauges()
         for name, value in self.store.stats().items():
             self.metrics.gauge(f"store_{name}").set(int(value))
         for worker in self.scheduler.worker_status():
@@ -216,16 +225,13 @@ class AnalysisService:
     def handle_status(self) -> dict:
         """Fleet status: what is this daemon doing right now, and what has
         this store seen recently."""
-        jobs = self.scheduler.jobs()
-        by_status: dict[str, int] = {}
-        for job in jobs:
-            by_status[job.status.value] = by_status.get(job.status.value, 0) + 1
+        counts = self.scheduler.counts()
         return {
             "status": "ok",
             "run_id": self.run_id,
             "uptime_s": round(time.time() - self._started_unix, 3),
             "executor": "thread",
-            "jobs": {"total": len(jobs), **by_status},
+            "jobs": {"total": counts.total(), **counts},
             "workers": self.scheduler.worker_status(),
             "store": self.store.stats(),
             "recent_runs": [
@@ -322,12 +328,12 @@ class AnalysisService:
         }
 
     def handle_healthz(self) -> dict:
-        jobs = self.scheduler.jobs()
+        counts = self.scheduler.counts()
         return {
             "status": "ok",
-            "jobs": len(jobs),
-            "queued": sum(j.status.value == "queued" for j in jobs),
-            "running": sum(j.status.value == "running" for j in jobs),
+            "jobs": counts.total(),
+            "queued": counts["queued"],
+            "running": counts["running"],
             "store_entries": len(self.store.entries()),
         }
 

@@ -2,9 +2,12 @@
 
 The scheduler turns ``Extractocol.analyze`` into a managed workload:
 
-* a **bounded queue** feeding a **thread worker pool** (sized by
+* **one waiting list** feeding a **thread worker pool** (sized by
   :func:`repro.perf.parallel.resolve_workers`: ``0`` means one worker per
-  CPU),
+  CPU): every job that is neither running nor finished waits there,
+  ordered by the time it may start, and one condition guards the list
+  and the job table, so the per-status counts behind the daemon's gauges,
+  ``/healthz``, ``/status`` and ledger record are read off the table,
 * **result-store integration** — a submit whose ``(apk digest, config
   key)`` is already stored completes immediately as a cache hit; every
   other attempt goes through the store protocol the batch engine and
@@ -14,11 +17,14 @@ The scheduler turns ``Extractocol.analyze`` into a managed workload:
   one analysis per key,
 * **in-flight deduplication** — concurrent submits of the same key share
   one job (and therefore exactly one analysis),
-* **per-job timeout**, **retry with exponential backoff** on analyzer
-  exceptions, and **graceful drain** on shutdown.  The backoff never
-  occupies a worker: a failed job is re-enqueued by a timer, so the thread
-  goes straight back to the queue instead of head-of-line blocking
-  everything behind it.
+* **backpressure** — :class:`QueueFull` once ``max_queue`` jobs wait,
+* **per-job timeout** and **retry with exponential backoff**, by the
+  retry rule batch entries share (:func:`~repro.service.shard.retry_delay`).
+  The backoff never occupies a worker: a failed job goes back on the
+  waiting list, due when its backoff ends, and the worker takes the next
+  due job instead of head-of-line blocking everything behind it,
+* **shutdown** — ``drain=True`` runs every waiting job at once;
+  ``drain=False`` cancels every job that waits or is put back after it.
 
 ``repro batch`` does not come through here: it runs the batch engine in
 :mod:`repro.service.shard`.  Everything is observable through a
@@ -29,10 +35,11 @@ observe each report's own ``analysis_seconds`` and ``phase_stats``.
 from __future__ import annotations
 
 import gc
-import queue
+import heapq
 import threading
 import time
 import traceback as traceback_mod
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -196,10 +203,14 @@ def call_with_timeout(fn, timeout: float | None):
 
 
 class JobScheduler:
-    """Bounded-queue thread-pool scheduler around the result store.
+    """Thread-pool scheduler around the result store, with one waiting list.
 
-    ``analyzer`` is injectable for testing (failure injection, counting);
-    it must be a ``(apk, config) -> AnalysisReport`` callable.
+    Every job that is neither running nor finished waits in one list,
+    ordered by the time it may start; one condition guards that list and
+    the job table, so a job's status, the list and every count read off
+    the table agree.  ``analyzer`` is injectable for testing (failure
+    injection, counting); it must be a ``(apk, config) -> AnalysisReport``
+    callable.
     """
 
     def __init__(
@@ -218,6 +229,7 @@ class JobScheduler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if store.metrics is None:
             store.metrics = self.metrics
+        self.max_queue = max_queue
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -225,14 +237,15 @@ class JobScheduler:
             lambda apk, config: _default_analyzer(apk, config, store=store)
         )
         self.workers = resolve_workers(workers)
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}
-        self._lock = threading.Lock()
+        #: the waiting list: a heap of ``(due, job_id, job)``, where
+        #: ``due`` is the :func:`time.monotonic` time the job may start
+        self._waiting: list[tuple[float, str, Job]] = []
+        self._cond = threading.Condition()
         self._counter = 0
         self._shutdown = False
-        #: retry timers armed by :meth:`_schedule_retry`, keyed by job id
-        self._retry_pending: dict[str, tuple[threading.Timer, Job]] = {}
+        self._drain = True
         self._threads: list[threading.Thread] = []
 
     def _ensure_workers(self) -> None:
@@ -255,14 +268,14 @@ class JobScheduler:
     ) -> Job:
         """Enqueue an analysis; returns its :class:`Job`.
 
-        Cache hits complete synchronously without queueing; a submit whose
-        key is already queued or running returns the existing job.  Raises
-        :class:`QueueFull` when the bounded queue is at capacity.
+        Cache hits complete synchronously without waiting; a submit whose
+        key is already waiting or running returns the existing job.  Raises
+        :class:`QueueFull` when ``max_queue`` jobs already wait.
         """
         digest = compute_apk_digest(apk)
         config_key = config.cache_key()
         key = f"{digest}-{config_key}"
-        with self._lock:
+        with self._cond:
             if self._shutdown:
                 raise RuntimeError("scheduler is shut down")
             self._ensure_workers()
@@ -285,22 +298,19 @@ class JobScheduler:
             self.metrics.counter("jobs_submitted").inc()
 
             if self.store.lookup(key) is not None:
-                # only the hit counts here: a queued job's attempt
+                # only the hit counts here: a waiting job's attempt
                 # counts its own outcome (analyze_through_store)
                 self.store.record(hit=True)
                 self._finish(job, JobStatus.DONE, cache_hit=True, key=key)
                 return job
-
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
+            if len(self._waiting) >= self.max_queue:
                 del self._jobs[job.job_id]
                 self.metrics.counter("jobs_rejected").inc()
                 raise QueueFull(
-                    f"queue at capacity ({self._queue.maxsize}); retry later"
-                ) from None
+                    f"queue at capacity ({self.max_queue}); retry later"
+                )
             self._inflight[key] = job
-            self.metrics.gauge("queue_depth").inc()
+            self._put(job, job.submitted_at)
         return job
 
     def submit_target(self, target: str, overrides: dict | None = None) -> Job:
@@ -309,18 +319,26 @@ class JobScheduler:
 
     # ------------------------------------------------------------ query
     def job(self, job_id: str) -> Job | None:
-        with self._lock:
+        with self._cond:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
-        with self._lock:
+        with self._cond:
             return sorted(self._jobs.values(), key=lambda j: j.job_id)
+
+    def counts(self) -> Counter:
+        """Jobs per status value, read off the job table under its lock:
+        the one count behind the ``queue_depth`` and ``running`` gauges,
+        ``/healthz``, ``/status`` and the serve ledger record.  A status
+        no job holds is absent (and reads 0)."""
+        with self._cond:
+            return Counter(job.status.value for job in self._jobs.values())
 
     def worker_status(self) -> list[dict]:
         """Liveness of the in-process worker pool (``GET /status`` and the
         ``worker_up`` Prometheus gauges).  Empty until the lazily-started
         pool has spun up."""
-        with self._lock:
+        with self._cond:
             threads = list(self._threads)
         return [
             {"worker": thread.name, "alive": thread.is_alive()}
@@ -340,32 +358,43 @@ class JobScheduler:
         return True
 
     # ------------------------------------------------------------ workers
+    def _put(self, job: Job, due: float) -> None:
+        """Make ``job`` wait until ``due`` (caller holds the lock)."""
+        job.status = JobStatus.QUEUED
+        heapq.heappush(self._waiting, (due, job.job_id, job))
+        self._cond.notify()
+
+    def _take(self) -> Job | None:
+        """Block until the earliest waiting job is due, then mark it
+        running and return it.  Once shutdown began every waiting job is
+        due at once, and ``None`` means nothing is left to take."""
+        with self._cond:
+            while True:
+                delay = None
+                if self._waiting:
+                    delay = self._waiting[0][0] - time.monotonic()
+                    if delay <= 0 or self._shutdown:
+                        _, _, job = heapq.heappop(self._waiting)
+                        job.status = JobStatus.RUNNING
+                        if job.started_at is None:  # the first attempt's clock
+                            job.started_at = time.monotonic()
+                        return job
+                elif self._shutdown:
+                    return None
+                self._cond.wait(delay)
+
     def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            self.metrics.gauge("queue_depth").dec()
-            self.metrics.gauge("running").inc()
-            job.status = JobStatus.RUNNING
-            if job.started_at is None:  # keep the first attempt's clock
-                job.started_at = time.monotonic()
-            try:
-                self._run_job(job)
-            finally:
-                self.metrics.gauge("running").dec()
-                self._queue.task_done()
+        while (job := self._take()) is not None:
+            self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
         """One attempt through the store protocol
         (:func:`~repro.service.shard.analyze_through_store`): a result
         another process stored meanwhile ends the job as a cache hit.  A
-        retryable failure does not sleep here: the backoff runs on a
-        daemon :class:`threading.Timer` that re-enqueues the job, so this
-        worker goes straight back to the queue instead of head-of-line
-        blocking every job behind the backoff."""
-        from .shard import LeaseWaitTimeout, analyze_through_store
+        failure the retry rule (:func:`~repro.service.shard.retry_delay`)
+        retries goes back on the waiting list, due after its backoff, so
+        this worker moves straight on to the next due job."""
+        from .shard import analyze_through_store, retry_delay
 
         key = f"{job.apk_digest}-{job.config_key}"
         apk, config = job._apk, job._config
@@ -381,26 +410,22 @@ class JobScheduler:
                 counters={}, owner=f"daemon-{job.job_id}",
                 timeout=self.timeout,
             )
-        except JobTimeout as exc:
-            # a deadline blow-through is not transient: do not retry
-            job.error = str(exc)
-            self.metrics.counter("jobs_timeout").inc()
         except Exception as exc:
             job.error = f"{type(exc).__name__}: {exc}"
             job.traceback = traceback_mod.format_exc()
-            # a holder that never stores is not transient either
-            if job.attempts <= self.retries and not isinstance(
-                exc, LeaseWaitTimeout
-            ):
-                if self._schedule_retry(job):
-                    return
-                # shutting down: nothing is queued behind this worker any
-                # more, so take the backoff inline and retry in place —
-                # drain semantics still finish the job
-                self.metrics.counter("jobs_retried").inc()
-                time.sleep(self.backoff * (2 ** (job.attempts - 1)))
-                self._run_job(job)
-                return
+            if isinstance(exc, JobTimeout):
+                self.metrics.counter("jobs_timeout").inc()
+            delay = retry_delay(
+                exc, job.attempts, retries=self.retries, backoff=self.backoff
+            )
+            with self._cond:
+                if delay is None:
+                    self._finish(job, JobStatus.FAILED, key=key)
+                elif self._shutdown and not self._drain:
+                    self._finish(job, JobStatus.CANCELLED, key=key)
+                else:
+                    self.metrics.counter("jobs_retried").inc()
+                    self._put(job, time.monotonic() + delay)
         else:
             if report is not None:  # fresh: observe the report's own clock
                 from ..obs.fleet import family_of
@@ -420,45 +445,9 @@ class JobScheduler:
                     self.metrics.counter(
                         f"lint_findings_{finding.severity.value}"
                     ).inc()
-            with self._lock:
+            with self._cond:
                 self._finish(job, JobStatus.DONE, key=key,
                              cache_hit=report is None)
-            return
-        with self._lock:
-            self._finish(job, JobStatus.FAILED, key=key)
-
-    def _schedule_retry(self, job: Job) -> bool:
-        """Arm a timer that re-enqueues ``job`` after its backoff; False
-        when the scheduler is shutting down (caller handles it inline)."""
-        delay = self.backoff * (2 ** (job.attempts - 1))
-        with self._lock:
-            if self._shutdown:
-                return False
-            self.metrics.counter("jobs_retried").inc()
-            job.status = JobStatus.QUEUED
-            timer = threading.Timer(delay, self._requeue, args=(job,))
-            timer.daemon = True
-            self._retry_pending[job.job_id] = (timer, job)
-        timer.start()
-        return True
-
-    def _requeue(self, job: Job) -> None:
-        """Timer callback: put a backed-off job at the back of the queue."""
-        with self._lock:
-            if self._retry_pending.pop(job.job_id, None) is None:
-                return  # shutdown already settled this job
-            if self._shutdown:
-                # lost a race with shutdown: settle here rather than risk
-                # landing behind the worker sentinels
-                job.error = job.error or "cancelled at shutdown"
-                self._finish(
-                    job,
-                    JobStatus.CANCELLED,
-                    key=f"{job.apk_digest}-{job.config_key}",
-                )
-                return
-            self.metrics.gauge("queue_depth").inc()
-        self._queue.put(job)
 
     def _finish(
         self,
@@ -468,7 +457,7 @@ class JobScheduler:
         key: str,
         cache_hit: bool = False,
     ) -> None:
-        """Terminal transition; caller holds ``self._lock``."""
+        """Terminal transition; caller holds the lock."""
         job.status = status
         job.cache_hit = cache_hit
         job.finished_at = time.monotonic()
@@ -476,6 +465,8 @@ class JobScheduler:
             job.started_at = job.finished_at
         if status is JobStatus.DONE:
             job.result_key = key
+        elif status is JobStatus.CANCELLED:
+            job.error = "cancelled at shutdown"
         self._inflight.pop(key, None)
         if status is JobStatus.DONE:
             self.metrics.counter("jobs_done").inc()
@@ -488,47 +479,23 @@ class JobScheduler:
 
     # ---------------------------------------------------------- shutdown
     def shutdown(self, *, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop the pool.  ``drain=True`` finishes queued work first;
-        ``drain=False`` cancels everything still queued."""
-        with self._lock:
+        """Stop the pool.  ``drain=True`` runs every waiting job at once,
+        skipping what is left of its backoff; ``drain=False`` cancels
+        every job that waits, or that a failed attempt puts back, from
+        now on.  Running attempts finish either way."""
+        with self._cond:
             if self._shutdown:
                 return
-            self._shutdown = True
-            pending = list(self._retry_pending.values())
-            self._retry_pending.clear()
+            self._shutdown, self._drain = True, drain
             if not drain:
-                cancelled: list[Job] = []
-                try:
-                    while True:
-                        cancelled.append(self._queue.get_nowait())
-                        self._queue.task_done()
-                except queue.Empty:
-                    pass
-                for job in cancelled:
-                    if job is not None:
-                        job.error = "cancelled at shutdown"
-                        self._finish(
-                            job,
-                            JobStatus.CANCELLED,
-                            key=f"{job.apk_digest}-{job.config_key}",
-                        )
-        for timer, job in pending:
-            timer.cancel()
-            if drain:
-                # skip the rest of the backoff: the workers stay alive
-                # until the sentinels below, so the retry still runs
-                self.metrics.gauge("queue_depth").inc()
-                self._queue.put(job)
-            else:
-                with self._lock:
-                    job.error = "cancelled at shutdown"
+                for _, _, job in self._waiting:
                     self._finish(
                         job,
                         JobStatus.CANCELLED,
                         key=f"{job.apk_digest}-{job.config_key}",
                     )
-        for _ in self._threads:
-            self._queue.put(None)
+                self._waiting.clear()
+            self._cond.notify_all()
         for t in self._threads:
             t.join(timeout)
 

@@ -37,6 +37,7 @@ assert it under both start methods.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
@@ -188,11 +189,12 @@ def analyze_through_store(
 
     Returns the fresh report, or ``None`` when the result was already
     stored (the caller reads it back if it needs it).  Whatever
-    ``analyze`` or the store raises propagates, lease released; retries
-    are the caller's.  The probes do no accounting: the attempt counts
-    one store outcome, a hit when the result came from the store and a
-    miss when it was analysed.  ``counters`` gains ``lease_waits`` when
-    the stored result came from a holder this attempt waited for.
+    ``analyze`` or the store raises propagates, lease released; the
+    caller retries as :func:`retry_delay` says.  The probes do no
+    accounting: the attempt counts one store outcome, a hit when the
+    result came from the store and a miss when it was analysed.
+    ``counters`` gains ``lease_waits`` when the stored result came from a
+    holder this attempt waited for.
     """
     from .jobs import call_with_timeout
     from .store import result_key
@@ -226,6 +228,24 @@ def analyze_through_store(
     return None
 
 
+def retry_delay(
+    exc: BaseException, attempt: int, *, retries: int, backoff: float
+) -> float | None:
+    """The retry rule batch entries and daemon jobs share: the seconds to
+    wait before retrying an attempt (numbered from 1) that raised
+    ``exc``, or ``None`` when the failure is final.  A blown deadline
+    (:class:`~repro.service.jobs.JobTimeout`) and a lease holder that
+    never stored (:class:`LeaseWaitTimeout`) are final, since a retry
+    would meet them again; so is a failure once ``retries`` retries are
+    spent.  Otherwise the backoff doubles per attempt:
+    ``backoff * 2**(attempt - 1)``."""
+    from .jobs import JobTimeout
+
+    if attempt > retries or isinstance(exc, (JobTimeout, LeaseWaitTimeout)):
+        return None
+    return backoff * 2 ** (attempt - 1)
+
+
 def _process_item(
     store,
     index: int,
@@ -238,13 +258,14 @@ def _process_item(
     span=None,
 ) -> ShardRecord:
     """Resolve one batch entry and run it through
-    :func:`analyze_through_store`, retrying a failed analysis with
-    backoff.  When ``span`` is given the analysis trace nests under it
-    (see :class:`~repro.obs.tracer.SpanTracer`)."""
+    :func:`analyze_through_store`, retrying a failed attempt as
+    :func:`retry_delay` says (the backoff sleeps in this worker).  When
+    ``span`` is given the analysis trace nests under it (see
+    :class:`~repro.obs.tracer.SpanTracer`)."""
     from ..apk.loader import apk_digest
     from ..core.extractocol import Extractocol
     from ..obs.tracer import NULL_TRACER, SpanTracer
-    from .jobs import JobTimeout, resolve_target
+    from .jobs import resolve_target
     from .store import result_key
 
     tracer = SpanTracer(span) if span else NULL_TRACER
@@ -268,32 +289,25 @@ def _process_item(
         )
         return report
 
-    for attempt in range(1, retries + 2):
+    for attempt in itertools.count(1):
         try:
             report = analyze_through_store(
                 store, digest, config_key, analyze,
                 counters=record.counters,
                 owner=f"shard-{worker_id}", timeout=timeout,
             )
-        except LeaseWaitTimeout as exc:
-            record.fail(exc)
-            break
         except Exception as exc:
-            # structured detail only; status stays "done" until the retry
-            # budget is exhausted (a later attempt may succeed)
+            record.fail(exc, trace=True)
             record.attempts = attempt
-            record.error_type = type(exc).__name__
-            record.error_message = str(exc)
-            record.error = f"{record.error_type}: {record.error_message}"
-            record.traceback = traceback.format_exc()
-            if isinstance(exc, JobTimeout):
-                break  # a deadline blow-through is not transient
-            if attempt <= retries:
-                record.counters["jobs_retried"] = (
-                    record.counters.get("jobs_retried", 0) + 1
-                )
-                time.sleep(backoff * (2 ** (attempt - 1)))
+            delay = retry_delay(exc, attempt, retries=retries, backoff=backoff)
+            if delay is None:
+                break
+            record.counters["jobs_retried"] = (
+                record.counters.get("jobs_retried", 0) + 1
+            )
+            time.sleep(delay)
             continue
+        record.status = "done"  # an earlier attempt may have failed
         if report is None:
             record.cache_hit = True
         else:
@@ -303,9 +317,7 @@ def _process_item(
                     phase: round(seconds, 6)
                     for phase, seconds in report.phase_stats.seconds.items()
                 }
-        record.seconds = time.monotonic() - started
-        return record
-    record.status = "failed"
+        break
     record.seconds = time.monotonic() - started
     return record
 
@@ -558,5 +570,6 @@ __all__ = [
     "ShardRecord",
     "analyze_through_store",
     "expand_batch_targets",
+    "retry_delay",
     "run_sharded_batch",
 ]

@@ -259,18 +259,20 @@ class ResultStore:
         return envelope
 
     def lookup(self, key: str) -> dict | None:
-        """The stored envelope under result key ``key``, or ``None``, with
-        no hit/miss accounting.
+        """The stored report envelope under result key ``key``, or
+        ``None``, with no hit/miss accounting: the one rule for reading a
+        stored report.
 
-        Unreadable, corrupt or schema-incompatible entries read as
-        ``None``: the caller re-analyses and the fresh ``put`` replaces
-        them.
+        A report envelope is a JSON object of the current schema whose
+        ``report`` is an object.  Anything else (unreadable, corrupt,
+        schema-incompatible, a diff cache entry) reads as ``None``: the
+        caller re-analyses and the fresh ``put`` replaces it.
         """
         envelope = self.load(key)
         if (
             envelope is None
             or envelope.get("schema") != SCHEMA_VERSION
-            or "report" not in envelope
+            or not isinstance(envelope.get("report"), dict)
         ):
             return None
         return envelope
@@ -442,27 +444,25 @@ class ResultStore:
         )
 
     def list_entries(self) -> list[dict]:
-        """Metadata for every stored *report* envelope, sorted by
-        ``(app, stored_at, key)``; powers ``GET /reports`` and the CLI's
-        latest-two-versions lookup.
+        """Metadata for every stored *report* envelope (read through
+        :meth:`lookup`), sorted by ``(app, stored_at, key)``; powers
+        ``GET /reports`` and the CLI's latest-two-versions lookup.
 
-        Derived artifacts (diff caches) and unreadable files are skipped;
-        the report payload itself is not returned — fetch it via the key.
-        Each entry carries the envelope's compact ``summary`` block,
-        recomputed on the fly for envelopes that predate it (the backfill
-        path — see :func:`repro.fleetindex.docs.envelope_summary`).
+        Derived artifacts (diff caches) and entries :meth:`lookup` rejects
+        are skipped; the report payload itself is not returned — fetch it
+        via the key.  Each entry carries the envelope's compact
+        ``summary`` block, recomputed on the fly for envelopes that
+        predate it (the backfill path — see
+        :func:`repro.fleetindex.docs.envelope_summary`).
         """
         from ..fleetindex.docs import envelope_summary
 
         out = []
         for path in self.objects.glob("*/*.json"):
-            try:
-                envelope = json.loads(path.read_text())
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            envelope = self.lookup(path.stem)
+            if envelope is None:
                 continue
-            if not isinstance(envelope, dict) or "report" not in envelope:
-                continue
-            report = envelope.get("report") or {}
+            report = envelope["report"]
             out.append({
                 "key": envelope.get("key", path.stem),
                 "app": envelope.get("app", ""),

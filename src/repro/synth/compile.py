@@ -33,16 +33,20 @@ evaluator.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from ..apk.model import TriggerKind
 from ..corpus.base import AppSpec
 from ..corpus.generator import GenApp, GenEndpoint, build_generated_app
-from ..corpus.lineage import BuiltVersion, LineageVersion
+from ..corpus.lineage import (
+    LineageVersion,
+    _edit_endpoint,
+    _mutated,
+    _obfuscated,
+)
 from .families import Family, family_keys, get_family, resolve_families
 
 _KEY_RE = re.compile(r"^syn-([a-z][a-z0-9]*)-s(\d+)-(\d+)$")
@@ -469,86 +473,48 @@ def synth_spec(key: str) -> AppSpec:
 
 
 # ----------------------------------------------------------- lineages
-def _mutate_add_endpoint(spec: GenApp, rng) -> None:
-    namer = _Namer(rng)
-    namer.seen.update(ep.name for ep in spec.endpoints)
-    spec.endpoints.append(_extra_endpoint(
-        namer, rng, transport=spec.transport, with_token=False
-    ))
+def _mutation(name: str):
+    """The v2 spec edit of mutation ``name``.  All but ``add_endpoint``
+    edit the *primary* endpoint, the last non-login endpoint of v1."""
 
-
-def _mutate_add_query_key(spec: GenApp, primary: str) -> None:
-    for i, ep in enumerate(spec.endpoints):
-        if ep.name == primary:
-            spec.endpoints[i] = replace(
-                ep, query=ep.query + (("raw", "const:1"),)
-            )
+    def edit(spec: GenApp) -> None:
+        if name == "add_endpoint":
+            rng = _rng(spec.key, "v2", name)
+            namer = _Namer(rng)
+            namer.seen.update(ep.name for ep in spec.endpoints)
+            spec.endpoints.append(_extra_endpoint(
+                namer, rng, transport=spec.transport, with_token=False
+            ))
             return
-    raise KeyError(f"no endpoint {primary!r} in {spec.key}")
-
-
-def _mutate_rename_query_key(spec: GenApp, primary: str) -> None:
-    for i, ep in enumerate(spec.endpoints):
-        if ep.name == primary:
-            spec.endpoints[i] = replace(ep, query=tuple(
+        ep = next(ep for ep in reversed(spec.endpoints) if ep.name != "login")
+        if name == "add_query_key":
+            changes = {"query": ep.query + (("raw", "const:1"),)}
+        elif name == "rename_query_key":
+            changes = {"query": tuple(
                 ("tag_v2", kind) if key == "tag" else (key, kind)
                 for key, kind in ep.query
-            ))
-            return
-    raise KeyError(f"no endpoint {primary!r} in {spec.key}")
-
-
-def _mutate_cut_dependency(spec: GenApp, primary: str) -> None:
-    for i, ep in enumerate(spec.endpoints):
-        if ep.name == primary:
-            spec.endpoints[i] = replace(ep, body=tuple(
+            )}
+        elif name == "cut_dependency":
+            changes = {"body": tuple(
                 (key, "const:tok-cached" if kind == "field:token" else kind)
                 for key, kind in ep.body
-            ))
-            return
-    raise KeyError(f"no endpoint {primary!r} in {spec.key}")
+            )}
+        else:
+            raise ValueError(f"unknown mutation {name!r}")
+        _edit_endpoint(spec, ep.name, **changes)
+
+    return edit
 
 
 def _build_mutated(key: str, mutation: str | None):
     """A BuiltVersion builder applying ``mutation`` to the app's base spec
-    (``None`` = the unmutated v1)."""
-
-    def build() -> BuiltVersion:
-        base = synth_genapp(key)
-        if mutation == "obfuscate_rebuild":
-            from ..apk.obfuscator import obfuscate
-
-            spec = build_generated_app(base)
-            result = obfuscate(spec.build_apk())
-            return BuiltVersion(
-                apk=result.apk,
-                config=spec.analysis_config(),
-                renames_from_base=result.renames,
-            )
-        spec = copy.deepcopy(base)
-        if mutation is not None:
-            # the primary endpoint is the last non-login endpoint of v1
-            primary = next(
-                ep.name for ep in reversed(spec.endpoints)
-                if ep.name != "login"
-            )
-            rng = _rng(spec.key, "v2", mutation)
-            if mutation == "add_endpoint":
-                _mutate_add_endpoint(spec, rng)
-            elif mutation == "add_query_key":
-                _mutate_add_query_key(spec, primary)
-            elif mutation == "rename_query_key":
-                _mutate_rename_query_key(spec, primary)
-            elif mutation == "cut_dependency":
-                _mutate_cut_dependency(spec, primary)
-            else:
-                raise ValueError(f"unknown mutation {mutation!r}")
-        app_spec = build_generated_app(spec)
-        return BuiltVersion(
-            apk=app_spec.build_apk(), config=app_spec.analysis_config()
-        )
-
-    return build
+    (``None`` = the unmutated v1), through the corpus lineage builders."""
+    base = partial(synth_genapp, key)
+    if mutation == "obfuscate_rebuild":
+        return _obfuscated(base)
+    if mutation is None:
+        return _mutated(base)
+    return _mutated(base, _mutation(mutation))
 
 
 _MUTATION_DRIFT = {

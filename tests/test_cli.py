@@ -223,6 +223,26 @@ class TestDiff:
         assert out.startswith("# Protocol diff:")
         assert "Verdict: compatible" in out
 
+    def test_explicit_store_is_created_and_filled(self, capsys, tmp_path):
+        """An explicit ``--store`` that does not exist yet is created and
+        used, like ``repro analyze --store``; the rerun reads it back.  A
+        usage error creates nothing."""
+        from repro.apk.loader import apk_digest
+        from repro.service import ResultStore, resolve_target, result_key
+
+        fresh = tmp_path / "fresh"
+        with pytest.raises(SystemExit):
+            main(["diff", "--store", str(fresh)])
+        assert not fresh.exists()
+        argv = ["diff", "tzm", "tzm", "--store", str(fresh), "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        apk, config, _ = resolve_target("tzm")
+        key = result_key(apk_digest(apk), config.cache_key())
+        assert ResultStore(fresh).lookup(key) is not None
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_latest_two_store_versions(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         # store v1 and v3 of the lineage as if they were two releases

@@ -5,14 +5,22 @@ run), metrics, health and bundle upload."""
 from __future__ import annotations
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 import zipfile
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import Extractocol
 from repro.core.report import report_to_dict
 from repro.service import resolve_target
@@ -180,6 +188,31 @@ class TestOperationalEndpoints:
         assert metrics["histograms"]["analyze_seconds"]["count"] == 1
         assert metrics["store"]["writes"] == 1
 
+    def test_job_gauges_read_zero_after_no_drain_shutdown(self, tmp_path):
+        """The ``queue_depth`` and ``running`` gauges are read off the job
+        table, so cancelled jobs leave neither behind."""
+        def slow(apk, config):
+            time.sleep(0.3)
+            return Extractocol(config).analyze(apk)
+
+        svc = AnalysisService(tmp_path / "store", port=0, workers=1,
+                              analyzer=slow).start()
+        try:
+            for target in ("diode", "tzm", "wallabag"):
+                assert post(svc, "/analyze", {"target": target})[0] == 202
+            svc.scheduler.shutdown(drain=False)
+            _, metrics = get(svc, "/metrics")
+            assert metrics["gauges"]["queue_depth"] == 0
+            assert metrics["gauges"]["running"] == 0
+            with urllib.request.urlopen(
+                svc.url + "/metrics?format=prometheus", timeout=30
+            ) as resp:
+                lines = resp.read().decode().splitlines()
+            assert "repro_queue_depth 0" in lines
+            assert "repro_running 0" in lines
+        finally:
+            svc.stop()
+
     def test_error_paths(self, service):
         assert post(service, "/analyze", {"target": "not-an-app"})[0] == 404
         assert post(service, "/analyze", {})[0] == 400
@@ -287,6 +320,75 @@ class TestFleetTelemetryEndpoints:
         assert serve[0]["failed"] == 0
 
 
+    def test_job_counts_read_off_the_job_table(self, tmp_path):
+        """One done job, one failed job and one cache-hit resubmit: the
+        serve ledger record, ``/status`` and ``/healthz`` count alike."""
+        from repro.obs.ledger import RunLedger
+
+        def fails_tzm(apk, config):
+            if "tzm" in (apk.name or "").lower():
+                raise ValueError("injected failure")
+            return Extractocol(config).analyze(apk)
+
+        svc = AnalysisService(tmp_path / "store", port=0, workers=2,
+                              retries=0, analyzer=fails_tzm).start()
+        try:
+            _, done = post(svc, "/analyze", {"target": "diode"})
+            _, failed = post(svc, "/analyze", {"target": "tzm"})
+            assert wait_done(svc, done["job"]["id"])["status"] == "done"
+            assert wait_done(svc, failed["job"]["id"])["status"] == "failed"
+            status, hit = post(svc, "/analyze", {"target": "diode"})
+            assert status == 200 and hit["job"]["cache_hit"]
+            _, body = get(svc, "/status")
+            assert body["jobs"] == {"total": 3, "done": 2, "failed": 1}
+            _, health = get(svc, "/healthz")
+            assert (health["jobs"], health["queued"], health["running"]) == (
+                3, 0, 0
+            )
+        finally:
+            svc.stop()
+        [serve] = [r for r in RunLedger(tmp_path / "store").records()
+                   if r["kind"] == "serve"]
+        assert (serve["targets"], serve["done"], serve["failed"],
+                serve["cache_hits"]) == (3, 2, 1, 1)
+
+    def test_sigterm_drains_and_writes_the_serve_record(self, tmp_path):
+        """``repro serve`` takes SIGTERM, what process managers send, like
+        Ctrl-C: it drains the job in flight, exits 0 and leaves its
+        ``serve`` ledger record."""
+        from repro.obs.ledger import RunLedger
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store"), "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "repro serve printed no listening line"
+            line = proc.stdout.readline()
+            url = re.search(r"listening on (http://\S+)", line).group(1)
+            req = urllib.request.Request(
+                url + "/analyze", data=b'{"target": "tzm"}', method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                assert resp.status == 202
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        serve = [r for r in RunLedger(tmp_path / "store").records()
+                 if r["kind"] == "serve"]
+        assert len(serve) == 1
+        assert (serve[0]["targets"], serve[0]["done"]) == (1, 1)
+
+
 class TestReportsAndDiff:
     def _store_one(self, service, target):
         _, data = post(service, "/analyze", {"target": target})
@@ -322,6 +424,20 @@ class TestReportsAndDiff:
         # the diff cache entry never shows up as a report
         _, listing = get(service, "/reports")
         assert [e["key"] for e in listing["reports"]] == [key]
+
+    def test_non_object_report_is_neither_listed_nor_diffed(self, service):
+        """An envelope whose ``report`` is not an object is no stored
+        report: ``GET /reports`` skips it and ``GET /diff`` answers 404."""
+        key = self._store_one(service, "tzm")
+        bad = "ab" * 32 + "-" + key.split("-", 1)[1]
+        path = service.store.path_for(bad)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"schema": 1, "report": [1, 2]}))
+        status, data = get(service, "/reports")
+        assert status == 200
+        assert [e["key"] for e in data["reports"]] == [key]
+        assert get(service, f"/diff/{bad}/{bad}")[0] == 404
+        assert get(service, f"/diff/{key}/{bad}")[0] == 404
 
     def test_diff_error_paths(self, service):
         key = self._store_one(service, "tzm")

@@ -4,6 +4,7 @@ failure-injection patterns of ``test_failure_injection.py``."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -194,6 +195,96 @@ class TestBackpressureAndShutdown:
         states = [j.status for j in jobs]
         assert JobStatus.CANCELLED in states
         assert all(j.finished for j in jobs)
+
+    def test_drain_shutdown_as_a_backoff_ends_finishes_every_job(
+        self, tmp_path
+    ):
+        """``shutdown(drain=True)`` called around the moment a retry's
+        backoff ends, round after round: whichever side of that moment it
+        lands, the retry runs and the job finishes."""
+        backoff = 0.02
+        for round_ in range(24):
+            sched = make_scheduler(
+                ResultStore(tmp_path / f"s{round_}"), workers=1, retries=1,
+                backoff=backoff, analyzer=CountingAnalyzer(fail_times=1),
+            )
+            job = sched.submit_target("tzm")
+            deadline = time.monotonic() + 10
+            while not (job.error and job.status is JobStatus.QUEUED):
+                assert time.monotonic() < deadline, "first attempt never failed"
+                time.sleep(0.001)
+            time.sleep(backoff * (round_ % 6) / 4)  # 0 to 1.25 backoffs
+            sched.shutdown(drain=True, timeout=30)
+            assert job.wait(3), f"round {round_}: the retry was stranded"
+            assert job.status is JobStatus.DONE and job.attempts == 2
+
+    def test_attempt_failing_after_no_drain_shutdown_is_cancelled(
+        self, store
+    ):
+        """A running attempt that fails once ``shutdown(drain=False)``
+        began is not retried: its job ends cancelled."""
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def analyzer(apk, config):
+            calls.append(apk.name)
+            started.set()
+            release.wait(30)
+            raise ValueError("injected failure")
+
+        sched = make_scheduler(store, workers=1, retries=3, backoff=0.01,
+                               analyzer=analyzer)
+        job = sched.submit_target("diode")
+        assert started.wait(30)
+        sched.shutdown(drain=False, timeout=0.05)  # the attempt still runs
+        release.set()
+        assert job.wait(30)
+        assert job.status is JobStatus.CANCELLED
+        assert job.attempts == 1 and len(calls) == 1
+
+    def test_many_workers_share_one_waiting_list(self, store):
+        """Stress: more worker threads than cores, a short switch
+        interval, and every other app failing its first attempt.  Each
+        job runs one attempt at a time, ends done after the attempts the
+        retry rule allows, and the table's counts hold only done jobs."""
+        from repro.synth import parse_population
+
+        keys = parse_population("synth:transports*12@7").keys()
+        active, seen, lock = set(), set(), threading.Lock()
+
+        def analyzer(apk, config):
+            with lock:
+                assert apk.name not in active, "one job ran twice at once"
+                active.add(apk.name)
+                first = apk.name not in seen
+                seen.add(apk.name)
+            try:
+                if first and int(apk.name.rsplit("#", 1)[1]) % 2:
+                    raise ValueError("injected first-attempt failure")
+                from repro import Extractocol
+
+                return Extractocol(config).analyze(apk)
+            finally:
+                with lock:
+                    active.discard(apk.name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sched = make_scheduler(store, workers=8, retries=1,
+                                   backoff=0.001, analyzer=analyzer)
+            jobs = [sched.submit_target(key) for key in keys]
+            assert sched.wait(jobs, timeout=120)
+            sched.shutdown(drain=True, timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(j.status is JobStatus.DONE for j in jobs)
+        assert [j.attempts for j in jobs] == [1, 2] * (len(jobs) // 2)
+        counters = sched.metrics.to_dict()["counters"]
+        assert counters["jobs_retried"] == len(jobs) // 2
+        assert counters["analyses_run"] == len(jobs) + len(jobs) // 2
+        assert sched.counts() == {"done": len(jobs)}
+        assert not any(w["alive"] for w in sched.worker_status())
 
     def test_submit_after_shutdown_raises(self, store):
         sched = make_scheduler(store)

@@ -32,11 +32,14 @@ from repro.cli import main
 from repro.corpus import build_app
 from repro.fleetindex import FleetIndex, build_index, index_root
 from repro.service import JobScheduler, JobStatus, ResultStore
+from repro.service.jobs import JobTimeout
 from repro.service.shard import (
+    LeaseWaitTimeout,
     ShardRecord,
     available_start_methods,
     default_start_method,
     expand_batch_targets,
+    retry_delay,
     run_sharded_batch,
 )
 from repro.service.store import canonical_json
@@ -1023,6 +1026,11 @@ class FlakyOnce:
         return Extractocol(config).analyze(apk)
 
 
+def backing_off(job) -> bool:
+    """The job's first attempt failed and it waits out its backoff."""
+    return job.error is not None and job.status is JobStatus.QUEUED
+
+
 def test_retry_backoff_does_not_block_the_queue(tmp_path):
     """Regression for the head-of-line blocking retry: with ONE worker and
     a long backoff, a job queued behind a failing job must complete while
@@ -1065,11 +1073,11 @@ def test_drain_shutdown_still_finishes_backed_off_retry(tmp_path):
         analyzer=FlakyOnce("diode"),
     )
     flaky = sched.submit_target("diode")
-    # wait until the first attempt failed and the retry timer is armed
+    # wait until the first attempt failed and the retry waits its backoff
     deadline = time.monotonic() + 10
-    while not sched._retry_pending and time.monotonic() < deadline:
+    while not backing_off(flaky) and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert sched._retry_pending
+    assert backing_off(flaky)
     sched.shutdown(drain=True, timeout=30)
     assert flaky.status is JobStatus.DONE
     assert flaky.attempts == 2
@@ -1085,11 +1093,61 @@ def test_no_drain_shutdown_cancels_backed_off_retry(tmp_path):
     )
     flaky = sched.submit_target("diode")
     deadline = time.monotonic() + 10
-    while not sched._retry_pending and time.monotonic() < deadline:
+    while not backing_off(flaky) and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert sched._retry_pending
+    assert backing_off(flaky)
     sched.shutdown(drain=False, timeout=30)
     assert flaky.status is JobStatus.CANCELLED
+
+
+@pytest.mark.parametrize("exc, attempt, retries, delay", [
+    (ValueError("boom"), 1, 2, 0.05),
+    (ValueError("boom"), 2, 2, 0.1),  # the backoff doubles per attempt
+    (ValueError("boom"), 3, 2, None),  # the retry budget is spent
+    (ValueError("boom"), 1, 0, None),
+    (JobTimeout("deadline"), 1, 3, None),
+    (LeaseWaitTimeout("holder never stored"), 1, 3, None),
+])
+def test_retry_rule(exc, attempt, retries, delay):
+    """A blown deadline and a lease-wait timeout are final; other
+    failures wait ``backoff * 2**(attempt-1)`` until ``retries`` retries
+    are spent."""
+    assert retry_delay(exc, attempt, retries=retries, backoff=0.05) == delay
+
+
+def test_batch_and_daemon_retry_by_the_one_rule(tmp_path, monkeypatch):
+    """A failed batch attempt and a failed daemon attempt both ask
+    ``retry_delay`` whether and when to retry, and both retry."""
+    import repro.service.shard as shard
+    from repro.core.extractocol import Extractocol
+
+    asked = []
+    rule = shard.retry_delay
+
+    def spy(exc, attempt, **kw):
+        asked.append((type(exc).__name__, attempt))
+        return rule(exc, attempt, **kw)
+
+    analyze, failed = Extractocol.analyze, set()
+
+    def fails_once_per_app(self, apk, *args, **kwargs):
+        if apk.name not in failed:
+            failed.add(apk.name)
+            raise ValueError("injected transient failure")
+        return analyze(self, apk, *args, **kwargs)
+
+    monkeypatch.setattr(shard, "retry_delay", spy)
+    monkeypatch.setattr(Extractocol, "analyze", fails_once_per_app)
+    [record] = run_sharded_batch(tmp_path / "batch", ["diode"], workers=1,
+                                 retries=1, backoff=0.01)
+    assert (record.status, record.attempts) == ("done", 2)
+    assert record.counters["jobs_retried"] == 1
+    with JobScheduler(ResultStore(tmp_path / "daemon"), workers=1,
+                      retries=1, backoff=0.01) as sched:
+        job = sched.submit_target("tzm")
+        assert job.wait(30)
+    assert (job.status, job.attempts) == (JobStatus.DONE, 2)
+    assert asked == [("ValueError", 1), ("ValueError", 1)]
 
 
 def test_shard_record_round_trips_through_queue_payload():

@@ -147,28 +147,38 @@ class TestResultStore:
     def test_non_object_entry_is_a_miss_and_a_batch_replaces_it(
         self, tmp_path
     ):
-        """An entry that parses as JSON but not as an object reads as a
-        miss, and a batch entry over it re-analyses and replaces it."""
+        """An entry that parses as JSON but not as an object, or an
+        envelope whose ``report`` is not an object, reads as a miss, is
+        not listed, and a batch entry over it re-analyses and replaces
+        it."""
         from repro.service.jobs import resolve_target
         from repro.service.shard import run_sharded_batch
 
         apk, config, _ = resolve_target("diode")
         digest, config_key = apk_digest(apk), config.cache_key()
-        store = ResultStore(tmp_path / "store")
         key = result_key(digest, config_key)
-        store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
-        store.path_for(key).write_text("[1, 2]")
-        assert store.load(key) is None
-        assert store.get(digest, config_key) is None
-        assert (store.hits, store.misses) == (0, 1)
-
-        [record] = run_sharded_batch(store.root, ["diode"], workers=1)
-        assert (record.status, record.cache_hit) == ("done", False)
-        assert record.counters == {"analyses_run": 1}
         fresh = report_to_dict(Extractocol(config).analyze(apk))
-        assert canonical_json(store.load(key)["report"]) == (
-            canonical_json(fresh)
-        )
+        bad_entries = [
+            "[1, 2]",
+            json.dumps({"schema": SCHEMA_VERSION, "report": [1, 2]}),
+        ]
+        for text in bad_entries:
+            store = ResultStore(tmp_path / "store")
+            store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+            store.path_for(key).write_text(text)
+            if text == "[1, 2]":
+                assert store.load(key) is None
+            assert store.lookup(key) is None
+            assert store.list_entries() == []
+            assert store.get(digest, config_key) is None
+            assert (store.hits, store.misses) == (0, 1)
+
+            [record] = run_sharded_batch(store.root, ["diode"], workers=1)
+            assert (record.status, record.cache_hit) == ("done", False)
+            assert record.counters == {"analyses_run": 1}
+            assert canonical_json(store.load(key)["report"]) == (
+                canonical_json(fresh)
+            )
 
     def test_non_utf8_entry_is_a_miss_and_skipped(
         self, tmp_path, diode_report
