@@ -33,9 +33,12 @@ class AnalysisConfig:
     the methods the network-aware slices identified; False interprets every
     entry point unrestricted (slower, used for ablation).
 
-    ``rounds`` — global signature-building iterations; 2 lets values stored
-    by one event (login response tokens, DB rows) surface in signatures of
-    other events.
+    ``rounds`` — the cap on global signature-building iterations.  Rounds
+    repeat until one has no stale read (§3.4: "until it does not discover
+    new dependencies"): a heap field, DB table or preference read before a
+    later store in the same round changed it.  The default 2 lets values
+    stored by one event (login response tokens, DB rows) surface in
+    signatures of other events.
 
     There is one analysis engine: every run builds one
     :class:`~repro.perf.index.ProgramIndex` (CFGs, one slicing table per
@@ -110,10 +113,44 @@ class AnalysisConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_override(name: str, value) -> None:
+    """Raise :class:`ValueError` unless ``value`` is a valid JSON value for
+    the field ``name``."""
+    if name == "mode":
+        if value not in MODES:
+            raise ValueError(f"unknown analysis mode: {value!r}")
+        return
+    if name == "lint_level":
+        from ..lint.runner import GATE_LEVELS
+
+        ok, expected = value in GATE_LEVELS, f"one of {', '.join(GATE_LEVELS)}"
+    elif name == "rounds":
+        ok, expected = _is_int_at_least(value, 1), "an integer >= 1"
+    elif name == "max_async_hops_override":
+        ok = value is None or _is_int_at_least(value, 0)
+        expected = "null or an integer >= 0"
+    elif name == "scope_prefixes":
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(p, str) for p in value
+        )
+        expected = "a list of strings"
+    else:  # every other field is a flag
+        ok, expected = isinstance(value, bool), "true or false"
+    if not ok:
+        raise ValueError(
+            f"AnalysisConfig field {name!r} must be {expected}, not {value!r}"
+        )
+
+
 def apply_overrides(config: AnalysisConfig, overrides: dict | None) -> None:
     """Set ``overrides`` (field name → JSON value, as a request carries
     them) on ``config``; raises :class:`ValueError` for a non-object, an
-    unknown field or an unknown mode."""
+    unknown field or a value of the wrong type or range, before any field
+    is set."""
     if not overrides:
         return
     if not isinstance(overrides, dict):
@@ -122,8 +159,8 @@ def apply_overrides(config: AnalysisConfig, overrides: dict | None) -> None:
     for name, value in overrides.items():
         if name not in names:
             raise ValueError(f"unknown AnalysisConfig field {name!r}")
-        if name == "mode" and value not in MODES:
-            raise ValueError(f"unknown analysis mode: {value!r}")
+        _check_override(name, value)
+    for name, value in overrides.items():
         if name == "scope_prefixes":
             value = tuple(value)
         setattr(config, name, value)

@@ -10,7 +10,8 @@ fleet without linking against this package:
   ``field:``, ``app:``, ``like:<app>/<txn>``, free text) with
   ``limit``/``cursor`` pagination.
 * ``get_file`` — one stored report envelope, by result key or app name
-  (lexicographically last key wins, deterministically).
+  (the app's most recent result: the one ``ResultStore.list_entries``
+  lists last, by envelope mtime with ties broken by key).
 
 The server is deliberately dumb transport: :class:`McpCatalogServer.handle`
 is a pure request-dict → response-dict function (tested without pipes),
@@ -110,6 +111,20 @@ class McpCatalogServer:
             "isError": True,
         }
 
+    def _latest_key(self, app: str) -> str | None:
+        """The result of ``app`` that :meth:`ResultStore.list_entries`
+        lists last: the newest envelope mtime (its ``stored_at``), ties
+        broken by key.  Stats only that app's envelopes."""
+        stamped = []
+        for key, doc in self.index.docs.items():
+            if doc.get("app") == app:
+                try:
+                    mtime = self.store.path_for(key).stat().st_mtime
+                except OSError:
+                    continue  # removed since the index was read
+                stamped.append((mtime, key))
+        return max(stamped)[1] if stamped else None
+
     def _call(self, name: str, arguments: dict) -> dict:
         self.index.refresh()
         if name == "list_collections":
@@ -136,11 +151,7 @@ class McpCatalogServer:
         if name == "get_file":
             key = arguments.get("key")
             if not key and arguments.get("app"):
-                keys = sorted(
-                    k for k, doc in self.index.docs.items()
-                    if doc.get("app") == arguments["app"]
-                )
-                key = keys[-1] if keys else None
+                key = self._latest_key(arguments["app"])
             envelope = self.store.load(key) if key else None
             if envelope is None:
                 return self._tool_error(

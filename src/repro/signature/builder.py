@@ -144,8 +144,6 @@ class ConnRecord:
 @dataclass
 class InterpResult:
     transactions: list[TxnRecord] = field(default_factory=list)
-    #: heap cells observed: (class, field) -> merged term (diagnostics)
-    field_terms: dict[tuple[str, str], Term] = field(default_factory=dict)
     evaluated_methods: set[str] = field(default_factory=set)
 
 
@@ -197,15 +195,26 @@ class SignatureInterpreter:
         self._memo: dict[tuple, AVal] = {}
         self._active: set[tuple] = set()
         self._evaluated: set[str] = set()
+        # what the current round has read: heap cells, DB tables (a load
+        # may merge every column) and preference keys
+        self._read_fields: set[tuple[str, str]] = set()
+        self._read_tables: set[str] = set()
+        self._read_prefs: set[str] = set()
+        #: a store in the current round gave an already-read cell a new value
+        self._stale = False
 
     # ------------------------------------------------------------------ driver
     def run(self, roots: list[tuple[str, str]], *, span=NULL_SPAN) -> InterpResult:
         """Interpret each entry point.  ``roots`` — (method_id, trigger kind).
 
-        Two rounds by default: the first populates heap/DB/preference
-        stores; the second re-derives signatures with cross-event values
-        visible ("multiple iterations until it does not discover new
-        dependencies", §3.4).
+        Rounds repeat "until it does not discover new dependencies" (§3.4):
+        the stores one round leaves (heap fields, DB rows, preferences)
+        feed the next, so a value one event stores reaches a read another
+        event made earlier.  A round is *stale* when it read a cell that a
+        later store in the same round gave a new value; the first round
+        with no stale read ends the run, since the next round would replay
+        it exactly (DESIGN.md, "Signature extraction").  ``rounds`` caps
+        the count.
         """
         for round_no in range(max(1, self.rounds)):
             evaluated_before = len(self._evaluated)
@@ -215,6 +224,10 @@ class SignatureInterpreter:
                 self._accs.clear()
                 self._memo.clear()
                 self._conns.clear()
+                self._read_fields.clear()
+                self._read_tables.clear()
+                self._read_prefs.clear()
+                self._stale = False
                 for method_id, kind in roots:
                     try:
                         method = self.program.method_by_id(method_id)
@@ -237,18 +250,15 @@ class SignatureInterpreter:
                 "methods_evaluated", len(self._evaluated) - evaluated_before
             )
             round_span.count("transactions", len(self._arrivals))
+            if not self._stale:
+                break
         if span:
             span.count("roots", len(roots))
             span.count("methods_evaluated", len(self._evaluated))
-        result = InterpResult(
+        return InterpResult(
             transactions=sorted(self._arrivals.values(), key=lambda t: t.txn_id),
             evaluated_methods=set(self._evaluated),
         )
-        for key, entries in self._field_store.items():
-            terms = [to_term(v) for _, v in entries]
-            if terms:
-                result.field_terms[key] = alt(*terms)
-        return result
 
     # --------------------------------------------------------- InterpServices
     def record_transaction(
@@ -350,8 +360,11 @@ class SignatureInterpreter:
         c = canon(value)
         if not any(canon(v) == c for v in bucket):
             bucket.append(value)
+            if table in self._read_tables:
+                self._stale = True
 
     def db_load(self, table: str, column: str | None = None) -> AVal:
+        self._read_tables.add(table)
         buckets = [
             vs
             for (t, col), vs in self._db.items()
@@ -366,9 +379,16 @@ class SignatureInterpreter:
         return merged
 
     def pref_store(self, key: str, value: AVal) -> None:
+        if key in self._read_prefs:
+            # a store overwrites, so any difference is new: canon omits a
+            # request's headers, and == equates 1 with 1.0
+            old = self._prefs.get(key)
+            if old != value or canon(old) != canon(value):
+                self._stale = True
         self._prefs[key] = value
 
     def pref_load(self, key: str) -> AVal | None:
+        self._read_prefs.add(key)
         return self._prefs.get(key)
 
     def conn_new(self, url_term: Term) -> int:
@@ -506,15 +526,21 @@ class SignatureInterpreter:
 
     def _store_field(self, fsig, value: AVal, frame: _Frame, stmt: Stmt) -> None:
         ref = frame.method.stmt_ref(stmt)
-        bucket = self._field_store.setdefault((fsig.class_name, fsig.name), [])
+        key = (fsig.class_name, fsig.name)
+        bucket = self._field_store.setdefault(key, [])
         c = canon(value)
         for existing_ref, existing in bucket:
             if existing_ref == ref and canon(existing) == c:
                 return
         bucket.append((ref, value))
+        # conservative: counts even an entry blocked_field_stores hides
+        if key in self._read_fields:
+            self._stale = True
 
     def _load_field(self, fsig, frame: _Frame) -> AVal:
-        entries = self._field_store.get((fsig.class_name, fsig.name), [])
+        key = (fsig.class_name, fsig.name)
+        self._read_fields.add(key)
+        entries = self._field_store.get(key, [])
         usable = [
             v
             for ref, v in entries

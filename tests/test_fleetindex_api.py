@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -150,6 +151,29 @@ class TestMcpServer:
         for arguments in ({"app": app}, {"key": key}):
             is_error, envelope = self.tool(server, "get_file", arguments)
             assert not is_error and envelope["key"] == key
+
+    def test_get_file_by_app_returns_most_recent_result(self, tmp_path):
+        """The app's most recent result is the one ``list_entries`` lists
+        last, not its lexicographically last key: v1 stored after v3."""
+        from repro.apk.loader import apk_digest
+        from repro.core.extractocol import Extractocol
+        from repro.corpus import build_version
+
+        store = ResultStore(tmp_path / "store")
+        keys = {}
+        for stamp, label in enumerate(("reddinator@v3", "reddinator@v1")):
+            built = build_version(label)
+            keys[label] = store.put(
+                apk_digest(built.apk), built.config.cache_key(),
+                Extractocol(built.config).analyze(built.apk),
+            )
+            os.utime(store.path_for(keys[label]), (1_000 + stamp,) * 2)
+        build_index(store)
+        assert store.list_entries()[-1]["key"] == keys["reddinator@v1"]
+        is_error, envelope = self.tool(
+            McpCatalogServer(store), "get_file", {"app": "Reddinator"}
+        )
+        assert not is_error and envelope["key"] == keys["reddinator@v1"]
 
     def test_errors_and_notifications(self, server):
         is_error, message = self.tool(server, "get_file", {"key": "nope"})

@@ -110,8 +110,9 @@ class TestAnalyzeLifecycle:
 
     def test_config_overrides_shard_results(self, service):
         _, a = post(service, "/analyze", {"target": "wallabag"})
-        _, b = post(service, "/analyze",
-                    {"target": "wallabag", "config": {"rounds": 1}})
+        status, b = post(service, "/analyze",
+                         {"target": "wallabag", "config": {"rounds": 1}})
+        assert status == 202
         ja = wait_done(service, a["job"]["id"])
         jb = wait_done(service, b["job"]["id"])
         assert ja["config_key"] != jb["config_key"]
@@ -236,6 +237,26 @@ class TestOperationalEndpoints:
         status, data = _request(service, "POST", "/analyze",
                                 partial.read_bytes(), headers=zipped)
         assert status == 400 and "resources.json" in data["error"]
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"rounds": "2"}, id="rounds-string"),
+        pytest.param({"rounds": True}, id="rounds-bool"),
+        pytest.param({"rounds": 0}, id="rounds-zero"),
+        pytest.param({"lint_level": "bogus"}, id="lint-level-unknown"),
+        pytest.param({"scope_prefixes": "com.kayak"}, id="prefixes-string"),
+        pytest.param({"scope_prefixes": [1]}, id="prefixes-not-strings"),
+        pytest.param({"async_heuristic": "false"}, id="bool-field-string"),
+        pytest.param({"max_async_hops_override": -1}, id="hops-negative"),
+    ])
+    def test_ill_typed_override_is_rejected_before_queueing(
+        self, service, overrides
+    ):
+        _, before = get(service, "/status")
+        status, data = post(service, "/analyze",
+                            {"target": "wallabag", "config": overrides})
+        assert status == 400 and next(iter(overrides)) in data["error"]
+        _, after = get(service, "/status")
+        assert after["jobs"]["total"] == before["jobs"]["total"]
 
     def test_unknown_mode_is_a_bad_request_cold_and_warm(self, service):
         bad = {"target": "diode", "config": {"mode": "bogus"}}
