@@ -1,14 +1,12 @@
-"""Observability overhead guard.
+"""Observability overhead guard for an enabled trace.
 
-The acceptance bar: with tracing disabled (the NULL_TRACER default), the
-instrumented pipeline must cost no more than ~2% over an untraced run.
-The null tracer is a falsy singleton, so every instrumentation site is a
-single cheap branch; we assert a generous 1.10x ceiling on min-of-N
-timings, taken in alternating rounds so a host whose speed drifts during
-the measurement slows both sides alike, to keep the guard robust against
-scheduler noise on shared CI boxes while still catching any real
-regression (an accidental eager span allocation shows up as 1.5-3x on
-these millisecond-scale apps).
+Untraced runs need no timing guard: their parent span is ``NULL_SPAN``,
+whose ``child`` is itself, and ``tests/test_obs_tracer.py`` counts that an
+untraced analysis of every corpus app constructs no span at all.  This
+bench checks the other side: a live span tree, built while the analysis
+runs, must stay within a small constant factor.  Min-of-N timings are
+taken in alternating rounds so a host whose speed drifts during the
+measurement slows both sides alike.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import time
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import get_spec
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Span
 
 ROUNDS = 7
 
@@ -36,28 +34,8 @@ def _min_seconds(make_a, make_b, apk, config) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def test_null_tracer_overhead_within_bounds(benchmark):
-    spec = get_spec("diode")
-    config = AnalysisConfig(scope_prefixes=spec.scope_prefixes)
-    apk = spec.build_apk()
-
-    def run():
-        return _min_seconds(
-            lambda c: Extractocol(c),
-            lambda c: Extractocol(c, tracer=NULL_TRACER), apk, config,
-        )
-
-    baseline, instrumented = benchmark.pedantic(run, rounds=1, iterations=1)
-    ratio = instrumented / baseline
-    print(f"\n  baseline {baseline * 1000:.2f} ms  "
-          f"instrumented {instrumented * 1000:.2f} ms  ratio {ratio:.3f}")
-    assert ratio <= 1.10, (
-        f"NULL_TRACER instrumentation costs {ratio:.2f}x (budget 1.10x)"
-    )
-
-
 def test_active_tracer_still_cheap(benchmark):
-    """An enabled tracer allocates real spans but must stay within a small
+    """An enabled trace allocates real spans but must stay within a small
     constant factor — the span tree is tiny relative to the analysis."""
     spec = get_spec("diode")
     config = AnalysisConfig(scope_prefixes=spec.scope_prefixes)
@@ -66,7 +44,7 @@ def test_active_tracer_still_cheap(benchmark):
     def run():
         return _min_seconds(
             lambda c: Extractocol(c),
-            lambda c: Extractocol(c, tracer=Tracer()), apk, config,
+            lambda c: Extractocol(c, span=Span("repro")), apk, config,
         )
 
     off, on = benchmark.pedantic(run, rounds=1, iterations=1)

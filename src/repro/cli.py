@@ -164,7 +164,7 @@ def cmd_corpus_synth(args) -> int:
 def cmd_analyze(args) -> int:
     from repro import Extractocol
     from repro.core.report import report_to_dict
-    from repro.obs.tracer import NULL_TRACER, Tracer
+    from repro.obs.tracer import NULL_SPAN, Span
 
     apk, config, renames = _load_versioned(args.target)
     if args.async_heuristic is not None:
@@ -175,11 +175,11 @@ def cmd_analyze(args) -> int:
         from repro.service.store import ResultStore
 
         store = ResultStore(Path(args.store).expanduser())
-    tracer = Tracer() if args.trace else NULL_TRACER
+    root = Span("repro") if args.trace else NULL_SPAN
     import time as _time
 
     started_unix = _time.time()
-    engine = Extractocol(config, tracer=tracer, store=store)
+    engine = Extractocol(config, span=root, store=store)
     report = engine.analyze(apk, renames=renames)
     stats = report.phase_stats
     if stats.incremental is not None:
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
     if args.trace:
         from repro.obs.export import write_jsonl
 
-        write_jsonl(tracer.root, args.trace, timings=args.trace_timings)
+        write_jsonl(root, args.trace, timings=args.trace_timings)
         print(f"trace written to {args.trace}", file=sys.stderr)
     if args.ledger:
         from repro.obs.ledger import RunLedger, RunRecord, new_run_id
@@ -317,7 +317,10 @@ def cmd_trace(args) -> int:
     """Run one traced analysis and print/write the trace (JSONL by
     default, collapsed flamegraph stacks with ``--flame``), or render an
     existing trace file — e.g. a batch's merged ``fleet.trace.jsonl`` —
-    with ``--from``."""
+    with ``--from``.  A flame graph of a file needs its timings: one
+    whose spans carry no ``seconds`` (the fleet trace drops them to stay
+    byte-deterministic) is refused rather than drawn with every frame at
+    0 µs."""
     from repro.obs.export import (
         collapsed_stacks,
         events_to_span,
@@ -330,17 +333,22 @@ def cmd_trace(args) -> int:
             events = validate_jsonl(Path(args.from_file).read_text())
         except (OSError, ValueError) as exc:
             _fail(f"{args.from_file}: {exc}")
+        if args.flame and not any("seconds" in e for e in events):
+            _fail(
+                f"{args.from_file}: no span carries seconds, so a flame "
+                f"graph would read 0 us in every frame; a batch's timed "
+                f"spans are in telemetry/<run_id>/worker-<n>.trace.jsonl"
+            )
         root = events_to_span(events)
     else:
         if not args.target:
             _fail("trace needs a target (or --from FILE)")
         from repro import Extractocol
-        from repro.obs.tracer import Tracer
+        from repro.obs.tracer import Span
 
         apk, config = _load(args.target)
-        tracer = Tracer()
-        Extractocol(config, tracer=tracer).analyze(apk)
-        root = tracer.root
+        root = Span("repro")
+        Extractocol(config, span=root).analyze(apk)
     if args.flame:
         text = collapsed_stacks(root)
     else:
@@ -816,7 +824,9 @@ def main(argv: list[str] | None = None) -> int:
                               "of running an analysis")
     p_trace.add_argument("--flame", action="store_true",
                          help="collapsed flamegraph stacks (self-time in "
-                              "microseconds) instead of JSONL")
+                              "microseconds) instead of JSONL; a --from "
+                              "file needs timed spans, e.g. a batch's "
+                              "worker-<n>.trace.jsonl")
     p_trace.add_argument("--out", metavar="FILE", default=None,
                          help="write to FILE instead of stdout")
     p_trace.add_argument("--timings", action="store_true",

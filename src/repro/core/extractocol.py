@@ -23,7 +23,7 @@ from ..cfg.callgraph import build_callgraph
 from ..deps.interdep import infer_dependencies
 from ..deps.transactions import Transaction, from_record
 from ..obs.phases import PhaseStats
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_SPAN
 from ..perf.index import ProgramIndex
 from ..semantics.async_model import compute_event_roots, discover_callbacks
 from ..semantics.model import SemanticModel
@@ -39,10 +39,11 @@ class Extractocol:
     """The analysis entry point.
 
     Stateless across :meth:`analyze` calls except for two observability
-    artifacts refreshed per call: ``last_slicing`` (the raw
+    artifacts: ``last_slicing`` (the raw
     :class:`~repro.slicing.slicer.SlicingReport`, needed by
-    ``repro explain``) and the spans emitted on ``tracer`` (the default
-    :data:`~repro.obs.tracer.NULL_TRACER` discards them for free).
+    ``repro explain``), refreshed per call, and the ``analyze:<app>`` span
+    each call adds under ``span``, its parent span (the default
+    :data:`~repro.obs.tracer.NULL_SPAN` allocates none).
     """
 
     def __init__(
@@ -51,13 +52,13 @@ class Extractocol:
         *,
         model: SemanticModel | None = None,
         registry: DemarcationRegistry | None = None,
-        tracer=NULL_TRACER,
+        span=NULL_SPAN,
         store=None,
     ) -> None:
         self.config = config or AnalysisConfig()
         self.model = model
         self.registry = registry
-        self.tracer = tracer
+        self.span = span
         self.store = store
         self.last_slicing = None
         self.last_manifest = None
@@ -96,7 +97,7 @@ class Extractocol:
             raise ValueError(f"unknown analysis mode: {self.config.mode!r}")
         started = time.perf_counter()
         stats = PhaseStats()
-        app_span = self.tracer.span(f"analyze:{apk.name}")
+        app_span = self.span.child(f"analyze:{apk.name}")
         program = apk.program
 
         # Opt-in pre-analysis lint gate (DESIGN.md "Static checking"): the
@@ -213,7 +214,7 @@ class Extractocol:
         with stats.phase("dependencies", app_span) as sp:
             transactions = [from_record(r) for r in result.transactions]
             transactions = self._scope_filter(transactions, program)
-            infer_dependencies(transactions, span=sp if sp else None)
+            infer_dependencies(transactions, span=sp)
             transactions = _dedupe(transactions)
             stats.count("transactions", len(transactions))
 

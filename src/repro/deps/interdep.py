@@ -9,6 +9,7 @@ and the request side records which part (URI, body, header) embeds it.
 
 from __future__ import annotations
 
+from ..obs.tracer import NULL_SPAN
 from ..signature.lang import Term, Unknown
 from .transactions import Dependency, Transaction
 
@@ -40,11 +41,10 @@ def _scan_term(term: Term | None, dst: Transaction, dst_field: str,
 
 
 def infer_dependencies(
-    transactions: list[Transaction], *, span=None
+    transactions: list[Transaction], *, span=NULL_SPAN
 ) -> list[Dependency]:
     """Populate ``depends_on`` on every transaction and return all edges.
-    ``span`` (a live :class:`repro.obs.tracer.Span`) gains the scanned /
-    inferred counters when provided."""
+    ``span``, the parent span, gains the scanned / inferred counters."""
     known_ids = {t.txn_id for t in transactions}
     edges: list[Dependency] = []
     for txn in transactions:
@@ -63,9 +63,8 @@ def infer_dependencies(
                 unique.append(d)
         txn.depends_on = unique
         edges.extend(unique)
-    if span is not None:
-        span.count("transactions_scanned", len(transactions))
-        span.count("edges_inferred", len(edges))
+    span.count("transactions_scanned", len(transactions))
+    span.count("edges_inferred", len(edges))
     return edges
 
 

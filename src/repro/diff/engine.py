@@ -17,8 +17,8 @@ A stored report is its canonical dict (:func:`repro.core.report
   through automatically so an obfuscated rebuild diffs clean.
 
 :func:`diff_reports` and :func:`diff_targets` run the diff inside one
-``diff:<old>-><new>`` span carrying matched/added/removed/changed/
-breaking counters.
+``diff:<old>-><new>`` child of their ``span`` parameter, carrying
+matched/added/removed/changed/breaking counters.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_SPAN
 from .classify import classify_graph, classify_pair
 from .match import match_transactions
 from .model import DIFF_SCHEMA_VERSION, ProtocolDiff
@@ -38,13 +38,15 @@ def diff_dicts(
     new: dict,
     *,
     renames=None,
-    span=None,
+    span=NULL_SPAN,
 ) -> ProtocolDiff:
     """Diff two canonical report dicts.
 
     ``renames`` is an optional :class:`~repro.apk.rewrite.RenameMap`
     describing how the *old* snapshot's classes were renamed to produce
     the *new* one; consumer names are mapped back before comparison.
+    ``span`` gains the diff's matched/added/removed/changed/breaking
+    counters.
     """
     consumer_map = None
     if renames is not None and renames.class_map:
@@ -82,21 +84,22 @@ def diff_reports(
     new_report,
     *,
     renames=None,
-    tracer=NULL_TRACER,
+    span=NULL_SPAN,
 ) -> ProtocolDiff:
     """Diff two live analysis reports."""
     from ..core.report import report_to_dict
 
     return _traced_diff(
         report_to_dict(old_report), report_to_dict(new_report),
-        renames=renames, tracer=tracer,
+        renames=renames, span=span,
     )
 
 
-def _traced_diff(old: dict, new: dict, *, renames, tracer) -> ProtocolDiff:
-    """:func:`diff_dicts` inside a ``diff:<old>-><new>`` span."""
-    with tracer.span(f"diff:{old['app']}->{new['app']}") as span:
-        return diff_dicts(old, new, renames=renames, span=span)
+def _traced_diff(old: dict, new: dict, *, renames, span) -> ProtocolDiff:
+    """:func:`diff_dicts` inside a ``diff:<old>-><new>`` child of
+    ``span``."""
+    with span.child(f"diff:{old['app']}->{new['app']}") as diff_span:
+        return diff_dicts(old, new, renames=renames, span=diff_span)
 
 
 # ------------------------------------------------------------ store cache
@@ -226,7 +229,7 @@ def diff_targets(
     new: str,
     *,
     store=None,
-    tracer=NULL_TRACER,
+    span=NULL_SPAN,
 ) -> ProtocolDiff:
     """Resolve and diff two CLI-style targets (see
     :func:`resolve_diff_target`)."""
@@ -234,7 +237,7 @@ def diff_targets(
     new_dict, new_renames, _ = resolve_diff_target(new, store=store)
     return _traced_diff(
         old_dict, new_dict,
-        renames=_relative_renames(old_renames, new_renames), tracer=tracer,
+        renames=_relative_renames(old_renames, new_renames), span=span,
     )
 
 

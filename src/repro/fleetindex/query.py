@@ -28,7 +28,7 @@ import binascii
 import json
 import re
 
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import NULL_SPAN
 from .docs import signature_grams
 from .index import FleetIndex, Posting
 
@@ -187,19 +187,19 @@ def run_search(
     *,
     limit: int | None = None,
     cursor: str | None = None,
-    tracer=NULL_TRACER,
+    span=NULL_SPAN,
 ) -> dict:
     """Execute one query against a loaded index; returns the result page.
 
     The result dict carries ``query`` (normalised), ``total`` (matches
     across all pages), ``apps`` (every matching app), ``hits`` (the page)
     and ``next_cursor``.  Deterministic for a given index + query +
-    cursor — identical across rebuilt and folded indexes.
+    cursor — identical across rebuilt and folded indexes.  The query runs
+    in a ``search:<query>`` child of ``span`` with clause/match counters.
     """
     clauses = parse_query(query)
     normalized = normalize_query(clauses)
-    span = tracer.span(f"search:{normalized}")
-    with span:
+    with span.child(f"search:{normalized}") as search_span:
         candidates: set[Posting] | None = None
         scores: dict[Posting, float] | None = None
         for clause in clauses:
@@ -258,9 +258,9 @@ def run_search(
         page, next_cursor = paginate(
             hits, limit=limit, cursor=cursor, sort_key=sort_key
         )
-        span.count("clauses", len(clauses))
-        span.count("matches", len(hits))
-        span.count("returned", len(page))
+        search_span.count("clauses", len(clauses))
+        search_span.count("matches", len(hits))
+        search_span.count("returned", len(page))
     return {
         "query": normalized,
         "total": len(hits),

@@ -1,7 +1,9 @@
 """repro.obs — observability for the analysis pipeline.
 
-Zero-dependency tracing (nested spans with deterministic ids), per-phase
-stats embedded in analysis reports, a unified metrics registry with
+Zero-dependency tracing (nested spans with deterministic ids: a trace is a
+root :class:`Span`, and every traced entry point takes its parent span as
+``span=``, defaulting to the free :data:`NULL_SPAN`), per-phase stats
+embedded in analysis reports, a unified metrics registry with
 Prometheus text exposition, trace export (JSONL / collapsed stacks),
 taint provenance ("why is this field in the signature?"), and the fleet
 telemetry layer (cross-process trace aggregation, run ledger).
@@ -39,7 +41,7 @@ from .metrics import (
     render_prometheus,
 )
 from .phases import PHASES, PhaseStats, phase_table
-from .tracer import NULL_SPAN, NULL_TRACER, Span, SpanTracer, Tracer
+from .tracer import NULL_SPAN, Span
 
 __all__ = [
     "BatchProgress",
@@ -49,16 +51,13 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",
-    "NULL_TRACER",
     "PHASES",
     "PhaseStats",
     "ProvenanceStep",
     "RunLedger",
     "RunRecord",
     "Span",
-    "SpanTracer",
     "TRACE_SCHEMA_VERSION",
-    "Tracer",
     "WorkerTelemetry",
     "collapsed_stacks",
     "events_to_span",

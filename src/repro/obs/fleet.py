@@ -2,7 +2,7 @@
 and live batch progress.
 
 The sharded batch engine (:mod:`repro.service.shard`) runs N analyzer
-*processes*; their spans cannot ride the parent's in-memory tracer.  This
+*processes*; their spans cannot ride the parent's in-memory span tree.  This
 module defines the on-disk telemetry protocol that bridges the process
 boundary:
 
@@ -11,6 +11,8 @@ Telemetry directory layout (one per batch run, beside the result store)::
     <store root>/telemetry/<run_id>/
         worker-<n>.trace.jsonl    # the worker's span stream (with timings)
         fleet.trace.jsonl         # coordinator-merged deterministic trace
+                                  # (no timings: flame graphs read the
+                                  # worker streams)
 
 **Correlation ids.**  Every worker-emitted ``job:<target>`` span is tagged
 with ``run_id`` / ``worker`` / ``app_key`` / ``index`` attrs, so any span

@@ -55,14 +55,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> int:
         with self._lock:

@@ -1,9 +1,10 @@
 """Nested-span tracing for the analysis pipeline.
 
 A :class:`Span` is one named region of work: it carries monotonic timing,
-integer counters, arbitrary JSON-safe attributes, and child spans.  The
-:class:`Tracer` owns a root span; instrumented code receives a parent span
-and opens children with ``with span.child("phase:slicing") as s: ...``.
+integer counters, arbitrary JSON-safe attributes, and child spans.  A
+trace is a root span (``Span("repro")``); every traced entry point takes
+its parent span as ``span=`` and opens children with
+``with span.child("phase:slicing") as s: ...``.
 
 Two properties the exporters (`repro.obs.export`) rely on:
 
@@ -12,11 +13,12 @@ Two properties the exporters (`repro.obs.export`) rely on:
   ``id()`` or a random value.  Sibling name collisions are disambiguated
   with a ``#<n>`` suffix at creation time, so paths are unique by
   construction and two runs of the same workload produce the same ids.
-* **Free when disabled** — the process-wide default is :data:`NULL_SPAN`
-  (via :data:`NULL_TRACER`): every operation on it is a no-op returning
-  itself, so instrumented code pays one attribute load and a C-level call
-  per event, nothing else.  Hot loops should still batch (accumulate a
-  local ``int`` and ``count()`` once) rather than count per iteration.
+* **Free when disabled** — the process-wide default parent is
+  :data:`NULL_SPAN`: every operation on it is a no-op and ``child``
+  returns itself, so instrumented code pays one attribute load and a
+  C-level call per event, nothing else.  Hot loops should still batch
+  (accumulate a local ``int`` and ``count()`` once) rather than count per
+  iteration.
 
 Timing uses ``time.perf_counter`` and lives in ``Span.seconds``; the JSONL
 exporter omits it unless asked, so trace files are byte-deterministic.
@@ -127,9 +129,10 @@ class Span:
 
 
 class _NullSpan:
-    """The disabled tracer's span: every operation is a no-op on a single
-    shared instance.  Falsy, so instrumented code can guard optional work
-    with ``if span: ...``."""
+    """The untraced parent span: every operation is a no-op on a single
+    shared instance, and ``child`` returns itself, so untraced code
+    allocates no span.  Falsy, so instrumented code can guard optional
+    work with ``if span: ...``."""
 
     __slots__ = ()
 
@@ -159,89 +162,13 @@ class _NullSpan:
     def seconds(self, value: float) -> None:
         pass
 
-    @property
-    def self_seconds(self) -> float:
-        return 0.0
-
-    @property
-    def path(self) -> str:
-        return ""
-
-    @property
-    def span_id(self) -> str:
-        return ""
-
-    @property
-    def children(self) -> list:
-        return []
-
-    @property
-    def attrs(self) -> dict:
-        return {}
-
-    @property
-    def counters(self) -> dict:
-        return {}
-
-    def walk(self):
-        return iter(())
-
-    def find(self, name: str) -> None:
-        return None
-
     def __repr__(self) -> str:
         return "NullSpan()"
 
 
-#: The process-wide disabled span; safe to share (it holds no state).
+#: The process-wide untraced span; safe to share (it holds no state).
+#: Every traced entry point defaults its ``span`` parameter to it.
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
-    """An enabled trace: a root span plus top-level span creation."""
-
-    enabled = True
-
-    def __init__(self, root_name: str = "repro") -> None:
-        self.root = Span(root_name)
-
-    def span(self, name: str, **attrs) -> Span:
-        return self.root.child(name, **attrs)
-
-
-class SpanTracer:
-    """A tracer view rooted at an *existing* span.
-
-    Code written against the ``Tracer`` interface (``tracer.span(name)``)
-    can be pointed at any subtree: the shard workers hand
-    ``Extractocol`` a ``SpanTracer(job_span)`` so the whole analysis trace
-    hangs under that batch entry's ``job:<app>`` span instead of a
-    detached root.
-    """
-
-    enabled = True
-
-    def __init__(self, root: Span) -> None:
-        self.root = root
-
-    def span(self, name: str, **attrs) -> Span:
-        return self.root.child(name, **attrs)
-
-
-class _NullTracer:
-    """Disabled tracer: ``span()`` hands out :data:`NULL_SPAN`."""
-
-    enabled = False
-    root = NULL_SPAN
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-
-#: The process-wide default tracer (disabled).  Components default their
-#: ``tracer``/``span`` parameters to this, so tracing costs ~nothing
-#: unless a caller passes a real :class:`Tracer`.
-NULL_TRACER = _NullTracer()
-
-
-__all__ = ["NULL_SPAN", "NULL_TRACER", "Span", "SpanTracer", "Tracer"]
+__all__ = ["NULL_SPAN", "Span"]

@@ -77,7 +77,7 @@ class AnalysisService:
         analyzer=None,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.store = ResultStore(store_root, metrics=self.metrics)
+        self.store = ResultStore(store_root)
         self.scheduler = JobScheduler(
             self.store,
             workers=workers,
@@ -92,11 +92,12 @@ class AnalysisService:
         self._thread: threading.Thread | None = None
         # fleet search: one shared index view, refreshed per query (the
         # refresh is a stat probe unless the store actually changed);
-        # tracer defaults to the null tracer so a long-lived daemon never
-        # accumulates spans — tests inject a real Tracer to see them
-        from ..obs.tracer import NULL_TRACER
+        # searches trace under ``span``: NULL_SPAN keeps a long-lived
+        # daemon from accumulating spans; a caller that wants them sets a
+        # root Span
+        from ..obs.tracer import NULL_SPAN
 
-        self.tracer = NULL_TRACER
+        self.span = NULL_SPAN
         self._index = None
         self._index_lock = threading.Lock()
         from ..obs.ledger import RunLedger, new_run_id
@@ -270,7 +271,7 @@ class AnalysisService:
             index = self._fleet_index()
             try:
                 result = run_search(
-                    index, q, limit=limit, cursor=cursor, tracer=self.tracer
+                    index, q, limit=limit, cursor=cursor, span=self.span
                 )
             except QueryError as exc:
                 return 400, {"error": str(exc)}

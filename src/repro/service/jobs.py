@@ -227,8 +227,6 @@ class JobScheduler:
     ) -> None:
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if store.metrics is None:
-            store.metrics = self.metrics
         self.max_queue = max_queue
         self.timeout = timeout
         self.retries = retries

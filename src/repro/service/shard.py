@@ -49,6 +49,8 @@ from multiprocessing import util
 from multiprocessing.connection import wait
 from pathlib import Path
 
+from ..obs.tracer import NULL_SPAN, Span
+
 #: Start methods this module knows how to drive, in preference order.
 START_METHODS = ("fork", "spawn")
 
@@ -255,20 +257,18 @@ def _process_item(
     retries: int,
     backoff: float,
     timeout: float | None,
-    span=None,
+    span=NULL_SPAN,
 ) -> ShardRecord:
     """Resolve one batch entry and run it through
     :func:`analyze_through_store`, retrying a failed attempt as
-    :func:`retry_delay` says (the backoff sleeps in this worker).  When
-    ``span`` is given the analysis trace nests under it (see
-    :class:`~repro.obs.tracer.SpanTracer`)."""
+    :func:`retry_delay` says (the backoff sleeps in this worker).  Each
+    attempt's ``analyze:<app>`` trace nests under ``span``, the entry's
+    ``job:<target>`` span."""
     from ..apk.loader import apk_digest
     from ..core.extractocol import Extractocol
-    from ..obs.tracer import NULL_TRACER, SpanTracer
     from .jobs import resolve_target
     from .store import result_key
 
-    tracer = SpanTracer(span) if span else NULL_TRACER
     record = ShardRecord(index=index, target=target, worker=worker_id)
     try:
         apk, config, label = resolve_target(target)
@@ -283,7 +283,7 @@ def _process_item(
     started = time.monotonic()
 
     def analyze():
-        report = Extractocol(config, tracer=tracer).analyze(apk)
+        report = Extractocol(config, span=span).analyze(apk)
         record.counters["analyses_run"] = (
             record.counters.get("analyses_run", 0) + 1
         )
@@ -323,8 +323,9 @@ def _process_item(
 
 
 class _Worker:
-    """One analyzer's state across the entries it runs: a store handle and,
-    with telemetry on, the span tree its ``job:<target>`` spans join."""
+    """One analyzer's state across the entries it runs: a store handle and
+    the root its ``job:<target>`` spans join, a live ``worker-<n>`` span
+    with telemetry on and :data:`~repro.obs.tracer.NULL_SPAN` without."""
 
     def __init__(
         self,
@@ -346,10 +347,10 @@ class _Worker:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self.telemetry = self.root_span = None
+        self.telemetry = None
+        self.root_span = NULL_SPAN
         if telemetry_dir is not None:
             from ..obs.fleet import WorkerTelemetry
-            from ..obs.tracer import Span
 
             self.telemetry = WorkerTelemetry(telemetry_dir, worker_id,
                                              batch_id)
@@ -362,13 +363,11 @@ class _Worker:
         span, tagged with run/worker correlation ids, under which the whole
         analysis trace nests."""
         target = self.targets[index]
-        job_span = None
-        if self.root_span is not None:
-            job_span = self.root_span.child(f"job:{target}")
-            job_span.set("index", index)
-            job_span.set("app_key", str(target))
-            job_span.set("run_id", self.batch_id)
-            job_span.set("worker", self.worker_id)
+        job_span = self.root_span.child(f"job:{target}")
+        job_span.set("index", index)
+        job_span.set("app_key", str(target))
+        job_span.set("run_id", self.batch_id)
+        job_span.set("worker", self.worker_id)
         record = _process_item(
             self.store,
             index,
@@ -379,12 +378,11 @@ class _Worker:
             timeout=self.timeout,
             span=job_span,
         )
-        if job_span is not None:
-            job_span.seconds = record.seconds
-            job_span.set("status", record.status)
-            job_span.set("cache_hit", record.cache_hit)
-            for name, amount in record.counters.items():
-                job_span.count(name, amount)
+        job_span.seconds = record.seconds
+        job_span.set("status", record.status)
+        job_span.set("cache_hit", record.cache_hit)
+        for name, amount in record.counters.items():
+            job_span.count(name, amount)
         return record
 
     def close(self) -> None:

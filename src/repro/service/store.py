@@ -45,7 +45,6 @@ import time
 from pathlib import Path
 
 from ..core.report import AnalysisReport, report_to_dict
-from ..obs.metrics import MetricsRegistry
 
 #: Bump when the envelope or report dict shape changes incompatibly.
 SCHEMA_VERSION = 1
@@ -104,15 +103,14 @@ class ResultStore:
 
     ``get`` returns the stored envelope, whose ``report`` is the
     :func:`report_to_dict` form of what ``put`` stored.  Hit/miss/write
-    counts are tracked on the instance and mirrored into an optional
-    :class:`MetricsRegistry`.
+    counts are kept once, on the instance, and read through
+    :meth:`stats`.
     """
 
     def __init__(
         self,
         root: str | Path,
         *,
-        metrics: MetricsRegistry | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         self.root = Path(root).expanduser()
@@ -121,7 +119,6 @@ class ResultStore:
         self.manifests = self.root / "manifests"
         self.leases = self.root / "leases"
         self.lease_ttl = lease_ttl
-        self.metrics = metrics
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -355,8 +352,6 @@ class ResultStore:
         atomic_write(self.path_for(key), canonical_json(envelope))
         with self._lock:
             self.writes += 1
-        if self.metrics is not None:
-            self.metrics.counter("store_writes").inc()
         if isinstance(envelope.get("report"), dict):
             from ..fleetindex.index import write_pending_delta
 
@@ -384,8 +379,6 @@ class ResultStore:
         atomic_write(self.manifest_path(key), text)
         with self._lock:
             self.manifest_writes += 1
-        if self.metrics is not None:
-            self.metrics.counter("manifest_writes").inc()
         return key
 
     def get_manifest(self, app: str, config_key: str) -> dict | None:
@@ -434,8 +427,6 @@ class ResultStore:
                 self.hits += 1
             else:
                 self.misses += 1
-        if self.metrics is not None:
-            self.metrics.counter("cache_hits" if hit else "cache_misses").inc()
 
     def entries(self) -> list[str]:
         """All stored result keys, sorted (a directory scan)."""
@@ -482,6 +473,7 @@ class ResultStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
+                "manifest_writes": self.manifest_writes,
                 "entries": len(self.entries()),
                 "schema": SCHEMA_VERSION,
             }

@@ -245,6 +245,33 @@ class TestShardedBatchTelemetry:
             traces.append((run_dir / "fleet.trace.jsonl").read_text())
         assert traces[0] == traces[1] == traces[2]
 
+    def test_flame_graph_reads_the_timed_worker_stream(self, tmp_path, capsys):
+        """The fleet trace drops ``seconds`` to stay byte-deterministic, so
+        ``repro trace --from`` refuses to draw it as a flame graph and
+        names the worker streams, whose frames carry the time."""
+        from repro.cli import main
+
+        run_dir = run_telemetry_dir(tmp_path / "store", "r", create=True)
+        run_sharded_batch(tmp_path / "store", ["diode"], workers=1,
+                          run_id="r", telemetry_dir=run_dir)
+        fleet = run_dir / "fleet.trace.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--from", str(fleet), "--flame"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "worker-<n>.trace.jsonl" in err
+        assert main(["trace", "--from", str(fleet)]) == 0  # JSONL still renders
+        capsys.readouterr()
+
+        worker = run_dir / "worker-0.trace.jsonl"
+        assert main(["trace", "--from", str(worker), "--flame"]) == 0
+        frames = dict(
+            line.rsplit(" ", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert "worker-0;job:diode;analyze:Diode;phase:slicing" in frames
+        assert sum(int(us) for us in frames.values()) > 0
+
     def test_no_telemetry_dir_means_no_files(self, tmp_path):
         records = run_sharded_batch(tmp_path / "store", ["diode"], workers=1)
         assert records[0].status == "done"

@@ -22,7 +22,7 @@ from repro.fleetindex import (
 from repro.fleetindex.docs import envelope_summary, report_summary
 from repro.fleetindex.index import pending_dir
 from repro.fleetindex.query import QueryError, catalog, paginate
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span
 from repro.service.jobs import (
     _default_analyzer,
     compute_apk_digest,
@@ -328,9 +328,9 @@ class TestQueryGrammar:
             run_search(index, "like:nosuchapp/0")
 
     def test_search_span_emitted(self, index):
-        tracer = Tracer()
-        run_search(index, "post", tracer=tracer)
-        span = tracer.root.children[0]
+        root = Span("repro")
+        run_search(index, "post", span=root)
+        span = root.children[0]
         assert span.name == "search:text:post"
         assert span.counters["clauses"] == 1
         assert span.counters["matches"] == span.counters["returned"]

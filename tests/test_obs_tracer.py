@@ -1,4 +1,4 @@
-"""Tests for the span tracer and the trace exporters."""
+"""Tests for spans, the null span and the trace exporters."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro import Extractocol
+from repro.corpus import app_keys
 from repro.obs.export import (
     TRACE_SCHEMA_VERSION,
     collapsed_stacks,
@@ -13,7 +15,8 @@ from repro.obs.export import (
     to_jsonl,
     validate_jsonl,
 )
-from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Span, Tracer
+from repro.obs.tracer import NULL_SPAN, Span
+from repro.service.jobs import resolve_target
 
 
 class TestSpan:
@@ -78,15 +81,32 @@ class TestNullSpan:
         NULL_SPAN.set("k", 1)
         with NULL_SPAN as s:
             assert s is NULL_SPAN
+        NULL_SPAN.seconds = 1.5
         assert NULL_SPAN.seconds == 0.0
-        assert list(NULL_SPAN.walk()) == []
-        assert NULL_SPAN.children == []
 
-    def test_null_tracer(self):
-        assert not NULL_TRACER.enabled
-        assert NULL_TRACER.span("anything") is NULL_SPAN
-        assert Tracer().enabled
-        assert Tracer("top").root.name == "top"
+    def test_untraced_analysis_constructs_no_span(self, monkeypatch):
+        """The default parent is free: an untraced analysis of any corpus
+        app builds no span at all, while a traced one builds its tree."""
+        built = []
+        init = Span.__init__
+
+        def counting_init(self, name, *args, **kwargs):
+            built.append(name)
+            init(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        spans_per_app = {}
+        for key in app_keys():
+            apk, config, _ = resolve_target(key)
+            Extractocol(config).analyze(apk)
+            spans_per_app[key] = len(built)
+            built.clear()
+        assert spans_per_app == dict.fromkeys(app_keys(), 0)
+
+        apk, config, _ = resolve_target("diode")
+        root = Span("repro")
+        Extractocol(config, span=root).analyze(apk)
+        assert len(built) == sum(1 for _ in root.walk()) > 1
 
 
 class TestExport:

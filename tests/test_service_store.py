@@ -10,7 +10,7 @@ import pytest
 from repro import AnalysisConfig, Extractocol
 from repro.apk.loader import apk_digest, load_apk, save_apk
 from repro.core.report import report_to_dict
-from repro.service import MetricsRegistry, ResultStore, result_key
+from repro.service import ResultStore, result_key
 from repro.service.store import SCHEMA_VERSION, canonical_json
 
 
@@ -92,8 +92,8 @@ class TestResultStore:
         assert envelope["report"] == report_to_dict(report)
         assert envelope["analysis_seconds"] > 0
         assert store.stats() == {
-            "hits": 1, "misses": 1, "writes": 1, "entries": 1,
-            "schema": SCHEMA_VERSION,
+            "hits": 1, "misses": 1, "writes": 1, "manifest_writes": 0,
+            "entries": 1, "schema": SCHEMA_VERSION,
         }
 
     def test_stored_bytes_identical_to_fresh_serialisation(
@@ -279,15 +279,3 @@ class TestResultStore:
         assert not [
             p for p in (tmp_path / "store").rglob("*") if p.suffix == ".tmp"
         ]
-
-    def test_metrics_mirrored(self, tmp_path, diode_report):
-        apk, config, report = diode_report
-        metrics = MetricsRegistry()
-        store = ResultStore(tmp_path / "store", metrics=metrics)
-        store.get(apk_digest(apk), config.cache_key())
-        store.put(apk_digest(apk), config.cache_key(), report)
-        store.get(apk_digest(apk), config.cache_key())
-        counters = metrics.to_dict()["counters"]
-        assert counters["cache_misses"] == 1
-        assert counters["cache_hits"] == 1
-        assert counters["store_writes"] == 1

@@ -19,7 +19,7 @@ from test_golden_reports import SYNTH_POPULATION
 from repro import AnalysisConfig, Extractocol
 from repro.apk import Apk, EntryPoint, Manifest, Resources, TriggerKind
 from repro.ir import ProgramBuilder
-from repro.obs.tracer import NULL_SPAN, Span, Tracer
+from repro.obs.tracer import NULL_SPAN, Span
 from repro.signature.builder import SignatureInterpreter
 
 CLS = "com.example.session.SessionActivity"
@@ -115,11 +115,11 @@ def build_session_app(channels: tuple[str, ...], *, reader_first: bool) -> Apk:
 
 def _analyze(apk: Apk, config: AnalysisConfig | None = None):
     """(feed request URI, number of signature rounds that ran)."""
-    tracer = Tracer()
-    report = Extractocol(config or AnalysisConfig(), tracer=tracer).analyze(apk)
+    root = Span("repro")
+    report = Extractocol(config or AnalysisConfig(), span=root).analyze(apk)
     (uri,) = [str(t.request.uri) for t in report.transactions
               if "/feed" in str(t.request.uri)]
-    return uri, _rounds(tracer.root)
+    return uri, _rounds(root)
 
 
 def _rounds(span) -> int:
@@ -197,8 +197,8 @@ def guard_table():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SignatureInterpreter, "run", spy)
         for label, apk, config in _golden_runs():
-            tracer = Tracer()
-            Extractocol(config, tracer=tracer).analyze(apk)
+            root = Span("repro")
+            Extractocol(config, span=root).analyze(apk)
             (interp, roots, result), = seen
             seen.clear()
             stores, transactions = _stores(interp), _transactions(result)
@@ -213,7 +213,7 @@ def guard_table():
                 )
                 if not same
             ]
-            table[label] = (_rounds(tracer.root), changed)
+            table[label] = (_rounds(root), changed)
     return table
 
 

@@ -15,15 +15,15 @@ from repro.apk.loader import load_apk, save_apk
 from repro.corpus import app_keys, build_app, get_spec
 from repro.obs.export import to_jsonl, validate_jsonl
 from repro.obs.phases import PHASES
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span
 
 PHASE_SPANS = tuple(f"phase:{p}" for p in PHASES)
 
 
-def _traced_run(apk, config) -> tuple[Tracer, object]:
-    tracer = Tracer()
-    report = Extractocol(config, tracer=tracer).analyze(apk)
-    return tracer, report
+def _traced_run(apk, config) -> tuple[Span, object]:
+    root = Span("repro")
+    report = Extractocol(config, span=root).analyze(apk)
+    return root, report
 
 
 class TestDeterminism:
@@ -31,18 +31,18 @@ class TestDeterminism:
         path = save_apk(build_app("radioreddit"), tmp_path / "rr.sapk")
         texts = []
         for _ in range(2):
-            tracer, _ = _traced_run(load_apk(path), AnalysisConfig())
-            texts.append(to_jsonl(tracer.root))
+            root, _ = _traced_run(load_apk(path), AnalysisConfig())
+            texts.append(to_jsonl(root))
         assert texts[0] == texts[1]
         validate_jsonl(texts[0])
 
     def test_timings_excluded_by_default(self):
-        tracer, _ = _traced_run(
+        root, _ = _traced_run(
             get_spec("blippex").build_apk(), AnalysisConfig()
         )
-        text = to_jsonl(tracer.root)
+        text = to_jsonl(root)
         assert '"seconds"' not in text
-        assert '"seconds"' in to_jsonl(tracer.root, timings=True)
+        assert '"seconds"' in to_jsonl(root, timings=True)
 
 
 class TestCorpusCoverage:
@@ -53,8 +53,8 @@ class TestCorpusCoverage:
             async_heuristic=(spec.kind == "closed"),
             scope_prefixes=spec.scope_prefixes,
         )
-        tracer, report = _traced_run(spec.build_apk(), config)
-        app_span = tracer.root.children[0]
+        root, report = _traced_run(spec.build_apk(), config)
+        app_span = root.children[0]
         assert app_span.name == f"analyze:{spec.build_apk().name}" or (
             app_span.name.startswith("analyze:")
         )
@@ -64,7 +64,7 @@ class TestCorpusCoverage:
         slicing = next(c for c in app_span.children if c.name == "phase:slicing")
         dp_children = [c for c in slicing.children if c.name.startswith("dp:")]
         assert len(dp_children) == report.demarcation_points
-        validate_jsonl(to_jsonl(tracer.root))
+        validate_jsonl(to_jsonl(root))
 
 
 class TestPhaseStats:
@@ -86,10 +86,10 @@ class TestPhaseStats:
         """One clock per phase: each ``phase:*`` span's seconds are the
         report's ``phase_stats`` figure, bit for bit."""
         config = AnalysisConfig(lint_level="record")
-        tracer, report = _traced_run(get_spec("blippex").build_apk(), config)
+        root, report = _traced_run(get_spec("blippex").build_apk(), config)
         spans = {
             c.name.removeprefix("phase:"): c.seconds
-            for c in tracer.root.children[0].children
+            for c in root.children[0].children
         }
         assert set(spans) == set(PHASES) | {"lint"}
         assert spans == report.phase_stats.seconds
@@ -115,15 +115,15 @@ class TestPhaseStats:
         monkeypatch.setattr(manifest, "build_manifest", slow_build_manifest)
         apk = get_spec("blippex").build_apk()
         store = ResultStore(tmp_path)
-        tracer = Tracer()
-        engine = Extractocol(AnalysisConfig(), tracer=tracer, store=store)
+        root = Span("repro")
+        engine = Extractocol(AnalysisConfig(), span=root, store=store)
         seconds = engine.analyze(apk).phase_stats.seconds
         assert engine.last_manifest is not None
         assert seconds["manifest"] >= pause
         assert seconds["slicing"] < pause
         spans = {
             c.name.removeprefix("phase:"): c.seconds
-            for c in tracer.root.children[0].children
+            for c in root.children[0].children
         }
         assert spans == seconds
         # under record_provenance no manifest is written
