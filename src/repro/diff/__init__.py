@@ -23,7 +23,7 @@ keeps.  Entry points: :func:`~repro.diff.engine.diff_dicts` for report
 dicts, :func:`~repro.diff.engine.diff_reports` for live reports
 in-process, ``repro diff <old> <new>`` on the CLI (exit 1 on breaking
 changes, for CI), ``GET /diff/<key1>/<key2>`` on the analysis service
-(the two stored report dicts, with store-backed caching), and
+(the two stored report dicts, diffed on every request), and
 :func:`repro.evalx.drift.render_drift_table` over the generated version
 lineages in :mod:`repro.corpus.lineage`.
 """

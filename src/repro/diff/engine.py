@@ -5,9 +5,10 @@ A stored report is its canonical dict (:func:`repro.core.report
 
 * :func:`diff_dicts` — pure function over two report dicts.
   Deterministic: same dicts in, byte-identical ``to_dict()`` out.
-* :func:`cached_diff` — two stored reports by result key (``GET
-  /diff``), their dicts passed straight to :func:`diff_dicts`, the diff
-  cached in the store.
+* :func:`stored_diff` — two stored reports by result key (``GET
+  /diff``), read through :meth:`~repro.service.store.ResultStore.lookup`
+  and passed straight to :func:`diff_dicts` on every call; it writes
+  nothing.
 * :func:`diff_reports` — two live
   :class:`~repro.core.report.AnalysisReport` objects, serialised first.
 * :func:`diff_targets` — CLI-grade resolution: each side may be a corpus
@@ -23,13 +24,10 @@ matched/added/removed/changed/breaking counters.
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-
 from ..obs.tracer import NULL_SPAN
 from .classify import classify_graph, classify_pair
 from .match import match_transactions
-from .model import DIFF_SCHEMA_VERSION, ProtocolDiff
+from .model import ProtocolDiff
 from .normal import report_views
 
 
@@ -102,46 +100,17 @@ def _traced_diff(old: dict, new: dict, *, renames, span) -> ProtocolDiff:
         return diff_dicts(old, new, renames=renames, span=diff_span)
 
 
-# ------------------------------------------------------------ store cache
-def diff_cache_key(old_key: str, new_key: str) -> str:
-    """Content address of a cached diff: a function of the two report
-    keys (already content addresses themselves) and the diff schema."""
-    digest = hashlib.sha256(
-        f"{old_key}\x00{new_key}\x00{DIFF_SCHEMA_VERSION}".encode()
-    ).hexdigest()
-    return f"diff-{digest[:40]}"
-
-
-def cached_diff(store, old_key: str, new_key: str) -> tuple[dict, bool] | None:
-    """The diff of two stored reports, served from the store when cached.
-
-    Returns ``(diff dict, was_cached)``; ``None`` when either key holds
-    no stored report (:meth:`~repro.service.store.ResultStore.lookup`).
-    A fresh diff is written back under :func:`diff_cache_key`, so every
-    ``(old, new)`` pair is computed once per store lifetime.
-    """
-    cache_key = diff_cache_key(old_key, new_key)
-    envelope = store.load(cache_key)
-    if (
-        envelope is not None
-        and envelope.get("diff_schema") == DIFF_SCHEMA_VERSION
-        and "diff" in envelope
-    ):
-        return envelope["diff"], True
+# ------------------------------------------------------------ store reads
+def stored_diff(store, old_key: str, new_key: str) -> dict | None:
+    """The ``to_dict()`` form of the diff of two stored reports, or
+    ``None`` when either key holds no stored report
+    (:meth:`~repro.service.store.ResultStore.lookup`).  Read-only: the
+    diff is recomputed on every call."""
     old_env = store.lookup(old_key)
     new_env = store.lookup(new_key)
     if old_env is None or new_env is None:
         return None
-    diff = diff_dicts(old_env["report"], new_env["report"])
-    # no "report"/"schema" keys: list_entries and cache probes skip this
-    store.put_envelope(cache_key, {
-        "diff_schema": DIFF_SCHEMA_VERSION,
-        "key": cache_key,
-        "old_key": old_key,
-        "new_key": new_key,
-        "diff": diff.to_dict(),
-    })
-    return diff.to_dict(), False
+    return diff_dicts(old_env["report"], new_env["report"]).to_dict()
 
 
 # --------------------------------------------------------- CLI resolution
@@ -275,10 +244,9 @@ def _compose(first: dict, second: dict) -> dict:
 
 
 __all__ = [
-    "cached_diff",
-    "diff_cache_key",
     "diff_dicts",
     "diff_reports",
     "diff_targets",
     "resolve_diff_target",
+    "stored_diff",
 ]

@@ -6,7 +6,6 @@ pending markers, whose documents readers derive from the envelopes),
 
 from .docs import (
     SUMMARY_SCHEMA,
-    doc_from_envelope,
     envelope_summary,
     extract_doc,
     report_summary,
@@ -36,7 +35,6 @@ __all__ = [
     "build_index",
     "catalog",
     "decode_cursor",
-    "doc_from_envelope",
     "encode_cursor",
     "envelope_summary",
     "extract_doc",

@@ -3,10 +3,11 @@
 The indexable unit is a *transaction* inside a stored report envelope —
 ``(result key, txn id)`` — because that is the granularity fleet questions
 arrive at ("which endpoints carry a ``modhash``-style dependency", "find
-an endpoint like this one").  :func:`extract_doc` turns one envelope's
-report dict into a flat, JSON-safe document: per-transaction term lists
-for the inverted index plus a display label, and the compact
-:func:`report_summary` block the store also stamps into new envelopes at
+an endpoint like this one").  :func:`extract_doc` turns one stored
+report dict, as :meth:`~repro.service.store.ResultStore.lookup` returns
+it, into a flat, JSON-safe document: per-transaction term lists for the
+inverted index plus a display label, and the compact
+:func:`report_summary` block the store also stamps into envelopes at
 ``put`` time.
 
 Everything here is a pure function of the canonical report dict
@@ -160,17 +161,15 @@ def report_summary(report: dict) -> dict:
     }
 
 
-def envelope_summary(envelope: dict) -> dict | None:
-    """The summary block of a stored envelope, recomputing it from the
-    report payload when absent or written under another summary schema
-    (the backfill path for pre-summary stores)."""
+def envelope_summary(envelope: dict) -> dict:
+    """The summary block of a stored report envelope (one
+    :meth:`~repro.service.store.ResultStore.lookup` returned),
+    recomputing it from the report payload when absent or written under
+    another summary schema (the backfill path for pre-summary stores)."""
     summary = envelope.get("summary")
     if isinstance(summary, dict) and summary.get("schema") == SUMMARY_SCHEMA:
         return summary
-    report = envelope.get("report")
-    if not isinstance(report, dict):
-        return None
-    return report_summary(report)
+    return report_summary(envelope["report"])
 
 
 def extract_doc(key: str, app: str, report: dict) -> dict:
@@ -196,23 +195,9 @@ def extract_doc(key: str, app: str, report: dict) -> dict:
     }
 
 
-def doc_from_envelope(envelope) -> dict | None:
-    """:func:`extract_doc` over a stored envelope; ``None`` for
-    non-report envelopes (diff caches, manifests) and for anything that
-    is not an envelope (a missing file, a JSON array)."""
-    if not isinstance(envelope, dict):
-        return None
-    report = envelope.get("report")
-    key = envelope.get("key")
-    if not isinstance(report, dict) or not key:
-        return None
-    return extract_doc(key, envelope.get("app", ""), report)
-
-
 __all__ = [
     "GRAM_WIDTH",
     "SUMMARY_SCHEMA",
-    "doc_from_envelope",
     "envelope_summary",
     "extract_doc",
     "report_summary",

@@ -44,7 +44,7 @@ import json
 from pathlib import Path
 
 from ..service.store import atomic_write, canonical_json
-from .docs import doc_from_envelope
+from .docs import extract_doc
 
 #: Bump when the index layout (manifest, segment or docs shape) changes
 #: incompatibly; a mismatched tree reads as "no index".
@@ -89,11 +89,11 @@ def write_pending_delta(store_root: str | Path, key: str) -> None:
     """Mark one freshly stored report as unfolded: an empty
     ``index/pending/<key>.json``.
 
-    Called by :meth:`ResultStore.put_envelope` after the envelope has
-    landed.  The marker carries nothing — readers derive the document
-    from the envelope — so it is not fsynced: a lost marker only hides
-    the report until the next fold, which indexes every stored report
-    the durable tree lacks.
+    Called by :meth:`ResultStore.put` after the envelope has landed.
+    The marker carries nothing — readers derive the document from the
+    envelope — so it is not fsynced: a lost marker only hides the report
+    until the next fold, which indexes every stored report the durable
+    tree lacks.
     """
     directory = pending_dir(store_root)
     directory.mkdir(parents=True, exist_ok=True)
@@ -112,6 +112,15 @@ def _marker_names(store_root: str | Path) -> tuple[str, ...]:
 
 
 # ----------------------------------------------------------- doc registry
+def _stored_doc(store, key: str) -> dict | None:
+    """The index document of the report stored under ``key``, or ``None``
+    when :meth:`ResultStore.lookup` finds no stored report there."""
+    envelope = store.lookup(key)
+    if envelope is None:
+        return None
+    return extract_doc(key, envelope.get("app", ""), envelope["report"])
+
+
 def _registry_entry(doc: dict) -> dict:
     """The durable (term-free) form of one document for the doc registry:
     everything the catalog, ``like:`` resolution and result labelling
@@ -178,11 +187,9 @@ class FleetIndex:
             key = name.removesuffix(".json")
             if key in self.docs:
                 continue  # already folded durably; the marker is a leftover
-            doc = self._unfolded.get(key)
+            doc = self._unfolded.get(key) or _stored_doc(self.store, key)
             if doc is None:
-                doc = doc_from_envelope(self.store.load(key))
-                if doc is None:
-                    continue  # no stored report under this key
+                continue  # no stored report under this key
             unfolded[key] = doc
             self.docs[key] = _registry_entry(doc)
             for term, postings in _doc_postings(key, doc).items():
@@ -305,9 +312,9 @@ def build_index(store, *, rebuild: bool = False) -> dict:
     for key in store.entries():
         if key in registry:
             continue
-        doc = doc_from_envelope(store.load(key))
+        doc = _stored_doc(store, key)
         if doc is None:
-            continue  # a derived artifact (a cached diff), or unreadable
+            continue
         registry[key] = _registry_entry(doc)
         for term, term_postings in _doc_postings(key, doc).items():
             postings.setdefault(term, set()).update(term_postings)

@@ -11,7 +11,9 @@ fleet without linking against this package:
   ``limit``/``cursor`` pagination.
 * ``get_file`` — one stored report envelope, by result key or app name
   (the app's most recent result: the one ``ResultStore.list_entries``
-  lists last, by envelope mtime with ties broken by key).
+  lists last, by envelope mtime with ties broken by key), read through
+  ``ResultStore.lookup``: a key whose file it rejects is an in-band tool
+  error.
 
 The server is deliberately dumb transport: :class:`McpCatalogServer.handle`
 is a pure request-dict → response-dict function (tested without pipes),
@@ -152,7 +154,7 @@ class McpCatalogServer:
             key = arguments.get("key")
             if not key and arguments.get("app"):
                 key = self._latest_key(arguments["app"])
-            envelope = self.store.load(key) if key else None
+            envelope = self.store.lookup(key) if key else None
             if envelope is None:
                 return self._tool_error(
                     f"no stored result for {arguments.get('key') or arguments.get('app')!r}"
@@ -161,8 +163,20 @@ class McpCatalogServer:
         return self._tool_error(f"unknown tool {name!r}")
 
     # -------------------------------------------------------------- JSON-RPC
-    def handle(self, request: dict) -> dict | None:
-        """One JSON-RPC request → response dict (``None`` = notification)."""
+    def handle(self, request) -> dict | None:
+        """One parsed JSON-RPC message → response dict (``None`` =
+        notification).  A message that is not an object (batches are not
+        supported) is an invalid request; ``tools/call`` params or
+        arguments that are not objects are invalid params."""
+        if not isinstance(request, dict):
+            return {
+                "jsonrpc": "2.0",
+                "id": None,
+                "error": {
+                    "code": -32600,
+                    "message": "invalid request: not a JSON object",
+                },
+            }
         method = request.get("method", "")
         req_id = request.get("id")
         if req_id is None:
@@ -189,11 +203,18 @@ class McpCatalogServer:
         if method == "tools/list":
             return ok({"tools": TOOLS})
         if method == "tools/call":
-            params = request.get("params") or {}
-            name = params.get("name", "")
-            arguments = params.get("arguments") or {}
+            params = request.get("params", {})
+            arguments = (
+                params.get("arguments", {}) if isinstance(params, dict)
+                else None
+            )
+            if not isinstance(arguments, dict):
+                return err(
+                    -32602, "invalid params: params and arguments must be "
+                    "objects"
+                )
             try:
-                return ok(self._call(name, arguments))
+                return ok(self._call(params.get("name", ""), arguments))
             except Exception as exc:  # tool bugs become protocol errors
                 return err(-32603, f"{type(exc).__name__}: {exc}")
         return err(-32601, f"method not found: {method}")

@@ -9,7 +9,9 @@ Endpoints::
                            overrides in the X-Repro-Config header
     GET  /jobs             all jobs
     GET  /jobs/<id>        one job
-    GET  /report/<key>     stored result envelope by result key
+    GET  /report/<key>     stored report envelope by result key (read
+                           through ``ResultStore.lookup``: 404 for any
+                           file it rejects)
     GET  /reports          metadata of stored reports (key, app, config
                            key, schema, transaction count, summary),
                            paginated: ``?limit=&cursor=`` with an opaque
@@ -23,7 +25,7 @@ Endpoints::
     GET  /catalog          the fleet app catalog (per-app keys, hosts,
                            endpoint/dependency aggregates), paginated
     GET  /diff/<k1>/<k2>   protocol diff of two stored reports, computed
-                           once and cached in the store
+                           on every request; writes nothing to the store
     GET  /metrics          counters / gauges / histograms + store stats
                            (JSON by default; ``?format=prometheus`` or an
                            ``Accept: text/plain`` header switches to
@@ -36,7 +38,8 @@ Endpoints::
 
 ``POST /analyze`` answers ``202`` with the job (``200`` when the result
 was already stored — the job is born done as a cache hit), and ``400`` for
-a malformed bundle or an unknown config field or mode.  The server is
+a body that is not a JSON object with a non-empty string ``target``, a
+malformed bundle, or an unknown config field or mode.  The server is
 a ``ThreadingHTTPServer``: concurrent posts for the same APK are collapsed
 onto one job by the scheduler's in-flight deduplication.
 """
@@ -172,9 +175,13 @@ class AnalysisService:
                 payload = json.loads(body or b"{}")
             except json.JSONDecodeError:
                 return 400, {"error": "request body is not valid JSON"}
+            if not isinstance(payload, dict):
+                return 400, {"error": "request body is not a JSON object"}
             target = payload.get("target")
             if not target:
                 return 400, {"error": "missing 'target'"}
+            if not isinstance(target, str):
+                return 400, {"error": "'target' is not a string"}
             overrides = payload.get("config")
             try:
                 apk, config, label = resolve_target(target, overrides)
@@ -309,24 +316,15 @@ class AnalysisService:
         }
 
     def handle_diff(self, old_key: str, new_key: str) -> tuple[int, dict]:
-        from ..diff.engine import cached_diff, diff_cache_key
+        from ..diff.engine import stored_diff
 
-        result = cached_diff(self.store, old_key, new_key)
-        if result is None:
+        diff = stored_diff(self.store, old_key, new_key)
+        if diff is None:
             return 404, {
                 "error": "one or both report keys are not in the store"
             }
-        diff, was_cached = result
-        self.metrics.counter(
-            "diffs_cached" if was_cached else "diffs_computed"
-        ).inc()
-        return 200, {
-            "old_key": old_key,
-            "new_key": new_key,
-            "cached": was_cached,
-            "cache_key": diff_cache_key(old_key, new_key),
-            "diff": diff,
-        }
+        self.metrics.counter("diffs_computed").inc()
+        return 200, {"old_key": old_key, "new_key": new_key, "diff": diff}
 
     def handle_healthz(self) -> dict:
         counts = self.scheduler.counts()
@@ -418,7 +416,9 @@ def _make_handler(service: AnalysisService):
                 status, payload = service.handle_catalog(*_paging(query))
                 self._send(status, payload)
             elif path.startswith("/report/"):
-                envelope = service.store.load(path.removeprefix("/report/"))
+                envelope = service.store.lookup(
+                    path.removeprefix("/report/")
+                )
                 if envelope is None:
                     self._send(404, {"error": "no such report"})
                 else:

@@ -263,24 +263,27 @@ def _process_item(
     :func:`analyze_through_store`, retrying a failed attempt as
     :func:`retry_delay` says (the backoff sleeps in this worker).  Each
     attempt's ``analyze:<app>`` trace nests under ``span``, the entry's
-    ``job:<target>`` span."""
+    ``job:<target>`` span.  The record's ``seconds`` cover the whole
+    entry: target resolution, the APK digest and cache key included,
+    and a failed resolution too."""
     from ..apk.loader import apk_digest
     from ..core.extractocol import Extractocol
     from .jobs import resolve_target
     from .store import result_key
 
     record = ShardRecord(index=index, target=target, worker=worker_id)
+    started = time.monotonic()
     try:
         apk, config, label = resolve_target(target)
     except Exception as exc:
         record.fail(exc, trace=True)
         record.label = target
+        record.seconds = time.monotonic() - started
         return record
     record.label = label
     digest = apk_digest(apk)
     config_key = config.cache_key()
     record.result_key = result_key(digest, config_key)
-    started = time.monotonic()
 
     def analyze():
         report = Extractocol(config, span=span).analyze(apk)

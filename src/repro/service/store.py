@@ -22,6 +22,13 @@ Layout::
 
 The two-level fan-out keeps directories small for fleet-sized corpora.
 
+``objects/`` holds report envelopes only, with one writer and one reader
+rule: :meth:`ResultStore.put` is the only code that writes there, and
+:meth:`ResultStore.lookup` is how every reader gets a stored report
+(cache probes, listings, ``GET /report``, ``GET /diff``, the fleet
+index).  A file ``lookup`` rejects, such as the ``diff-*`` cache an
+older store may hold, stays on disk and reads as absent everywhere.
+
 **Leases** are the cross-process companion to the atomic object writes:
 multiple analyzer processes (or daemons) sharing one store claim a lease
 file — written aside, then ``os.link``-ed into place, so exactly one
@@ -262,8 +269,9 @@ class ResultStore:
 
         A report envelope is a JSON object of the current schema whose
         ``report`` is an object.  Anything else (unreadable, corrupt,
-        schema-incompatible, a diff cache entry) reads as ``None``: the
-        caller re-analyses and the fresh ``put`` replaces it.
+        schema-incompatible, a ``diff-*`` file an older store left) reads
+        as ``None``: a cache probe re-analyses and the fresh ``put``
+        replaces it, and every other reader answers "not stored".
         """
         envelope = self.load(key)
         if (
@@ -275,9 +283,9 @@ class ResultStore:
         return envelope
 
     def load(self, key: str) -> dict | None:
-        """Load an envelope by full result key (no hit/miss accounting —
-        this is the ``GET /report/<key>`` lookup, not a cache probe).  A
-        file that does not parse as a JSON object reads as ``None``."""
+        """Parse the file under ``key``: :meth:`lookup`'s parser, with no
+        envelope check.  A file that does not parse as a JSON object
+        reads as ``None``."""
         path = self.path_for(key)
         try:
             envelope = json.loads(path.read_text())
@@ -285,22 +293,31 @@ class ResultStore:
             return None
         return envelope if isinstance(envelope, dict) else None
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     # ------------------------------------------------------------ writes
     def put(
         self, apk_digest: str, config_key: str, report: AnalysisReport
     ) -> str:
-        """Store a report; returns its result key.
+        """Store a report; returns its result key.  The only writer of
+        ``objects/``.
 
         The write is atomic: readers either see the complete entry or the
         previous state, never a torn file.  Timing metadata — the report's
         own ``analysis_seconds`` and ``phase_stats`` — lives in the
         envelope, outside ``report``, so the report payload stays
-        byte-identical across runs.
+        byte-identical across runs.  Lint findings travel inside the
+        report payload (its ``lint`` key) and nowhere else.
+
+        This is the one fsynced write of a report.  An empty pending
+        marker then lands in the side-band ``index/`` tree, so fleet
+        index readers overlay the report at once (see
+        :mod:`repro.fleetindex.index`); a failed marker never fails the
+        durable write, and the next index fold indexes the report anyway.
         """
+        from ..fleetindex.docs import report_summary
+        from ..fleetindex.index import write_pending_delta
+
         key = result_key(apk_digest, config_key)
+        payload = report_to_dict(report)
         envelope = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -308,57 +325,23 @@ class ResultStore:
             "config_key": config_key,
             "app": report.app,
             "analysis_seconds": report.analysis_seconds,
-            "report": report_to_dict(report),
+            "report": payload,
+            # compact queryable block (hosts/endpoint counts/dependency
+            # fields) so listings and the catalog never have to walk the
+            # full report payload; carries its own summary schema
+            "summary": report_summary(payload),
         }
-        from ..fleetindex.docs import report_summary
-
-        # compact queryable block (hosts/endpoint counts/dependency
-        # fields) so listings and the fleet indexer never have to walk
-        # the full report payload; carries its own summary schema
-        envelope["summary"] = report_summary(envelope["report"])
         if report.phase_stats is not None:
             # run-specific profile: envelope metadata, like
             # analysis_seconds — never inside the "report" payload
             envelope["phase_stats"] = report.phase_stats.to_dict()
-        if getattr(report, "lint_findings", None):
-            # quick-glance severity totals; the findings themselves travel
-            # inside the report payload (its "lint" key)
-            from ..lint.diagnostics import count_by_severity
-
-            envelope["lint"] = {
-                severity: amount
-                for severity, amount in count_by_severity(
-                    report.lint_findings
-                ).items()
-                if amount
-            }
-        return self.put_envelope(key, envelope)
-
-    def put_envelope(self, key: str, envelope: dict) -> str:
-        """Write an arbitrary envelope dict under ``key``, atomically.
-
-        This is the raw write primitive behind :meth:`put`; derived
-        artifacts (cached protocol diffs) use it directly.  Envelopes
-        without a ``report`` key are invisible to :meth:`get` and
-        :meth:`list_entries`.
-
-        This is the one fsynced write of a report.  Report envelopes
-        then also create an empty pending marker in the side-band
-        ``index/`` tree, so fleet index readers overlay the report at once
-        (see :mod:`repro.fleetindex.index`); a failed marker never fails
-        the durable write, and the next index fold indexes the report
-        anyway.
-        """
         atomic_write(self.path_for(key), canonical_json(envelope))
         with self._lock:
             self.writes += 1
-        if isinstance(envelope.get("report"), dict):
-            from ..fleetindex.index import write_pending_delta
-
-            try:
-                write_pending_delta(self.root, key)
-            except OSError:
-                pass
+        try:
+            write_pending_delta(self.root, key)
+        except OSError:
+            pass
         return key
 
     # --------------------------------------------------------- manifests
@@ -435,15 +418,14 @@ class ResultStore:
         )
 
     def list_entries(self) -> list[dict]:
-        """Metadata for every stored *report* envelope (read through
+        """Metadata for every stored report envelope (read through
         :meth:`lookup`), sorted by ``(app, stored_at, key)``; powers
         ``GET /reports`` and the CLI's latest-two-versions lookup.
 
-        Derived artifacts (diff caches) and entries :meth:`lookup` rejects
-        are skipped; the report payload itself is not returned — fetch it
-        via the key.  Each entry carries the envelope's compact
-        ``summary`` block, recomputed on the fly for envelopes that
-        predate it (the backfill path — see
+        Entries :meth:`lookup` rejects are skipped; the report payload
+        itself is not returned — fetch it via the key.  Each entry carries
+        the envelope's compact ``summary`` block, recomputed on the fly
+        for envelopes that predate it (the backfill path — see
         :func:`repro.fleetindex.docs.envelope_summary`).
         """
         from ..fleetindex.docs import envelope_summary
@@ -468,13 +450,17 @@ class ResultStore:
         return out
 
     def stats(self) -> dict:
+        """The counts, plus ``entries``: a directory scan, run before
+        taking the lock so concurrent :meth:`record` and :meth:`put`
+        calls never wait on it."""
+        entries = len(self.entries())
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
                 "manifest_writes": self.manifest_writes,
-                "entries": len(self.entries()),
+                "entries": entries,
                 "schema": SCHEMA_VERSION,
             }
 

@@ -233,8 +233,10 @@ class TestDiffTargets:
 
 
 class TestStoreCache:
-    def test_cached_diff_round_trip(self, tmp_path):
-        from repro.diff.engine import cached_diff, diff_cache_key
+    def test_stored_diff_writes_nothing(self, tmp_path):
+        """``GET /diff`` recomputes from the two stored reports on every
+        call and leaves ``objects/`` holding the reports only."""
+        from repro.diff.engine import stored_diff
         from repro.service.store import ResultStore
 
         store = ResultStore(tmp_path)
@@ -243,28 +245,18 @@ class TestStoreCache:
         from repro.apk.loader import apk_digest
 
         key = store.put(apk_digest(apk), config.cache_key(), report)
-
-        first = cached_diff(store, key, key)
-        assert first is not None
-        diff_dict, was_cached = first
-        assert not was_cached
-        assert diff_dict["verdict"] == "identical"
-
-        second = cached_diff(store, key, key)
-        assert second == (diff_dict, True)
-        # the cache entry is a real store object, not a report
-        assert diff_cache_key(key, key) in store.entries()
-        assert all(
-            e["key"] != diff_cache_key(key, key)
-            for e in store.list_entries()
-        )
+        first = stored_diff(store, key, key)
+        assert first["verdict"] == "identical"
+        assert stored_diff(store, key, key) == first
+        assert store.entries() == [key]
+        assert store.stats()["writes"] == 1
 
     def test_missing_keys_return_none(self, tmp_path):
-        from repro.diff.engine import cached_diff
+        from repro.diff.engine import stored_diff
         from repro.service.store import ResultStore
 
         store = ResultStore(tmp_path)
-        assert cached_diff(store, "nope", "nada") is None
+        assert stored_diff(store, "nope", "nada") is None
 
     def test_operand_leased_by_another_owner_is_read_back(
         self, tmp_path, monkeypatch
@@ -351,12 +343,11 @@ def _lineage_pairs() -> list[tuple[str, str]]:
 
 
 def test_stored_and_live_reports_diff_alike(tmp_path):
-    """``GET /diff`` (:func:`cached_diff`) diffs the two stored report
+    """``GET /diff`` (:func:`stored_diff`) diffs the two stored report
     dicts as they are; ``diff_reports`` serialises two live reports.  On
-    every lineage pair, computed and then served from the cache, the
-    stored path gives the live path's diff."""
+    every lineage pair the stored path gives the live path's diff."""
     from repro.apk.loader import apk_digest
-    from repro.diff.engine import cached_diff
+    from repro.diff.engine import stored_diff
     from repro.service.store import ResultStore, canonical_json
 
     store = ResultStore(tmp_path)
@@ -370,11 +361,8 @@ def test_stored_and_live_reports_diff_alike(tmp_path):
     verdicts = set()
     for old, new in pairs:
         live = diff_reports(reports[old], reports[new]).to_dict()
-        for was_cached in (False, True):
-            stored = cached_diff(store, keys[old], keys[new])
-            assert stored[1] is was_cached
-            assert canonical_json(stored[0]) == canonical_json(live), (
-                old, new)
+        stored = stored_diff(store, keys[old], keys[new])
+        assert canonical_json(stored) == canonical_json(live), (old, new)
         verdicts.add(live["verdict"])
     assert verdicts == {"identical", "compatible", "breaking"}
 

@@ -272,6 +272,35 @@ class TestShardedBatchTelemetry:
         assert "worker-0;job:diode;analyze:Diode;phase:slicing" in frames
         assert sum(int(us) for us in frames.values()) > 0
 
+    def test_job_seconds_cover_target_resolution(self, tmp_path,
+                                                 monkeypatch):
+        """A batch entry's clock starts before ``resolve_target``: the
+        record and its ``job:`` span include resolution, and an entry
+        whose resolution fails records its seconds too."""
+        import repro.service.jobs as jobs
+
+        resolve = jobs.resolve_target
+
+        def slow_resolve(target, *args, **kwargs):
+            time.sleep(0.5)
+            return resolve(target, *args, **kwargs)
+
+        monkeypatch.setattr(jobs, "resolve_target", slow_resolve)
+        run_dir = run_telemetry_dir(tmp_path / "store", "r", create=True)
+        records = run_sharded_batch(
+            tmp_path / "store", ["diode", "no-such-app"], workers=1,
+            run_id="r", telemetry_dir=run_dir,
+        )
+        assert [r.status for r in records] == ["done", "failed"]
+        assert all(r.seconds >= 0.5 for r in records)
+        events = validate_jsonl(
+            (run_dir / "worker-0.trace.jsonl").read_text()
+        )
+        job_seconds = {e["name"]: e["seconds"] for e in events
+                       if e["name"].startswith("job:")}
+        assert set(job_seconds) == {"job:diode", "job:no-such-app"}
+        assert all(s >= 0.5 for s in job_seconds.values())
+
     def test_no_telemetry_dir_means_no_files(self, tmp_path):
         records = run_sharded_batch(tmp_path / "store", ["diode"], workers=1)
         assert records[0].status == "done"

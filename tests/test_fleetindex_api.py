@@ -183,6 +183,43 @@ class TestMcpServer:
         assert server.handle({"jsonrpc": "2.0",
                               "method": "notifications/initialized"}) is None
 
+    def test_get_file_refuses_what_lookup_rejects(self, tmp_path):
+        """A ``diff-*`` file an older store holds, or a torn file, is no
+        stored report: ``get_file`` answers with an in-band tool error."""
+        store = ResultStore(tmp_path / "store")
+        for name, text in (("diff-" + "ab" * 20, '{"diff": {}}'),
+                           ("cd" * 32, "{ torn")):
+            path = store.path_for(name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            is_error, message = self.tool(
+                McpCatalogServer(store), "get_file", {"key": name}
+            )
+            assert is_error and name in message
+
+    def test_stdio_loop_survives_malformed_requests(self, server):
+        """A non-object message is an invalid request (``id: null``),
+        non-object params or arguments are invalid params, and the loop
+        keeps answering."""
+        call = {"jsonrpc": "2.0", "method": "tools/call"}
+        lines = "\n".join([
+            "[1, 2]",
+            '"ping"',
+            json.dumps({**call, "id": 1, "params": [1]}),
+            json.dumps({**call, "id": 2,
+                        "params": {"name": "search", "arguments": "q"}}),
+            json.dumps({"jsonrpc": "2.0", "id": 3, "method": "ping"}),
+        ]) + "\n"
+        out = io.StringIO()
+        serve(server.store, stdin=io.StringIO(lines), stdout=out)
+        responses = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert [(r["id"], r.get("error", {}).get("code"))
+                for r in responses] == [
+            (None, -32600), (None, -32600), (1, -32602), (2, -32602),
+            (3, None),
+        ]
+        assert responses[-1] == {"jsonrpc": "2.0", "id": 3, "result": {}}
+
     def test_stdio_loop(self, server):
         lines = "\n".join([
             json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"}),

@@ -119,15 +119,20 @@ class TestPipelineGate:
 
 
 class TestStoreEnvelope:
-    def test_envelope_carries_severity_totals(self, tmp_path):
+    def test_findings_travel_in_the_report_only(self, tmp_path):
+        """The envelope keeps no severity totals: the findings are in the
+        report payload's ``lint`` key and nowhere else."""
         apk = _apk(warning_only=False)
         config = AnalysisConfig(lint_level="record")
         report = Extractocol(config).analyze(apk)
         store = ResultStore(tmp_path / "store")
         key = store.put(apk_digest(apk), config.cache_key(), report)
         envelope = json.loads(store.path_for(key).read_text())
-        assert envelope["lint"]["error"] >= 1
-        assert envelope["report"]["lint"]  # findings travel in the report
+        assert "lint" not in envelope
+        assert envelope["report"]["lint"] == [
+            f.to_dict() for f in report.lint_findings
+        ]
+        assert any(f["severity"] == "error" for f in envelope["report"]["lint"])
 
     def test_clean_report_has_no_lint_key(self, tmp_path):
         apk = build_app("diode")

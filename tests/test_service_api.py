@@ -258,6 +258,20 @@ class TestOperationalEndpoints:
         _, after = get(service, "/status")
         assert after["jobs"]["total"] == before["jobs"]["total"]
 
+    @pytest.mark.parametrize("body, needle", [
+        pytest.param(b"[1, 2]", "object", id="body-array"),
+        pytest.param(b'"diode"', "object", id="body-string"),
+        pytest.param(b'{"target": 5}', "target", id="target-int"),
+        pytest.param(b'{"target": ["diode"]}', "target", id="target-list"),
+    ])
+    def test_malformed_body_is_a_bad_request(self, service, body, needle):
+        _, before = get(service, "/status")
+        status, data = _request(service, "POST", "/analyze", body,
+                                headers={"Content-Type": "application/json"})
+        assert status == 400 and needle in data["error"]
+        _, after = get(service, "/status")
+        assert after["jobs"]["total"] == before["jobs"]["total"]
+
     def test_unknown_mode_is_a_bad_request_cold_and_warm(self, service):
         bad = {"target": "diode", "config": {"mode": "bogus"}}
         status, data = post(service, "/analyze", bad)  # cold store
@@ -428,23 +442,47 @@ class TestReportsAndDiff:
                     "transactions", "stored_at"} <= entry.keys()
             assert "report" not in entry
 
-    def test_diff_endpoint_computes_then_caches(self, service):
+    def test_diff_endpoint_recomputes_and_writes_nothing(self, service):
         key = self._store_one(service, "tzm")
         status, data = get(service, f"/diff/{key}/{key}")
         assert status == 200
-        assert data["cached"] is False
+        assert set(data) == {"old_key", "new_key", "diff"}
         assert data["diff"]["verdict"] == "identical"
         assert data["diff"]["breaking"] is False
 
         status, again = get(service, f"/diff/{key}/{key}")
-        assert status == 200 and again["cached"] is True
-        assert again["diff"] == data["diff"]
+        assert status == 200 and again == data
         _, metrics = get(service, "/metrics")
-        assert metrics["counters"]["diffs_computed"] == 1
-        assert metrics["counters"]["diffs_cached"] == 1
-        # the diff cache entry never shows up as a report
+        assert metrics["counters"]["diffs_computed"] == 2
+        # objects/ holds the one report and nothing else
+        assert service.store.entries() == [key]
+        assert metrics["store"]["entries"] == 1
         _, listing = get(service, "/reports")
         assert [e["key"] for e in listing["reports"]] == [key]
+
+    @pytest.mark.parametrize("name, text", [
+        pytest.param("diff-" + "ab" * 20,
+                     json.dumps({"diff_schema": 1, "key": "diff-x",
+                                 "diff": {}}),
+                     id="older-diff-cache"),
+        pytest.param("ab" * 32, "{ torn", id="torn"),
+        pytest.param("cd" * 32, json.dumps({"schema": 0, "report": {}}),
+                     id="other-schema"),
+    ])
+    def test_report_endpoint_refuses_what_lookup_rejects(
+        self, service, name, text
+    ):
+        path = service.store.path_for(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        status, data = get(service, f"/report/{name}")
+        assert status == 404 and data == {"error": "no such report"}
+
+    def test_report_endpoint_serves_the_stored_envelope(self, service):
+        key = self._store_one(service, "tzm")
+        status, envelope = get(service, f"/report/{key}")
+        assert status == 200
+        assert envelope == service.store.lookup(key)
 
     def test_non_object_report_is_neither_listed_nor_diffed(self, service):
         """An envelope whose ``report`` is not an object is no stored

@@ -259,23 +259,41 @@ class TestResultStore:
     def test_list_entries_skips_non_report_envelopes(
         self, tmp_path, diode_report
     ):
+        """Files :meth:`ResultStore.lookup` rejects stay on disk and out
+        of the listing: the ``diff-*`` cache an older store holds, and a
+        torn file."""
         apk, config, report = diode_report
         store = ResultStore(tmp_path / "store")
         store.put(apk_digest(apk), config.cache_key(), report)
-        store.put_envelope("diff-cafe", {"diff_schema": 1, "diff": {}})
+        old_diff = store.path_for("diff-cafe")
+        old_diff.parent.mkdir(parents=True, exist_ok=True)
+        old_diff.write_text(json.dumps({"diff_schema": 1, "diff": {}}))
         (store.objects / "zz").mkdir()
         (store.objects / "zz" / "zz.json").write_text("{ torn")
         assert len(store.entries()) == 3
+        assert store.lookup("diff-cafe") is None
         assert [e["key"] for e in store.list_entries()] == [
             f"{apk_digest(apk)}-{config.cache_key()}"
         ]
 
-    def test_put_envelope_atomic_and_counted(self, tmp_path):
+    def test_stats_scans_objects_outside_the_lock(
+        self, tmp_path, diode_report, monkeypatch
+    ):
+        """The ``entries`` scan runs with ``_lock`` free, so a concurrent
+        ``record`` or ``put`` never waits for it."""
+        apk, config, report = diode_report
         store = ResultStore(tmp_path / "store")
-        key = store.put_envelope("diff-beef", {"x": 1})
-        assert key == "diff-beef"
-        assert json.loads(store.path_for(key).read_text()) == {"x": 1}
-        assert store.stats()["writes"] == 1
-        assert not [
-            p for p in (tmp_path / "store").rglob("*") if p.suffix == ".tmp"
-        ]
+        store.put(apk_digest(apk), config.cache_key(), report)
+        entries = store.entries
+        lock_free = []
+
+        def probed():
+            free = store._lock.acquire(blocking=False)
+            if free:
+                store._lock.release()
+            lock_free.append(free)
+            return entries()
+
+        monkeypatch.setattr(store, "entries", probed)
+        assert store.stats()["entries"] == 1
+        assert lock_free == [True]
