@@ -20,7 +20,7 @@ import time
 from repro.core.extractocol import Extractocol
 from repro.core.report import report_to_dict
 from repro.corpus import app_keys
-from repro.diff import diff_dicts
+from repro.diff.engine import diff_dicts
 from repro.service import resolve_target
 
 #: Whole sweep (34 analyses + 34 self-diffs).  Empirically a few seconds;

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.extractocol import Extractocol
 from repro.corpus import build_version, lineage
-from repro.diff import diff_reports
+from repro.diff.engine import diff_reports
 
 
 def analyze(label: str):

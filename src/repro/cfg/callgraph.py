@@ -9,7 +9,7 @@ extends FlowDroid with EdgeMiner-style callback knowledge (§3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..ir.method import Method
 from ..ir.program import Program
@@ -17,8 +17,7 @@ from ..ir.statements import Stmt, StmtRef
 from ..ir.values import InvokeExpr, Local
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     caller: str  # method_id
     ref: StmtRef
     expr: InvokeExpr

@@ -443,7 +443,8 @@ def cmd_diff(args) -> int:
     additions.  An unresolvable target or a malformed bundle exits 2.
     """
     from repro.apk.loader import BundleError
-    from repro.diff import diff_targets, render_markdown
+    from repro.diff.engine import diff_targets
+    from repro.diff.model import render_markdown
     from repro.service.store import ResultStore, canonical_json
 
     if not args.latest and not (args.old and args.new):

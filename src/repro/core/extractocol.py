@@ -101,8 +101,8 @@ class Extractocol:
         program = apk.program
 
         # Opt-in pre-analysis lint gate (DESIGN.md "Static checking"): the
-        # default "off" costs exactly this one branch; any other level runs
-        # the static pass families and may abort before the pipeline.
+        # default "off" skips it and the signature lints at the end; any
+        # other level runs the static pass families and may abort here.
         lint_findings = []
         if self.config.lint_level != "off":
             from ..lint.runner import gate as lint_gate

@@ -27,27 +27,3 @@ changes, for CI), ``GET /diff/<key1>/<key2>`` on the analysis service
 :func:`repro.evalx.drift.render_drift_table` over the generated version
 lineages in :mod:`repro.corpus.lineage`.
 """
-
-from .classify import BREAKING_KINDS
-from .engine import diff_dicts, diff_reports, diff_targets
-from .model import (
-    DIFF_SCHEMA_VERSION,
-    Change,
-    ProtocolDiff,
-    TxnDelta,
-    TxnSummary,
-    render_markdown,
-)
-
-__all__ = [
-    "BREAKING_KINDS",
-    "Change",
-    "DIFF_SCHEMA_VERSION",
-    "ProtocolDiff",
-    "TxnDelta",
-    "TxnSummary",
-    "diff_dicts",
-    "diff_reports",
-    "diff_targets",
-    "render_markdown",
-]

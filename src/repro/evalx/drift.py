@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from ..core.extractocol import Extractocol
 from ..corpus.lineage import LineageVersion, lineage_keys, lineages
-from ..diff import ProtocolDiff, diff_reports
+from ..diff.engine import diff_reports
+from ..diff.model import ProtocolDiff
 
 
 @dataclass

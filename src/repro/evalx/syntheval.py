@@ -114,7 +114,7 @@ def score_app(key: str, *, diff_lineage: bool = True) -> SynthAppScore:
     if diff_lineage:
         versions = synth_lineage(key)
         if len(versions) > 1:
-            from ..diff import diff_targets
+            from ..diff.engine import diff_targets
 
             v2 = versions[-1]
             score.drift_expected = (

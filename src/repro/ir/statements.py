@@ -8,8 +8,7 @@ IR uniformly, and ``invoke`` for call-site handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .values import (
     ArrayRef,
@@ -229,12 +228,13 @@ class NopStmt(Stmt):
         return "nop"
 
 
-@dataclass(frozen=True)
-class StmtRef:
+class StmtRef(NamedTuple):
     """A globally unique reference to one statement: (method, index).
 
     Program slices, taint traces and dependency edges are sets of StmtRefs,
-    which keeps them hashable and independent of object identity.
+    which keeps them hashable and independent of object identity.  As a
+    tuple it hashes and compares in C, and it hashes like the plain tuple
+    ``(method_id, index)``.
     """
 
     method_id: str

@@ -10,7 +10,7 @@ exits non-zero only on findings *not* in the baseline.
 Gate levels (``AnalysisConfig.lint_level``):
 
 ========  ==========================================================
-off       lint never runs (default; costs one branch)
+off       lint never runs (the default)
 record    findings are computed and carried on the report, never fatal
 error     error-severity findings abort the analysis (LintGateError)
 strict    warnings are fatal too

@@ -100,9 +100,10 @@ class SliceTable:
     """Everything the taint engine and the slicer read about one method,
     built in one walk over its body.
 
-    * per statement ``i``: ``defined[i]``, the local it defines (or
-      ``None``), and ``used[i]``, the locals it reads;
-    * per local: ``def_sites`` / ``use_sites``, statement indices in
+    * per statement ``i``: ``defined[i]``, the name of the local it
+      defines (or ``None``), and ``used[i]``, the names of the locals it
+      reads;
+    * per local name: ``def_sites`` / ``use_sites``, statement indices in
       statement order, and ``mentions``, a bitmask of the statements that
       define or use it (the candidates for backward region building);
     * per statement, as bitmasks with bit ``j`` for statement ``j``:
@@ -110,6 +111,10 @@ class SliceTable:
       the statements that reach ``j`` (both reflexive), and the
       definitions reaching ``i``'s entry, read through
       :meth:`reaching_defs`.
+
+    Locals are keyed by name, which is unique within a body
+    (:meth:`~repro.ir.method.Body.declare_local`): a name hashes and
+    compares in C, a :class:`~repro.ir.values.Local` in Python.
 
     Each bitmask relation is one sweep in statement order (reverse order
     for ``reach``).  Only when the CFG has a back edge (an edge to an
@@ -126,25 +131,25 @@ class SliceTable:
         """``cfg`` is the body's CFG, or ``None`` when it has no
         statements."""
         n = len(stmts)
-        defined: list[Local | None] = [None] * n
-        used: list[frozenset[Local]] = [_NO_LOCALS] * n
-        def_sites: dict[Local, list[int]] = {}
-        use_sites: dict[Local, list[int]] = {}
-        mentions: dict[Local, int] = {}
+        defined: list[str | None] = [None] * n
+        used: list[frozenset[str]] = [_NO_LOCALS] * n
+        def_sites: dict[str, list[int]] = {}
+        use_sites: dict[str, list[int]] = {}
+        mentions: dict[str, int] = {}
         # per local, the bits of the statements defining it: its
         # reaching-definition kill set
-        kill: dict[Local, int] = {}
+        kill: dict[str, int] = {}
         for i, stmt in enumerate(stmts):
             bit = 1 << i
             for d in stmt.defs():
                 if isinstance(d, Local):
-                    defined[i] = d
-                    def_sites.setdefault(d, []).append(i)
-                    mentions[d] = mentions.get(d, 0) | bit
-                    kill[d] = kill.get(d, 0) | bit
+                    name = defined[i] = d.name
+                    def_sites.setdefault(name, []).append(i)
+                    mentions[name] = mentions.get(name, 0) | bit
+                    kill[name] = kill.get(name, 0) | bit
                     break
             reads = frozenset(
-                v for use in stmt.uses() for v in walk_values(use)
+                v.name for use in stmt.uses() for v in walk_values(use)
                 if isinstance(v, Local)
             )
             if reads:
@@ -177,8 +182,8 @@ class SliceTable:
                 acc = 0
                 for p in pred.get(i, ()):
                     acc |= defs_out[p]
-                local = defined[i]
-                out = acc if local is None else (acc & ~kill[local]) | (1 << i)
+                name = defined[i]
+                out = acc if name is None else (acc & ~kill[name]) | (1 << i)
                 if acc != defs_in[i] or out != defs_out[i]:
                     defs_in[i] = acc
                     defs_out[i] = out
@@ -186,12 +191,12 @@ class SliceTable:
             if not (cyclic and changed):
                 break
 
-    def reaching_defs(self, stmt: Stmt, local: Local) -> tuple[int, ...]:
-        """Indices of ``local``'s definitions that reach the entry of
-        ``stmt``, in statement order."""
-        mask = self._defs_in[stmt.index]
+    def reaching_defs(self, index: int, name: str) -> tuple[int, ...]:
+        """Indices of the definitions of the local ``name`` that reach the
+        entry of statement ``index``, in statement order."""
+        mask = self._defs_in[index]
         return tuple(
-            d for d in self.def_sites.get(local, ()) if (mask >> d) & 1
+            d for d in self.def_sites.get(name, ()) if (mask >> d) & 1
         )
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 import time
@@ -59,6 +60,12 @@ SCHEMA_VERSION = 1
 #: A lease older than this is stale regardless of holder liveness — guards
 #: against pid reuse and cross-host holders the liveness probe can't see.
 DEFAULT_LEASE_TTL = 600.0
+
+
+#: the shape of every name :func:`result_key` produces: two hex digests
+#: (the APK's and the config's) joined by a dash; their widths stay with
+#: ``apk_digest`` and ``AnalysisConfig.cache_key``
+_RESULT_KEY = re.compile(r"[0-9a-f]+-[0-9a-f]+")
 
 
 def result_key(apk_digest: str, config_key: str) -> str:
@@ -412,15 +419,20 @@ class ResultStore:
                 self.misses += 1
 
     def entries(self) -> list[str]:
-        """All stored result keys, sorted (a directory scan)."""
+        """All stored result keys, sorted (a directory scan).  Only file
+        names of the shape :func:`result_key` produces count: a file
+        under any other name, such as the ``diff-*`` cache an older store
+        holds, is no report and is never read."""
         return sorted(
             p.stem for p in self.objects.glob("*/*.json")
+            if _RESULT_KEY.fullmatch(p.stem)
         )
 
     def list_entries(self) -> list[dict]:
-        """Metadata for every stored report envelope (read through
-        :meth:`lookup`), sorted by ``(app, stored_at, key)``; powers
-        ``GET /reports`` and the CLI's latest-two-versions lookup.
+        """Metadata for every stored report envelope (each of
+        :meth:`entries`, read through :meth:`lookup`), sorted by ``(app,
+        stored_at, key)``; powers ``GET /reports`` and the CLI's
+        latest-two-versions lookup.
 
         Entries :meth:`lookup` rejects are skipped; the report payload
         itself is not returned — fetch it via the key.  Each entry carries
@@ -431,20 +443,20 @@ class ResultStore:
         from ..fleetindex.docs import envelope_summary
 
         out = []
-        for path in self.objects.glob("*/*.json"):
-            envelope = self.lookup(path.stem)
+        for key in self.entries():
+            envelope = self.lookup(key)
             if envelope is None:
                 continue
             report = envelope["report"]
             out.append({
-                "key": envelope.get("key", path.stem),
+                "key": envelope.get("key", key),
                 "app": envelope.get("app", ""),
                 "apk_digest": envelope.get("apk_digest", ""),
                 "config_key": envelope.get("config_key", ""),
                 "schema": envelope.get("schema"),
                 "transactions": len(report.get("transactions", ())),
                 "summary": envelope_summary(envelope),
-                "stored_at": path.stat().st_mtime,
+                "stored_at": self.path_for(key).stat().st_mtime,
             })
         out.sort(key=lambda e: (e["app"], e["stored_at"], e["key"]))
         return out

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from ..cfg.callgraph import CallGraph
 from ..ir.program import Program
 from ..ir.statements import StmtRef
-from ..ir.values import Local
 from ..obs.tracer import NULL_SPAN
 from ..perf.index import ProgramIndex, SliceTable
 from ..taint.engine import TaintConfig, TaintEngine
@@ -143,15 +142,15 @@ class NetworkSlicer:
         from the request slice sharing the same DP.  Repeats until no
         statements are added.
 
-        ``defined`` / ``used`` hold the response slice's (method id, local)
-        pairs; a statement's locals are read from its method's slicing
-        table once, when it joins.  Each round snapshots the dangling
+        ``defined`` / ``used`` hold the response slice's (method id, local
+        name) pairs; a statement's locals are read from its method's
+        slicing table once, when it joins.  Each round snapshots the dangling
         locals (``used - defined``) before each of its two sweeps:
         statements joining during a sweep do not change what that sweep
         looks for."""
         slice_table = self.index.slice_table
-        defined: set[tuple[str, Local]] = set()
-        used: set[tuple[str, Local]] = set()
+        defined: set[tuple[str, str]] = set()
+        used: set[tuple[str, str]] = set()
 
         def add_locals(ref: StmtRef, table: SliceTable) -> None:
             mid = ref.method_id
@@ -180,7 +179,7 @@ class NetworkSlicer:
             # 2) objects initialised before the DP outside any slice: pull
             # their defining statements from the containing method directly
             # ("the complete context of objects contained within", §3.1)
-            by_method: dict[str, set[Local]] = {}
+            by_method: dict[str, set[str]] = {}
             for method_id, local in used - defined:
                 by_method.setdefault(method_id, set()).add(local)
             for method_id, locals_ in by_method.items():

@@ -212,15 +212,16 @@ class TaintEngine:
         assert method.body is not None
         mid = method.method_id
         table = self.index.slice_table(mid)
-        use_stmt = method.stmt_at(ref.index)
         result.tainted_locals.add((mid, local))
-        defs = table.reaching_defs(use_stmt, local)
-        if not defs and table.defined[ref.index] == local:
+        name = local.name
+        defined = table.defined
+        defs = table.reaching_defs(ref.index, name)
+        if not defs and defined[ref.index] == name:
             defs = (ref.index,)
         # the def→use region is a three-way bitmask intersection
         # (statements the def reaches ∩ statements that reach the use ∩
         # statements mentioning the local)
-        use_mask = table.reach_to[ref.index] & table.mentions.get(local, 0)
+        use_mask = table.reach_to[ref.index] & table.mentions.get(name, 0)
         reach = table.reach
         for d_idx in defs:
             region = (reach[d_idx] & use_mask) | (1 << d_idx)
@@ -236,14 +237,15 @@ class TaintEngine:
                         s_ref, None if s_ref == ref else ref
                     )
                 self._backward_inflows(
-                    method, stmt, s_ref, local, hops, result, need
+                    method, stmt, s_ref, local, defined[s_idx] == name,
+                    hops, result, need,
                 )
 
-    def _backward_inflows(self, method, stmt, ref, local, hops, result, need) -> None:
+    def _backward_inflows(self, method, stmt, ref, local, defines, hops, result, need) -> None:
         # 1) the statement (re)defines the tainted local: chase the RHS
-        if isinstance(stmt, AssignStmt) and stmt.target == local:
+        if defines and isinstance(stmt, AssignStmt):
             self._backward_rhs(method, stmt, stmt.rhs, hops, result, need)
-        elif isinstance(stmt, IdentityStmt) and stmt.target == local:
+        elif defines and isinstance(stmt, IdentityStmt):
             self._backward_identity(method, stmt, hops, result, need)
         # 2) mutation through the tainted object
         expr = stmt.invoke
@@ -414,7 +416,7 @@ class TaintEngine:
     def _uses_after(self, method: Method, local: Local, from_idx: int) -> list[int]:
         table = self.index.slice_table(method.method_id)
         mask = table.reach[from_idx]
-        return [s for s in table.use_sites.get(local, ()) if (mask >> s) & 1]
+        return [s for s in table.use_sites.get(local.name, ()) if (mask >> s) & 1]
 
     def _forward_step(self, ref, local, hops, result, fact) -> None:
         method = self._method(ref.method_id)

@@ -18,17 +18,10 @@ import pytest
 from repro.core.extractocol import Extractocol
 from repro.core.report import report_to_dict
 from repro.corpus import app_keys, build_version
-from repro.diff import (
-    BREAKING_KINDS,
-    Change,
-    ProtocolDiff,
-    diff_dicts,
-    diff_reports,
-    diff_targets,
-    render_markdown,
-)
-from repro.diff.classify import KIND_SEVERITY
+from repro.diff.classify import BREAKING_KINDS, KIND_SEVERITY
+from repro.diff.engine import diff_dicts, diff_reports, diff_targets
 from repro.diff.match import MATCH_THRESHOLD, match_transactions, similarity
+from repro.diff.model import Change, ProtocolDiff, render_markdown
 from repro.diff.normal import (
     WILDCARD,
     body_keys,

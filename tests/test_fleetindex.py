@@ -10,18 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleetindex import (
-    FleetIndex,
-    build_index,
+from repro.fleetindex.docs import envelope_summary, report_summary
+from repro.fleetindex.index import FleetIndex, build_index, index_root, pending_dir
+from repro.fleetindex.query import (
+    QueryError,
+    catalog,
     decode_cursor,
     encode_cursor,
-    index_root,
+    paginate,
     parse_query,
     run_search,
 )
-from repro.fleetindex.docs import envelope_summary, report_summary
-from repro.fleetindex.index import pending_dir
-from repro.fleetindex.query import QueryError, catalog, paginate
 from repro.obs.tracer import Span
 from repro.service.jobs import (
     _default_analyzer,

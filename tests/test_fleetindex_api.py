@@ -13,7 +13,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.fleetindex import build_index
+from repro.fleetindex.index import build_index
 from repro.fleetindex.mcp import McpCatalogServer, serve
 from repro.service.api import AnalysisService
 from repro.service.jobs import (

@@ -26,7 +26,9 @@ from repro.ir import (
     validate_program,
     walk_values,
 )
+from repro.cfg.callgraph import CallSite
 from repro.ir.builder import as_value, static_type_of
+from repro.ir.statements import StmtRef
 from repro.ir.printer import print_class, print_program
 from repro.ir.validate import validate_method
 
@@ -92,6 +94,25 @@ class TestValues:
         b = Local("b", parse_type("int"))
         expr = BinOpExpr("+", a, b)
         assert set(walk_values(expr)) == {expr, a, b}
+
+
+class TestStmtRef:
+    def test_refs_hash_like_their_field_tuples(self):
+        """``StmtRef`` and ``CallSite`` hash to their field tuple's hash,
+        the hash a frozen dataclass of the same fields has, so sets of
+        them iterate in the same order; ``str`` and ``repr`` read as
+        before."""
+        mid = "<a.B: void m()>"
+        ref = StmtRef(mid, 3)
+        assert hash(ref) == hash((mid, 3))
+        assert str(ref) == "<a.B: void m()>#3"
+        assert repr(ref) == "StmtRef(method_id='<a.B: void m()>', index=3)"
+        expr = InvokeExpr("static", MethodSig.of("a.B", "n", (), "void"), None)
+        site = CallSite(mid, ref, expr)
+        assert hash(site) == hash((mid, ref, expr))
+        assert repr(site) == (
+            f"CallSite(caller='{mid}', ref={ref!r}, expr={expr!r})"
+        )
 
 
 class TestMethodSig:

@@ -30,6 +30,7 @@ from repro.corpus import app_keys, build_app, get_spec
 from repro.corpus.lineage import build_version
 from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transaction
 from repro.evalx import runner
+from repro.ir import parse_type
 from repro.ir.statements import AssignStmt, StmtRef
 from repro.ir.values import InstanceFieldRef, Local, StaticFieldRef, walk_values
 from repro.perf.index import ProgramIndex, compute_reach_masks, field_key
@@ -38,9 +39,11 @@ from repro.service.jobs import JobTimeout, call_with_timeout, resolve_target
 from repro.service.store import ResultStore
 from repro.signature.lang import Const
 from repro.slicing.slicer import NetworkSlicer
+from repro.synth import expand_targets
 from repro.taint.defuse import compute_defuse
 
 from conftest import build_branchy_program
+from test_golden_reports import SYNTH_POPULATION
 
 
 # -------------------------------------------------- index artifact equality
@@ -125,7 +128,7 @@ def test_reach_to_masks_are_exact_transpose(tabled_methods):
 def test_table_locals_and_mentions_match_statement_walk(tabled_methods):
     for index, method in tabled_methods:
         table = index.slice_table(method.method_id)
-        brute: dict[Local, set[int]] = {}
+        brute: dict[str, set[int]] = {}
         for idx, stmt in enumerate(method.body.statements):
             defined = [d for d in stmt.defs() if isinstance(d, Local)]
             used = {
@@ -135,10 +138,12 @@ def test_table_locals_and_mentions_match_statement_walk(tabled_methods):
                 if isinstance(v, Local)
             }
             assert len(defined) <= 1
-            assert table.defined[idx] == (defined[0] if defined else None)
-            assert table.used[idx] == used, (method.method_id, idx)
+            assert table.defined[idx] == (defined[0].name if defined else None)
+            assert table.used[idx] == {v.name for v in used}, (
+                method.method_id, idx
+            )
             for local in {*defined, *used}:
-                brute.setdefault(local, set()).add(idx)
+                brute.setdefault(local.name, set()).add(idx)
         n = len(method.body.statements)
         assert len(table.defined) == len(table.used) == n
         assert {loc: _bits(m) for loc, m in table.mentions.items()} == brute
@@ -152,17 +157,75 @@ def test_table_defuse_answers_equal_full_computation(tabled_methods):
         back_edges += _has_back_edge(method)
         full = compute_defuse(method)
         table = index.slice_table(method.method_id)
-        assert table.def_sites == full.def_sites
-        assert table.use_sites == full.use_sites
+        assert table.def_sites == {
+            local.name: sites for local, sites in full.def_sites.items()
+        }
+        assert table.use_sites == {
+            local.name: sites for local, sites in full.use_sites.items()
+        }
         for local, uses in full.use_sites.items():
             for use_idx in uses:
                 stmt = method.body.statements[use_idx]
-                assert table.reaching_defs(stmt, local) == full.reaching_defs(
-                    stmt, local
-                ), (method.method_id, use_idx, local.name)
+                assert table.reaching_defs(
+                    use_idx, local.name
+                ) == full.reaching_defs(stmt, local), (
+                    method.method_id, use_idx, local.name
+                )
     # the table's sweeps repeat only for a method with a back edge: the
     # checks cover that path too
     assert 0 < back_edges < len(tabled_methods)
+
+
+def _body_locals(method) -> set[Local]:
+    """Every local a body declares or any of its statements mentions."""
+    out = set(method.body.locals.values())
+    for stmt in method.body.statements:
+        for top in (*stmt.defs(), *stmt.uses()):
+            out.update(v for v in walk_values(top) if isinstance(v, Local))
+    return out
+
+
+def test_local_names_are_unique_per_body_in_the_golden_population():
+    """The slicing table keys locals by name, which is sound only while no
+    two distinct locals of one body share a name."""
+    bodies = 0
+    for key in [*app_keys(), *expand_targets([SYNTH_POPULATION])]:
+        apk, _, _ = resolve_target(key)
+        for method in _bodied_methods(apk.program):
+            bodies += 1
+            by_name: dict[str, set[Local]] = {}
+            for local in _body_locals(method):
+                by_name.setdefault(local.name, set()).add(local)
+            clashes = {n: ls for n, ls in by_name.items() if len(ls) > 1}
+            assert not clashes, (key, method.method_id, clashes)
+    assert bodies > 1000
+
+
+def test_slice_tables_hash_no_local(monkeypatch):
+    """Building the slicing table of every corpus method calls
+    ``Local.__hash__`` (Python code) zero times: the table keys locals by
+    name, and a name hashes in C."""
+    pending = []
+    for key in app_keys():
+        program = build_app(key).program
+        index = ProgramIndex(program)
+        for method in _bodied_methods(program):
+            index.cfg_of(method)  # the table's input, not under test
+            pending.append((index, method.method_id))
+    calls = []
+    local_hash = Local.__hash__
+
+    def counting_hash(self):
+        calls.append(self.name)
+        return local_hash(self)
+
+    monkeypatch.setattr(Local, "__hash__", counting_hash)
+    for index, method_id in pending:
+        index.slice_table(method_id)
+    assert calls == []
+    # the wrapper does count: a set of one local hashes it once
+    _ = {Local("x", parse_type("int"))}
+    assert calls == ["x"]
 
 
 def test_field_index_matches_statement_scan(indexed_program):

@@ -30,7 +30,7 @@ import repro
 from repro import AnalysisConfig
 from repro.cli import main
 from repro.corpus import build_app
-from repro.fleetindex import FleetIndex, build_index, index_root
+from repro.fleetindex.index import FleetIndex, build_index, index_root
 from repro.service import JobScheduler, JobStatus, ResultStore
 from repro.service.jobs import JobTimeout
 from repro.service.shard import (

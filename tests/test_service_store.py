@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import AnalysisConfig, Extractocol
 from repro.apk.loader import apk_digest, load_apk, save_apk
@@ -261,7 +267,10 @@ class TestResultStore:
     ):
         """Files :meth:`ResultStore.lookup` rejects stay on disk and out
         of the listing: the ``diff-*`` cache an older store holds, and a
-        torn file."""
+        torn file.  Neither name has a result key's shape, so neither
+        counts as an entry.  The report's key comes from the real
+        ``apk_digest`` and ``cache_key``, so a key shape the filter
+        misses would show here as a missing entry."""
         apk, config, report = diode_report
         store = ResultStore(tmp_path / "store")
         store.put(apk_digest(apk), config.cache_key(), report)
@@ -270,11 +279,41 @@ class TestResultStore:
         old_diff.write_text(json.dumps({"diff_schema": 1, "diff": {}}))
         (store.objects / "zz").mkdir()
         (store.objects / "zz" / "zz.json").write_text("{ torn")
-        assert len(store.entries()) == 3
+        assert len(store.entries()) == 1
         assert store.lookup("diff-cafe") is None
         assert [e["key"] for e in store.list_entries()] == [
             f"{apk_digest(apk)}-{config.cache_key()}"
         ]
+
+    def test_first_put_imports_only_what_it_runs(self, tmp_path):
+        """A fresh process's first ``put`` loads the summary and the
+        pending-marker code, not the diff engine or the query grammar
+        that ``repro.diff`` and ``repro.fleetindex`` also export."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.apk.loader import apk_digest
+            from repro.core.extractocol import Extractocol
+            from repro.service.jobs import resolve_target
+            from repro.service.store import ResultStore
+
+            apk, config, _ = resolve_target("diode")
+            report = Extractocol(config).analyze(apk)
+            store = ResultStore(sys.argv[1])
+            store.put(apk_digest(apk), config.cache_key(), report)
+            print(" ".join(sorted(sys.modules)))
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True, text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        loaded = set(done.stdout.split())
+        assert {"repro.fleetindex.docs", "repro.fleetindex.index"} <= loaded
+        assert not loaded & {
+            "repro.diff.classify", "repro.diff.engine", "repro.diff.match",
+            "repro.diff.model", "repro.fleetindex.query",
+        }
 
     def test_stats_scans_objects_outside_the_lock(
         self, tmp_path, diode_report, monkeypatch

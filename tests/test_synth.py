@@ -253,7 +253,7 @@ class TestLineage:
         assert versions[1].expected_breaking_kinds == ("dependency-removed",)
 
     def test_breaking_mutation_diffs_breaking(self):
-        from repro.diff import diff_targets
+        from repro.diff.engine import diff_targets
 
         key = next(
             k for k in parse_population("synth:evolution*5@7").keys()
@@ -265,7 +265,7 @@ class TestLineage:
             == {"query-key-removed"}
 
     def test_obfuscated_rebuild_diffs_identical(self):
-        from repro.diff import diff_targets
+        from repro.diff.engine import diff_targets
 
         key = next(
             k for k in parse_population("synth:evolution*5@7").keys()
