@@ -207,6 +207,7 @@ def cmd_analyze(args) -> int:
                 "status": "done",
                 "seconds": report.analysis_seconds,
                 "phase_seconds": dict(stats.seconds),
+                "counters": {"analyses_run": 1},
             }],
             started_unix=started_unix,
             wall_s=round(report.analysis_seconds, 4),

@@ -7,10 +7,10 @@ import json
 from dataclasses import dataclass, fields
 
 #: Fields that select *how* the analysis executes, not *what* it computes.
-#: Reports are identical across these knobs (provenance recording only adds
-#: side tables to the slices; both modes yield the full-mode report), so
-#: the service result store must not shard its cache on them.
-_EXECUTION_FIELDS = frozenset({"record_provenance", "mode"})
+#: Reports are identical across these knobs (both modes yield the
+#: full-mode report), so the service result store must not shard its
+#: cache on them.
+_EXECUTION_FIELDS = frozenset({"mode"})
 
 #: The values of :attr:`AnalysisConfig.mode`.
 MODES = ("full", "incremental")
@@ -58,9 +58,6 @@ class AnalysisConfig:
     #: model intra-app Intent messaging / direct java.net.Socket use.
     model_intents: bool = False
     model_sockets: bool = False
-    #: record taint provenance parent links for ``repro explain``; an
-    #: execution knob — the report is unchanged, only slice side tables grow
-    record_provenance: bool = False
     #: pre-analysis lint gate (``repro.lint``): "off" (default) skips lint
     #: entirely; "record" carries findings on the report; "error" aborts on
     #: error-severity findings; "strict" aborts on warnings too.  Semantic:
@@ -104,9 +101,8 @@ class AnalysisConfig:
         """Stable content hash of the semantically relevant configuration.
 
         Two configs with the same key produce byte-identical reports for
-        the same APK; the execution knobs (``record_provenance``,
-        ``mode``) are excluded, so a report analysed in one mode is a cache
-        hit for a request in another."""
+        the same APK; the execution knob ``mode`` is excluded, so a report
+        analysed in one mode is a cache hit for a request in another."""
         blob = json.dumps(
             self.semantic_fields(), sort_keys=True, separators=(",", ":")
         )

@@ -76,8 +76,7 @@ class Extractocol:
 
         Both produce byte-identical reports.  When a ``store`` was
         given, either mode leaves a fresh manifest behind for the next
-        warm run (skipped under ``record_provenance`` — provenance tables
-        are not serialized, so cached slices could not carry them).
+        warm run.
 
         The cyclic collector is paused for the call and left as it was
         found (DESIGN.md "Allocation shape"): an analysis builds no
@@ -148,10 +147,7 @@ class Extractocol:
             slicer = NetworkSlicer(
                 program,
                 callgraph,
-                config=TaintConfig(
-                    max_async_hops=self.config.max_async_hops,
-                    record_provenance=self.config.record_provenance,
-                ),
+                config=TaintConfig(max_async_hops=self.config.max_async_hops),
                 registry=self.registry,
                 event_roots=event_roots,
                 linked_returns=cbinfo.linked_returns,
@@ -267,7 +263,7 @@ class Extractocol:
         # same graph would miss callback-style demarcation points.
         dps = slicer.scan()
         manifest = None
-        if self.store is not None and not self.config.record_provenance:
+        if self.store is not None:
             manifest = self.store.get_manifest(apk.name, self.config.cache_key())
         if manifest is None:
             # Cold (or schema/config-guarded) start: everything is dirty.
@@ -317,10 +313,9 @@ class Extractocol:
         one.  ``fingerprints`` is the reuse plan's live map, if it made one
         (slicing adds no call-graph edges after the scan); else it is
         computed here.  Skipped without a store (fingerprinting prints the
-        whole program) and under ``record_provenance`` (prov tables don't
-        serialize into the slim slices, so replay would drop them)."""
+        whole program)."""
         self.last_manifest = None
-        if self.store is None or self.config.record_provenance:
+        if self.store is None:
             return
         from ..incr.manifest import build_manifest
 

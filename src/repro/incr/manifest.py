@@ -7,7 +7,7 @@ semantic config) pair, only what the reuse plan reads:
   (:mod:`repro.ir.fingerprint`), the map the analysis computed once,
 * per method, a content hash of the statements touching each heap cell,
 * a slim, JSON-safe replica of every demarcation-point slice — exactly the
-  statement/flow sets later phases consume, *not* the provenance tables.
+  statement/flow sets later phases consume, *not* the provenance parents.
 
 It is stored beside the report envelope in the
 :class:`~repro.service.store.ResultStore` (its envelope carries no
@@ -75,9 +75,9 @@ def _ref_pair(ref: StmtRef) -> list:
 
 def slice_to_dict(sl: SliceResult) -> dict:
     """JSON-safe slim form of one slice — everything phases 2/3 read
-    (statements, flows, heap cells, locals) plus the visited set the reuse
-    check needs.  Provenance tables are deliberately dropped: with
-    ``record_provenance`` on, the engine skips reuse entirely."""
+    (statements, flows, heap cells) plus the visited set the reuse check
+    needs.  Provenance parents are dropped: only ``repro explain`` walks
+    them, and it always slices afresh."""
     return {
         "direction": sl.direction,
         "stmts": sorted(_ref_pair(r) for r in sl.stmts),
@@ -87,12 +87,6 @@ def slice_to_dict(sl: SliceResult) -> dict:
         "fields": sorted(
             [f.class_name, f.name, str(f.type)] for f in sl.fields
         ),
-        "tainted_locals": sorted(
-            [mid, loc.name, str(loc.type)] for mid, loc in sl.tainted_locals
-        ),
-        "origin_params": sorted(
-            [mid, idx] for mid, idx in sl.origin_params
-        ),
         "missed": sorted(_ref_pair(r) for r in sl.missed_async_flows),
         "visited": sorted(sl.visited),
         "stats": {k: sl.stats[k] for k in sorted(sl.stats)},
@@ -100,20 +94,18 @@ def slice_to_dict(sl: SliceResult) -> dict:
 
 
 def slice_from_dict(data: dict) -> SliceResult:
+    """The slice :func:`slice_to_dict` wrote, with no provenance parents.
+    Keys it does not read are ignored, so a manifest written while slices
+    carried more keys still replays."""
     return SliceResult(
         direction=data["direction"],
-        stmts={StmtRef(m, i) for m, i in data["stmts"]},
+        stmts=dict.fromkeys(StmtRef(m, i) for m, i in data["stmts"]),
         call_edges={
             (StmtRef(m, i), tgt) for m, i, tgt in data["call_edges"]
         },
         fields={
             FieldSig(c, n, parse_type(t)) for c, n, t in data["fields"]
         },
-        tainted_locals={
-            (mid, Local(n, parse_type(t)))
-            for mid, n, t in data["tainted_locals"]
-        },
-        origin_params={(mid, idx) for mid, idx in data["origin_params"]},
         missed_async_flows={StmtRef(m, i) for m, i in data["missed"]},
         visited=set(data["visited"]),
         stats=dict(data["stats"]),

@@ -147,13 +147,6 @@ class _EntryMapper:
                 for m, i, t in data["call_edges"]
             ],
             "fields": [self.field(c, n, t) for c, n, t in data["fields"]],
-            "tainted_locals": [
-                [self.mid(m), n, self.type_str(t)]
-                for m, n, t in data["tainted_locals"]
-            ],
-            "origin_params": [
-                [self.mid(m), i] for m, i in data["origin_params"]
-            ],
             "missed": [[self.mid(m), i] for m, i in data["missed"]],
             "visited": [self.mid(m) for m in data["visited"]],
             "stats": data["stats"],

@@ -219,7 +219,9 @@ class RunLedger:
                 continue
             if not isinstance(data, dict):
                 continue
-            if int(data.get("schema", 0)) > LEDGER_SCHEMA_VERSION:
+            schema = data.get("schema", 0)
+            # a non-integer schema is as unreadable as a line of bad JSON
+            if not isinstance(schema, int) or schema > LEDGER_SCHEMA_VERSION:
                 continue
             out.append(data)
         return out

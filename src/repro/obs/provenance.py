@@ -1,17 +1,15 @@
 """Taint provenance: *why* is this field in the signature?
 
-The taint engine, when asked (``TaintConfig.record_provenance``), records
-for every statement it pulls into a slice the statement that caused the
-inclusion.  Those parent links form a forest rooted at the demarcation
-point's seeds, so any statement in a request slice has a chain back to
-the request send — the explicit provenance BackDroid-style targeted
-analyses ask for.
+Every slice maps each of its statements to the statement that caused
+the inclusion (``SliceResult.stmts``).  Those parent links form a forest
+rooted at the demarcation point's seeds, so any statement in a request
+slice has a chain back to the request send — the explicit provenance
+BackDroid-style targeted analyses ask for.
 
 :func:`explain` ties the pieces together for one ``(app, request,
 field)`` question:
 
-1. run the pipeline once with provenance recording on (the report is
-   unchanged — recording is an execution knob, not a semantic one),
+1. run the pipeline once,
 2. resolve the request selector to a transaction and the field selector
    to a signature term,
 3. locate the statement that *produced* the field — the slice statement
@@ -25,7 +23,7 @@ Surfaced on the CLI as ``repro explain <app> <request> <field>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 from ..core.config import AnalysisConfig
 from ..core.extractocol import Extractocol
@@ -211,7 +209,7 @@ def _chain(program, sl, start: StmtRef) -> list[ProvenanceStep]:
         except (KeyError, IndexError):
             text = "<unknown>"
         steps.append(ProvenanceStep(ref.method_id, ref.index, text))
-        ref = sl.prov.get(ref)
+        ref = sl.stmts.get(ref)
     return steps
 
 
@@ -228,11 +226,9 @@ def explain(
 ) -> FieldProvenance:
     """Answer "why is ``field`` in ``request``'s signature?" for one APK.
 
-    Runs one full analysis with provenance recording enabled (the report
-    itself is byte-identical to a normal run — the recorder only adds
-    side tables to the slices)."""
-    config = replace(config or AnalysisConfig(), record_provenance=True)
-    engine = Extractocol(config)
+    Runs one analysis without a store, so every slice is fresh and
+    carries its parent links."""
+    engine = Extractocol(config or AnalysisConfig())
     report = engine.analyze(apk)
     slicing = engine.last_slicing
     txn = _match_transaction(report, request)

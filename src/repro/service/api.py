@@ -157,6 +157,7 @@ class AnalysisService:
                     done=counts["done"],
                     failed=counts["failed"],
                     cache_hits=sum(j.cache_hit for j in self.scheduler.jobs()),
+                    analyses_run=self.metrics.counter("analyses_run").value,
                 )
             )
         except OSError:

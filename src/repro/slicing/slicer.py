@@ -33,7 +33,7 @@ class DPSlices:
 
     @property
     def all_stmts(self) -> set[StmtRef]:
-        return self.request.stmts | self.response.stmts
+        return self.request.stmts.keys() | self.response.stmts.keys()
 
     @property
     def methods(self) -> set[str]:
@@ -140,7 +140,8 @@ class NetworkSlicer:
         """Pull statements the forward slice depends on but does not contain
         — initialisation of objects created before the demarcation point —
         from the request slice sharing the same DP.  Repeats until no
-        statements are added.
+        statements are added.  An added statement has no provenance
+        parent: no taint reached it.
 
         ``defined`` / ``used`` hold the response slice's (method id, local
         name) pairs; a statement's locals are read from its method's
@@ -173,7 +174,7 @@ class NetworkSlicer:
                 table = slice_table(ref.method_id)
                 local = table.defined[ref.index]
                 if local is not None and (ref.method_id, local) in needed:
-                    response.stmts.add(ref)
+                    response.stmts[ref] = None
                     add_locals(ref, table)
                     changed = True
             # 2) objects initialised before the DP outside any slice: pull
@@ -188,7 +189,7 @@ class NetworkSlicer:
                     if local in locals_:
                         ref = StmtRef(method_id, idx)
                         if ref not in response.stmts:
-                            response.stmts.add(ref)
+                            response.stmts[ref] = None
                             add_locals(ref, table)
                             changed = True
 

@@ -85,9 +85,6 @@ class TaintConfig:
     max_async_hops: int = 1
     #: safety valve against pathological programs
     max_worklist_items: int = 2_000_000
-    #: record per-statement provenance parent links (``SliceResult.prov``)
-    #: for ``repro explain``; off by default to keep the hot loop clean.
-    record_provenance: bool = False
 
 
 class TaintEngine:
@@ -115,9 +112,6 @@ class TaintEngine:
         #: method id -> [(continuation method id, param index receiving the
         #: return value)] — AsyncTask-style framework result plumbing.
         self.linked_returns = linked_returns or {}
-        #: preloaded so every recording site pays one attribute test, not a
-        #: config dereference
-        self._record_prov = self.config.record_provenance
         #: while a slice is being built, the live ``SliceResult.visited``
         #: set — ``_method`` is the one accessor through which the engine
         #: resolves any body, so recording there captures every method
@@ -187,9 +181,7 @@ class TaintEngine:
                 queue.append((ref, local, hops))
 
         for ref, value in seeds:
-            result.stmts.add(ref)
-            if self._record_prov:
-                result.prov.setdefault(ref, None)
+            result.stmts.setdefault(ref, None)
             need(ref, value, 0)
 
         budget = self.config.max_worklist_items
@@ -212,7 +204,6 @@ class TaintEngine:
         assert method.body is not None
         mid = method.method_id
         table = self.index.slice_table(mid)
-        result.tainted_locals.add((mid, local))
         name = local.name
         defined = table.defined
         defs = table.reaching_defs(ref.index, name)
@@ -231,11 +222,7 @@ class TaintEngine:
                 region ^= low
                 stmt = method.stmt_at(s_idx)
                 s_ref = StmtRef(mid, s_idx)
-                result.stmts.add(s_ref)
-                if self._record_prov:
-                    result.prov.setdefault(
-                        s_ref, None if s_ref == ref else ref
-                    )
+                result.stmts.setdefault(s_ref, None if s_ref == ref else ref)
                 self._backward_inflows(
                     method, stmt, s_ref, local, defined[s_idx] == name,
                     hops, result, need,
@@ -276,9 +263,7 @@ class TaintEngine:
                 for r in callee.body:
                     if isinstance(r, ReturnStmt) and r.value is not None:
                         r_ref = callee.stmt_ref(r)
-                        result.stmts.add(r_ref)
-                        if self._record_prov:
-                            result.prov.setdefault(r_ref, ref)
+                        result.stmts.setdefault(r_ref, ref)
                         need(r_ref, r.value, hops)
             if not callees or self.callgraph.is_library_call(ref):
                 if rhs.base is not None:
@@ -297,9 +282,7 @@ class TaintEngine:
                     continue
                 store_m = self._method(store_ref.method_id)
                 store_stmt = store_m.stmt_at(store_ref.index)
-                result.stmts.add(store_ref)
-                if self._record_prov:
-                    result.prov.setdefault(store_ref, ref)
+                result.stmts.setdefault(store_ref, ref)
                 assert isinstance(store_stmt, AssignStmt)
                 need(store_ref, store_stmt.rhs, hops + cost)
                 tgt = store_stmt.target
@@ -321,14 +304,10 @@ class TaintEngine:
         # so it costs a hop.  Same-event calls (incl. AsyncTask bodies,
         # whose roots are inherited) cost nothing.
         if isinstance(rhs, ParamRef):
-            if not callers:
-                result.origin_params.add((method.method_id, rhs.index))
             for site in callers:
                 caller = self._method(site.method_id)
                 expr = caller.stmt_at(site.index).invoke
-                result.stmts.add(site)
-                if self._record_prov:
-                    result.prov.setdefault(site, ident_ref)
+                result.stmts.setdefault(site, ident_ref)
                 result.call_edges.add((site, method.method_id))
                 if expr is not None and rhs.index < len(expr.args):
                     cost = self._cross_event_cost(site.method_id, method.method_id)
@@ -346,9 +325,7 @@ class TaintEngine:
                 if hops + cost > self.config.max_async_hops:
                     result.missed_async_flows.add(site)
                     continue
-                result.stmts.add(site)
-                if self._record_prov:
-                    result.prov.setdefault(site, ident_ref)
+                result.stmts.setdefault(site, ident_ref)
                 result.call_edges.add((site, method.method_id))
                 receiver = self._receiver_value(expr, method.class_name)
                 if receiver is not None:
@@ -393,9 +370,7 @@ class TaintEngine:
             queue.append((ref, value, hops))
 
         for ref, value in seeds:
-            result.stmts.add(ref)
-            if self._record_prov:
-                result.prov.setdefault(ref, None)
+            result.stmts.setdefault(ref, None)
             fact(ref, value, 0)
 
         budget = self.config.max_worklist_items
@@ -421,13 +396,10 @@ class TaintEngine:
     def _forward_step(self, ref, local, hops, result, fact) -> None:
         method = self._method(ref.method_id)
         assert method.body is not None
-        result.tainted_locals.add((method.method_id, local))
         for u_idx in self._uses_after(method, local, ref.index):
             stmt = method.stmt_at(u_idx)
             u_ref = StmtRef(method.method_id, u_idx)
-            result.stmts.add(u_ref)
-            if self._record_prov:
-                result.prov.setdefault(u_ref, None if u_ref == ref else ref)
+            result.stmts.setdefault(u_ref, None if u_ref == ref else ref)
             self._forward_outflows(method, stmt, u_ref, local, hops, result, fact)
 
     def _forward_outflows(self, method, stmt, ref, local, hops, result, fact) -> None:
@@ -484,9 +456,7 @@ class TaintEngine:
             for site in self.callgraph.callers_of(method.method_id):
                 caller = self._method(site.method_id)
                 call_stmt = caller.stmt_at(site.index)
-                result.stmts.add(site)
-                if self._record_prov:
-                    result.prov.setdefault(site, ref)
+                result.stmts.setdefault(site, ref)
                 result.call_edges.add((site, method.method_id))
                 if isinstance(call_stmt, AssignStmt) and isinstance(call_stmt.target, Local):
                     fact(site, call_stmt.target, hops)
@@ -505,9 +475,7 @@ class TaintEngine:
                 continue
             load_m = self._method(load_ref.method_id)
             load_stmt = load_m.stmt_at(load_ref.index)
-            result.stmts.add(load_ref)
-            if self._record_prov:
-                result.prov.setdefault(load_ref, ref)
+            result.stmts.setdefault(load_ref, ref)
             if isinstance(load_stmt, AssignStmt) and isinstance(load_stmt.target, Local):
                 fact(load_ref, load_stmt.target, hops + cost)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.statements import StmtRef
-from ..ir.values import FieldSig, Local
+from ..ir.values import FieldSig
 
 
 @dataclass
@@ -18,16 +18,16 @@ class SliceResult:
     """
 
     direction: str
-    stmts: set[StmtRef] = field(default_factory=set)
+    #: the slice's statements, each mapped to its provenance parent: the
+    #: statement whose processing pulled it into the slice (the first
+    #: parent wins; ``None`` for seeds and for what object-aware
+    #: augmentation adds).  Walking parents from any statement the engine
+    #: added reaches a seed, i.e. the demarcation point.
+    stmts: dict[StmtRef, StmtRef | None] = field(default_factory=dict)
     #: call-graph edges the propagation traversed: (site, callee method id)
     call_edges: set[tuple[StmtRef, str]] = field(default_factory=set)
     #: heap cells the slice reads (backward) or writes (forward)
     fields: set[FieldSig] = field(default_factory=set)
-    #: locals known tainted, keyed by owning method
-    tainted_locals: set[tuple[str, Local]] = field(default_factory=set)
-    #: framework-callback parameters reached with no further callers:
-    #: (method_id, param index) — the data's external origin
-    origin_params: set[tuple[str, int]] = field(default_factory=set)
     #: implicit flows skipped because they exceeded the async-hop budget
     missed_async_flows: set[StmtRef] = field(default_factory=set)
     #: every method whose body the engine examined while building this
@@ -36,11 +36,6 @@ class SliceResult:
     #: set changed, so under-recording here silently reuses stale slices;
     #: the engine records a method the moment it resolves its body.
     visited: set[str] = field(default_factory=set)
-    #: provenance parent links (only when ``TaintConfig.record_provenance``):
-    #: statement -> the statement whose processing pulled it into the slice
-    #: (``None`` for seeds).  Walking parents from any statement reaches a
-    #: seed, i.e. the demarcation point.
-    prov: dict[StmtRef, StmtRef | None] = field(default_factory=dict)
     #: engine effort counters (worklist_iterations, facts_enqueued,
     #: hop_widenings, ...) — diagnostics only, never serialized by default
     stats: dict[str, int] = field(default_factory=dict)
@@ -48,19 +43,6 @@ class SliceResult:
     @property
     def methods(self) -> set[str]:
         return {ref.method_id for ref in self.stmts}
-
-    def merge(self, other: "SliceResult") -> None:
-        self.stmts |= other.stmts
-        self.call_edges |= other.call_edges
-        self.fields |= other.fields
-        self.tainted_locals |= other.tainted_locals
-        self.origin_params |= other.origin_params
-        self.missed_async_flows |= other.missed_async_flows
-        self.visited |= other.visited
-        for ref, parent in other.prov.items():
-            self.prov.setdefault(ref, parent)
-        for name, amount in other.stats.items():
-            self.stats[name] = self.stats.get(name, 0) + amount
 
     def __len__(self) -> int:
         return len(self.stmts)

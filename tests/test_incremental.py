@@ -195,6 +195,18 @@ class TestFingerprintOnce:
             "schema", "app", "config_key", "methods", "method_fields", "dps",
         }
 
+    def test_slice_dicts_carry_only_what_the_planner_reads(self, tmp_path):
+        v1 = build_version("reddinator@v1")
+        engine = Extractocol(v1.config, store=ResultStore(tmp_path))
+        engine.analyze(v1.apk)
+        assert engine.last_manifest["dps"]
+        for entry in engine.last_manifest["dps"]:
+            for part in ("request", "response"):
+                assert set(entry[part]) == {
+                    "direction", "stmts", "call_edges", "fields", "missed",
+                    "visited", "stats",
+                }
+
 
 #: sha256 of the sorted compact JSON of ``{label: fingerprint_program(...)}``
 #: over the four corpus lineage bases and the v1s of synth:evolution*45@7,
@@ -358,6 +370,30 @@ class TestCachePoisoning:
         store, app, key = self._seed_store(tmp_path)
         self._poison(store, app, key, **{field: value})
         assert store.get_manifest(app, key) is None
+
+    def test_manifest_with_dropped_slice_keys_still_replays(self, tmp_path):
+        """Manifests written before slices stopped recording
+        ``tainted_locals`` and ``origin_params`` carry those keys in every
+        slice dict; replay ignores them."""
+        store, app, key = self._seed_store(tmp_path)
+        path = store.manifest_path(manifest_key(app, key))
+        envelope = json.loads(path.read_text())
+        for entry in envelope["manifest"]["dps"]:
+            for part in ("request", "response"):
+                sl = entry[part]
+                sl["tainted_locals"] = [
+                    [m, "$r0", "java.lang.String"] for m in sl["visited"]
+                ]
+                sl["origin_params"] = [[m, 0] for m in sl["visited"]]
+        path.write_text(json.dumps(envelope))
+        v2 = build_version("reddinator@v2")
+        v2.config.mode = "incremental"
+        warm = Extractocol(v2.config, store=store).analyze(v2.apk)
+        assert warm.phase_stats.incremental["reused"] > 0
+        cold = build_version("reddinator@v2")
+        assert report_to_dict(warm) == report_to_dict(
+            Extractocol(cold.config).analyze(cold.apk)
+        )
 
     def test_non_utf8_manifest_is_a_miss(self, tmp_path):
         store, app, key = self._seed_store(tmp_path)

@@ -99,6 +99,10 @@ class TestRunLedger:
             fh.write(json.dumps({
                 "schema": LEDGER_SCHEMA_VERSION + 1, "run_id": "future"
             }) + "\n")
+            for schema in (None, "x", [1]):
+                fh.write(json.dumps({
+                    "schema": schema, "run_id": f"bad-{schema}"
+                }) + "\n")
         assert [r["run_id"] for r in ledger.records()] == ["keep-me-00001"]
 
     def test_get_exact_and_prefix(self, tmp_path):
@@ -245,6 +249,7 @@ class TestCli:
         assert records[0]["kind"] == "analyze"
         assert records[0]["label"] == "ted"
         assert records[0]["phase_seconds"]  # phases recorded
+        assert records[0]["analyses_run"] == 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import pytest
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import app_keys, get_spec
+from repro.ir.statements import StmtRef
 from repro.obs.provenance import FieldProvenance, ProvenanceStep, explain
 
 
@@ -129,16 +130,22 @@ class TestExplainCli:
             main(["explain", "radioreddit", "999", "uri"])
 
 
-class TestProvenanceInvariance:
-    def test_report_unchanged_by_recording(self):
-        """record_provenance must not perturb the analysis result (it is
-        an execution field: excluded from cache keys, invisible in the
-        report)."""
-        from repro.core.report import report_to_dict
-
+class TestSliceProvenance:
+    def test_plain_analysis_carries_the_explain_chain(self):
+        """Provenance is part of every slice: a plain analysis, with no
+        option set, leaves the parent links ``explain`` walks, from the
+        producing literal to a seed of the demarcation point."""
         apk, config = _spec_config("radioreddit")
-        plain = Extractocol(config).analyze(apk)
-        from dataclasses import replace
-
-        traced = Extractocol(replace(config, record_provenance=True)).analyze(apk)
-        assert report_to_dict(plain) == report_to_dict(traced)
+        steps = explain(apk, config, request="1", field="uri").steps
+        engine = Extractocol(config)
+        report = engine.analyze(apk)
+        [txn] = [t for t in report.transactions if t.txn_id == 1]
+        [request] = [
+            s.request for s in engine.last_slicing.slices
+            if s.dp.site == txn.site
+        ]
+        chain = [StmtRef(steps[0].method_id, steps[0].index)]
+        while request.stmts[chain[-1]] is not None:
+            chain.append(request.stmts[chain[-1]])
+        assert len(chain) == 4
+        assert chain == [StmtRef(s.method_id, s.index) for s in steps]

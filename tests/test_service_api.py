@@ -247,6 +247,7 @@ class TestOperationalEndpoints:
         pytest.param({"scope_prefixes": [1]}, id="prefixes-not-strings"),
         pytest.param({"async_heuristic": "false"}, id="bool-field-string"),
         pytest.param({"max_async_hops_override": -1}, id="hops-negative"),
+        pytest.param({"record_provenance": True}, id="unknown-field"),
     ])
     def test_ill_typed_override_is_rejected_before_queueing(
         self, service, overrides
@@ -316,6 +317,20 @@ class TestFleetTelemetryEndpoints:
         runs = {r["run_id"] for r in body["recent_runs"]}
         assert "recent0run01" in runs
 
+    def test_status_skips_a_ledger_line_with_a_non_integer_schema(
+        self, service
+    ):
+        from repro.obs.ledger import RunLedger, RunRecord
+
+        ledger = RunLedger(service.store.root)
+        ledger.append(RunRecord(run_id="readable0001", kind="batch",
+                                label="a", started_unix=0.0, wall_s=0.1))
+        with open(ledger.path, "a") as fh:
+            fh.write('{"schema": null}\n')
+        status, body = get(service, "/status")
+        assert status == 200
+        assert [r["run_id"] for r in body["recent_runs"]] == ["readable0001"]
+
     def test_prometheus_exposes_worker_liveness_and_phases(self, service):
         _, data = post(service, "/analyze", {"target": "diode"})
         wait_done(service, data["job"]["id"])
@@ -380,12 +395,15 @@ class TestFleetTelemetryEndpoints:
             assert (health["jobs"], health["queued"], health["running"]) == (
                 3, 0, 0
             )
+            _, metrics = get(svc, "/metrics")
         finally:
             svc.stop()
         [serve] = [r for r in RunLedger(tmp_path / "store").records()
                    if r["kind"] == "serve"]
         assert (serve["targets"], serve["done"], serve["failed"],
                 serve["cache_hits"]) == (3, 2, 1, 1)
+        # the cache hit ran no analysis; the failed job ran one
+        assert serve["analyses_run"] == metrics["counters"]["analyses_run"] == 2
 
     def test_sigterm_drains_and_writes_the_serve_record(self, tmp_path):
         """``repro serve`` takes SIGTERM, what process managers send, like

@@ -37,11 +37,7 @@ class TestCacheKey:
 
     def test_execution_knobs_do_not_shard_the_cache(self):
         base = AnalysisConfig()
-        for variant in (
-            AnalysisConfig(record_provenance=True),
-            AnalysisConfig(mode="incremental"),
-        ):
-            assert variant.cache_key() == base.cache_key()
+        assert AnalysisConfig(mode="incremental").cache_key() == base.cache_key()
 
     def test_semantic_fields_do_shard_the_cache(self):
         base = AnalysisConfig()
@@ -66,7 +62,6 @@ class TestCacheKey:
             for config in (
                 AnalysisConfig(),
                 AnalysisConfig(mode="incremental"),
-                AnalysisConfig(record_provenance=True),
             )
         ]
         texts = {json.dumps(report_to_dict(r), sort_keys=True) for r in reports}
