@@ -1,9 +1,12 @@
 """Intra-procedural control-flow graph.
 
 The CFG is block-level (for signature building's topological traversal) and
-also exposes statement-level successor/predecessor maps (for the taint
-engine's flow-sensitive propagation, forward and — with edges flipped —
-backward, per paper §3.1).
+also exposes statement-level successor/predecessor maps, which lint's
+dataflow rules read and the reference computations
+(:func:`repro.perf.index.compute_reach_masks`,
+:func:`repro.taint.defuse.compute_defuse`) walk.  Slicing builds no CFG:
+:class:`repro.perf.index.SliceTable` reads the same statement-level edges
+off the body.
 """
 
 from __future__ import annotations

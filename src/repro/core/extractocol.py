@@ -140,7 +140,6 @@ class Extractocol:
             # also the only CFG memo, so it dies with this call.
             index = ProgramIndex(program, callgraph)
             sp.count("entrypoints", len(apk.entrypoints))
-            sp.count("statements", program.statement_count())
 
         # Phase 1 — network-aware program slicing.
         with stats.phase("slicing", app_span) as sp:
@@ -164,6 +163,7 @@ class Extractocol:
                 )
             else:
                 slicing = slicer.slice_all(span=sp)
+            sp.count("statements", slicing.total_statements)
             self.last_slicing = slicing
             stats.count("demarcation_points", len(slicing.slices))
             for s in slicing.slices:

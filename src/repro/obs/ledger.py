@@ -245,6 +245,26 @@ class RunLedger:
 
 
 # ------------------------------------------------------------- rendering
+def _number(record: dict, key: str, spec: str) -> str:
+    """``record[key]`` (0 when absent) formatted with ``spec``, or ``?``
+    when it is not a number: one odd value in a readable record must not
+    stop the listing."""
+    try:
+        return format(float(record.get(key, 0.0)), spec)
+    except (TypeError, ValueError):
+        return "?"
+
+
+def _started(record: dict, fmt: str) -> str:
+    """The record's ``started_unix`` as local time, or ``?``."""
+    try:
+        return time.strftime(
+            fmt, time.localtime(float(record.get("started_unix", 0.0)))
+        )
+    except (TypeError, ValueError, OverflowError, OSError):
+        return "?"
+
+
 def render_runs_table(records: list[dict]) -> str:
     """``repro runs list`` — newest first."""
     header = (
@@ -253,10 +273,7 @@ def render_runs_table(records: list[dict]) -> str:
     )
     lines = [header, "-" * len(header)]
     for record in reversed(records):
-        when = time.strftime(
-            "%Y-%m-%d %H:%M",
-            time.localtime(float(record.get("started_unix", 0.0))),
-        )
+        when = _started(record, "%Y-%m-%d %H:%M")
         label = str(record.get("label", ""))
         if len(label) > 28:
             label = label[:25] + "..."
@@ -264,8 +281,8 @@ def render_runs_table(records: list[dict]) -> str:
             f"{record.get('run_id', '?'):<13} {record.get('kind', '?'):<7} "
             f"{when:<16} {label:<28} {record.get('targets', 0):>5} "
             f"{record.get('failed', 0):>4} {record.get('cache_hits', 0):>4} "
-            f"{record.get('wall_s', 0.0):>7.2f}s "
-            f"{record.get('p50_s', 0.0):>7.3f}s"
+            f"{_number(record, 'wall_s', '.2f'):>7}s "
+            f"{_number(record, 'p50_s', '.3f'):>7}s"
         )
     return "\n".join(lines)
 
@@ -275,20 +292,16 @@ def render_run(record: dict) -> str:
     lines = [
         f"run       {record.get('run_id')}  ({record.get('kind')})",
         f"label     {record.get('label')}",
-        "when      "
-        + time.strftime(
-            "%Y-%m-%d %H:%M:%S",
-            time.localtime(float(record.get("started_unix", 0.0))),
-        ),
-        f"wall      {record.get('wall_s', 0.0):.3f}s"
-        f"  ({record.get('apps_per_sec', 0.0):.1f} apps/s)",
+        f"when      {_started(record, '%Y-%m-%d %H:%M:%S')}",
+        f"wall      {_number(record, 'wall_s', '.3f')}s"
+        f"  ({_number(record, 'apps_per_sec', '.1f')} apps/s)",
         f"executor  {record.get('executor')} x{record.get('workers')}",
         f"targets   {record.get('targets')}  done={record.get('done')}"
         f"  failed={record.get('failed')}"
         f"  cache_hits={record.get('cache_hits')}"
         f"  analyses_run={record.get('analyses_run')}",
-        f"latency   p50={record.get('p50_s', 0.0):.4f}s"
-        f"  p99={record.get('p99_s', 0.0):.4f}s",
+        f"latency   p50={_number(record, 'p50_s', '.4f')}s"
+        f"  p99={_number(record, 'p99_s', '.4f')}s",
     ]
     host = record.get("host") or {}
     if host:

@@ -1,6 +1,6 @@
 """Shared, memoized per-method analysis artifacts.
 
-:class:`ProgramIndex` computes control-flow graphs, slicing tables, loop
+:class:`ProgramIndex` computes slicing tables, control-flow graphs, loop
 structure and the heap field index once per analysis: every artifact is
 keyed by method id, built lazily, and shared by the taint engine (both
 directions), the network slicer's object-aware augmentation and the
@@ -11,9 +11,11 @@ that owns the index, so a long-lived process (a shard worker, ``repro
 serve``) does not pin the bodies of apps it has finished.
 
 A :class:`SliceTable` holds everything slicing reads about one method and
-is built in one walk over the body; :func:`compute_reach_masks` and
-:func:`repro.taint.defuse.compute_defuse` are the independent references
-the tests compare it against.
+is built in one walk over the body, without a CFG (the CFGs serve the
+signature interpreter); :func:`compute_reach_masks` and
+:func:`repro.taint.defuse.compute_defuse`, both over the CFG's
+statement-level edges, are the independent references the tests compare
+it against.
 
 The artifacts that exist per statement or per local are tuples of ints
 where possible: the cyclic collector stops tracking those, while tracked
@@ -31,15 +33,22 @@ from typing import Callable, TypeVar
 from ..cfg.callgraph import CallGraph
 from ..cfg.cfg import ControlFlowGraph
 from ..cfg.dominators import LoopInfo, loop_info, reverse_postorder
-from ..ir.method import Method
+from ..ir.method import Body, Method
 from ..ir.program import Program
-from ..ir.statements import AssignStmt, Stmt, StmtRef
+from ..ir.statements import (
+    AssignStmt,
+    IdentityStmt,
+    InvokeStmt,
+    ReturnStmt,
+    StmtRef,
+)
 from ..ir.values import (
+    Constant,
     FieldSig,
     InstanceFieldRef,
     Local,
     StaticFieldRef,
-    walk_values,
+    Value,
 )
 
 T = TypeVar("T")
@@ -74,24 +83,67 @@ def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:
     return reach
 
 
-def _close(
-    order: range,
-    edges: dict[int, tuple[int, ...]],
-    masks: list[int],
-    cyclic: bool,
+def _read_names(value: Value, out: list[str]) -> None:
+    """Append to ``out`` the names of the locals ``value`` reads: the value
+    itself when it is a local, else its operands, in
+    :func:`~repro.ir.values.walk_values` order.  Expressions are flat, so
+    this is one loop over an expression's operands, with no generator per
+    operand; a nested operand would still be walked."""
+    if value.__class__ is Local:
+        out.append(value.name)
+        return
+    for op in value.operands():
+        if op.__class__ is Local:
+            out.append(op.name)
+        elif not isinstance(op, Constant):
+            _read_names(op, out)
+
+
+def read_names(value: Value) -> list[str]:
+    """The names of the locals ``value`` reads, in
+    :func:`~repro.ir.values.walk_values` order."""
+    out: list[str] = []
+    _read_names(value, out)
+    return out
+
+
+def _close_pull(
+    succ: list[tuple[int, ...]], masks: list[int], cyclic: bool
 ) -> None:
-    """OR every statement's ``edges`` neighbours' masks into its own,
-    visiting statements in ``order``: one sweep when every edge runs with
-    ``order``, else sweeps until nothing changes."""
+    """OR every statement's successors' masks into its own, sweeping in
+    reverse statement order: one sweep when every edge runs forward, else
+    sweeps until nothing changes."""
+    order = range(len(masks) - 1, -1, -1)
     while True:
         changed = False
         for i in order:
             acc = masks[i]
-            for j in edges.get(i, ()):
+            for j in succ[i]:
                 acc |= masks[j]
             if acc != masks[i]:
                 masks[i] = acc
                 changed = True
+        if not (cyclic and changed):
+            return
+
+
+def _close_push(
+    succ: list[tuple[int, ...]], masks: list[int], cyclic: bool
+) -> None:
+    """OR every statement's mask into its successors' masks, sweeping in
+    statement order: one sweep when every edge runs forward (a statement's
+    mask is final once its predecessors have pushed), else sweeps until
+    nothing changes."""
+    order = range(len(masks))
+    while True:
+        changed = False
+        for i in order:
+            mask = masks[i]
+            for j in succ[i]:
+                acc = masks[j] | mask
+                if acc != masks[j]:
+                    masks[j] = acc
+                    changed = True
         if not (cyclic and changed):
             return
 
@@ -116,10 +168,19 @@ class SliceTable:
     (:meth:`~repro.ir.method.Body.declare_local`): a name hashes and
     compares in C, a :class:`~repro.ir.values.Local` in Python.
 
-    Each bitmask relation is one sweep in statement order (reverse order
-    for ``reach``).  Only when the CFG has a back edge (an edge to an
-    index at or below its source) does a sweep repeat until nothing
-    changes: without one, every neighbour a sweep reads is already final.
+    The walk reads each statement by its kind: the local an assignment
+    or identity statement defines, the locals its operands read, and its
+    successors, which are a branch's target (through ``Body.labels``) and
+    then the next statement when control falls through, each once.  Those
+    are :attr:`~repro.cfg.cfg.ControlFlowGraph.stmt_succ`'s edges without
+    the basic blocks: slicing builds no CFG.
+
+    Each bitmask relation is one sweep over the successor edges, in
+    reverse statement order for ``reach`` and in statement order for
+    ``reach_to`` and the reaching definitions.  Only when the body has a
+    back edge (an edge to an index at or below its source) does a sweep
+    repeat until nothing changes: without one, every mask a sweep reads
+    is already final.
     """
 
     __slots__ = (
@@ -127,33 +188,71 @@ class SliceTable:
         "reach", "reach_to", "_defs_in",
     )
 
-    def __init__(self, stmts: list[Stmt], cfg: ControlFlowGraph | None) -> None:
-        """``cfg`` is the body's CFG, or ``None`` when it has no
-        statements."""
+    def __init__(self, body: Body | None) -> None:
+        stmts = body.statements if body is not None else []
         n = len(stmts)
         defined: list[str | None] = [None] * n
         used: list[frozenset[str]] = [_NO_LOCALS] * n
+        succ: list[tuple[int, ...]] = [()] * n
         def_sites: dict[str, list[int]] = {}
         use_sites: dict[str, list[int]] = {}
         mentions: dict[str, int] = {}
         # per local, the bits of the statements defining it: its
         # reaching-definition kill set
         kill: dict[str, int] = {}
+        cyclic = False
         for i, stmt in enumerate(stmts):
-            bit = 1 << i
-            for d in stmt.defs():
-                if isinstance(d, Local):
-                    name = defined[i] = d.name
-                    def_sites.setdefault(name, []).append(i)
-                    mentions[name] = mentions.get(name, 0) | bit
-                    kill[name] = kill.get(name, 0) | bit
-                    break
-            reads = frozenset(
-                v.name for use in stmt.uses() for v in walk_values(use)
-                if isinstance(v, Local)
-            )
+            reads: list[str] = []
+            name = None
+            kind = stmt.__class__
+            if kind is AssignStmt:
+                target = stmt.target
+                _read_names(stmt.rhs, reads)
+                if target.__class__ is Local:
+                    name = target.name
+                else:
+                    # a field or array store reads its base (and index)
+                    _read_names(target, reads)
+                edges = (i + 1,)
+            elif kind is InvokeStmt:
+                _read_names(stmt.expr, reads)
+                edges = (i + 1,)
+            elif kind is IdentityStmt:
+                target = stmt.target
+                if target.__class__ is Local:
+                    name = target.name
+                _read_names(stmt.rhs, reads)
+                edges = (i + 1,)
+            elif kind is ReturnStmt:
+                if stmt.value is not None:
+                    _read_names(stmt.value, reads)
+                edges = ()
+            else:
+                name = next(
+                    (d.name for d in stmt.defs() if isinstance(d, Local)), None
+                )
+                for use in stmt.uses():
+                    _read_names(use, reads)
+                dests = [body.label_index(t) for t in stmt.branch_targets()]
+                if stmt.falls_through:
+                    dests.append(i + 1)
+                edges = tuple(dict.fromkeys(dests))
+                if any(s <= i for s in edges):
+                    cyclic = True
+            if edges:
+                if edges[-1] == n:
+                    # control falls off the end of an unsealed body
+                    edges = edges[:-1]
+                succ[i] = edges
+            if name is not None:
+                bit = 1 << i
+                defined[i] = name
+                def_sites.setdefault(name, []).append(i)
+                mentions[name] = mentions.get(name, 0) | bit
+                kill[name] = kill.get(name, 0) | bit
             if reads:
-                used[i] = reads
+                bit = 1 << i
+                used[i] = reads = frozenset(reads)
                 for v in reads:
                     use_sites.setdefault(v, []).append(i)
                     mentions[v] = mentions.get(v, 0) | bit
@@ -164,30 +263,24 @@ class SliceTable:
         self.mentions = mentions
         self.reach = [1 << i for i in range(n)]
         self.reach_to = [1 << i for i in range(n)]
-        self._defs_in = [0] * n
-        if not n:
-            return
-        succ, pred = cfg.stmt_succ, cfg.stmt_pred
-        cyclic = any(s <= i for i, dests in succ.items() for s in dests)
-        _close(range(n - 1, -1, -1), succ, self.reach, cyclic)
-        _close(range(n), pred, self.reach_to, cyclic)
+        _close_pull(succ, self.reach, cyclic)
+        _close_push(succ, self.reach_to, cyclic)
 
-        # reaching definitions at each statement's entry; a definition is
-        # the bit of the statement making it
-        defs_in = self._defs_in
-        defs_out = [0] * n
+        # reaching definitions at each statement's entry, pushed along the
+        # successor edges; a definition is the bit of the statement making it
+        defs_in = self._defs_in = [0] * n
         while True:
             changed = False
             for i in range(n):
-                acc = 0
-                for p in pred.get(i, ()):
-                    acc |= defs_out[p]
                 name = defined[i]
-                out = acc if name is None else (acc & ~kill[name]) | (1 << i)
-                if acc != defs_in[i] or out != defs_out[i]:
-                    defs_in[i] = acc
-                    defs_out[i] = out
-                    changed = True
+                out = defs_in[i]
+                if name is not None:
+                    out = (out & ~kill[name]) | (1 << i)
+                for j in succ[i]:
+                    acc = defs_in[j] | out
+                    if acc != defs_in[j]:
+                        defs_in[j] = acc
+                        changed = True
             if not (cyclic and changed):
                 break
 
@@ -205,11 +298,10 @@ class ProgramIndex:
 
     Per-method (lazy, built on first request):
 
-    * :meth:`cfg_of` — the CFG
     * :meth:`slice_table` — the :class:`SliceTable` both taint directions
       and the slicer read
-    * :meth:`loop_info` / :meth:`rpo` — loop structure and traversal order
-      for the signature interpreter
+    * :meth:`cfg_of` — the CFG, and :meth:`loop_info` / :meth:`rpo` — loop
+      structure and traversal order, for the signature interpreter
 
     Program-wide (built once): :attr:`field_stores` / :attr:`field_loads`,
     the heap read/write index keyed by :func:`field_key`.
@@ -242,10 +334,8 @@ class ProgramIndex:
         id: the slicer holds statement refs, not methods)."""
         table = self._tables.get(method_id)
         if table is None:
-            method = self.program.method_by_id(method_id)
-            stmts = method.body.statements if method.body is not None else []
             table = self._tables[method_id] = SliceTable(
-                stmts, self.cfg_of(method) if stmts else None
+                self.program.method_by_id(method_id).body
             )
         return table
 
@@ -291,4 +381,10 @@ class ProgramIndex:
         return self._fields[1]
 
 
-__all__ = ["ProgramIndex", "SliceTable", "compute_reach_masks", "field_key"]
+__all__ = [
+    "ProgramIndex",
+    "SliceTable",
+    "compute_reach_masks",
+    "field_key",
+    "read_names",
+]

@@ -208,11 +208,16 @@ def _attach_listener_seeds(
     # listener is a constructor argument (Volley's JsonObjectRequest).
     req_value = expr.args[0] if expr.args else expr.base
     if isinstance(req_value, Local):
+        # locals compare by name, which is unique within a body
+        req_name = req_value.name
         caller = program.method_by_id(inst.site.method_id)
         assert caller.body is not None
         for stmt in caller.body:
             call = stmt.invoke
-            if call is None or call.sig.name != "<init>" or call.base != req_value:
+            if call is None or call.sig.name != "<init>":
+                continue
+            base = call.base
+            if not isinstance(base, Local) or base.name != req_name:
                 continue
             for arg in call.args:
                 if isinstance(arg, Local) and program.has_class(arg.type.name):
@@ -227,7 +232,10 @@ def _attach_listener_seeds(
             param = method.param_locals[param_idx]
             # Seed at the identity statement that binds the parameter.
             for stmt in method.body:
-                if param in set(stmt.defs()):
+                if any(
+                    isinstance(d, Local) and d.name == param.name
+                    for d in stmt.defs()
+                ):
                     inst.response_seeds.append((method.stmt_ref(stmt), param))
                     break
             inst.listener_class = cls_name

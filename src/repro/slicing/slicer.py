@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..cfg.callgraph import CallGraph
 from ..ir.program import Program
@@ -48,8 +49,11 @@ class SlicingReport:
     slices: list[DPSlices] = field(default_factory=list)
     total_statements: int = 0
 
-    @property
+    @cached_property
     def sliced_statements(self) -> set[StmtRef]:
+        """The union of every demarcation point's slice statements,
+        computed on first read (``slices`` is complete by then) and kept:
+        the blocked-store set and ``slice_fraction`` both read it."""
         out: set[StmtRef] = set()
         for s in self.slices:
             out |= s.all_stmts
@@ -148,7 +152,8 @@ class NetworkSlicer:
         slicing table once, when it joins.  Each round snapshots the dangling
         locals (``used - defined``) before each of its two sweeps:
         statements joining during a sweep do not change what that sweep
-        looks for."""
+        looks for.  The second sweep reads a dangling local's defining
+        statements from the table's ``def_sites``."""
         slice_table = self.index.slice_table
         defined: set[tuple[str, str]] = set()
         used: set[tuple[str, str]] = set()
@@ -180,18 +185,14 @@ class NetworkSlicer:
             # 2) objects initialised before the DP outside any slice: pull
             # their defining statements from the containing method directly
             # ("the complete context of objects contained within", §3.1)
-            by_method: dict[str, set[str]] = {}
             for method_id, local in used - defined:
-                by_method.setdefault(method_id, set()).add(local)
-            for method_id, locals_ in by_method.items():
                 table = slice_table(method_id)
-                for idx, local in enumerate(table.defined):
-                    if local in locals_:
-                        ref = StmtRef(method_id, idx)
-                        if ref not in response.stmts:
-                            response.stmts[ref] = None
-                            add_locals(ref, table)
-                            changed = True
+                for idx in table.def_sites.get(local, ()):
+                    ref = StmtRef(method_id, idx)
+                    if ref not in response.stmts:
+                        response.stmts[ref] = None
+                        add_locals(ref, table)
+                        changed = True
 
 
 __all__ = ["DPSlices", "NetworkSlicer", "SlicingReport"]

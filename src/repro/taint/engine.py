@@ -49,9 +49,8 @@ from ..ir.values import (
     StaticFieldRef,
     ThisRef,
     Value,
-    walk_values,
 )
-from ..perf.index import ProgramIndex, field_key
+from ..perf.index import ProgramIndex, field_key, read_names
 from .slices import SliceResult
 
 #: Library calls through which no data flows (logging, metrics).
@@ -155,22 +154,23 @@ class TaintEngine:
         result = SliceResult("backward")
         self._visited = result.visited
         seen: dict[tuple, int] = {}
-        queue: deque[tuple[StmtRef, Local, int]] = deque()
+        queue: deque[tuple[StmtRef, str, int]] = deque()
         enqueued = widened = 0
 
         # not recursive on purpose: a closure that calls itself is a
         # reference cycle, which would keep ``seen`` and ``queue`` alive
         # until the cyclic collector runs instead of freeing them on return
         def need(ref: StmtRef, value: Value, hops: int) -> None:
+            """Every local ``value`` reads is needed at statement ``ref``."""
             nonlocal enqueued, widened
-            if isinstance(value, Local):
-                operands = (value,)
+            if value.__class__ is Local:
+                names = (value.name,)
             elif isinstance(value, Constant):
                 return
             else:
-                operands = [v for v in walk_values(value) if isinstance(v, Local)]
-            for local in operands:
-                key = (ref.method_id, ref.index, local.name)
+                names = read_names(value)
+            for name in names:
+                key = (ref.method_id, ref.index, name)
                 prev = seen.get(key)
                 if prev is not None and prev <= hops:
                     continue
@@ -178,7 +178,7 @@ class TaintEngine:
                     widened += 1
                 seen[key] = hops
                 enqueued += 1
-                queue.append((ref, local, hops))
+                queue.append((ref, name, hops))
 
         for ref, value in seeds:
             result.stmts.setdefault(ref, None)
@@ -187,8 +187,8 @@ class TaintEngine:
         budget = self.config.max_worklist_items
         while queue and budget:
             budget -= 1
-            ref, local, hops = queue.popleft()
-            self._backward_step(ref, local, hops, result, need)
+            ref, name, hops = queue.popleft()
+            self._backward_step(ref, name, hops, result, need)
         self._finish_visited(result)
         result.stats = {
             "worklist_iterations": self.config.max_worklist_items - budget,
@@ -199,12 +199,14 @@ class TaintEngine:
         }
         return result
 
-    def _backward_step(self, ref, local, hops, result, need) -> None:
+    def _backward_step(self, ref, name, hops, result, need) -> None:
+        """Taint on the local ``name`` is needed at ``ref``: add every
+        statement between a reaching definition and ``ref`` that mentions
+        it, and chase what flows into each."""
         method = self._method(ref.method_id)
         assert method.body is not None
         mid = method.method_id
         table = self.index.slice_table(mid)
-        name = local.name
         defined = table.defined
         defs = table.reaching_defs(ref.index, name)
         if not defs and defined[ref.index] == name:
@@ -224,11 +226,11 @@ class TaintEngine:
                 s_ref = StmtRef(mid, s_idx)
                 result.stmts.setdefault(s_ref, None if s_ref == ref else ref)
                 self._backward_inflows(
-                    method, stmt, s_ref, local, defined[s_idx] == name,
+                    method, stmt, s_ref, name, defined[s_idx] == name,
                     hops, result, need,
                 )
 
-    def _backward_inflows(self, method, stmt, ref, local, defines, hops, result, need) -> None:
+    def _backward_inflows(self, method, stmt, ref, name, defines, hops, result, need) -> None:
         # 1) the statement (re)defines the tainted local: chase the RHS
         if defines and isinstance(stmt, AssignStmt):
             self._backward_rhs(method, stmt, stmt.rhs, hops, result, need)
@@ -236,7 +238,7 @@ class TaintEngine:
             self._backward_identity(method, stmt, hops, result, need)
         # 2) mutation through the tainted object
         expr = stmt.invoke
-        if expr is not None and expr.base == local:
+        if expr is not None and _is_local(expr.base, name):
             if not self._is_noflow(expr):
                 for arg in expr.args:
                     need(ref, arg, hops)
@@ -244,9 +246,9 @@ class TaintEngine:
                     result.call_edges.add((ref, callee_id))
         if isinstance(stmt, AssignStmt):
             tgt = stmt.target
-            if isinstance(tgt, InstanceFieldRef) and tgt.base == local:
-                need(ref, stmt.rhs, hops)
-            if isinstance(tgt, ArrayRef) and tgt.base == local:
+            if isinstance(tgt, (InstanceFieldRef, ArrayRef)) and _is_local(
+                tgt.base, name
+            ):
                 need(ref, stmt.rhs, hops)
 
     def _backward_rhs(self, method, stmt, rhs, hops, result, need) -> None:
@@ -290,9 +292,7 @@ class TaintEngine:
                     need(store_ref, tgt.base, hops + cost)
             return
         # plain values: chase every local operand
-        for v in walk_values(rhs):
-            if isinstance(v, Local):
-                need(method.stmt_ref(stmt), v, hops)
+        need(ref, rhs, hops)
 
     def _backward_identity(self, method, stmt, hops, result, need) -> None:
         rhs = stmt.rhs
@@ -351,15 +351,16 @@ class TaintEngine:
         result = SliceResult("forward")
         self._visited = result.visited
         seen: dict[tuple, int] = {}
-        queue: deque[tuple[StmtRef, Local, int]] = deque()
+        queue: deque[tuple[StmtRef, str, int]] = deque()
         enqueued = widened = 0
 
         def fact(ref: StmtRef, value: Value, hops: int) -> None:
             """``value`` holds tainted data from statement ``ref`` onward."""
             nonlocal enqueued, widened
-            if not isinstance(value, Local):
+            if value.__class__ is not Local:
                 return
-            key = (ref.method_id, ref.index, value.name)
+            name = value.name
+            key = (ref.method_id, ref.index, name)
             prev = seen.get(key)
             if prev is not None and prev <= hops:
                 return
@@ -367,7 +368,7 @@ class TaintEngine:
                 widened += 1
             seen[key] = hops
             enqueued += 1
-            queue.append((ref, value, hops))
+            queue.append((ref, name, hops))
 
         for ref, value in seeds:
             result.stmts.setdefault(ref, None)
@@ -376,8 +377,8 @@ class TaintEngine:
         budget = self.config.max_worklist_items
         while queue and budget:
             budget -= 1
-            ref, local, hops = queue.popleft()
-            self._forward_step(ref, local, hops, result, fact)
+            ref, name, hops = queue.popleft()
+            self._forward_step(ref, name, hops, result, fact)
         self._finish_visited(result)
         result.stats = {
             "worklist_iterations": self.config.max_worklist_items - budget,
@@ -388,26 +389,30 @@ class TaintEngine:
         }
         return result
 
-    def _uses_after(self, method: Method, local: Local, from_idx: int) -> list[int]:
-        table = self.index.slice_table(method.method_id)
-        mask = table.reach[from_idx]
-        return [s for s in table.use_sites.get(local.name, ()) if (mask >> s) & 1]
-
-    def _forward_step(self, ref, local, hops, result, fact) -> None:
+    def _forward_step(self, ref, name, hops, result, fact) -> None:
+        """The local ``name`` holds tainted data from ``ref`` onward: add
+        every use of it reachable from ``ref``, and chase where each sends
+        the data."""
         method = self._method(ref.method_id)
         assert method.body is not None
-        for u_idx in self._uses_after(method, local, ref.index):
+        table = self.index.slice_table(method.method_id)
+        mask = table.reach[ref.index]
+        for u_idx in table.use_sites.get(name, ()):
+            if not (mask >> u_idx) & 1:
+                continue
             stmt = method.stmt_at(u_idx)
             u_ref = StmtRef(method.method_id, u_idx)
             result.stmts.setdefault(u_ref, None if u_ref == ref else ref)
-            self._forward_outflows(method, stmt, u_ref, local, hops, result, fact)
+            self._forward_outflows(method, stmt, u_ref, name, hops, result, fact)
 
-    def _forward_outflows(self, method, stmt, ref, local, hops, result, fact) -> None:
+    def _forward_outflows(self, method, stmt, ref, name, hops, result, fact) -> None:
         expr = stmt.invoke
         if expr is not None and not self._is_noflow(expr):
             callees = self.callgraph.callees_of(ref)
-            is_arg = local in expr.args
-            is_base = expr.base == local
+            arg_slots = [
+                i for i, arg in enumerate(expr.args) if _is_local(arg, name)
+            ]
+            is_base = _is_local(expr.base, name)
             for callee_id in callees:
                 callee = self._method(callee_id)
                 if callee.body is None:
@@ -417,11 +422,10 @@ class TaintEngine:
                     result.missed_async_flows.add(ref)
                     continue
                 result.call_edges.add((ref, callee_id))
-                if is_arg:
-                    for i, arg in enumerate(expr.args):
-                        if arg == local and i < len(callee.param_locals):
-                            p = callee.param_locals[i]
-                            fact(self._param_ref(callee, p), p, hops + cost)
+                for i in arg_slots:
+                    if i < len(callee.param_locals):
+                        p = callee.param_locals[i]
+                        fact(self._param_ref(callee, p), p, hops + cost)
                 if is_base and callee.this_local is not None:
                     t = callee.this_local
                     fact(self._param_ref(callee, t), t, hops + cost)
@@ -429,30 +433,20 @@ class TaintEngine:
                 # library call: taint flows into the result and the receiver
                 if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Local):
                     fact(ref, stmt.target, hops)
-                if (is_arg or is_base) and isinstance(expr.base, Local) and expr.base != local:
+                if arg_slots and not is_base and isinstance(expr.base, Local):
                     fact(ref, expr.base, hops)
-        if isinstance(stmt, AssignStmt):
+        # an assignment whose right-hand side reads the tainted local
+        # taints its target
+        if isinstance(stmt, AssignStmt) and name in read_names(stmt.rhs):
             tgt = stmt.target
-            rhs_locals = {
-                v for v in walk_values(stmt.rhs) if isinstance(v, Local)
-            }
-            index_only = (
-                isinstance(tgt, ArrayRef)
-                and tgt.index == local
-                and local not in rhs_locals
-            )
-            if local in rhs_locals or (
-                isinstance(tgt, (InstanceFieldRef, ArrayRef)) and not index_only
-            ):
-                if isinstance(tgt, Local) and local in rhs_locals:
-                    fact(ref, tgt, hops)
-                elif isinstance(tgt, (InstanceFieldRef, StaticFieldRef)) and local in rhs_locals:
-                    result.fields.add(tgt.field)
-                    self._taint_field_loads(tgt.field, ref, hops, result, fact)
-                elif isinstance(tgt, ArrayRef) and local in rhs_locals:
-                    if isinstance(tgt.base, Local):
-                        fact(ref, tgt.base, hops)
-        if isinstance(stmt, ReturnStmt) and stmt.value == local:
+            if isinstance(tgt, Local):
+                fact(ref, tgt, hops)
+            elif isinstance(tgt, (InstanceFieldRef, StaticFieldRef)):
+                result.fields.add(tgt.field)
+                self._taint_field_loads(tgt.field, ref, hops, result, fact)
+            elif isinstance(tgt, ArrayRef) and isinstance(tgt.base, Local):
+                fact(ref, tgt.base, hops)
+        if isinstance(stmt, ReturnStmt) and _is_local(stmt.value, name):
             for site in self.callgraph.callers_of(method.method_id):
                 caller = self._method(site.method_id)
                 call_stmt = caller.stmt_at(site.index)
@@ -490,13 +484,17 @@ class TaintEngine:
         )
         self._visited = None
 
-    @staticmethod
-    def _param_ref(method: Method, local: Local) -> StmtRef:
-        assert method.body is not None
-        for stmt in method.body:
-            if local in set(stmt.defs()):
-                return method.stmt_ref(stmt)
-        return StmtRef(method.method_id, 0)
+    def _param_ref(self, method: Method, local: Local) -> StmtRef:
+        """The statement that first defines ``local`` (a parameter or
+        ``this``), or the body's first statement when none does."""
+        sites = self.index.slice_table(method.method_id).def_sites.get(local.name)
+        return StmtRef(method.method_id, sites[0] if sites else 0)
+
+
+def _is_local(value: Value | None, name: str) -> bool:
+    """Whether ``value`` is the local ``name`` (names are unique within a
+    body, and both sides come from one body)."""
+    return value.__class__ is Local and value.name == name
 
 
 __all__ = ["NOFLOW_CALLS", "TaintConfig", "TaintEngine"]

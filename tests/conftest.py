@@ -1,8 +1,10 @@
-"""Shared fixtures: tiny hand-built IR programs used across test modules."""
+"""Shared fixtures: tiny hand-built IR programs used across test modules,
+and the hypothesis strategy that draws random branchy methods."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.ir import ProgramBuilder
 
@@ -60,3 +62,30 @@ def build_branchy_program() -> ProgramBuilder:
 def branchy_program():
     pb = build_branchy_program()
     return pb.build()
+
+
+@st.composite
+def branchy_methods(draw):
+    """A random method: a sequence of blocks with random forward/backward
+    branches (labels always exist, so the program is valid by construction).
+    An ``if`` may jump back to any block, its own included, or to the next
+    one, which makes its branch target equal its fall-through."""
+    n_blocks = draw(st.integers(2, 8))
+    pb = ProgramBuilder()
+    m = pb.class_("r.App").method("go", params=["int"], static=False)
+    x = m.let("x", "int", 0)
+    labels = [f"B{i}" for i in range(n_blocks)]
+    for i in range(n_blocks):
+        m.label(labels[i])
+        nxt = m.binop("+", x, i)
+        m.assign(x, nxt)
+        kind = draw(st.sampled_from(["fall", "if", "goto"]))
+        if kind == "if":
+            target = draw(st.sampled_from(labels))
+            m.if_goto(m.param(0), ">", i, target)
+        elif kind == "goto" and i + 1 < n_blocks:
+            target = draw(st.sampled_from(labels[i + 1:]))
+            m.goto(target)
+    m.ret_void()
+    program = pb.build()
+    return program.class_of("r.App").find_methods("go")[0]

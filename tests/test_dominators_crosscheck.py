@@ -4,35 +4,11 @@ control-flow graphs built from random branchy IR programs."""
 from __future__ import annotations
 
 import networkx as nx
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from repro.cfg import cfg_of, immediate_dominators, natural_loops
-from repro.ir import ProgramBuilder
 
-
-@st.composite
-def branchy_methods(draw):
-    """A random method: a sequence of blocks with random forward/backward
-    branches (labels always exist, so the program is valid by construction)."""
-    n_blocks = draw(st.integers(2, 8))
-    pb = ProgramBuilder()
-    m = pb.class_("r.App").method("go", params=["int"], static=False)
-    x = m.let("x", "int", 0)
-    labels = [f"B{i}" for i in range(n_blocks)]
-    for i in range(n_blocks):
-        m.label(labels[i])
-        nxt = m.binop("+", x, i)
-        m.assign(x, nxt)
-        kind = draw(st.sampled_from(["fall", "if", "goto"]))
-        if kind == "if":
-            target = draw(st.sampled_from(labels))
-            m.if_goto(m.param(0), ">", i, target)
-        elif kind == "goto" and i + 1 < n_blocks:
-            target = draw(st.sampled_from(labels[i + 1:]))
-            m.goto(target)
-    m.ret_void()
-    program = pb.build()
-    return program.class_of("r.App").find_methods("go")[0]
+from conftest import branchy_methods
 
 
 @settings(max_examples=60, deadline=None,

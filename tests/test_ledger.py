@@ -178,6 +178,36 @@ class TestCli:
         assert data["run_id"] == "json0run0001"
         assert data["failed"] == 1
 
+    @pytest.mark.parametrize("line", [
+        {"schema": 1, "run_id": "abc", "wall_s": "x"},
+        {"schema": 1, "run_id": "abd", "started_unix": "x"},
+        {"schema": 1, "run_id": "abe", "p50_s": None, "p99_s": [1],
+         "apps_per_sec": {}, "started_unix": 1e300},
+    ], ids=["wall_s", "started_unix", "the rest"])
+    def test_runs_list_and_show_print_a_non_number_as_a_question_mark(
+        self, tmp_path, capsys, line
+    ):
+        from repro.cli import main
+
+        ledger = RunLedger(tmp_path)
+        ledger.path.parent.mkdir(parents=True)
+        ledger.path.write_text(json.dumps(line) + "\n")
+        assert main(["runs", "list", "--store", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.startswith(line["run_id"]) and "?" in row
+        assert main([
+            "runs", "show", line["run_id"], "--store", str(tmp_path)
+        ]) == 0
+        out = capsys.readouterr().out
+        for key, shown in (
+            ("started_unix", "when      ?"),
+            ("wall_s", "wall      ?s"),
+            ("apps_per_sec", "(? apps/s)"),
+            ("p50_s", "p50=?s"),
+            ("p99_s", "p99=?s"),
+        ):
+            assert (shown in out) == (key in line), (key, out)
+
     def test_runs_show_unknown_exits(self, tmp_path):
         from repro.cli import main
 

@@ -1,8 +1,10 @@
 """Tests for the memoized analysis engine (`repro.perf`).
 
 The contracts under test: every method's slicing table equals the
-independently computed reference relations (report identity is pinned by
-the golden oracle in ``test_golden_reports.py``); the index is
+independently computed reference relations, on the corpus and on random
+branchy bodies (report identity is pinned by the golden oracle in
+``test_golden_reports.py``); slicing hashes and compares no ``Local`` and
+builds no CFG; the index is
 the only CFG memo, so an analysis pins nothing once it returns; an
 analysis pauses the cyclic collector and leaves it as it found it, which
 costs nothing because an analysis builds no reference cycles; and the
@@ -20,9 +22,10 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.cfg.callgraph import build_callgraph
-from repro.cfg.cfg import cfg_of
+from repro.cfg.cfg import ControlFlowGraph, cfg_of
 from repro.core import extractocol
 from repro.core.config import AnalysisConfig
 from repro.core.extractocol import Extractocol, _dedupe
@@ -31,9 +34,22 @@ from repro.corpus.lineage import build_version
 from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transaction
 from repro.evalx import runner
 from repro.ir import parse_type
+from repro.ir.method import Body, Method, make_sig
 from repro.ir.statements import AssignStmt, StmtRef
-from repro.ir.values import InstanceFieldRef, Local, StaticFieldRef, walk_values
-from repro.perf.index import ProgramIndex, compute_reach_masks, field_key
+from repro.ir.values import (
+    BinOpExpr,
+    InstanceFieldRef,
+    IntConst,
+    Local,
+    StaticFieldRef,
+    walk_values,
+)
+from repro.perf.index import (
+    ProgramIndex,
+    SliceTable,
+    compute_reach_masks,
+    field_key,
+)
 from repro.perf.parallel import resolve_workers, usable_cpus
 from repro.service.jobs import JobTimeout, call_with_timeout, resolve_target
 from repro.service.store import ResultStore
@@ -42,7 +58,7 @@ from repro.slicing.slicer import NetworkSlicer
 from repro.synth import expand_targets
 from repro.taint.defuse import compute_defuse
 
-from conftest import build_branchy_program
+from conftest import branchy_methods, build_branchy_program
 from test_golden_reports import SYNTH_POPULATION
 
 
@@ -201,31 +217,94 @@ def test_local_names_are_unique_per_body_in_the_golden_population():
     assert bodies > 1000
 
 
-def test_slice_tables_hash_no_local(monkeypatch):
-    """Building the slicing table of every corpus method calls
-    ``Local.__hash__`` (Python code) zero times: the table keys locals by
-    name, and a name hashes in C."""
-    pending = []
-    for key in app_keys():
-        program = build_app(key).program
-        index = ProgramIndex(program)
-        for method in _bodied_methods(program):
-            index.cfg_of(method)  # the table's input, not under test
-            pending.append((index, method.method_id))
-    calls = []
-    local_hash = Local.__hash__
+def test_slicing_compares_no_local_and_builds_no_cfg(monkeypatch):
+    """One untraced analysis of every corpus app calls ``Local.__hash__``
+    and ``Local.__eq__`` (Python code) zero times, and builds no
+    ``ControlFlowGraph`` inside ``NetworkSlicer.slice_all``: the slicing
+    tables are read off each body and key locals by name, and the taint
+    engine, the augmentation and the demarcation scan compare names."""
+    targets = [resolve_target(key)[:2] for key in app_keys()]
+    calls: Counter = Counter()
+    slicing: list[bool] = []
+    local_hash, local_eq = Local.__hash__, Local.__eq__
+    cfg_init, slice_all = ControlFlowGraph.__init__, NetworkSlicer.slice_all
 
     def counting_hash(self):
-        calls.append(self.name)
+        calls["Local.__hash__"] += 1
         return local_hash(self)
 
+    def counting_eq(self, other):
+        calls["Local.__eq__"] += 1
+        return local_eq(self, other)
+
+    def counting_cfg(self, method):
+        calls["cfg in slice_all" if slicing else "cfg elsewhere"] += 1
+        cfg_init(self, method)
+
+    def marked_slice_all(self, *args, **kwargs):
+        slicing.append(True)
+        try:
+            return slice_all(self, *args, **kwargs)
+        finally:
+            slicing.pop()
+
     monkeypatch.setattr(Local, "__hash__", counting_hash)
-    for index, method_id in pending:
-        index.slice_table(method_id)
-    assert calls == []
-    # the wrapper does count: a set of one local hashes it once
-    _ = {Local("x", parse_type("int"))}
-    assert calls == ["x"]
+    monkeypatch.setattr(Local, "__eq__", counting_eq)
+    monkeypatch.setattr(ControlFlowGraph, "__init__", counting_cfg)
+    monkeypatch.setattr(NetworkSlicer, "slice_all", marked_slice_all)
+    for apk, config in targets:
+        assert Extractocol(config).analyze(apk).demarcation_points
+    assert calls["Local.__hash__"] == calls["Local.__eq__"] == 0, calls
+    assert calls["cfg in slice_all"] == 0, calls
+    # the wrappers do count: the signature interpreter still builds CFGs,
+    # a set of one local hashes it once and ``==`` compares two
+    assert calls["cfg elsewhere"] > 0
+    x, y = Local("x", parse_type("int")), Local("y", parse_type("int"))
+    _ = {x}
+    assert x != y
+    assert calls["Local.__hash__"] == calls["Local.__eq__"] == 1
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(branchy_methods())
+def test_label_successors_give_the_cfg_relations(method):
+    """A table reads its successors off the statements and the body's
+    labels; on random branchy bodies (back edges, self loops, an ``if``
+    whose target is its fall-through) every relation equals the one
+    computed from the CFG."""
+    table = SliceTable(method.body)
+    n = len(method.body.statements)
+    cfg = cfg_of(method)
+    assert table.reach == compute_reach_masks(cfg, n)
+    fwd = _brute_reach_sets(method)
+    for j in range(n):
+        assert _bits(table.reach_to[j]) == {i for i in range(n) if j in fwd[i]}
+    full = compute_defuse(method)
+    for local, uses in full.use_sites.items():
+        for use_idx in uses:
+            stmt = method.body.statements[use_idx]
+            assert table.reaching_defs(use_idx, local.name) == (
+                full.reaching_defs(stmt, local)
+            ), (use_idx, local.name)
+
+
+def test_tables_of_missing_empty_and_unsealed_bodies():
+    """No body and an empty one give empty tables; an unsealed body whose
+    last statement falls through has no edge off its end, as in the
+    CFG."""
+    for body in (None, Body()):
+        table = SliceTable(body)
+        assert table.defined == table.used == table.reach == table.reach_to == []
+        assert table.def_sites == table.use_sites == table.mentions == {}
+    method = Method(make_sig("app.A", "go", (), "void"), is_static=True)
+    x = method.body.declare_local(Local("x", parse_type("int")))
+    method.body.add(AssignStmt(x, IntConst(1)))
+    method.body.add(AssignStmt(x, BinOpExpr("+", x, IntConst(1))))
+    table = SliceTable(method.body)
+    assert table.reach == compute_reach_masks(cfg_of(method), 2) == [0b11, 0b10]
+    assert table.reach_to == [0b01, 0b11]
+    assert table.reaching_defs(1, "x") == (0,)
 
 
 def test_field_index_matches_statement_scan(indexed_program):
