@@ -70,13 +70,24 @@ def _load_versioned(target: str):
     return apk, config, None
 
 
+def _analyze(engine, apk, target: str, renames=None):
+    """``engine.analyze(apk)``, where a branch to a label its body never
+    defines (lint rule IR002) is bad input: exit 2 naming ``target``."""
+    from repro.ir.method import UndefinedLabel
+
+    try:
+        return engine.analyze(apk, renames=renames)
+    except UndefinedLabel as exc:
+        _fail(f"{target}: {exc}")
+
+
 def cmd_corpus(args) -> int:
-    from repro.corpus import app_keys, get_spec
+    from repro.corpus import app_keys, registry
     from repro.corpus.lineage import lineage_keys, lineages
 
     for key in app_keys(args.kind):
-        spec = get_spec(key)
-        print(f"{key:16s} {spec.kind:6s} {spec.protocol:8s} {spec.name}")
+        app = registry()[key]
+        print(f"{key:16s} {app.kind:6s} {app.protocol:8s} {app.name}")
         # lineage versions are analyzable/diffable targets too — list the
         # app@vN labels build_version() accepts right under their app
         if key in lineage_keys():
@@ -118,13 +129,12 @@ def cmd_corpus_synth(args) -> int:
 
     if args.export:
         from repro.apk.loader import save_apk
-        from repro.corpus import get_spec
+        from repro.corpus import build_app
 
         out_dir = Path(args.export)
         out_dir.mkdir(parents=True, exist_ok=True)
         for app in manifest["apps"]:
-            save_apk(get_spec(app["key"]).build_apk(),
-                     out_dir / f"{app['key']}.sapk")
+            save_apk(build_app(app["key"]), out_dir / f"{app['key']}.sapk")
         print(f"exported {manifest['totals']['apps']} bundles to {out_dir}",
               file=sys.stderr)
 
@@ -180,7 +190,7 @@ def cmd_analyze(args) -> int:
 
     started_unix = _time.time()
     engine = Extractocol(config, span=root, store=store)
-    report = engine.analyze(apk, renames=renames)
+    report = _analyze(engine, apk, args.target, renames)
     stats = report.phase_stats
     if stats.incremental is not None:
         i = stats.incremental
@@ -258,10 +268,14 @@ def cmd_lint(args) -> int:
         slicing = None
         if args.analyze:
             from repro import Extractocol
+            from repro.ir.method import UndefinedLabel
 
             engine = Extractocol(config)
-            report = engine.analyze(apk)
-            slicing = engine.last_slicing
+            try:
+                report = engine.analyze(apk)
+                slicing = engine.last_slicing
+            except UndefinedLabel:
+                pass  # no analysis to lint; the IR pass reports it (IR002)
         lint = lint_apk(apk, report=report, slicing=slicing)
         reports.append((target, lint))
         all_findings.extend(lint.findings)
@@ -349,7 +363,7 @@ def cmd_trace(args) -> int:
 
         apk, config = _load(args.target)
         root = Span("repro")
-        Extractocol(config, span=root).analyze(apk)
+        _analyze(Extractocol(config, span=root), apk, args.target)
     if args.flame:
         text = collapsed_stacks(root)
     else:
@@ -380,13 +394,14 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.corpus import get_spec
+    from repro.corpus import build_app, get_genapp
+    from repro.corpus.generator import build_network_for
     from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
 
-    spec = get_spec(args.target)
+    app = get_genapp(args.target)
     fuzzer = ManualUiFuzzer() if args.mode == "manual" else AutoUiFuzzer()
-    result = fuzzer.fuzz(spec.build_apk(), spec.build_network())
-    print(f"{args.mode} fuzzing of {spec.name}: {len(result.trace)} transactions")
+    result = fuzzer.fuzz(build_app(args.target), build_network_for(app))
+    print(f"{args.mode} fuzzing of {app.name}: {len(result.trace)} transactions")
     for captured in result.trace:
         print(f"  {captured}")
     for name, reason in result.skipped:

@@ -19,11 +19,14 @@ intent + multi-hop async   no (§3.4)  yes           sometimes   ad libraries
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..apk.model import Apk
 from ..core.config import AnalysisConfig
 from ..runtime.httpstack import Network
+
+if TYPE_CHECKING:
+    from .generator import GenApp
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,18 @@ class AppSpec:
     notes: str = ""
 
     def analysis_config(self) -> AnalysisConfig:
-        """A fresh config with the paper's §5.1 per-app setup: async
-        heuristic off for open-source apps, on for closed-source; Kayak
-        scoped to its own classes."""
-        return AnalysisConfig(
-            async_heuristic=(self.kind == "closed"),
-            scope_prefixes=self.scope_prefixes,
-        )
+        """A fresh config with this app's setup (:func:`app_config`)."""
+        return app_config(self)
 
 
-__all__ = ["AppSpec", "EndpointTruth", "GroundTruth"]
+def app_config(app: AppSpec | GenApp) -> AnalysisConfig:
+    """A fresh config with the paper's §5.1 per-app setup: async
+    heuristic off for open-source apps, on for closed-source; Kayak
+    scoped to its own classes."""
+    return AnalysisConfig(
+        async_heuristic=(app.kind == "closed"),
+        scope_prefixes=app.scope_prefixes,
+    )
+
+
+__all__ = ["AppSpec", "EndpointTruth", "GroundTruth", "app_config"]

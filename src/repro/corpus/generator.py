@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from ..apk.manifest import Manifest
 from ..apk.model import Apk, EntryPoint, TriggerKind
@@ -565,41 +566,53 @@ def _escape_path(path: str) -> str:
     return _re.escape(path)
 
 
+def emit_apk(spec: GenApp) -> Apk:
+    """Emit ``spec``'s IR into a fresh :class:`Apk`.
+
+    The only emitter of an APK: corpus keys, ``syn-`` keys, lineage
+    versions and :attr:`AppSpec.build_apk` all come through here, one emit
+    per APK.  Nothing is memoized, so every call returns a new program."""
+    emitter = _AppEmitter(spec)
+    emitter.emit()
+    return Apk(
+        manifest=Manifest(
+            package=spec.package,
+            label=spec.name,
+            activities=[emitter.main_cls],
+            permissions=["android.permission.INTERNET"],
+        ),
+        program=emitter.pb.build(),
+        resources=emitter.resources,
+        entrypoints=emitter.entrypoints,
+    )
+
+
 def build_generated_app(spec: GenApp) -> AppSpec:
-    """Materialise a :class:`GenApp` spec into a corpus :class:`AppSpec`."""
+    """Materialise a :class:`GenApp` spec into a corpus :class:`AppSpec`.
 
-    def build_apk() -> Apk:
-        emitter = _AppEmitter(spec)
-        emitter.emit()
-        program = emitter.pb.build()
-        return Apk(
-            manifest=Manifest(
-                package=spec.package,
-                label=spec.name,
-                activities=[emitter.main_cls],
-                permissions=["android.permission.INTERNET"],
-            ),
-            program=program,
-            resources=emitter.resources,
-            entrypoints=emitter.entrypoints,
-        )
-
-    # Probe build: runs the custom hook too, so hand-written endpoints
-    # contribute their truth entries.
+    Its ground truth comes from a probe emit, which runs the custom hook
+    too (hand-written endpoints contribute their truth entries) and
+    validates the spec: a duplicate endpoint or entry point raises
+    :class:`ValueError` here."""
     probe = _AppEmitter(spec)
     probe.emit()
-
     return AppSpec(
         key=spec.key,
         name=spec.name,
         kind=spec.kind,
         protocol=spec.protocol,
-        build_apk=build_apk,
-        build_network=lambda: build_network_for(spec),
+        build_apk=partial(emit_apk, spec),
+        build_network=partial(build_network_for, spec),
         truth=probe.truth,
         scope_prefixes=spec.scope_prefixes,
         notes=spec.notes,
     )
 
 
-__all__ = ["GenApp", "GenEndpoint", "build_generated_app", "build_network_for"]
+__all__ = [
+    "GenApp",
+    "GenEndpoint",
+    "build_generated_app",
+    "build_network_for",
+    "emit_apk",
+]

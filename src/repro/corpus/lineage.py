@@ -25,7 +25,8 @@ from typing import Callable
 
 from ..apk.model import Apk
 from ..core.config import AnalysisConfig
-from .generator import GenApp, GenEndpoint, build_generated_app
+from .base import app_config
+from .generator import GenApp, GenEndpoint, emit_apk
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,7 @@ def _mutated(base: Callable[[], GenApp], *edits) -> Callable[[], BuiltVersion]:
         spec = copy.deepcopy(base())
         for edit in edits:
             edit(spec)
-        app_spec = build_generated_app(spec)
-        return BuiltVersion(
-            apk=app_spec.build_apk(), config=app_spec.analysis_config()
-        )
+        return BuiltVersion(apk=emit_apk(spec), config=app_config(spec))
 
     return build
 
@@ -99,11 +97,11 @@ def _obfuscated(base: Callable[[], GenApp]) -> Callable[[], BuiltVersion]:
     def build() -> BuiltVersion:
         from ..apk.obfuscator import obfuscate
 
-        app_spec = build_generated_app(base())
-        result = obfuscate(app_spec.build_apk())
+        spec = base()
+        result = obfuscate(emit_apk(spec))
         return BuiltVersion(
             apk=result.apk,
-            config=app_spec.analysis_config(),
+            config=app_config(spec),
             renames_from_base=result.renames,
         )
 

@@ -8,7 +8,7 @@ textual parser and validator.
 
 from .builder import ClassBuilder, MethodBuilder, ProgramBuilder, as_value
 from .classes import ClassDef
-from .method import Body, Method, make_sig
+from .method import Body, Method, UndefinedLabel, make_sig
 from .program import Program
 from .statements import (
     AssignStmt,

@@ -9,6 +9,11 @@ from .types import Type, parse_type
 from .values import Local, MethodSig
 
 
+class UndefinedLabel(LookupError):
+    """A branch names a label its body does not define: a malformed
+    program (lint rule IR002), which no analysis can walk."""
+
+
 class Body:
     """A method body: an ordered statement list plus a label table.
 
@@ -46,7 +51,7 @@ class Body:
         try:
             return self.labels[name]
         except KeyError:
-            raise KeyError(f"undefined label {name!r}") from None
+            raise UndefinedLabel(f"undefined label {name!r}") from None
 
     def seal(self) -> None:
         """Freeze the body.  Dangling labels (pointing past the final
@@ -141,4 +146,4 @@ def make_sig(
     )
 
 
-__all__ = ["Body", "Method", "make_sig"]
+__all__ = ["Body", "Method", "UndefinedLabel", "make_sig"]

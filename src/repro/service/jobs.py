@@ -132,7 +132,7 @@ def resolve_target(
     (``app@vN``) or ``.sapk`` path into ``(apk, config, label)`` with the
     same per-app defaults the ``analyze`` CLI verb applies, so stored
     reports are byte-identical to ``repro analyze`` output."""
-    from ..corpus import app_keys, get_spec
+    from ..corpus import app_config, app_keys, build_app, get_genapp
     from ..corpus.lineage import build_version, is_version_label
     from ..synth import is_synth_key
 
@@ -140,9 +140,8 @@ def resolve_target(
         built = build_version(target)
         apk, config, label = built.apk, built.config, target
     elif is_synth_key(target) or target in app_keys():
-        spec = get_spec(target)
-        apk = spec.build_apk()
-        config = spec.analysis_config()
+        apk = build_app(target)
+        config = app_config(get_genapp(target))
         label = target
     else:
         path = Path(target)

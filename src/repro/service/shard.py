@@ -86,7 +86,6 @@ def expand_batch_targets(targets: list[str]) -> list[str]:
     from ..synth import expand_targets, is_synth_key, parse_app_key
 
     targets = expand_targets(list(targets))
-    known: set[str] | None = None
     for target in targets:
         if is_version_label(target):
             lineage_version(target)  # raises LookupError on a bad label
@@ -94,11 +93,7 @@ def expand_batch_targets(targets: list[str]) -> list[str]:
         if is_synth_key(target):
             parse_app_key(target)  # raises KeyError on a malformed key
             continue
-        if known is None:
-            # built on first need: the registry materializes every
-            # hand-written corpus app, which an all-synth batch skips
-            known = set(app_keys())
-        if target not in known and not Path(target).exists():
+        if target not in app_keys() and not Path(target).exists():
             raise LookupError(
                 f"{target!r} is neither a corpus app key, a synthesized "
                 f"app key, a lineage label (app@vN), a population spec, "

@@ -23,6 +23,7 @@ from .compile import (
     parse_app_key,
     parse_population,
     population_manifest,
+    synth_apk,
     synth_genapp,
     synth_lineage,
     synth_spec,
@@ -51,6 +52,7 @@ __all__ = [
     "parse_population",
     "population_manifest",
     "resolve_families",
+    "synth_apk",
     "synth_genapp",
     "synth_lineage",
     "synth_spec",

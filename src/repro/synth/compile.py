@@ -38,9 +38,14 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ..apk.model import TriggerKind
+from ..apk.model import Apk, TriggerKind
 from ..corpus.base import AppSpec
-from ..corpus.generator import GenApp, GenEndpoint, build_generated_app
+from ..corpus.generator import (
+    GenApp,
+    GenEndpoint,
+    build_generated_app,
+    emit_apk,
+)
 from ..corpus.lineage import (
     LineageVersion,
     _edit_endpoint,
@@ -455,20 +460,22 @@ def _is_obfuscated(key: str) -> bool:
     return family_name == "obfuscated"
 
 
+def synth_apk(key: str) -> Apk:
+    """A synthesized app's APK from one emit; the apps of the
+    ``obfuscated`` family ship with every app identifier renamed."""
+    apk = emit_apk(synth_genapp(key))
+    if _is_obfuscated(key):
+        from ..apk.obfuscator import obfuscate
+
+        apk = obfuscate(apk).apk
+    return apk
+
+
 @lru_cache(maxsize=4096)
 def synth_spec(key: str) -> AppSpec:
     """Materialise a synthesized-app key into a corpus :class:`AppSpec`."""
-    gen = synth_genapp(key)
-    spec = build_generated_app(gen)
-    if _is_obfuscated(key):
-        inner = spec.build_apk
-
-        def build_obfuscated():
-            from ..apk.obfuscator import obfuscate
-
-            return obfuscate(inner()).apk
-
-        spec.build_apk = build_obfuscated
+    spec = build_generated_app(synth_genapp(key))
+    spec.build_apk = partial(synth_apk, key)
     return spec
 
 
@@ -618,6 +625,7 @@ __all__ = [
     "parse_app_key",
     "parse_population",
     "population_manifest",
+    "synth_apk",
     "synth_genapp",
     "synth_lineage",
     "synth_spec",

@@ -353,6 +353,44 @@ class TestMalformedBundles:
                 assert err.count("\n") == 1 and member in err, (argv, err)
 
 
+@pytest.fixture(scope="module")
+def undefined_label_bundle(tmp_path_factory):
+    """radioreddit with its first ``goto BUILD;`` retargeted at a label
+    no body defines: the bundle loads, but its program is malformed."""
+    from repro.apk.loader import save_apk
+    from repro.corpus import build_app
+
+    path = save_apk(build_app("radioreddit"),
+                    tmp_path_factory.mktemp("bundle") / "r.sapk")
+    jimple = path / "classes.jimple"
+    text = jimple.read_text()
+    assert "goto BUILD;" in text
+    jimple.write_text(text.replace("goto BUILD;", "goto NOWHERE;", 1))
+    return path
+
+
+class TestUndefinedBranchLabel:
+    """A branch to an undefined label is bad input to an analysis: one
+    stderr line naming the bundle and the label, exit 2.  ``lint`` still
+    reads the program and reports the branch as IR002."""
+
+    @pytest.mark.parametrize("verb", ["analyze", "trace"])
+    def test_analysis_verbs_exit_2_naming_bundle_and_label(
+        self, undefined_label_bundle, verb
+    ):
+        code, err = _exit_and_stderr([verb, str(undefined_label_bundle)])
+        assert code == 2, err
+        assert err.count("\n") == 1, err
+        assert str(undefined_label_bundle) in err and "'NOWHERE'" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--analyze"]],
+                             ids=["lint", "lint-analyze"])
+    def test_lint_reports_ir002(self, undefined_label_bundle, capsys, extra):
+        assert main(["lint", str(undefined_label_bundle), *extra]) == 1
+        out = capsys.readouterr().out
+        assert "IR002" in out and "'NOWHERE'" in out
+
+
 class TestReportDict:
     def test_roundtrips_through_json(self):
         from repro import AnalysisConfig, Extractocol

@@ -195,3 +195,88 @@ class TestCaseStudyApps:
 
         assert "dir" not in vote_keywords(off)  # the one missed keyword
         assert "dir" in vote_keywords(on)
+
+
+# ------------------------------------------------------ building an app
+def _listing():
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus"]) == 0
+
+
+def _resolve(target):
+    from repro.service.jobs import resolve_target
+
+    return lambda: resolve_target(target)
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The app keys `_AppEmitter.emit` runs for, counted from empty corpus
+    caches, as in a fresh interpreter."""
+    import repro.corpus as corpus
+    from repro.corpus.generator import _AppEmitter
+    from repro.synth import synth_spec
+
+    monkeypatch.setattr(corpus, "_REGISTRY", None)
+    monkeypatch.setattr(corpus, "_SPECS", {}, raising=False)
+    synth_spec.cache_clear()
+    keys = []
+    real = _AppEmitter.emit
+
+    def emit(self):
+        keys.append(self.spec.key)
+        return real(self)
+
+    monkeypatch.setattr(_AppEmitter, "emit", emit)
+    return keys
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(app_keys, [], id="app_keys"),
+    pytest.param(_listing, [], id="repro-corpus"),
+    pytest.param(_resolve("ted"), ["ted"], id="resolve-corpus-key"),
+    pytest.param(_resolve("syn-transports-s7-0000"),
+                 ["syn-transports-s7-0000"], id="resolve-syn-key"),
+    pytest.param(_resolve("syn-obfuscated-s7-0000"),
+                 ["syn-obfuscated-s7-0000"], id="resolve-obfuscated-key"),
+    pytest.param(_resolve("reddinator@v2"), ["reddinator"],
+                 id="resolve-lineage-label"),
+    pytest.param(lambda: get_spec("ted").truth, ["ted"], id="truth"),
+])
+def test_emit_census(emitted, call, expected):
+    """Listing the corpus emits no IR, a resolved target is one emit, and
+    ground truth costs one probe emit of the app asked for."""
+    call()
+    assert emitted == expected
+
+
+def _same_apk_targets():
+    from repro.synth import parse_population
+
+    # synth:all*16@7 holds two apps of the obfuscated family
+    return ALL_KEYS + parse_population("synth:all*16@7").keys()
+
+
+@pytest.mark.parametrize("target", _same_apk_targets())
+def test_resolve_target_builds_what_the_spec_builds(target):
+    from repro.apk.loader import apk_digest
+    from repro.service.jobs import resolve_target
+
+    apk, config, _ = resolve_target(target)
+    spec = get_spec(target)
+    assert apk_digest(apk) == apk_digest(spec.build_apk())
+    assert config.cache_key() == spec.analysis_config().cache_key()
+
+
+@pytest.mark.parametrize("key", ["ted", "syn-obfuscated-s7-0000"])
+def test_build_app_returns_a_new_apk_per_call(key):
+    from repro.corpus import build_app
+
+    first, second = build_app(key), build_app(key)
+    assert first is not second
+    assert first.program is not second.program
