@@ -254,7 +254,8 @@ def cmd_lint(args) -> int:
 
         targets.extend(parse_population(args.corpus).keys())
     if args.all or not targets:
-        targets = app_keys()
+        # --all adds the corpus apps; named targets and the population stay
+        targets = list(dict.fromkeys(app_keys() + targets))
 
     baseline = None
     if args.baseline and Path(args.baseline).exists():
@@ -379,11 +380,14 @@ def cmd_trace(args) -> int:
 def cmd_explain(args) -> int:
     """Explain where a signature field comes from: the chain of concrete
     statements from the producing constant to the demarcation point."""
+    from repro.ir.method import UndefinedLabel
     from repro.obs.provenance import explain
 
     apk, config = _load(args.target)
     try:
         result = explain(apk, config, request=args.request, field=args.field)
+    except UndefinedLabel as exc:
+        _fail(f"{args.target}: {exc}")
     except LookupError as exc:
         _fail(str(exc))
     if args.json:
@@ -398,7 +402,12 @@ def cmd_fuzz(args) -> int:
     from repro.corpus.generator import build_network_for
     from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
 
-    app = get_genapp(args.target)
+    try:
+        app = get_genapp(args.target)
+    except LookupError as exc:
+        # fuzzing drives the app's generated network model, so only a
+        # corpus or synthesized key names a fuzzable app
+        _fail(exc.args[0])
     fuzzer = ManualUiFuzzer() if args.mode == "manual" else AutoUiFuzzer()
     result = fuzzer.fuzz(build_app(args.target), build_network_for(app))
     print(f"{args.mode} fuzzing of {app.name}: {len(result.trace)} transactions")
@@ -411,9 +420,9 @@ def cmd_fuzz(args) -> int:
 
 def cmd_export(args) -> int:
     from repro.apk.loader import save_apk
-    from repro.corpus import build_app
 
-    path = save_apk(build_app(args.target), args.output)
+    apk, _config = _load(args.target)
+    path = save_apk(apk, args.output)
     print(f"wrote {path}")
     return 0
 
@@ -514,6 +523,7 @@ def cmd_batch(args) -> int:
     from repro.perf.parallel import resolve_workers
     from repro.service import ResultStore
     from repro.service.shard import expand_batch_targets, run_sharded_batch
+    from repro.service.store import SCHEMA_VERSION
 
     targets = list(args.targets)
     if args.corpus:
@@ -576,6 +586,9 @@ def cmd_batch(args) -> int:
     if not args.no_ledger:
         RunLedger(store.root).append(run)
 
+    # no store counters: the workers count hits and writes on their own
+    # ResultStores, so this one's would read 0 whatever the batch did
+    entries = len(store.entries())
     if args.json:
         print(json.dumps({
             "run_id": run_id,
@@ -583,7 +596,7 @@ def cmd_batch(args) -> int:
             "cache_hits": run.cache_hits,
             "analyses_run": run.analyses_run,
             "failed": run.failed,
-            "store": store.stats(),
+            "store": {"entries": entries, "schema": SCHEMA_VERSION},
             "telemetry_dir": run.telemetry_dir,
             "fleet_trace": run.fleet_trace,
         }, indent=2, sort_keys=True))
@@ -609,7 +622,7 @@ def cmd_batch(args) -> int:
     print(
         f"{run.targets} jobs: {run.done} done ({run.cache_hits} cached), "
         f"{run.failed} failed; analyses run: {run.analyses_run}; "
-        f"store: {store.stats()['entries']} entries"
+        f"store: {entries} entries"
     )
     if not args.no_ledger:
         print(f"run {run_id} recorded; inspect with: repro runs show {run_id}")
@@ -807,8 +820,8 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.add_argument("targets", nargs="*",
                         help="corpus keys or .sapk paths (default: whole corpus)")
     p_lint.add_argument("--all", action="store_true",
-                        help="lint every corpus app (the default when no "
-                             "targets are given)")
+                        help="also lint every corpus app (the default "
+                             "when no targets are given)")
     p_lint.add_argument("--analyze", action="store_true",
                         help="also run the full analysis and include the "
                              "post-analysis SIG0xx signature lints")
@@ -871,7 +884,9 @@ def main(argv: list[str] | None = None) -> int:
     p_fuzz.add_argument("--mode", choices=["manual", "auto"], default="manual")
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
-    p_export = sub.add_parser("export", help="save a corpus app as .sapk")
+    p_export = sub.add_parser(
+        "export", help="save an app (any target 'analyze' takes) as .sapk"
+    )
     p_export.add_argument("target")
     p_export.add_argument("output")
     p_export.set_defaults(fn=cmd_export)
@@ -888,8 +903,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="diff the two most recently stored reports "
                              "of APP instead of giving explicit targets")
     p_diff.add_argument("--store", default=None, metavar="DIR",
-                        help="result store for key resolution and diff "
-                             "caching, created if missing (default: "
+                        help="result store for key resolution and for "
+                             "storing the operands' reports, created if "
+                             "missing (default: "
                              "$REPRO_STORE or ~/.cache/repro/store, used "
                              "only if it exists)")
     g_fmt = p_diff.add_mutually_exclusive_group()

@@ -122,9 +122,12 @@ def resolve_diff_target(target: str, *, store=None):
     Tried in order: result-store key (when a store is given), generated
     lineage version (``app@vN``), corpus key, ``.sapk`` path.  Lineage
     versions return their rename lineage so the caller can thread rename
-    tolerance between two versions of the same family.
+    tolerance between two versions of the same family.  An operand whose
+    program branches to an undefined label raises
+    :class:`~repro.ir.method.UndefinedLabel` naming ``target``.
     """
     from ..corpus.lineage import build_version, is_version_label
+    from ..ir.method import UndefinedLabel
 
     if store is not None:
         envelope = store.lookup(target)
@@ -133,25 +136,24 @@ def resolve_diff_target(target: str, *, store=None):
 
     if is_version_label(target):
         built = build_version(target)
-        report = _analyze(
-            built.apk,
-            built.config,
-            store=store,
-            renames=built.renames_from_base,
-        )
-        return report, built.renames_from_base, target
+        apk, config, label = built.apk, built.config, target
+        renames = built.renames_from_base
+    else:
+        from ..service.jobs import resolve_target
 
-    from ..service.jobs import resolve_target
-
+        try:
+            apk, config, label = resolve_target(target)
+        except LookupError:
+            raise LookupError(
+                f"{target!r} is not a stored result key, corpus app, "
+                f"lineage version (app@vN) or .sapk bundle"
+            ) from None
+        renames = None
     try:
-        apk, config, label = resolve_target(target)
-    except LookupError:
-        raise LookupError(
-            f"{target!r} is not a stored result key, corpus app, "
-            f"lineage version (app@vN) or .sapk bundle"
-        ) from None
-    report = _analyze(apk, config, store=store)
-    return report, None, label
+        report = _analyze(apk, config, store=store, renames=renames)
+    except UndefinedLabel as exc:
+        raise UndefinedLabel(f"{target}: {exc}") from None
+    return report, renames, label
 
 
 def _analyze(apk, config, *, store=None, renames=None) -> dict:

@@ -3,16 +3,16 @@
 Everything here is plain data with a canonical dict form.  ``to_dict`` is
 deterministic — every collection is emitted in a sorted, stable order — so
 two diffs of byte-identical reports serialise byte-identically, which is
-what lets the service cache diffs in the content-addressed result store
-and what the CI smoke job asserts.
+what ``GET /diff`` and ``repro diff --json`` rely on and what the CI
+smoke job asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Bump when the ProtocolDiff dict shape changes incompatibly.  Cached
-#: diff envelopes with another version are recomputed, never mis-parsed.
+#: Bump when the ProtocolDiff dict shape changes incompatibly; it is the
+#: ``schema`` of every ``to_dict()``, so a consumer can tell the shapes apart.
 DIFF_SCHEMA_VERSION = 1
 
 #: Change severities, most severe first.

@@ -1,58 +1,54 @@
-"""The on-disk inverted index: segments, manifest, pending markers.
+"""The on-disk inverted index: one file plus pending markers.
 
 Layout — a side-band ``index/`` tree inside the result store, invisible
 to report listings exactly like the ``manifests/`` tree::
 
-    <store>/index/MANIFEST.json        schema, segment ids, stats
-    <store>/index/segments/<sha>.json  term -> postings, sharded by term
-    <store>/index/docs/<sha>.json      doc registry (key -> app/summary/labels)
+    <store>/index/index.json           schema, doc registry, postings
     <store>/index/pending/<key>.json   empty marker: a report not yet folded
 
+``index.json`` holds ``docs``, the doc registry (result key -> app,
+summary, transaction labels), and ``terms``: each term's postings as one
+flat ``[doc, txn, doc, txn, ...]`` list, where ``doc`` is the result
+key's position in the sorted key list.
+
 **Determinism.**  Index bytes are a pure function of the set of indexed
-envelopes: postings are sorted, terms shard to one of :data:`N_SLOTS`
-segments by term hash, every file is canonical JSON named by the sha256
-of its own bytes, and the manifest carries no timestamps.  Two
-independently built indexes over the same store are therefore
-byte-identical trees, and an incremental fold-in reproduces exactly what
-a full rebuild would have written.
+envelopes: the file is canonical JSON, postings are sorted, and nothing
+in it is a timestamp.  Two independently built indexes over the same
+store are therefore byte-identical trees, and an incremental fold-in
+writes exactly what a full rebuild would have written.
 
 **Freshness.**  Every report ``put`` creates an empty marker named by
 the result key once the envelope has landed.  Readers derive each
 unfolded report's document from its envelope at load time (memoized per
 key across reloads: an envelope never changes), so a query issued right
 after a batch sees every new report with zero rebuild; ``repro index``
-folds every stored report the durable tree lacks into the segments and
-then deletes the markers it listed.
+folds every stored report the durable index lacks into ``index.json``
+and then deletes the markers it listed.
 
-**Crash safety.**  Segment/doc files are content-addressed and the
-manifest is written atomically last, so a crashed builder leaves either
-the old index or the new one, never a torn tree (orphaned segment files
-are garbage-collected by the next fold).  A segment or doc registry the
-manifest names that cannot be read (damaged on disk) or has another
-schema is skipped by readers, and the next fold rebuilds from the
-envelopes, rewriting every file even where the fresh bytes keep the
-damaged file's name.  A report whose marker never landed — its writer
-died between the two, or the marker write failed — is missing from
-readers until the next fold, which finds it by scanning the stored
-envelopes; a marker without an envelope is dropped by the fold.
+**Crash safety.**  A fold writes ``index.json`` with one
+:func:`~repro.service.store.atomic_write`, so a crashed builder leaves
+either the old index or the new one.  A file that cannot be read
+(damaged on disk) or has another schema reads as "no index": readers see
+only the pending overlay, and the next fold rebuilds from the envelopes.
+An index of schema 1 (``MANIFEST.json``, ``segments/``, ``docs/``) is
+never read; its files can be deleted.  A report whose marker never
+landed — its writer died between the two, or the marker write failed —
+is missing from readers until the next fold, which finds it by scanning
+the stored envelopes; a marker without an envelope is dropped by the
+fold.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 from ..service.store import atomic_write, canonical_json
 from .docs import extract_doc
 
-#: Bump when the index layout (manifest, segment or docs shape) changes
-#: incompatibly; a mismatched tree reads as "no index".
-INDEX_SCHEMA = 1
-
-#: Terms shard to ``sha256(term) % N_SLOTS`` segments.  Fixed — changing
-#: it is an index schema change.
-N_SLOTS = 16
+#: Bump when the shape of ``index.json`` changes incompatibly; a file of
+#: another schema reads as "no index".
+INDEX_SCHEMA = 2
 
 #: A posting: where one transaction lives.
 Posting = tuple[str, str, int]  # (app, result key, txn id)
@@ -67,21 +63,8 @@ def pending_dir(store_root: str | Path) -> Path:
     return index_root(store_root) / "pending"
 
 
-def manifest_path(store_root: str | Path) -> Path:
-    return index_root(store_root) / "MANIFEST.json"
-
-
-def _read_json(path: Path) -> dict | None:
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
-def term_slot(term: str) -> int:
-    digest = hashlib.sha256(term.encode("utf-8")).hexdigest()
-    return int(digest[:8], 16) % N_SLOTS
+def index_path(store_root: str | Path) -> Path:
+    return index_root(store_root) / "index.json"
 
 
 # ---------------------------------------------------------------- pending
@@ -93,7 +76,7 @@ def write_pending_delta(store_root: str | Path, key: str) -> None:
     The marker carries nothing — readers derive the document from the
     envelope — so it is not fsynced: a lost marker only hides the report
     until the next fold, which indexes every stored report the durable
-    tree lacks.
+    index lacks.
     """
     directory = pending_dir(store_root)
     directory.mkdir(parents=True, exist_ok=True)
@@ -146,16 +129,15 @@ def _doc_postings(key: str, doc: dict) -> dict[str, set[Posting]]:
 class FleetIndex:
     """An in-memory view of the on-disk index plus its pending overlay.
 
-    ``load()`` reads the manifest tree and overlays, in memory (never on
-    disk), the document of every marked report the tree lacks, derived
+    ``load()`` reads ``index.json`` and overlays, in memory (never on
+    disk), the document of every marked report the file lacks, derived
     from its envelope, so the view is current with the store.
     ``refresh()`` is the cheap staleness probe the HTTP service calls per
-    query: it reloads only when the manifest or the marker set changed.
+    query: it reloads only when the index file or the marker set changed.
     """
 
     def __init__(self, store) -> None:
         self.store = store
-        self.root = index_root(store.root)
         self.postings: dict[str, set[Posting]] = {}
         self.docs: dict[str, dict] = {}
         self.pending_count = 0
@@ -167,11 +149,11 @@ class FleetIndex:
     def _disk_state(self) -> tuple:
         """A cheap fingerprint of what load() would read."""
         try:
-            manifest_stat = manifest_path(self.store.root).stat()
-            manifest = (manifest_stat.st_mtime_ns, manifest_stat.st_size)
+            index_stat = index_path(self.store.root).stat()
+            index = (index_stat.st_mtime_ns, index_stat.st_size)
         except OSError:
-            manifest = None
-        return (manifest, _marker_names(self.store.root))
+            index = None
+        return (index, _marker_names(self.store.root))
 
     def refresh(self) -> "FleetIndex":
         state = self._disk_state()
@@ -181,7 +163,7 @@ class FleetIndex:
         return self
 
     def load(self) -> "FleetIndex":
-        self.docs, self.postings, _ = _load_tree(self.store, self.manifest())
+        self.docs, self.postings = _read_index(self.store.root) or ({}, {})
         unfolded: dict[str, dict] = {}
         for name in _marker_names(self.store.root):
             key = name.removesuffix(".json")
@@ -197,9 +179,6 @@ class FleetIndex:
         self._unfolded = unfolded
         self.pending_count = len(unfolded)
         return self
-
-    def manifest(self) -> dict | None:
-        return _read_manifest(self.store.root)
 
     # ------------------------------------------------------------ queries
     def lookup(self, term: str) -> set[Posting]:
@@ -241,51 +220,38 @@ class FleetIndex:
         return out
 
     def stats(self) -> dict:
-        return {
-            "docs": len(self.docs),
-            "apps": len({d.get("app", "") for d in self.docs.values()}),
-            "terms": len(self.postings),
-            "postings": sum(len(p) for p in self.postings.values()),
-            "pending": self.pending_count,
-        }
+        return {**_stats(self.docs, self.postings),
+                "pending": self.pending_count}
 
 
-def _read_manifest(store_root: str | Path) -> dict | None:
-    """The index manifest, or ``None`` when absent, unreadable or of
-    another schema."""
-    manifest = _read_json(manifest_path(store_root))
-    if manifest is None or manifest.get("schema") != INDEX_SCHEMA:
+def _stats(docs: dict[str, dict], postings: dict[str, set[Posting]]) -> dict:
+    return {
+        "docs": len(docs),
+        "apps": len({d.get("app", "") for d in docs.values()}),
+        "terms": len(postings),
+        "postings": sum(len(p) for p in postings.values()),
+    }
+
+
+def _read_index(store_root: str | Path) -> tuple[dict, dict] | None:
+    """Rehydrate ``(doc registry, postings)`` from ``index.json``, or
+    ``None`` when the file is absent, unreadable or of another schema."""
+    try:
+        data = json.loads(index_path(store_root).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    return manifest
-
-
-def _load_tree(store, manifest: dict | None) -> tuple[dict, dict, bool]:
-    """Rehydrate ``(doc registry, postings, intact)`` from the manifest
-    tree — empty maps when there is no (or a foreign-schema) index yet.
-    A file the manifest names that cannot be read or has another schema
-    is skipped and clears ``intact``: readers keep what is left, a fold
-    rebuilds."""
-    docs: dict[str, dict] = {}
+    if not isinstance(data, dict) or data.get("schema") != INDEX_SCHEMA:
+        return None
+    docs = data.get("docs", {})
+    keys = sorted(docs)
+    apps = [docs[key].get("app", "") for key in keys]
     postings: dict[str, set[Posting]] = {}
-    if manifest is None:
-        return docs, postings, False
-    root = index_root(store.root)
-    intact = True
-    for sha in manifest.get("segments", {}).values():
-        segment = _read_json(root / "segments" / f"{sha}.json")
-        if segment is None or segment.get("schema") != INDEX_SCHEMA:
-            intact = False
-            continue
-        for term, term_postings in segment.get("terms", {}).items():
-            postings[term] = {
-                (app, key, int(txn)) for app, key, txn in term_postings
-            }
-    registry = _read_json(root / "docs" / f"{manifest.get('docs')}.json")
-    if registry is not None and registry.get("schema") == INDEX_SCHEMA:
-        docs = dict(registry.get("docs", {}))
-    else:
-        intact = False
-    return docs, postings, intact
+    for term, flat in data.get("terms", {}).items():
+        pairs = iter(flat)
+        postings[term] = {
+            (apps[doc], keys[doc], txn) for doc, txn in zip(pairs, pairs)
+        }
+    return docs, postings
 
 
 # ------------------------------------------------------------- building
@@ -293,17 +259,14 @@ def build_index(store, *, rebuild: bool = False) -> dict:
     """Build or update the on-disk index; returns its stats dict.
 
     One loop: list the pending markers, index every stored report the
-    doc registry lacks (one envelope read each, marker or not), write the
-    tree, then delete the markers listed.  ``rebuild=True`` runs the same
-    loop from an empty registry, and so does a fold over no index, a
-    foreign-schema one or a damaged one.  Either path writes the exact
-    same bytes for the same store contents.
+    doc registry lacks (one envelope read each, marker or not), write
+    ``index.json``, then delete the markers listed.  ``rebuild=True``
+    runs the same loop from an empty registry, and so does a fold over
+    no index, a foreign-schema one or a damaged one.  Either path writes
+    the exact same bytes for the same store contents.
     """
-    registry, postings, intact = _load_tree(
-        store, None if rebuild else _read_manifest(store.root)
-    )
-    if not intact:
-        registry, postings = {}, {}
+    durable = None if rebuild else _read_index(store.root)
+    registry, postings = durable or ({}, {})
     # listed before the scan: a marker lands after its envelope, so every
     # marker listed here names a report the scan below sees
     markers = [pending_dir(store.root) / name
@@ -320,89 +283,30 @@ def build_index(store, *, rebuild: bool = False) -> dict:
             postings.setdefault(term, set()).update(term_postings)
         folded += 1
 
-    stats = _write_index_from_postings(store, registry, postings,
-                                       rewrite=not intact)
+    _write_index(store, registry, postings)
     _consume(markers)
-    stats["folded"] = folded
-    stats["rebuilt"] = not intact
-    return stats
+    return {**_stats(registry, postings),
+            "folded": folded, "rebuilt": durable is None}
 
 
-def _write_index_from_postings(store, registry: dict[str, dict],
-                               postings: dict[str, set[Posting]], *,
-                               rewrite: bool) -> dict:
-    """Serialise postings + registry into the content-addressed tree and
-    swing the manifest; garbage-collects superseded files.  A fold skips
-    a file whose name exists (same name, same bytes); ``rewrite`` writes
-    every file, so a rebuild replaces a damaged one its fresh bytes still
-    name."""
-    root = index_root(store.root)
-    seg_dir = root / "segments"
-    docs_dir = root / "docs"
+def _write_index(store, registry: dict[str, dict],
+                 postings: dict[str, set[Posting]]) -> None:
+    """Serialise registry + postings into ``index.json``: one atomic
+    write."""
+    position = {key: doc for doc, key in enumerate(sorted(registry))}
+    terms: dict[str, list[int]] = {}
+    for term, term_postings in postings.items():
+        pairs = sorted((position[key], txn)
+                       for _app, key, txn in term_postings)
+        terms[term] = [n for pair in pairs for n in pair]
     # the marker directory is part of the tree layout: tree comparisons
     # (diff -r) should see identical structure
     pending_dir(store.root).mkdir(parents=True, exist_ok=True)
-
-    slots: list[dict] = [{} for _ in range(N_SLOTS)]
-    for term in sorted(postings):
-        slots[term_slot(term)][term] = sorted(
-            [app, key, txn] for app, key, txn in postings[term]
-        )
-    segment_shas: dict[str, str] = {}
-    keep_segments: set[str] = set()
-    for slot, terms in enumerate(slots):
-        text = canonical_json({
-            "schema": INDEX_SCHEMA, "slot": slot, "terms": terms
-        })
-        sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        segment_shas[f"{slot:02d}"] = sha
-        keep_segments.add(f"{sha}.json")
-        path = seg_dir / f"{sha}.json"
-        if rewrite or not path.exists():
-            atomic_write(path, text)
-
-    registry_text = canonical_json({
+    atomic_write(index_path(store.root), canonical_json({
         "schema": INDEX_SCHEMA,
-        "docs": {key: registry[key] for key in sorted(registry)},
-    })
-    docs_sha = hashlib.sha256(registry_text.encode("utf-8")).hexdigest()
-    docs_path = docs_dir / f"{docs_sha}.json"
-    if rewrite or not docs_path.exists():
-        atomic_write(docs_path, registry_text)
-
-    stats = {
-        "docs": len(registry),
-        "apps": len({d.get("app", "") for d in registry.values()}),
-        "terms": len(postings),
-        "postings": sum(len(p) for p in postings.values()),
-        "segments": N_SLOTS,
-    }
-    atomic_write(manifest_path(store.root), canonical_json({
-        "schema": INDEX_SCHEMA,
-        "slots": N_SLOTS,
-        "segments": segment_shas,
-        "docs": docs_sha,
-        "stats": stats,
+        "docs": registry,
+        "terms": terms,
     }))
-
-    _gc_dir(seg_dir, keep_segments)
-    _gc_dir(docs_dir, {f"{docs_sha}.json"})
-    return dict(stats)
-
-
-def _gc_dir(directory: Path, keep: set[str]) -> None:
-    """Drop every file the fresh manifest does not reference — superseded
-    segments and builder temp files alike."""
-    try:
-        names = list(directory.iterdir())
-    except OSError:
-        return
-    for path in names:
-        if path.name not in keep:
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
 
 def _consume(paths: list[Path]) -> None:
@@ -416,11 +320,9 @@ def _consume(paths: list[Path]) -> None:
 __all__ = [
     "FleetIndex",
     "INDEX_SCHEMA",
-    "N_SLOTS",
     "build_index",
+    "index_path",
     "index_root",
-    "manifest_path",
     "pending_dir",
-    "term_slot",
     "write_pending_delta",
 ]

@@ -52,6 +52,31 @@ class TestCli:
             main(["analyze", "not-an-app"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "nosuch"],
+        ["fuzz", "reddinator@v2"],
+        ["fuzz", "syn-bogus"],
+        ["export", "nosuch", "out.sapk"],
+    ], ids=["fuzz", "fuzz-lineage-label", "fuzz-synth", "export"])
+    def test_fuzz_and_export_reject_an_unknown_target(self, argv, tmp_path,
+                                                      monkeypatch):
+        """Bad input, not a crash: exit 2 with one stderr line naming the
+        target, and nothing written."""
+        monkeypatch.chdir(tmp_path)
+        code, err = _exit_and_stderr(argv)
+        assert code == 2, err
+        assert err.count("\n") == 1 and f"'{argv[1]}'" in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_takes_a_lineage_label(self, capsys, tmp_path):
+        from repro.apk.loader import apk_digest, load_apk
+        from repro.corpus.lineage import build_version
+
+        path = tmp_path / "v2.sapk"
+        run_cli(capsys, "export", "reddinator@v2", str(path))
+        assert (apk_digest(load_apk(path))
+                == apk_digest(build_version("reddinator@v2").apk))
+
     def test_unknown_mode_is_rejected(self, capsys):
         from repro import AnalysisConfig, Extractocol
         from repro.corpus import build_app
@@ -121,6 +146,22 @@ class TestBatch:
         assert data["analyses_run"] == 1 and data["failed"] == 0
         assert data["jobs"][0]["target"] == "wallabag"
         assert data["jobs"][0]["status"] == "done"
+
+    def test_batch_json_store_block_has_no_worker_counters(self, capsys,
+                                                           tmp_path):
+        """Workers count store hits and writes on their own stores, so
+        the ``store`` block carries only what the batch itself reads: the
+        entry count and the schema.  The job records carry the cache
+        outcomes."""
+        from repro.service.store import SCHEMA_VERSION
+
+        argv = ("batch", "diode", "tzm", "--store", str(tmp_path / "s"),
+                "--workers", "1", "--json", "--no-telemetry", "--no-ledger")
+        cold = json.loads(run_cli(capsys, *argv))
+        warm = json.loads(run_cli(capsys, *argv))
+        assert (cold["analyses_run"], warm["cache_hits"]) == (2, 2)
+        for data in (cold, warm):
+            assert data["store"] == {"entries": 2, "schema": SCHEMA_VERSION}
 
     def test_batch_json_analyses_run_is_the_sum_of_job_counters(
         self, capsys, tmp_path
@@ -382,6 +423,22 @@ class TestUndefinedBranchLabel:
         assert code == 2, err
         assert err.count("\n") == 1, err
         assert str(undefined_label_bundle) in err and "'NOWHERE'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["diff", "{bundle}", "diode"],
+        ["diff", "diode", "{bundle}"],
+        ["explain", "{bundle}", "1", "uri"],
+    ], ids=["diff-old", "diff-new", "explain"])
+    def test_diff_and_explain_exit_2_naming_the_bundle(
+        self, undefined_label_bundle, argv, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "no-store"))
+        bundle = str(undefined_label_bundle)
+        code, err = _exit_and_stderr(
+            [bundle if arg == "{bundle}" else arg for arg in argv]
+        )
+        assert code == 2, err
+        assert err == f"repro: {bundle}: undefined label 'NOWHERE'\n", err
 
     @pytest.mark.parametrize("extra", [[], ["--analyze"]],
                              ids=["lint", "lint-analyze"])

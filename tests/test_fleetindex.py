@@ -1,7 +1,8 @@
 """Fleet index contract tests: determinism (independent builds and
-incremental fold-in are byte-identical), crash recovery (lost and orphan
-pending markers, damaged trees), zero-rebuild freshness via the pending
-overlay, the query grammar, and pagination."""
+incremental fold-in are byte-identical), one file written once per fold,
+crash recovery (lost and orphan pending markers, a damaged index file),
+zero-rebuild freshness via the pending overlay, the query grammar, and
+pagination."""
 
 from __future__ import annotations
 
@@ -11,7 +12,14 @@ from pathlib import Path
 import pytest
 
 from repro.fleetindex.docs import envelope_summary, report_summary
-from repro.fleetindex.index import FleetIndex, build_index, index_root, pending_dir
+from repro.fleetindex import index as index_module
+from repro.fleetindex.index import (
+    FleetIndex,
+    build_index,
+    index_path,
+    index_root,
+    pending_dir,
+)
 from repro.fleetindex.query import (
     QueryError,
     catalog,
@@ -34,13 +42,18 @@ from repro.synth.compile import synth_genapp
 SPEC = "synth:transports*4@3"
 
 
+def put(store: ResultStore, target: str) -> str:
+    """Analyze ``target`` and store its report; returns the result key."""
+    apk, config, _ = resolve_target(target)
+    return store.put(compute_apk_digest(apk), config.cache_key(),
+                     _default_analyzer(apk, config))
+
+
 def fill_store(root) -> ResultStore:
     """Analyze the test population into a fresh store."""
     store = ResultStore(root)
     for target in expand_targets([SPEC]):
-        apk, config, _ = resolve_target(target)
-        report = _default_analyzer(apk, config)
-        store.put(compute_apk_digest(apk), config.cache_key(), report)
+        put(store, target)
     return store
 
 
@@ -83,18 +96,10 @@ class TestDeterminism:
         targets = expand_targets([SPEC])
         grown = ResultStore(tmp_path / "grown")
         for target in targets[:2]:
-            apk, config, _ = resolve_target(target)
-            grown.put(
-                compute_apk_digest(apk), config.cache_key(),
-                _default_analyzer(apk, config),
-            )
+            put(grown, target)
         build_index(grown)
         for target in targets[2:]:
-            apk, config, _ = resolve_target(target)
-            grown.put(
-                compute_apk_digest(apk), config.cache_key(),
-                _default_analyzer(apk, config),
-            )
+            put(grown, target)
         stats = build_index(grown)
         assert not stats["rebuilt"] and stats["folded"] == 2
 
@@ -112,6 +117,34 @@ class TestDeterminism:
         assert a == b
 
 
+class TestOneFile:
+    def test_fold_of_one_report_is_one_atomic_write(self, tmp_path,
+                                                    monkeypatch):
+        """The durable index is ``index.json`` alone: a fold that adds
+        one report writes it once, and ``index/`` holds nothing but it
+        and the marker directory."""
+        targets = expand_targets([SPEC])
+        store = ResultStore(tmp_path / "once")
+        for target in targets[:-1]:
+            put(store, target)
+        build_index(store)
+        put(store, targets[-1])
+        writes = []
+        atomic_write = index_module.atomic_write
+
+        def counted(path, text):
+            writes.append(path)
+            atomic_write(path, text)
+
+        monkeypatch.setattr(index_module, "atomic_write", counted)
+        stats = build_index(store)
+        assert stats["folded"] == 1 and not stats["rebuilt"]
+        assert writes == [index_path(store.root)]
+        assert sorted(p.name for p in index_root(store.root).iterdir()) == [
+            "index.json", "pending",
+        ]
+
+
 class TestFreshness:
     def test_search_after_put_with_zero_rebuild(self, tmp_path):
         # the acceptance criterion: puts land pending markers, the reader
@@ -119,7 +152,7 @@ class TestFreshness:
         store = fill_store(tmp_path / "fresh")
         targets = expand_targets([SPEC])
         index = FleetIndex(store).refresh()
-        assert index.manifest() is None  # nothing durable exists
+        assert not index_path(store.root).exists()  # nothing durable exists
         for target in targets:
             host = synth_genapp(target).host
             result = run_search(index, f"host:{host}")
@@ -131,12 +164,7 @@ class TestFreshness:
         index = FleetIndex(store).refresh()
         assert index.stats()["docs"] == 0
 
-        target = expand_targets([SPEC])[0]
-        apk, config, _ = resolve_target(target)
-        store.put(
-            compute_apk_digest(apk), config.cache_key(),
-            _default_analyzer(apk, config),
-        )
+        put(store, expand_targets([SPEC])[0])
         assert index.refresh().stats()["docs"] == 1
 
     def test_reload_after_one_put_reads_one_envelope(self, tmp_path,
@@ -148,9 +176,7 @@ class TestFreshness:
         index = FleetIndex(store).refresh()
         assert index.stats()["pending"] == 4
 
-        apk, config, _ = resolve_target("diode")
-        key = store.put(compute_apk_digest(apk), config.cache_key(),
-                        _default_analyzer(apk, config))
+        key = put(store, "diode")
         loads = []
         load = store.load
         monkeypatch.setattr(store, "load",
@@ -187,8 +213,8 @@ class TestCrashRecovery:
     def test_non_utf8_manifest_recovered(self, tmp_path):
         store = fill_store(tmp_path / "bytes")
         build_index(store)
-        (index_root(store.root) / "MANIFEST.json").write_bytes(b"\xff\xfe")
-        assert FleetIndex(store).manifest() is None
+        index_path(store.root).write_bytes(b"\xff\xfe")
+        assert FleetIndex(store).load().stats()["docs"] == 0
         assert build_index(store)["docs"] == 4
 
         clean = fill_store(tmp_path / "clean")
@@ -214,72 +240,68 @@ class TestCrashRecovery:
         assert FleetIndex(store).refresh().stats()["docs"] == 4
 
     @staticmethod
-    def _tear_largest(store, damaged: str) -> Path:
-        """Tear the largest segment (or the doc registry) the manifest
-        names; returns its path."""
-        manifest = FleetIndex(store).manifest()
-        names = (manifest["segments"].values() if damaged == "segments"
-                 else [manifest["docs"]])
-        victim = max(
-            (index_root(store.root) / damaged / f"{name}.json"
-             for name in names),
-            key=lambda path: path.stat().st_size,
-        )
-        victim.write_text('{"schema": 1, "terms": ')
-        return victim
+    def _tear(store, part: str) -> Path:
+        """Cut ``index.json`` off inside ``part``: the doc registry
+        (``docs``) or the postings (``terms``); returns its path."""
+        path = index_path(store.root)
+        text = path.read_text()
+        path.write_text(text[:text.index(f'"{part}": ') + 40])
+        return path
 
-    @pytest.mark.parametrize("damaged", ["segments", "docs"])
+    @pytest.mark.parametrize("damaged", ["terms", "docs"])
     @pytest.mark.parametrize("put_between", [False, True])
     def test_fold_over_a_damaged_tree_rebuilds(self, tmp_path, damaged,
                                                put_between):
-        """A segment or the doc registry the manifest names is torn: the
-        next fold rebuilds the whole tree, with or without a report put
-        in between.  With none the fresh bytes keep the torn file's name,
-        and the fold still rewrites it."""
+        """``index.json`` is torn in its postings or its doc registry:
+        the next fold rebuilds it from the envelopes, with or without a
+        report put in between."""
         targets = expand_targets([SPEC])
         store = ResultStore(tmp_path / "damaged")
-
-        def put(target):
-            apk, config, _ = resolve_target(target)
-            store.put(compute_apk_digest(apk), config.cache_key(),
-                      _default_analyzer(apk, config))
-
         for target in targets[:-1] if put_between else targets:
-            put(target)
+            put(store, target)
         build_index(store)
-        victim = self._tear_largest(store, damaged)
+        victim = self._tear(store, damaged)
         if put_between:
-            put(targets[-1])
+            put(store, targets[-1])
         stats = build_index(store)
 
         clean = fill_store(tmp_path / "clean")
         build_index(clean)
         assert stats["rebuilt"] and stats["docs"] == len(targets)
-        if not put_between:
-            assert json.loads(victim.read_text())["schema"] == 1
+        assert json.loads(victim.read_text())["schema"] == 2
         assert index_tree(store.root) == index_tree(clean.root)
         assert (FleetIndex(store).load().stats()
                 == FleetIndex(clean).load().stats())
         assert not build_index(store)["rebuilt"]  # intact again
 
-    def test_reader_keeps_what_a_damaged_tree_still_holds(self, tmp_path):
-        """Until a fold rebuilds it, a torn segment costs readers that
-        segment's terms and nothing else."""
-        store = fill_store(tmp_path / "reader")
+    def test_reader_of_a_torn_index_sees_only_the_pending_overlay(
+        self, tmp_path
+    ):
+        """Until a fold rebuilds it, a torn ``index.json`` hides every
+        folded report: readers keep only the reports still pending.  The
+        next fold writes the clean bytes."""
+        targets = expand_targets([SPEC])
+        store = ResultStore(tmp_path / "reader")
+        for target in targets[:-1]:
+            put(store, target)
         build_index(store)
-        before = FleetIndex(store).load().stats()
-        self._tear_largest(store, "segments")
-        after = FleetIndex(store).load().stats()
-        assert after["docs"] == before["docs"]
-        assert 0 < after["terms"] < before["terms"]
+        self._tear(store, "terms")
+        put(store, targets[-1])
+        stats = FleetIndex(store).load().stats()
+        assert stats["docs"] == stats["pending"] == 1
+
+        build_index(store)
+        clean = fill_store(tmp_path / "clean")
+        build_index(clean)
+        assert index_tree(store.root) == index_tree(clean.root)
 
     def test_foreign_schema_index_rebuilt(self, tmp_path):
         store = fill_store(tmp_path / "foreign")
         build_index(store)
-        manifest = index_root(store.root) / "MANIFEST.json"
-        data = json.loads(manifest.read_text())
+        path = index_path(store.root)
+        data = json.loads(path.read_text())
         data["schema"] = 999
-        manifest.write_text(json.dumps(data))
+        path.write_text(json.dumps(data))
         stats = build_index(store)
         assert stats["rebuilt"]
 

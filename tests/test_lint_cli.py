@@ -54,6 +54,26 @@ class TestLintCli:
         assert payload["totals"]["new_errors"] == 0
         assert {app["target"] for app in payload["apps"]} >= {"diode", "ted"}
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_all_keeps_the_population_and_named_targets(self, capsys,
+                                                        monkeypatch, via):
+        """``--all`` adds the corpus apps to the ``--corpus`` population
+        (given by flag or by ``$REPRO_CORPUS``) and to named targets; it
+        drops neither, and lints an app named twice once."""
+        from repro.corpus import app_keys
+        from repro.synth import parse_population
+
+        spec = "synth:payloads*2@7"
+        argv = ["lint", "--all", "--json", "diode"]
+        if via == "env":
+            monkeypatch.setenv("REPRO_CORPUS", spec)
+        else:
+            argv += ["--corpus", spec]
+        assert main(argv) == 0
+        targets = [app["target"]
+                   for app in json.loads(capsys.readouterr().out)["apps"]]
+        assert targets == app_keys() + list(parse_population(spec).keys())
+
     def test_jsonl_output_validates(self, capsys):
         assert main(["lint", "diode", "radioreddit", "--jsonl"]) == 0
         events = validate_findings_jsonl(capsys.readouterr().out)
