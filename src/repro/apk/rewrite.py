@@ -2,7 +2,9 @@
 ProGuard-like obfuscator and the de-obfuscation mapper.
 
 The IR is immutable, so renaming rebuilds the program: every type, method
-signature, field signature and value is mapped structurally.  Renames are
+signature, field signature and value is mapped structurally, and the
+renamed program's values are built through one
+:class:`~repro.ir.intern.Interner`, like any other program's.  Renames are
 expressed as three maps:
 
 * ``class_map``: old fully-qualified class name → new name,
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.classes import ClassDef
+from ..ir.intern import Interner
 from ..ir.method import Body, Method
 from ..ir.program import Program
 from ..ir.statements import (
@@ -38,9 +41,11 @@ from ..ir.values import (
     BinOpExpr,
     CastExpr,
     ClassConst,
+    DoubleConst,
     FieldSig,
     InstanceFieldRef,
     InstanceOfExpr,
+    IntConst,
     InvokeExpr,
     LengthExpr,
     Local,
@@ -49,6 +54,7 @@ from ..ir.values import (
     NewExpr,
     ParamRef,
     StaticFieldRef,
+    StringConst,
     ThisRef,
     UnOpExpr,
     Value,
@@ -83,9 +89,15 @@ class RenameMap:
 
 
 class _Rewriter:
+    """Maps one program through ``renames`` into a new program's values.
+
+    Each source value is mapped once: ``_mapped`` keys it by ``id()``,
+    which is sound while the source program, which holds it, is alive."""
+
     def __init__(self, renames: RenameMap) -> None:
         self.r = renames
-        self._locals: dict[tuple[str, str], Local] = {}
+        self.values = Interner()
+        self._mapped: dict[int, Value] = {}
 
     # -- types ------------------------------------------------------------
     def type(self, t: Type) -> Type:
@@ -96,71 +108,76 @@ class _Rewriter:
         return t
 
     def method_sig(self, sig: MethodSig) -> MethodSig:
-        return MethodSig(
+        return self.values.method_sig(
             self.r.cls(sig.class_name),
             self.r.method(sig.class_name, sig.name),
-            tuple(self.type(p) for p in sig.param_types),
+            tuple(map(self.type, sig.param_types)),
             self.type(sig.return_type),
         )
 
     def field_sig(self, sig: FieldSig) -> FieldSig:
-        return FieldSig(
+        return self.values.field_sig(
             self.r.cls(sig.class_name),
             self.r.fld(sig.class_name, sig.name),
             self.type(sig.type),
         )
 
     # -- values ------------------------------------------------------------
-    def local(self, loc: Local) -> Local:
-        key = (loc.name, loc.type.name)
-        cached = self._locals.get(key)
-        if cached is None:
-            cached = Local(loc.name, self.type(loc.type))
-            self._locals[key] = cached
-        return cached
-
     def value(self, v: Value) -> Value:
+        mapped = self._mapped.get(id(v))
+        if mapped is None:
+            mapped = self._mapped[id(v)] = self._map(v)
+        return mapped
+
+    def _map(self, v: Value) -> Value:
+        values = self.values
         if isinstance(v, Local):
-            return self.local(v)
+            return values.local(v.name, self.type(v.type))
         if isinstance(v, NewExpr):
             mapped = self.type(v.class_type)
             assert isinstance(mapped, ClassType)
-            return NewExpr(mapped)
+            return values.new(mapped)
         if isinstance(v, NewArrayExpr):
-            return NewArrayExpr(self.type(v.element_type), self.value(v.size))
+            return values.new_array(self.type(v.element_type), self.value(v.size))
         if isinstance(v, BinOpExpr):
-            return BinOpExpr(v.op, self.value(v.left), self.value(v.right))
+            return values.binop(v.op, self.value(v.left), self.value(v.right))
         if isinstance(v, UnOpExpr):
-            return UnOpExpr(v.op, self.value(v.operand))
+            return values.unop(v.op, self.value(v.operand))
         if isinstance(v, CastExpr):
-            return CastExpr(self.type(v.to_type), self.value(v.value))
+            return values.cast(self.type(v.to_type), self.value(v.value))
         if isinstance(v, InstanceOfExpr):
-            return InstanceOfExpr(self.value(v.value), self.type(v.check_type))
+            return values.instance_of(self.value(v.value), self.type(v.check_type))
         if isinstance(v, LengthExpr):
-            return LengthExpr(self.value(v.array))
+            return values.length(self.value(v.array))
         if isinstance(v, InstanceFieldRef):
-            return InstanceFieldRef(self.value(v.base), self.field_sig(v.field))
+            return values.instance_field(self.value(v.base), self.field_sig(v.field))
         if isinstance(v, StaticFieldRef):
-            return StaticFieldRef(self.field_sig(v.field))
+            return values.static_field(self.field_sig(v.field))
         if isinstance(v, ArrayRef):
-            return ArrayRef(self.value(v.base), self.value(v.index))
+            return values.array_ref(self.value(v.base), self.value(v.index))
         if isinstance(v, InvokeExpr):
             base = self.value(v.base) if v.base is not None else None
-            return InvokeExpr(
+            return values.invoke(
                 v.kind,
                 self.method_sig(v.sig),
                 base,
-                tuple(self.value(a) for a in v.args),
+                tuple(map(self.value, v.args)),
             )
         if isinstance(v, ThisRef):
             mapped = self.type(v.type)
             assert isinstance(mapped, ClassType)
-            return ThisRef(mapped)
+            return values.this_ref(mapped)
         if isinstance(v, ParamRef):
-            return ParamRef(v.index, self.type(v.type))
+            return values.param_ref(v.index, self.type(v.type))
         if isinstance(v, ClassConst):
-            return ClassConst(self.r.cls(v.class_name))
-        return v  # constants
+            return values.class_const(self.r.cls(v.class_name))
+        if isinstance(v, IntConst):
+            return values.int_const(v.value)
+        if isinstance(v, StringConst):
+            return values.string_const(v.value)
+        if isinstance(v, DoubleConst):
+            return values.double_const(v.value)
+        return v  # NULL
 
     # -- statements --------------------------------------------------------
     def stmt(self, s: Stmt) -> Stmt:
@@ -188,8 +205,8 @@ class _Rewriter:
 def rename_program(program: Program, renames: RenameMap) -> Program:
     """Return a structurally identical program with identifiers renamed."""
     out = Program()
+    rw = _Rewriter(renames)
     for cls in program.classes.values():
-        rw = _Rewriter(renames)
         superclass = renames.cls(cls.superclass) if cls.superclass else cls.superclass
         new_cls = ClassDef(
             renames.cls(cls.name),
@@ -198,7 +215,7 @@ def rename_program(program: Program, renames: RenameMap) -> Program:
             is_interface=cls.is_interface,
         )
         for fld in cls.fields.values():
-            new_cls.add_field(renames.fld(cls.name, fld.name), rw.type(fld.type))
+            new_cls.add_field(rw.field_sig(fld))
         for method in cls.methods():
             new_sig = rw.method_sig(method.sig)
             if method.body is None:
@@ -208,15 +225,15 @@ def rename_program(program: Program, renames: RenameMap) -> Program:
                 continue
             new_body = Body()
             for local in method.body.locals.values():
-                new_body.declare_local(rw.local(local))
+                new_body.declare_local(rw.value(local))
             new_method = Method(new_sig, is_static=method.is_static, body=new_body)
             for stmt in method.body:
                 new_body.add(rw.stmt(stmt))
             new_body.labels = dict(method.body.labels)
             new_body._sealed = True
-            new_method.param_locals = [rw.local(p) for p in method.param_locals]
+            new_method.param_locals = [rw.value(p) for p in method.param_locals]
             new_method.this_local = (
-                rw.local(method.this_local) if method.this_local else None
+                rw.value(method.this_local) if method.this_local else None
             )
             new_cls.add_method(new_method)
         out.add_class(new_cls)

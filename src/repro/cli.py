@@ -58,7 +58,7 @@ def _load_versioned(target: str):
     obfuscated re-releases, is ``None`` for every other target form."""
     from repro.apk.loader import BundleError
     from repro.corpus.lineage import build_version, is_version_label
-    from repro.service.jobs import resolve_target
+    from repro.service.jobs import lookup_message, resolve_target
 
     try:
         if is_version_label(target):
@@ -66,7 +66,7 @@ def _load_versioned(target: str):
             return built.apk, built.config, built.renames_from_base
         apk, config, _label = resolve_target(target)
     except (LookupError, BundleError) as exc:
-        _fail(str(exc))
+        _fail(lookup_message(exc))
     return apk, config, None
 
 
@@ -382,6 +382,7 @@ def cmd_explain(args) -> int:
     statements from the producing constant to the demarcation point."""
     from repro.ir.method import UndefinedLabel
     from repro.obs.provenance import explain
+    from repro.service.jobs import lookup_message
 
     apk, config = _load(args.target)
     try:
@@ -389,7 +390,7 @@ def cmd_explain(args) -> int:
     except UndefinedLabel as exc:
         _fail(f"{args.target}: {exc}")
     except LookupError as exc:
-        _fail(str(exc))
+        _fail(lookup_message(exc))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
@@ -401,13 +402,14 @@ def cmd_fuzz(args) -> int:
     from repro.corpus import build_app, get_genapp
     from repro.corpus.generator import build_network_for
     from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
+    from repro.service.jobs import lookup_message
 
     try:
         app = get_genapp(args.target)
     except LookupError as exc:
         # fuzzing drives the app's generated network model, so only a
         # corpus or synthesized key names a fuzzable app
-        _fail(exc.args[0])
+        _fail(lookup_message(exc))
     fuzzer = ManualUiFuzzer() if args.mode == "manual" else AutoUiFuzzer()
     result = fuzzer.fuzz(build_app(args.target), build_network_for(app))
     print(f"{args.mode} fuzzing of {app.name}: {len(result.trace)} transactions")
@@ -470,6 +472,7 @@ def cmd_diff(args) -> int:
     from repro.apk.loader import BundleError
     from repro.diff.engine import diff_targets
     from repro.diff.model import render_markdown
+    from repro.service.jobs import lookup_message
     from repro.service.store import ResultStore, canonical_json
 
     if not args.latest and not (args.old and args.new):
@@ -498,7 +501,7 @@ def cmd_diff(args) -> int:
     try:
         diff = diff_targets(old_target, new_target, store=store)
     except (LookupError, BundleError) as exc:
-        _fail(str(exc))
+        _fail(lookup_message(exc))
 
     if args.json:
         print(canonical_json(diff.to_dict()))
@@ -522,6 +525,7 @@ def cmd_batch(args) -> int:
     from repro.obs.ledger import RunLedger, RunRecord, new_run_id
     from repro.perf.parallel import resolve_workers
     from repro.service import ResultStore
+    from repro.service.jobs import lookup_message
     from repro.service.shard import expand_batch_targets, run_sharded_batch
     from repro.service.store import SCHEMA_VERSION
 
@@ -538,7 +542,7 @@ def cmd_batch(args) -> int:
     try:
         targets = expand_batch_targets(targets)
     except LookupError as exc:
-        _fail(str(exc))
+        _fail(lookup_message(exc))
 
     store = ResultStore(Path(args.store).expanduser())
     run_id = new_run_id()

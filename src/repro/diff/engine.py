@@ -12,7 +12,8 @@ A stored report is its canonical dict (:func:`repro.core.report
 * :func:`diff_reports` — two live
   :class:`~repro.core.report.AnalysisReport` objects, serialised first.
 * :func:`diff_targets` — CLI-grade resolution: each side may be a corpus
-  key, an ``.sapk`` bundle path, a result-store key, or a generated
+  or synthesized (``syn-``) key, an ``.sapk`` bundle path, a result-store
+  key, or a generated
   lineage version label (``app@v2``, :mod:`repro.corpus.lineage`), and
   resolves to a report dict.  Lineage pairs thread the rename lineage
   through automatically so an obfuscated rebuild diffs clean.
@@ -120,7 +121,9 @@ def resolve_diff_target(target: str, *, store=None):
     :func:`~repro.core.report.report_to_dict` form of a fresh analysis.
 
     Tried in order: result-store key (when a store is given), generated
-    lineage version (``app@vN``), corpus key, ``.sapk`` path.  Lineage
+    lineage version (``app@vN``), corpus or synthesized (``syn-``) key,
+    ``.sapk`` path; a malformed ``syn-`` key, or one of an unknown family,
+    raises the :class:`LookupError` that says which.  Lineage
     versions return their rename lineage so the caller can thread rename
     tolerance between two versions of the same family.  An operand whose
     program branches to an undefined label raises
@@ -139,14 +142,19 @@ def resolve_diff_target(target: str, *, store=None):
         apk, config, label = built.apk, built.config, target
         renames = built.renames_from_base
     else:
-        from ..service.jobs import resolve_target
+        from ..service.jobs import lookup_message, resolve_target
+        from ..synth import is_synth_key
 
         try:
             apk, config, label = resolve_target(target)
-        except LookupError:
+        except LookupError as exc:
+            if is_synth_key(target):
+                # a synthesized key whose family or form is wrong: say so
+                raise LookupError(lookup_message(exc)) from None
             raise LookupError(
                 f"{target!r} is not a stored result key, corpus app, "
-                f"lineage version (app@vN) or .sapk bundle"
+                f"synthesized app (syn-<family>-s<seed>-<index>), lineage "
+                f"version (app@vN) or .sapk bundle"
             ) from None
         renames = None
     try:

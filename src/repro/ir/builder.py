@@ -8,12 +8,18 @@ Call sites are typed by inference: the receiver class comes from the base
 local's declared type, parameter types from the argument values.  This is
 what makes thirty-plus corpus apps tractable to write while still producing
 fully typed Jimple-style IR.
+
+A :class:`ProgramBuilder` builds every value through its program's
+:class:`~repro.ir.intern.Interner`, so equal values are one shared object
+within the program (the local ``this`` of a class, say, in all of the
+class's bodies).  Compare values with ``==``, never ``is``.
 """
 
 from __future__ import annotations
 
 from .classes import ClassDef
-from .method import Body, Method, make_sig
+from .intern import Interner
+from .method import Method
 from .program import Program
 from .statements import (
     AssignStmt,
@@ -29,21 +35,13 @@ from .statements import (
 )
 from .types import ClassType, Type, class_t, parse_type
 from .values import (
-    ArrayRef,
-    BinOpExpr,
-    CastExpr,
     ClassConst,
     DoubleConst,
     FieldSig,
     InstanceFieldRef,
     IntConst,
-    InvokeExpr,
-    LengthExpr,
     Local,
     MethodSig,
-    NULL,
-    NewArrayExpr,
-    NewExpr,
     StaticFieldRef,
     StringConst,
     Value,
@@ -53,20 +51,9 @@ _STRING = "java.lang.String"
 
 
 def as_value(v: Value | str | int | float | None) -> Value:
-    """Lift Python literals into IR constants; pass values through."""
-    if isinstance(v, Value):
-        return v
-    if v is None:
-        return NULL
-    if isinstance(v, bool):
-        return IntConst(int(v))
-    if isinstance(v, int):
-        return IntConst(v)
-    if isinstance(v, float):
-        return DoubleConst(v)
-    if isinstance(v, str):
-        return StringConst(v)
-    raise TypeError(f"cannot lift {v!r} into an IR value")
+    """Lift Python literals into IR constants; pass values through.  (A
+    builder lifts through its program's table, :meth:`Interner.lift`.)"""
+    return Interner().lift(v)
 
 
 def static_type_of(v: Value) -> Type:
@@ -93,6 +80,8 @@ class ProgramBuilder:
 
     def __init__(self) -> None:
         self.program = Program()
+        #: the program's value table; it goes when the builder does
+        self.values = Interner()
 
     def class_(
         self,
@@ -116,7 +105,9 @@ class ProgramBuilder:
         cls = self.program.class_of(class_name)
         if cls is not None and field_name in cls.fields:
             return cls.fields[field_name]
-        return FieldSig(class_name, field_name, parse_type("java.lang.Object"))
+        return self.values.field_sig(
+            class_name, field_name, parse_type("java.lang.Object")
+        )
 
     def build(self) -> Program:
         for method in self.program.methods():
@@ -135,7 +126,19 @@ class ClassBuilder:
         return self.cls.name
 
     def field(self, name: str, type_name: str | Type) -> FieldSig:
-        return self.cls.add_field(name, type_name)
+        return self.cls.add_field(
+            self.parent.values.field_sig(self.cls.name, name, parse_type(type_name))
+        )
+
+    def _sig(
+        self,
+        name: str,
+        params: list[str | Type] | tuple[str | Type, ...],
+        returns: str | Type,
+    ) -> MethodSig:
+        return self.parent.values.method_sig(
+            self.cls.name, name, tuple(map(parse_type, params)), parse_type(returns)
+        )
 
     def method(
         self,
@@ -145,8 +148,7 @@ class ClassBuilder:
         *,
         static: bool = False,
     ) -> "MethodBuilder":
-        sig = make_sig(self.cls.name, name, params, returns)
-        method = Method(sig, is_static=static)
+        method = Method(self._sig(name, params, returns), is_static=static)
         self.cls.add_method(method)
         return MethodBuilder(self.parent, self, method)
 
@@ -156,8 +158,7 @@ class ClassBuilder:
         params: list[str | Type] | tuple[str | Type, ...] = (),
         returns: str | Type = "void",
     ) -> Method:
-        sig = make_sig(self.cls.name, name, params, returns)
-        method = Method(sig, is_abstract=True, body=None)
+        method = Method(self._sig(name, params, returns), is_abstract=True, body=None)
         self.cls.add_method(method)
         return method
 
@@ -171,19 +172,19 @@ class MethodBuilder:
         self.pb = pb
         self.cb = cb
         self.method = method
+        self.values = values = pb.values
         self._temp_counter = 0
         body = method.body
         assert body is not None
         # Identity statements bind `this` and the parameters to locals.
-        from .values import ParamRef, ThisRef
-
         if not method.is_static:
-            this = body.declare_local(Local("this", class_t(cb.name)))
-            body.add(IdentityStmt(this, ThisRef(class_t(cb.name))))
+            this_t = class_t(cb.name)
+            this = body.declare_local(values.local("this", this_t))
+            body.add(IdentityStmt(this, values.this_ref(this_t)))
             method.this_local = this
         for i, ptype in enumerate(method.sig.param_types):
-            p = body.declare_local(Local(f"p{i}", ptype))
-            body.add(IdentityStmt(p, ParamRef(i, ptype)))
+            p = body.declare_local(values.local(f"p{i}", ptype))
+            body.add(IdentityStmt(p, values.param_ref(i, ptype)))
             method.param_locals.append(p)
 
     # -- locals & constants -------------------------------------------------
@@ -198,7 +199,7 @@ class MethodBuilder:
     def local(self, name: str, type_name: str | Type) -> Local:
         body = self.method.body
         assert body is not None
-        return body.declare_local(Local(name, parse_type(type_name)))
+        return body.declare_local(self.values.local(name, parse_type(type_name)))
 
     def fresh(self, type_name: str | Type, hint: str = "t") -> Local:
         self._temp_counter += 1
@@ -212,7 +213,7 @@ class MethodBuilder:
 
     # -- assignments ----------------------------------------------------------
     def assign(self, target: LValue, rhs: Value | str | int | float | None) -> Stmt:
-        return self.emit(AssignStmt(target, as_value(rhs)))
+        return self.emit(AssignStmt(target, self.values.lift(rhs)))
 
     def let(
         self,
@@ -239,12 +240,12 @@ class MethodBuilder:
             if into is not None
             else self.fresh(ctype, ctype.simple_name.lower()[:4] or "o")
         )
-        self.assign(loc, NewExpr(ctype))
-        vals = tuple(as_value(a) for a in args)
-        sig = MethodSig(
-            class_name, "<init>", tuple(static_type_of(v) for v in vals), parse_type("void")
+        self.assign(loc, self.values.new(ctype))
+        vals = tuple(map(self.values.lift, args))
+        sig = self.values.method_sig(
+            class_name, "<init>", tuple(map(static_type_of, vals)), parse_type("void")
         )
-        self.emit(InvokeStmt(InvokeExpr("special", sig, loc, vals)))
+        self.emit(InvokeStmt(self.values.invoke("special", sig, loc, vals)))
         return loc
 
     def new_array(
@@ -252,9 +253,10 @@ class MethodBuilder:
     ) -> Local:
         from .types import array_t
 
-        atype = array_t(parse_type(elem_type))
+        etype = parse_type(elem_type)
+        atype = array_t(etype)
         loc = self.local(into, atype) if into else self.fresh(atype, "arr")
-        self.assign(loc, NewArrayExpr(parse_type(elem_type), as_value(size)))
+        self.assign(loc, self.values.new_array(etype, self.values.lift(size)))
         return loc
 
     # -- calls ---------------------------------------------------------------
@@ -269,8 +271,10 @@ class MethodBuilder:
         into: str | None,
     ) -> Local | None:
         ret = parse_type(returns)
-        sig = MethodSig(class_name, name, tuple(static_type_of(a) for a in args), ret)
-        expr = InvokeExpr(kind, sig, base, args)
+        sig = self.values.method_sig(
+            class_name, name, tuple(map(static_type_of, args)), ret
+        )
+        expr = self.values.invoke(kind, sig, base, args)
         if ret.name == "void" and into is None:
             self.emit(InvokeStmt(expr))
             return None
@@ -292,7 +296,7 @@ class MethodBuilder:
         """Virtual call on ``base``.  The receiver class defaults to the
         base value's static type; pass ``on=`` to override (e.g. calling an
         interface method through a field typed as the interface)."""
-        vals = tuple(as_value(a) for a in args)
+        vals = tuple(map(self.values.lift, args))
         cname = on or static_type_of(base).name
         return self._invoke("virtual", cname, name, base, vals, returns, into)
 
@@ -305,7 +309,7 @@ class MethodBuilder:
         *,
         into: str | None = None,
     ) -> Local | None:
-        vals = tuple(as_value(a) for a in args)
+        vals = tuple(map(self.values.lift, args))
         return self._invoke("static", class_name, name, None, vals, returns, into)
 
     def call_this(
@@ -330,7 +334,7 @@ class MethodBuilder:
         cname = cls or static_type_of(base).name
         fsig = self.pb.field_ref(cname, field_name)
         loc = self.local(into, fsig.type) if into else self.fresh(fsig.type, field_name[:8])
-        self.assign(loc, InstanceFieldRef(base, fsig))
+        self.assign(loc, self.values.instance_field(base, fsig))
         return loc
 
     def putfield(
@@ -343,21 +347,25 @@ class MethodBuilder:
     ) -> Stmt:
         cname = cls or static_type_of(base).name
         fsig = self.pb.field_ref(cname, field_name)
-        return self.emit(AssignStmt(InstanceFieldRef(base, fsig), as_value(value)))
+        return self.emit(
+            AssignStmt(self.values.instance_field(base, fsig), self.values.lift(value))
+        )
 
     def getstatic(
         self, class_name: str, field_name: str, *, into: str | None = None
     ) -> Local:
         fsig = self.pb.field_ref(class_name, field_name)
         loc = self.local(into, fsig.type) if into else self.fresh(fsig.type, field_name[:8])
-        self.assign(loc, StaticFieldRef(fsig))
+        self.assign(loc, self.values.static_field(fsig))
         return loc
 
     def putstatic(
         self, class_name: str, field_name: str, value: Value | str | int | float | None
     ) -> Stmt:
         fsig = self.pb.field_ref(class_name, field_name)
-        return self.emit(AssignStmt(StaticFieldRef(fsig), as_value(value)))
+        return self.emit(
+            AssignStmt(self.values.static_field(fsig), self.values.lift(value))
+        )
 
     # -- arrays -----------------------------------------------------------------
     def aload(self, array: Value, index: Value | int, *, into: str | None = None) -> Local:
@@ -366,15 +374,18 @@ class MethodBuilder:
         atype = static_type_of(array)
         etype = atype.element if isinstance(atype, ArrayType) else parse_type("java.lang.Object")
         loc = self.local(into, etype) if into else self.fresh(etype, "elem")
-        self.assign(loc, ArrayRef(array, as_value(index)))
+        self.assign(loc, self.values.array_ref(array, self.values.lift(index)))
         return loc
 
     def astore(self, array: Value, index: Value | int, value: Value | str | int | float) -> Stmt:
-        return self.emit(AssignStmt(ArrayRef(array, as_value(index)), as_value(value)))
+        lift = self.values.lift
+        return self.emit(
+            AssignStmt(self.values.array_ref(array, lift(index)), lift(value))
+        )
 
     def length(self, array: Value, *, into: str | None = None) -> Local:
         loc = self.local(into, "int") if into else self.fresh("int", "len")
-        self.assign(loc, LengthExpr(array))
+        self.assign(loc, self.values.length(array))
         return loc
 
     # -- operators ---------------------------------------------------------------
@@ -388,7 +399,8 @@ class MethodBuilder:
         into: str | None = None,
     ) -> Local:
         loc = self.local(into, type_name) if into else self.fresh(type_name, "op")
-        self.assign(loc, BinOpExpr(op, as_value(left), as_value(right)))
+        lift = self.values.lift
+        self.assign(loc, self.values.binop(op, lift(left), lift(right)))
         return loc
 
     def concat(self, *parts: Value | str | int, into: str | None = None) -> Local:
@@ -396,10 +408,11 @@ class MethodBuilder:
         semantic models understand as string concat)."""
         if not parts:
             raise ValueError("concat needs at least one part")
-        acc = as_value(parts[0])
+        lift = self.values.lift
+        acc = lift(parts[0])
         for part in parts[1:]:
             loc = self.fresh(_STRING, "cat")
-            self.assign(loc, BinOpExpr("+", acc, as_value(part)))
+            self.assign(loc, self.values.binop("+", acc, lift(part)))
             acc = loc
         if isinstance(acc, Local) and into is None:
             return acc
@@ -409,7 +422,7 @@ class MethodBuilder:
 
     def cast(self, value: Value, to: str | Type, *, into: str | None = None) -> Local:
         loc = self.local(into, to) if into else self.fresh(to, "cast")
-        self.assign(loc, CastExpr(parse_type(to), value))
+        self.assign(loc, self.values.cast(parse_type(to), value))
         return loc
 
     # -- control flow ---------------------------------------------------------
@@ -428,17 +441,18 @@ class MethodBuilder:
         right: Value | str | int | None,
         label: str,
     ) -> None:
-        cond = BinOpExpr(op, as_value(left), as_value(right))
-        self.emit(IfStmt(cond, label))
+        lift = self.values.lift
+        self.emit(IfStmt(self.values.binop(op, lift(left), lift(right)), label))
 
     def if_truthy(self, value: Value, label: str) -> None:
-        self.emit(IfStmt(BinOpExpr("!=", value, IntConst(0)), label))
+        zero = self.values.int_const(0)
+        self.emit(IfStmt(self.values.binop("!=", value, zero), label))
 
     def nop(self) -> None:
         self.emit(NopStmt())
 
     def ret(self, value: Value | str | int | float | None = None) -> None:
-        self.emit(ReturnStmt(None if value is None else as_value(value)))
+        self.emit(ReturnStmt(None if value is None else self.values.lift(value)))
 
     def ret_void(self) -> None:
         self.emit(ReturnStmt(None))

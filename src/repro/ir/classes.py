@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .method import Method
-from .types import OBJECT, Type, parse_type
+from .types import OBJECT, Type
 from .values import FieldSig, MethodSig
 
 
@@ -28,11 +28,12 @@ class ClassDef:
         self._methods: dict[tuple[str, tuple[Type, ...]], Method] = {}
 
     # -- fields ------------------------------------------------------------
-    def add_field(self, name: str, type_name: str | Type) -> FieldSig:
-        if name in self.fields:
-            raise ValueError(f"duplicate field {self.name}.{name}")
-        sig = FieldSig(self.name, name, parse_type(type_name))
-        self.fields[name] = sig
+    def add_field(self, sig: FieldSig) -> FieldSig:
+        """Declare the field ``sig`` names (a producer passes the program's
+        shared :class:`FieldSig`)."""
+        if sig.name in self.fields:
+            raise ValueError(f"duplicate field {self.name}.{sig.name}")
+        self.fields[sig.name] = sig
         return sig
 
     def field(self, name: str) -> FieldSig:

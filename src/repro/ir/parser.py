@@ -12,7 +12,8 @@ import ast
 import re
 
 from .classes import ClassDef
-from .method import Body, Method, make_sig
+from .intern import Interner
+from .method import Body, Method
 from .program import Program
 from .statements import (
     AssignStmt,
@@ -26,27 +27,13 @@ from .statements import (
 )
 from .types import class_t, parse_type
 from .values import (
-    ArrayRef,
     BinOpExpr,
-    CastExpr,
-    ClassConst,
-    DoubleConst,
     FieldSig,
-    InstanceFieldRef,
-    InstanceOfExpr,
-    IntConst,
     InvokeExpr,
-    LengthExpr,
     Local,
-    MethodSig,
     NULL,
-    NewArrayExpr,
-    NewExpr,
     ParamRef,
-    StaticFieldRef,
-    StringConst,
     ThisRef,
-    UnOpExpr,
     Value,
 )
 
@@ -120,11 +107,13 @@ def _split_args(text: str) -> list[str]:
 
 
 class _MethodParser:
-    """Parses values and statements of one method body."""
+    """Parses values and statements of one method body, building values
+    through the program's table."""
 
-    def __init__(self, body: Body, line_no: int) -> None:
+    def __init__(self, body: Body, line_no: int, values: Interner) -> None:
         self.body = body
         self.line_no = line_no
+        self.values = values
 
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.line_no)
@@ -148,13 +137,13 @@ class _MethodParser:
                 value = None
             if not isinstance(value, str):
                 raise self.fail(f"cannot parse string constant {text!r}")
-            return StringConst(value)
+            return self.values.string_const(value)
         if text.startswith("class "):
-            return ClassConst(text[len("class "):].strip())
+            return self.values.class_const(text[len("class "):].strip())
         if re.fullmatch(r"-?\d+", text):
-            return IntConst(int(text))
+            return self.values.int_const(int(text))
         if re.fullmatch(r"-?\d*\.\d+(e-?\d+)?", text):
-            return DoubleConst(float(text))
+            return self.values.double_const(float(text))
         if re.fullmatch(_IDENT, text):
             return self.local(text)
         raise self.fail(f"cannot parse value {text!r}")
@@ -162,6 +151,7 @@ class _MethodParser:
     def value(self, text: str) -> Value:
         """Parse any right-hand-side value/expression."""
         text = text.strip()
+        values = self.values
         # invoke
         m = re.match(rf"^(virtual|special|static|interface)invoke\s+(.*)$", text)
         if m:
@@ -169,19 +159,23 @@ class _MethodParser:
         # new array (before new object)
         m = re.match(rf"^new\s+(?P<type>{_TYPE})\[(?P<size>[^\]]+)\]$", text)
         if m:
-            return NewArrayExpr(parse_type(m.group("type")), self.atom(m.group("size")))
+            return values.new_array(
+                parse_type(m.group("type")), self.atom(m.group("size"))
+            )
         m = re.match(rf"^new\s+(?P<type>{_TYPE})$", text)
         if m:
-            return NewExpr(class_t(m.group("type")))
+            return values.new(class_t(m.group("type")))
         m = re.match(rf"^\((?P<type>{_TYPE})\)\s+(?P<v>.+)$", text)
         if m:
-            return CastExpr(parse_type(m.group("type")), self.atom(m.group("v")))
+            return values.cast(parse_type(m.group("type")), self.atom(m.group("v")))
         m = re.match(rf"^(?P<v>\S+)\s+instanceof\s+(?P<type>{_TYPE})$", text)
         if m:
-            return InstanceOfExpr(self.atom(m.group("v")), parse_type(m.group("type")))
+            return values.instance_of(
+                self.atom(m.group("v")), parse_type(m.group("type"))
+            )
         m = re.match(r"^lengthof\s+(?P<v>.+)$", text)
         if m:
-            return LengthExpr(self.atom(m.group("v")))
+            return values.length(self.atom(m.group("v")))
         ref = self.try_ref(text)
         if ref is not None:
             return ref
@@ -191,7 +185,7 @@ class _MethodParser:
             return binop
         m = re.match(r"^(?P<op>[!\-~])(?P<v>[\w$'\".]+)$", text)
         if m and not re.fullmatch(r"-?\d+(\.\d+)?", text):
-            return UnOpExpr(m.group("op"), self.atom(m.group("v")))
+            return values.unop(m.group("op"), self.atom(m.group("v")))
         return self.atom(text)
 
     def try_binop(self, text: str) -> BinOpExpr | None:
@@ -214,32 +208,36 @@ class _MethodParser:
                         left = text[:i]
                         right = rest[len(op) + 1 :]
                         try:
-                            return BinOpExpr(op, self.atom(left), self.atom(right))
+                            return self.values.binop(
+                                op, self.atom(left), self.atom(right)
+                            )
                         except ParseError:
                             break
             i += 1
         return None
 
+    def field_sig(self, m: re.Match) -> FieldSig:
+        return self.values.field_sig(
+            m.group("cls"), m.group("name"), parse_type(m.group("type"))
+        )
+
     def try_ref(self, text: str) -> Value | None:
         """Field/array references."""
         m = _FIELDSIG_RE.match(text)
         if m:
-            return StaticFieldRef(
-                FieldSig(m.group("cls"), m.group("name"), parse_type(m.group("type")))
-            )
+            return self.values.static_field(self.field_sig(m))
         m = re.match(rf"^(?P<base>{_IDENT})\.(?P<sig><.+>)$", text)
         if m:
             fm = _FIELDSIG_RE.match(m.group("sig"))
             if fm:
-                return InstanceFieldRef(
-                    self.local(m.group("base")),
-                    FieldSig(
-                        fm.group("cls"), fm.group("name"), parse_type(fm.group("type"))
-                    ),
+                return self.values.instance_field(
+                    self.local(m.group("base")), self.field_sig(fm)
                 )
         m = re.match(rf"^(?P<base>{_IDENT})\[(?P<idx>[^\]]+)\]$", text)
         if m:
-            return ArrayRef(self.local(m.group("base")), self.atom(m.group("idx")))
+            return self.values.array_ref(
+                self.local(m.group("base")), self.atom(m.group("idx"))
+            )
         return None
 
     def invoke_expr(self, kind: str, rest: str) -> InvokeExpr:
@@ -258,12 +256,12 @@ class _MethodParser:
         params = tuple(
             parse_type(p) for p in _split_args(sm.group("params"))
         )
-        sig = MethodSig(
+        sig = self.values.method_sig(
             sm.group("cls"), sm.group("name"), params, parse_type(sm.group("ret"))
         )
         base = self.local(m.group("base")) if m.group("base") else None
         args = tuple(self.atom(a) for a in _split_args(m.group("args")))
-        return InvokeExpr(kind, sig, base, args)
+        return self.values.invoke(kind, sig, base, args)
 
     # -- statements -------------------------------------------------------------
     def statement(self, text: str) -> None:
@@ -271,7 +269,10 @@ class _MethodParser:
         m = re.match(rf"^(?P<t>{_IDENT})\s+:=\s+@this:\s+(?P<type>{_TYPE})$", text)
         if m:
             body.add(
-                IdentityStmt(self.local(m.group("t")), ThisRef(class_t(m.group("type"))))
+                IdentityStmt(
+                    self.local(m.group("t")),
+                    self.values.this_ref(class_t(m.group("type"))),
+                )
             )
             return
         m = re.match(
@@ -281,7 +282,9 @@ class _MethodParser:
             body.add(
                 IdentityStmt(
                     self.local(m.group("t")),
-                    ParamRef(int(m.group("i")), parse_type(m.group("type"))),
+                    self.values.param_ref(
+                        int(m.group("i")), parse_type(m.group("type"))
+                    ),
                 )
             )
             return
@@ -340,6 +343,7 @@ class _MethodParser:
 def parse_program(text: str) -> Program:
     """Parse a whole program in the printer's textual format."""
     program = Program()
+    values = Interner()
     lines = text.splitlines()
     i = 0
     n = len(lines)
@@ -378,14 +382,19 @@ def parse_program(text: str) -> Program:
                 break
             fm = _FIELD_RE.match(line)
             if fm:
-                cls.add_field(fm.group("name"), fm.group("type"))
+                fsig = values.field_sig(
+                    cls.name, fm.group("name"), parse_type(fm.group("type"))
+                )
+                cls.add_field(fsig)
                 i += 1
                 continue
             mm = _METHOD_RE.match(line)
             if not mm:
                 raise ParseError(f"expected field or method, got {line!r}", i + 1)
-            params = [p for p in _split_args(mm.group("params"))]
-            sig = make_sig(cls.name, mm.group("name"), params, mm.group("ret"))
+            params = tuple(map(parse_type, _split_args(mm.group("params"))))
+            sig = values.method_sig(
+                cls.name, mm.group("name"), params, parse_type(mm.group("ret"))
+            )
             is_static = bool(mm.group("static"))
             i += 1
             # abstract body?
@@ -401,7 +410,7 @@ def parse_program(text: str) -> Program:
             cls.add_method(method)
             body = method.body
             assert body is not None
-            mp = _MethodParser(body, i)
+            mp = _MethodParser(body, i, values)
             # local declarations, labels, statements until '}'
             while i < n:
                 raw = lines[i].strip()
@@ -427,8 +436,9 @@ def parse_program(text: str) -> Program:
                         and " = " not in raw
                         and ":=" not in raw
                     ):
-                        local = Local(dm.group("name"), parse_type(dm.group("type")))
-                        body.declare_local(local)
+                        body.declare_local(
+                            values.local(dm.group("name"), parse_type(dm.group("type")))
+                        )
                     else:
                         mp.statement(stmt_text)
                     i += 1

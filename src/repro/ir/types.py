@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Type:
     """Base class for all IR types."""
 
@@ -32,12 +32,12 @@ class Type:
         return isinstance(self, PrimType)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimType(Type):
     """A JVM primitive type (``int``, ``boolean``, ...) or ``void``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassType(Type):
     """A reference type identified by its fully qualified class name."""
 
@@ -51,7 +51,7 @@ class ClassType(Type):
         return head
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayType(Type):
     """An array type; ``element`` is the element type."""
 

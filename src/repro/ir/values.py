@@ -6,6 +6,15 @@ field/array reference, binary operation, allocation, ...).  Expressions are
 flat — their operands are locals or constants, never nested expressions —
 which keeps every later analysis (slicing, tainting, signature building)
 a simple walk over statement operands.
+
+Values are immutable slotted dataclasses that compare and hash by their
+fields.  The producers of a program (:mod:`repro.ir.builder`, the
+``.sapk`` parser and :mod:`repro.apk.rewrite`) build each distinct value
+once per program through an :class:`~repro.ir.intern.Interner`, so one
+object stands for every occurrence of, say, a local across the bodies of
+its program.  Compare values with ``==``, never ``is``: a value built
+outside a producer is equal to, but not the same object as, the shared
+one.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Iterator
 from .types import ClassType, Type, class_t, parse_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSig:
     """A field reference: declaring class, field name and field type."""
 
@@ -28,7 +37,7 @@ class FieldSig:
         return f"<{self.class_name}: {self.type} {self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSig:
     """A method signature used by invoke expressions and semantic models.
 
@@ -79,16 +88,17 @@ class Value:
         return iter(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Local(Value):
     """A method-local variable (SSA is *not* required)."""
 
     name: str
     type: Type
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Locals are allocated once per body and hashed in every taint /
-        # def-use set operation; hashing recurses through Type, so cache it.
+        # hashing recurses through Type, so cache it; it is still the hash
+        # of the compared fields' tuple, which keeps set order unchanged
         object.__setattr__(self, "_hash", hash((self.name, self.type)))
 
     def __hash__(self) -> int:
@@ -104,7 +114,7 @@ class Constant(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntConst(Constant):
     value: int
 
@@ -112,7 +122,7 @@ class IntConst(Constant):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleConst(Constant):
     value: float
 
@@ -120,7 +130,7 @@ class DoubleConst(Constant):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringConst(Constant):
     value: str
 
@@ -128,7 +138,7 @@ class StringConst(Constant):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullConst(Constant):
     def __str__(self) -> str:
         return "null"
@@ -137,7 +147,7 @@ class NullConst(Constant):
 NULL = NullConst()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassConst(Constant):
     """A ``Foo.class`` literal; used by reflection-based JSON binding."""
 
@@ -153,7 +163,7 @@ class Expr(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewExpr(Expr):
     """Object allocation (``new C``); initialisation is a separate
     ``<init>`` invoke, exactly as in Jimple."""
@@ -164,7 +174,7 @@ class NewExpr(Expr):
         return f"new {self.class_type}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewArrayExpr(Expr):
     element_type: Type
     size: Value
@@ -176,7 +186,7 @@ class NewArrayExpr(Expr):
         return f"new {self.element_type}[{self.size}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOpExpr(Expr):
     """Binary operation.  ``op`` is one of ``+ - * / % == != < <= > >= && ||``.
 
@@ -196,7 +206,7 @@ class BinOpExpr(Expr):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnOpExpr(Expr):
     op: str
     operand: Value
@@ -208,7 +218,7 @@ class UnOpExpr(Expr):
         return f"{self.op}{self.operand}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CastExpr(Expr):
     to_type: Type
     value: Value
@@ -220,7 +230,7 @@ class CastExpr(Expr):
         return f"({self.to_type}) {self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceOfExpr(Expr):
     value: Value
     check_type: Type
@@ -232,7 +242,7 @@ class InstanceOfExpr(Expr):
         return f"{self.value} instanceof {self.check_type}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthExpr(Expr):
     array: Value
 
@@ -243,7 +253,7 @@ class LengthExpr(Expr):
         return f"lengthof {self.array}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceFieldRef(Expr):
     base: Value
     field: FieldSig
@@ -255,7 +265,7 @@ class InstanceFieldRef(Expr):
         return f"{self.base}.{self.field}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticFieldRef(Expr):
     field: FieldSig
 
@@ -263,7 +273,7 @@ class StaticFieldRef(Expr):
         return str(self.field)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayRef(Expr):
     base: Value
     index: Value
@@ -279,7 +289,7 @@ class ArrayRef(Expr):
 INVOKE_KINDS = ("virtual", "special", "static", "interface")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvokeExpr(Expr):
     """A method call.  ``base`` is ``None`` for static invokes."""
 
@@ -305,7 +315,7 @@ class InvokeExpr(Expr):
         return f"{self.kind}invoke {recv}{self.sig}({args})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParamRef(Expr):
     """Right-hand side of an identity statement binding parameter ``index``."""
 
@@ -316,7 +326,7 @@ class ParamRef(Expr):
         return f"@parameter{self.index}: {self.type}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThisRef(Expr):
     """Right-hand side of the identity statement binding ``this``."""
 

@@ -58,7 +58,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..apk.loader import load_apk
 from ..core.config import AnalysisConfig, apply_overrides
 from ..obs.metrics import MetricsRegistry, render_prometheus
-from .jobs import JobScheduler, QueueFull, resolve_target
+from .jobs import JobScheduler, QueueFull, lookup_message, resolve_target
 from .store import ResultStore
 
 _ZIP_TYPES = {"application/zip", "application/octet-stream"}
@@ -187,7 +187,7 @@ class AnalysisService:
             try:
                 apk, config, label = resolve_target(target, overrides)
             except LookupError as exc:
-                return 404, {"error": str(exc)}
+                return 404, {"error": lookup_message(exc)}
             except ValueError as exc:
                 return 400, {"error": str(exc)}
         try:

@@ -125,6 +125,16 @@ class Job:
         }
 
 
+def lookup_message(exc: Exception) -> str:
+    """The message a failed target lookup was raised with.  The unknown-
+    key errors of the corpus, lineage and synth registries are
+    ``KeyError``s, and ``str()`` of a ``KeyError`` is the repr of its
+    message, which would print it in a second pair of quotes."""
+    if isinstance(exc, KeyError) and len(exc.args) == 1:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def resolve_target(
     target: str, overrides: dict | None = None
 ) -> tuple[Apk, AnalysisConfig, str]:
@@ -510,5 +520,6 @@ __all__ = [
     "JobTimeout",
     "QueueFull",
     "call_with_timeout",
+    "lookup_message",
     "resolve_target",
 ]

@@ -23,6 +23,22 @@ def run_cli(capsys, *argv) -> str:
     return capsys.readouterr().out
 
 
+#: a malformed synthesized key, one of an unknown family, and a lineage
+#: label of an unknown family
+UNKNOWN_KEYS = ["syn-bogus", "syn-nofam-s7-0000", "nosuch@v2"]
+
+
+def unknown_key_message(target: str) -> str:
+    """The message the registries raise for one of ``UNKNOWN_KEYS``."""
+    from repro.corpus.lineage import build_version
+    from repro.service.jobs import resolve_target
+
+    with pytest.raises(KeyError) as info:
+        (build_version if "@" in target else resolve_target)(target)
+    (message,) = info.value.args
+    return message
+
+
 class TestCli:
     def test_corpus_listing(self, capsys):
         out = run_cli(capsys, "corpus")
@@ -67,6 +83,24 @@ class TestCli:
         assert code == 2, err
         assert err.count("\n") == 1 and f"'{argv[1]}'" in err, err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", UNKNOWN_KEYS)
+    @pytest.mark.parametrize("verb", [
+        ["analyze"], ["trace"], ["lint"], ["explain", "{t}", "1", "uri"],
+        ["export", "{t}", "out.sapk"], ["batch", "--store", "store"],
+    ], ids=["analyze", "trace", "lint", "explain", "export", "batch"])
+    def test_unknown_key_prints_its_message_unquoted(self, verb, target,
+                                                     tmp_path, monkeypatch):
+        """A malformed ``syn-`` key, an unknown synth family and an
+        unknown lineage family are ``KeyError``s; stderr carries their
+        message, not its repr in a second pair of quotes."""
+        monkeypatch.chdir(tmp_path)
+        argv = [a.replace("{t}", target) for a in verb]
+        if "{t}" not in verb:
+            argv.insert(1, target)
+        code, err = _exit_and_stderr(argv)
+        assert code == 2, err
+        assert err == f"repro: {unknown_key_message(target)}\n"
 
     def test_export_takes_a_lineage_label(self, capsys, tmp_path):
         from repro.apk.loader import apk_digest, load_apk
@@ -236,6 +270,29 @@ class TestDiff:
     def test_self_diff_exits_zero(self, capsys, tmp_path):
         out = run_cli(capsys, "diff", "tzm", "tzm",
                       "--store", str(tmp_path / "s"))
+        assert "verdict: identical" in out
+
+    @pytest.mark.parametrize("target", UNKNOWN_KEYS)
+    def test_bad_operand_says_why(self, target, tmp_path):
+        """An operand of a target form whose family or shape is wrong
+        fails with the reason target resolution gives."""
+        code, err = _exit_and_stderr(
+            ["diff", target, "diode", "--store", str(tmp_path / "s")]
+        )
+        assert code == 2, err
+        assert err == f"repro: {unknown_key_message(target)}\n"
+
+    def test_unknown_operand_names_every_target_form(self, capsys, tmp_path):
+        store = str(tmp_path / "s")
+        code, err = _exit_and_stderr(["diff", "nosuch", "diode", "--store", store])
+        assert code == 2, err
+        assert err == (
+            "repro: 'nosuch' is not a stored result key, corpus app, "
+            "synthesized app (syn-<family>-s<seed>-<index>), lineage "
+            "version (app@vN) or .sapk bundle\n"
+        )
+        key = "syn-transports-s7-0003"
+        out = run_cli(capsys, "diff", key, key, "--store", store)
         assert "verdict: identical" in out
 
     def test_breaking_lineage_exits_one(self, capsys, tmp_path):

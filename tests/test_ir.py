@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.ir import (
@@ -21,12 +23,14 @@ from repro.ir import (
     StringConst,
     array_t,
     class_t,
+    field_sig,
     make_sig,
     parse_type,
     validate_program,
     walk_values,
 )
 from repro.cfg.callgraph import CallSite
+from repro.corpus import app_keys
 from repro.ir.builder import as_value, static_type_of
 from repro.ir.statements import StmtRef
 from repro.ir.printer import print_class, print_program
@@ -279,5 +283,148 @@ class TestPrinter:
 
     def test_print_class_fields(self):
         cls = ClassDef("p.Q")
-        cls.add_field("count", "int")
+        cls.add_field(field_sig("p.Q", "count", "int"))
         assert "int count;" in print_class(cls)
+
+
+# ------------------------------------------------------------ representation
+def _samples() -> list:
+    """One instance of every concrete value, sig and type class."""
+    from repro.ir import values as v
+
+    i, s = parse_type("int"), class_t("java.lang.String")
+    x = v.Local("x", i)
+    fsig = v.FieldSig("a.B", "f", i)
+    msig = MethodSig.of("a.B", "m", ("int",), "void")
+    return [
+        x, v.IntConst(1), v.DoubleConst(0.5), v.StringConst("s"), v.NULL,
+        v.ClassConst("a.B"), v.NewExpr(s), v.NewArrayExpr(i, x),
+        v.BinOpExpr("+", x, x), v.UnOpExpr("-", x), v.CastExpr(i, x),
+        v.InstanceOfExpr(x, s), v.LengthExpr(x), v.InstanceFieldRef(x, fsig),
+        v.StaticFieldRef(fsig), v.ArrayRef(x, x),
+        v.InvokeExpr("static", msig, None, (x,)), v.ParamRef(0, i),
+        v.ThisRef(s), fsig, msig, i, s, array_t(i),
+    ]
+
+
+def _ir_classes() -> set[type]:
+    from repro.ir import types, values
+
+    return {
+        obj for mod in (types, values) for obj in vars(mod).values()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__
+    }
+
+
+def _ir_objects(program):
+    """Every value, sig and type a program reaches, once per occurrence:
+    declared fields and signatures, body locals and statement operands,
+    down through each dataclass field."""
+    from dataclasses import fields, is_dataclass
+
+    stack = []
+    for cls in program.classes.values():
+        stack.extend(cls.fields.values())
+        for method in cls.methods():
+            stack.append(method.sig)
+            if method.body is not None:
+                stack.extend(method.body.locals.values())
+                for stmt in method.body:
+                    stack.extend(stmt.defs())
+                    stack.extend(stmt.uses())
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for f in fields(obj):
+            part = getattr(obj, f.name)
+            for item in part if isinstance(part, tuple) else (part,):
+                if is_dataclass(item):
+                    stack.append(item)
+
+
+def _program(label: str, tmp_path):
+    """A corpus app built, a corpus app's bundle parsed (``<key>.sapk``),
+    or a lineage release (``tzm@v2`` is an obfuscated rebuild)."""
+    from repro.apk.loader import load_apk, save_apk
+    from repro.corpus import build_app, build_version
+
+    if "@" in label:
+        return build_version(label).apk.program
+    key, _, suffix = label.partition(".")
+    if suffix:
+        return load_apk(save_apk(build_app(key), tmp_path / label)).program
+    return build_app(key).program
+
+
+class TestRepresentation:
+    """The IR's shape: slotted values, one object per distinct value per
+    program, and hashes that keep every set's order."""
+
+    def test_every_value_sig_and_type_class_is_slotted(self):
+        from repro.ir.types import Type
+        from repro.ir.values import Constant, Expr, Value
+
+        classes = _ir_classes()
+        assert all("__slots__" in vars(cls) for cls in classes), [
+            cls for cls in classes if "__slots__" not in vars(cls)
+        ]
+        samples = _samples()
+        assert {type(s) for s in samples} == classes - {Value, Constant, Expr, Type}
+        assert not [s for s in samples if hasattr(s, "__dict__")]
+
+    def test_hash_is_the_hash_of_the_compared_fields(self):
+        from dataclasses import fields
+
+        for sample in _samples():
+            compared = tuple(
+                getattr(sample, f.name) for f in fields(sample) if f.compare
+            )
+            assert hash(sample) == hash(compared), sample
+
+    @pytest.mark.parametrize("label", [
+        *app_keys(), "pinterest.sapk", "diode.sapk", "ted.sapk", "tzm@v2",
+    ])
+    def test_equal_values_are_one_object_within_a_program(self, label, tmp_path):
+        program = _program(label, tmp_path)
+        canonical: dict = {}
+        shared = 0
+        for obj in _ir_objects(program):
+            first = canonical.setdefault(obj, obj)
+            assert first is obj, (label, obj)
+            shared += 1
+        assert shared > len(canonical)
+
+    @pytest.mark.parametrize("producer", ["builder", "parser", "rewriter"])
+    def test_a_dropped_program_leaves_no_ir_value_alive(self, producer, tmp_path):
+        """While a program lives, the IR objects its build added are one
+        per distinct value; once it is dropped, none is left, so no value
+        table outlives its build."""
+        from repro.apk.loader import load_apk, save_apk
+        from repro.apk.obfuscator import obfuscate
+        from repro.corpus import build_app
+
+        source = build_app("pinterest")
+        bundle = save_apk(source, tmp_path / "p.sapk")
+        build = {
+            "builder": lambda: build_app("pinterest"),
+            "parser": lambda: load_apk(bundle),
+            "rewriter": lambda: obfuscate(source).apk,
+        }[producer]
+        kinds = tuple(_ir_classes())
+
+        def added() -> list:
+            gc.collect()
+            return [
+                o for o in gc.get_objects()
+                if isinstance(o, kinds) and id(o) not in before
+            ]
+
+        build()  # process-wide types and models first
+        before: set[int] = set()
+        before = {id(o) for o in added()}
+        apk = build()
+        alive = added()
+        assert len(alive) > 1000
+        assert len(set(alive)) == len(alive)
+        del apk, alive
+        assert added() == []

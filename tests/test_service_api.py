@@ -226,6 +226,20 @@ class TestOperationalEndpoints:
                              headers={"Content-Type": "application/json"})
         assert status == 400
 
+    @pytest.mark.parametrize("target", [
+        "syn-bogus", "syn-nofam-s7-0000", "nosuch@v2",
+    ])
+    def test_unknown_key_404_carries_the_message(self, service, target):
+        """The registries' unknown-key errors are ``KeyError``s; the 404
+        carries their message, not its repr in a second pair of quotes."""
+        from repro.corpus.lineage import build_version
+
+        with pytest.raises(KeyError) as info:
+            (build_version if "@" in target else resolve_target)(target)
+        body = json.dumps({"target": target}).encode()
+        status, data = service.handle_analyze(body, "application/json", {})
+        assert (status, data) == (404, {"error": info.value.args[0]})
+
     def test_malformed_upload_is_a_bad_request(self, service, tmp_path):
         zipped = {"Content-Type": "application/zip"}
         status, data = _request(service, "POST", "/analyze", b"not a zip",
