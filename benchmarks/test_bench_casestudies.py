@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evalx import (
-    evaluate_app,
+from repro.evalx.casestudy import (
     figure1_chain,
     figure8,
     render_table4,
@@ -15,6 +14,7 @@ from repro.evalx import (
     table5,
     table6,
 )
+from repro.evalx.runner import evaluate_app
 
 
 def test_table3_radioreddit(benchmark):

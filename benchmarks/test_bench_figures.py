@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evalx import FIGURE6, FIGURE7, figure6, figure7, render_figures
+from repro.evalx.figures import figure6, figure7, render_figures
+from repro.evalx.paperdata import FIGURE6, FIGURE7
 from repro.evalx.runner import evaluate_app
 from repro.corpus import app_keys
 

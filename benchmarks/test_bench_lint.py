@@ -15,7 +15,8 @@ import time
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import app_keys, build_app
-from repro.lint import lint_apk, runner, signature
+from repro.lint import runner, signature
+from repro.lint.runner import lint_apk
 
 #: Whole-corpus lint wall-clock ceiling (seconds).  Empirically ~1.5 s for
 #: all 34 apps including corpus construction; 30 s absorbs cold caches and

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import obfuscate
+from repro.apk.obfuscator import obfuscate
 from repro.corpus import get_spec
 
 

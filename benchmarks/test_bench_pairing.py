@@ -9,9 +9,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_pairing import figure5_program  # noqa: E402
 
-from repro.cfg import build_callgraph  # noqa: E402
-from repro.deps import pair_slices  # noqa: E402
-from repro.slicing import NetworkSlicer  # noqa: E402
+from repro.cfg.callgraph import build_callgraph  # noqa: E402
+from repro.deps.pairing import pair_slices  # noqa: E402
+from repro.slicing.slicer import NetworkSlicer  # noqa: E402
 
 
 def test_fig5_disjoint_pairing(benchmark):

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from repro.service import JobScheduler, ResultStore
+from repro.service.jobs import JobScheduler
+from repro.service.store import ResultStore
 
 APPS = ("blippex", "diode", "tzm", "wallabag", "radioreddit", "weather")
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 import pytest
 
 from repro import AnalysisConfig, Extractocol
-from repro.cfg import build_callgraph
+from repro.cfg.callgraph import build_callgraph
 from repro.corpus import build_app, get_spec
-from repro.slicing import NetworkSlicer
+from repro.slicing.slicer import NetworkSlicer
 
 
 def test_fig3_diode_slice(benchmark):

@@ -10,8 +10,10 @@ import pytest
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import app_keys, get_spec
-from repro.evalx import clear_cache, generate_table1, render_table1, row_for
-from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
+from repro.evalx.paperdata import row_for
+from repro.evalx.runner import clear_cache
+from repro.evalx.table1 import generate_table1, render_table1
+from repro.runtime.fuzzing import AutoUiFuzzer, ManualUiFuzzer
 
 
 def _run_app(key: str):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import app_keys
-from repro.evalx import TABLE2, table2
+from repro.evalx.paperdata import TABLE2
+from repro.evalx.table2 import table2
 from repro.evalx.runner import evaluate_app
 
 

@@ -23,7 +23,8 @@ import json
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import get_spec
-from repro.runtime import ManualUiFuzzer, Network
+from repro.runtime.fuzzing import ManualUiFuzzer
+from repro.runtime.httpstack import Network
 from repro.signature.matcher import transaction_matches
 
 

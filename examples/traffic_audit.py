@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import get_spec
-from repro.runtime import ManualUiFuzzer
+from repro.runtime.fuzzing import ManualUiFuzzer
 from repro.signature.matcher import transaction_matches
 
 

@@ -10,23 +10,23 @@ import sys
 import time
 from pathlib import Path
 
-from repro.evalx import (
+from repro.evalx.casestudy import (
+    figure1_chain,
+    figure3,
+    figure8,
+    render_table5,
+    render_table6,
+)
+from repro.evalx.figures import figure6, figure7
+from repro.evalx.paperdata import (
     FIGURE6,
     FIGURE7,
     PAPER_TOTAL_PAIRS,
     TABLE2,
-    figure1_chain,
-    figure3,
-    figure6,
-    figure7,
-    figure8,
-    generate_table1,
-    render_table5,
-    render_table6,
     row_for,
-    table2,
-    total_pairs,
 )
+from repro.evalx.table1 import generate_table1, total_pairs
+from repro.evalx.table2 import table2
 from repro.corpus import app_keys, get_spec
 
 

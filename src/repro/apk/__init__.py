@@ -1,15 +1,1 @@
 """APK model: manifest, resources, entry points, loader, (de)obfuscation."""
-
-from .deobfuscate import (
-    DeobfuscationMap,
-    apply_deobfuscation,
-    build_deobfuscation_map,
-)
-from .loader import load_apk, save_apk
-from .manifest import Manifest
-from .model import Apk, EntryPoint, TriggerKind
-from .obfuscator import FRAMEWORK_KEEP_NAMES, ObfuscationResult, obfuscate, plan_renames
-from .resources import Resources
-from .rewrite import RenameMap, rename_program
-
-__all__ = [name for name in dir() if not name.startswith("_")]

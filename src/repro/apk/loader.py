@@ -13,7 +13,6 @@ printer/parser round-trip on every corpus program.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import zipfile
 import zlib
@@ -22,7 +21,7 @@ from pathlib import Path
 from ..ir.parser import parse_program
 from ..ir.printer import print_program
 from .manifest import Manifest
-from .model import Apk, EntryPoint, TriggerKind
+from .model import Apk, BundleError, EntryPoint, TriggerKind
 from .resources import Resources
 
 _FILES = ("manifest.json", "resources.json", "entrypoints.json", "classes.jimple")
@@ -57,6 +56,8 @@ def apk_digest(apk: Apk) -> str:
     ``.sapk`` serialisation.  Loading a bundle and re-digesting yields the
     same value, so corpus keys, exported bundles and uploaded bundles all
     land on the same cache entries in the service result store."""
+    import hashlib
+
     contents = bundle_contents(apk)
     h = hashlib.sha256()
     for name in _FILES:
@@ -80,12 +81,6 @@ def save_apk(apk: Apk, path: str | Path) -> Path:
         for name, text in contents.items():
             (path / name).write_text(text)
     return path
-
-
-class BundleError(ValueError):
-    """A ``.sapk`` bundle that is not a readable archive, lacks a member,
-    or has a member that does not decode into its model.  The message
-    names the bundle and the member."""
 
 
 def load_apk(path: str | Path) -> Apk:
@@ -143,4 +138,4 @@ def _entrypoints(text: str) -> list[EntryPoint]:
     ]
 
 
-__all__ = ["BundleError", "apk_digest", "bundle_contents", "load_apk", "save_apk"]
+__all__ = ["apk_digest", "bundle_contents", "load_apk", "save_apk"]

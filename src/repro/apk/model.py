@@ -82,4 +82,12 @@ class Apk:
         )
 
 
-__all__ = ["Apk", "EntryPoint", "TriggerKind"]
+class BundleError(ValueError):
+    """A ``.sapk`` bundle that is not a readable archive, lacks a member,
+    or has a member that does not decode into its model.  The message
+    names the bundle and the member.  It lives beside the model, not in
+    :mod:`repro.apk.loader`, so a caller can catch it without loading the
+    loader for a target that is not a bundle."""
+
+
+__all__ = ["Apk", "BundleError", "EntryPoint", "TriggerKind"]

@@ -56,7 +56,7 @@ def _load_versioned(target: str):
     into ``(Apk, AnalysisConfig, renames_from_base)``: the rename map of a
     lineage version, which incremental mode threads through for
     obfuscated re-releases, is ``None`` for every other target form."""
-    from repro.apk.loader import BundleError
+    from repro.apk.model import BundleError
     from repro.corpus.lineage import build_version, is_version_label
     from repro.service.jobs import lookup_message, resolve_target
 
@@ -246,7 +246,8 @@ def cmd_lint(args) -> int:
     apps, or the whole corpus; exit non-zero on error-severity findings
     not covered by the baseline."""
     from repro.corpus import app_keys
-    from repro.lint import Baseline, Severity, findings_to_jsonl, lint_apk
+    from repro.lint.diagnostics import Severity, findings_to_jsonl
+    from repro.lint.runner import Baseline, lint_apk
 
     targets = list(args.targets)
     if args.corpus:
@@ -401,7 +402,7 @@ def cmd_explain(args) -> int:
 def cmd_fuzz(args) -> int:
     from repro.corpus import build_app, get_genapp
     from repro.corpus.generator import build_network_for
-    from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
+    from repro.runtime.fuzzing import AutoUiFuzzer, ManualUiFuzzer
     from repro.service.jobs import lookup_message
 
     try:
@@ -430,35 +431,52 @@ def cmd_export(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from repro import evalx
-
     what = args.what
     if what == "table1":
-        print(evalx.render_table1())
+        from repro.evalx.table1 import render_table1
+
+        print(render_table1())
     elif what == "table2":
-        print(evalx.render_table2())
+        from repro.evalx.table2 import render_table2
+
+        print(render_table2())
     elif what == "figures":
-        print(evalx.render_figures("open"))
-        print(evalx.render_figures("closed"))
+        from repro.evalx.figures import render_figures
+
+        print(render_figures("open"))
+        print(render_figures("closed"))
     elif what == "casestudies":
-        print(evalx.table3())
+        from repro.evalx.casestudy import (
+            render_table4,
+            render_table5,
+            render_table6,
+            table3,
+        )
+
+        print(table3())
         print()
-        print(evalx.render_table4())
+        print(render_table4())
         print()
-        print(evalx.render_table5())
+        print(render_table5())
         print()
-        print(evalx.render_table6())
+        print(render_table6())
     elif what == "drift":
+        from repro.evalx.drift import render_drift_table
+
         # hand-written lineages always; a synthesized population's known-
         # drift lineages ride along when --corpus / $REPRO_CORPUS is set
-        print(evalx.render_drift_table(args.corpus))
+        print(render_drift_table(args.corpus))
     elif what == "synth":
-        print(evalx.render_synth_table(args.corpus or "synth:all*35@7"))
+        from repro.evalx.syntheval import render_synth_table
+
+        print(render_synth_table(args.corpus or "synth:all*35@7"))
     if args.verbose:
+        from repro.evalx.runner import render_phase_table
+
         # phase-timing profile of every app the render above evaluated —
         # served from the evaluation cache, no re-analysis
         print()
-        print(evalx.render_phase_table())
+        print(render_phase_table())
     return 0
 
 
@@ -469,7 +487,7 @@ def cmd_diff(args) -> int:
     breaking change, ``0`` otherwise — including the self-diff and pure
     additions.  An unresolvable target or a malformed bundle exits 2.
     """
-    from repro.apk.loader import BundleError
+    from repro.apk.model import BundleError
     from repro.diff.engine import diff_targets
     from repro.diff.model import render_markdown
     from repro.service.jobs import lookup_message
@@ -524,10 +542,9 @@ def cmd_batch(args) -> int:
     from repro.obs.fleet import BatchProgress, run_telemetry_dir
     from repro.obs.ledger import RunLedger, RunRecord, new_run_id
     from repro.perf.parallel import resolve_workers
-    from repro.service import ResultStore
     from repro.service.jobs import lookup_message
     from repro.service.shard import expand_batch_targets, run_sharded_batch
-    from repro.service.store import SCHEMA_VERSION
+    from repro.service.store import SCHEMA_VERSION, ResultStore
 
     targets = list(args.targets)
     if args.corpus:

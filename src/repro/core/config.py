@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields
 
@@ -103,6 +102,8 @@ class AnalysisConfig:
         Two configs with the same key produce byte-identical reports for
         the same APK; the execution knob ``mode`` is excluded, so a report
         analysed in one mode is a cache hit for a request in another."""
+        import hashlib
+
         blob = json.dumps(
             self.semantic_fields(), sort_keys=True, separators=(",", ":")
         )

@@ -19,7 +19,6 @@ from ..apk.model import Apk, EntryPoint, TriggerKind
 from ..apk.resources import Resources
 from ..ir.builder import ClassBuilder, MethodBuilder, ProgramBuilder
 from ..runtime.httpstack import HttpResponse, Network
-from ..runtime.server import ScriptedServer
 from .base import AppSpec, EndpointTruth, GroundTruth
 
 
@@ -520,6 +519,8 @@ class _AppEmitter:
 
 
 def build_network_for(spec: GenApp) -> Network:
+    from ..runtime.server import ScriptedServer
+
     network = Network()
     servers: dict[str, ScriptedServer] = {}
     for ep in spec.endpoints:

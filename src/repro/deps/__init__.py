@@ -1,14 +1,2 @@
 """Message dependency analysis: transactions, pairing, inter-transaction
 dependencies and consumption tracking."""
-
-from .interdep import dependency_graph, infer_dependencies, render_graph
-from .pairing import Pairing, SliceContexts, pair_slices, split_contexts
-from .transactions import (
-    Dependency,
-    RequestSig,
-    ResponseSig,
-    Transaction,
-    from_record,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -45,7 +45,7 @@ def _body_kind(term: Term | None, mime: str | None) -> str | None:
     return "text"
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestSig:
     method: str
     uri: Term
@@ -107,7 +107,7 @@ class RequestSig:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseSig:
     kind: str  # "json" | "xml" | "text" | "binary" | "unknown"
     body: Term | None = None
@@ -126,7 +126,7 @@ class ResponseSig:
         return constant_keywords(self.body) if self.body is not None else []
 
 
-@dataclass
+@dataclass(slots=True)
 class Dependency:
     """Field-granularity inter-transaction dependency (paper §3.3):
     request field of ``dst`` originates from response path of ``src``."""
@@ -157,7 +157,7 @@ class Dependency:
 _DEP_RE = re.compile(r"^txn(\d+)\[(.*)\] -> txn(\d+)\.(.*)$", re.DOTALL)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     txn_id: int
     site: StmtRef

@@ -11,13 +11,3 @@ backward-reachable method set is unchanged, so warm re-analysis costs
 Selected via ``AnalysisConfig(mode="incremental")`` / ``repro analyze
 --mode incremental``; the report is byte-identical to a full run.
 """
-
-from .manifest import MANIFEST_SCHEMA, build_manifest
-from .reuse import ReuseIndex, ReusePlan
-
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "ReuseIndex",
-    "ReusePlan",
-    "build_manifest",
-]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .statements import Stmt, StmtRef
-from .types import Type, parse_type
+from .types import Type
 from .values import Local, MethodSig
 
 
@@ -132,18 +132,4 @@ class Method:
         return f"Method({self.sig})"
 
 
-def make_sig(
-    class_name: str,
-    name: str,
-    params: list[str | Type] | tuple[str | Type, ...] = (),
-    returns: str | Type = "void",
-) -> MethodSig:
-    return MethodSig(
-        class_name,
-        name,
-        tuple(parse_type(p) for p in params),
-        parse_type(returns),
-    )
-
-
-__all__ = ["Body", "Method", "UndefinedLabel", "make_sig"]
+__all__ = ["Body", "Method", "UndefinedLabel"]

@@ -15,31 +15,3 @@ plus the post-analysis ``SIG0xx`` signature lints (:mod:`.signature`).
 Entry points: :func:`lint_apk` / :func:`lint_program`; the CLI verb is
 ``repro lint``; the pipeline gate is ``AnalysisConfig.lint_level``.
 """
-
-from .diagnostics import (
-    Diagnostic,
-    LINT_SCHEMA_VERSION,
-    RULES,
-    RuleSpec,
-    Severity,
-    count_by_severity,
-    findings_to_jsonl,
-    make_finding,
-    sort_findings,
-    validate_findings_jsonl,
-)
-from .dataflow import dataflow_program
-from .runner import (
-    Baseline,
-    GATE_LEVELS,
-    LintGateError,
-    LintReport,
-    gate,
-    lint_apk,
-    lint_program,
-)
-from .signature import signature_report
-from .soundness import NETWORK_PREFIXES, soundness_apk, soundness_program
-from .typecheck import Hierarchy, compatible, static_type_of, typecheck_program
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,6 @@ exporter omits it unless asked, so trace files are byte-deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 
@@ -109,6 +108,8 @@ class Span:
 
     @property
     def span_id(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.path.encode("utf-8")).hexdigest()[:16]
 
     def walk(self):

@@ -10,8 +10,3 @@ the :class:`~repro.slicing.slicer.NetworkSlicer` and the
 :mod:`repro.perf.parallel` sizes the engines that fan *apps* out (the
 batch engine, the daemon's thread pool).
 """
-
-from .index import ProgramIndex, field_key
-from .parallel import resolve_workers
-
-__all__ = ["ProgramIndex", "field_key", "resolve_workers"]

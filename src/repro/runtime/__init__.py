@@ -1,16 +1,2 @@
 """Dynamic substrate: IR interpreter, in-process HTTP stack, scripted
 servers, traffic capture and the UI-fuzzing baselines."""
-
-from .fuzzing import AutoUiFuzzer, FuzzResult, ManualUiFuzzer, run_both
-from .httpstack import (
-    CapturedTransaction,
-    HttpRequest,
-    HttpResponse,
-    Network,
-    TrafficTrace,
-)
-from .interpreter import Runtime, RuntimeError_
-from .objects import RtObject, RtRequest, RtResponse
-from .server import ScriptedServer, static_binary, static_json, static_xml
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,25 +1,1 @@
 """Semantic models of Android/Java APIs used for HTTP protocol processing."""
-
-from .avals import (
-    AVal,
-    AppObjAV,
-    NULL_AV,
-    NullAV,
-    NumAV,
-    ObjAV,
-    RequestAV,
-    RespRef,
-    ResponseAccumulator,
-    canon,
-    merge_avals,
-    to_term,
-)
-from .async_model import (
-    ASYNC_CALLBACKS,
-    CallbackInfo,
-    compute_event_roots,
-    discover_callbacks,
-)
-from .model import Effect, InterpServices, SemanticModel, UNHANDLED, default_model
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,7 @@ from ..signature.lang import (
 AVal = object  # union documented above; Python duck-typing keeps this open
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumAV:
     value: float | int
 
@@ -47,7 +47,7 @@ class NumAV:
         return Const(str(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullAV:
     def as_term(self) -> Term:
         return Const("null")
@@ -56,7 +56,7 @@ class NullAV:
 NULL_AV = NullAV()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppObjAV:
     classes: frozenset[str]
 
@@ -65,7 +65,7 @@ class AppObjAV:
         return AppObjAV(frozenset({class_name}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjAV:
     class_name: str
     attrs: tuple[tuple[str, object], ...] = ()
@@ -82,7 +82,7 @@ class ObjAV:
         return ObjAV(self.class_name, tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestAV:
     """An HTTP request under construction."""
 
@@ -103,7 +103,7 @@ class RequestAV:
         return sorted(self.methods)[0] if self.methods else "GET"
 
 
-@dataclass
+@dataclass(slots=True)
 class ResponseAccumulator:
     """Mutable record of everything the app reads from one response.
 
@@ -173,7 +173,7 @@ def _tree_to_term(node: dict) -> Term:
     return UNKNOWN_ANY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RespRef:
     """A value derived from one or more HTTP responses.
 

@@ -30,48 +30,6 @@ One analysis is a pure function of ``(APK, config)``; this package makes
 Fleet telemetry (worker trace streams, the run ledger) lives
 in :mod:`repro.obs.fleet` / :mod:`repro.obs.ledger`; the batch engine and
 the daemon write it, ``repro runs`` / ``repro batch --progress`` /
-``GET /status`` read it.  The daemon's :class:`MetricsRegistry` lives in
-:mod:`repro.obs.metrics` and is re-exported here.
+``GET /status`` read it.  The daemon's metrics registry lives in
+:mod:`repro.obs.metrics`.
 """
-
-from ..obs.metrics import MetricsRegistry
-from .jobs import (
-    Job,
-    JobScheduler,
-    JobStatus,
-    JobTimeout,
-    QueueFull,
-    call_with_timeout,
-    resolve_target,
-)
-from .store import ResultStore, result_key
-
-__all__ = [
-    "AnalysisService",
-    "Job",
-    "JobScheduler",
-    "JobStatus",
-    "JobTimeout",
-    "MetricsRegistry",
-    "QueueFull",
-    "ResultStore",
-    "ShardRecord",
-    "call_with_timeout",
-    "resolve_target",
-    "result_key",
-    "run_sharded_batch",
-]
-
-
-def __getattr__(name: str):
-    # AnalysisService pulls in http.server, the shard runner pulls in
-    # multiprocessing; keep both lazy for plain store/scheduler users.
-    if name == "AnalysisService":
-        from .api import AnalysisService
-
-        return AnalysisService
-    if name in ("ShardRecord", "run_sharded_batch"):
-        from . import shard
-
-        return getattr(shard, name)
-    raise AttributeError(f"module 'repro.service' has no attribute {name!r}")

@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from ..apk.loader import apk_digest as compute_apk_digest
-from ..apk.loader import load_apk
 from ..apk.model import Apk
 from ..core.config import AnalysisConfig, apply_overrides
 from ..obs.metrics import MetricsRegistry
@@ -141,15 +139,17 @@ def resolve_target(
     """Resolve a corpus key, ``syn-`` key, lineage version label
     (``app@vN``) or ``.sapk`` path into ``(apk, config, label)`` with the
     same per-app defaults the ``analyze`` CLI verb applies, so stored
-    reports are byte-identical to ``repro analyze`` output."""
+    reports are byte-identical to ``repro analyze`` output.
+
+    The target is classified by its form first, so a corpus key loads
+    neither :mod:`repro.synth` nor the ``.sapk`` loader."""
     from ..corpus import app_config, app_keys, build_app, get_genapp
     from ..corpus.lineage import build_version, is_version_label
-    from ..synth import is_synth_key
 
     if is_version_label(target):
         built = build_version(target)
         apk, config, label = built.apk, built.config, target
-    elif is_synth_key(target) or target in app_keys():
+    elif target.startswith("syn-") or target in app_keys():
         apk = build_app(target)
         config = app_config(get_genapp(target))
         label = target
@@ -162,6 +162,8 @@ def resolve_target(
                 f"(app@vN), nor an .sapk bundle; known keys: "
                 f"{', '.join(app_keys())}"
             )
+        from ..apk.loader import load_apk
+
         apk = load_apk(path)
         config = AnalysisConfig()
         label = apk.name or path.stem
@@ -279,7 +281,9 @@ class JobScheduler:
         key is already waiting or running returns the existing job.  Raises
         :class:`QueueFull` when ``max_queue`` jobs already wait.
         """
-        digest = compute_apk_digest(apk)
+        from ..apk.loader import apk_digest
+
+        digest = apk_digest(apk)
         config_key = config.cache_key()
         key = f"{digest}-{config_key}"
         with self._cond:

@@ -43,7 +43,6 @@ the TTL).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -82,6 +81,8 @@ def manifest_key(app: str, config_key: str) -> str:
     Each write replaces the previous version's manifest, so a lineage
     chain (v1 → v2 → v3) always diffs against its immediate ancestor.
     """
+    import hashlib
+
     digest = hashlib.sha256(app.encode("utf-8")).hexdigest()[:16]
     return f"manifest-{digest}-{config_key}"
 

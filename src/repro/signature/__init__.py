@@ -2,54 +2,7 @@
 flow-sensitive builder (§3.2), regex/JSON-schema/DTD renderers and the
 traffic matcher.
 
-The builder re-exports are lazy: ``repro.signature.builder`` depends on
-``repro.semantics``, whose abstract values in turn use the signature
-language — importing the language must not drag the builder in.
+The package imports nothing: :mod:`.builder` depends on
+:mod:`repro.semantics`, whose abstract values in turn use :mod:`.lang` —
+importing the language must not drag the builder in.
 """
-
-from typing import Any
-
-from .lang import (
-    Alt,
-    Concat,
-    Const,
-    JsonArray,
-    JsonObject,
-    Rep,
-    Term,
-    Unknown,
-    XmlElement,
-    alt,
-    concat,
-    constant_keywords,
-    origins_of,
-    rep,
-)
-from .regex import compile_regex, to_regex, wildcard_fraction
-
-_LAZY = {
-    "InterpResult": ("repro.signature.builder", "InterpResult"),
-    "SignatureInterpreter": ("repro.signature.builder", "SignatureInterpreter"),
-    "TxnRecord": ("repro.signature.builder", "TxnRecord"),
-    "detect_rep": ("repro.signature.builder", "detect_rep"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.signature' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-__all__ = [
-    "Alt", "Concat", "Const", "InterpResult", "JsonArray", "JsonObject",
-    "Rep", "SignatureInterpreter", "Term", "TxnRecord", "Unknown",
-    "XmlElement", "alt", "compile_regex", "concat", "constant_keywords",
-    "detect_rep", "origins_of", "rep", "to_regex", "wildcard_fraction",
-]

@@ -96,7 +96,7 @@ _ENTRY_ORIGINS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnRecord:
     """One reconstructed HTTP transaction (request + paired response)."""
 
@@ -141,7 +141,7 @@ class ConnRecord:
         return self._resp
 
 
-@dataclass
+@dataclass(slots=True)
 class InterpResult:
     transactions: list[TxnRecord] = field(default_factory=list)
     evaluated_methods: set[str] = field(default_factory=set)

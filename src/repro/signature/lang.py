@@ -37,7 +37,7 @@ class Term:
         yield self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     text: str
 
@@ -45,7 +45,7 @@ class Const(Term):
         return f"({self.text})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unknown(Term):
     kind: str = "str"
     #: where the value comes from: "user_input", "resource", "database",
@@ -60,7 +60,7 @@ class Unknown(Term):
         return f"<?{self.kind}{':' + self.origin if self.origin else ''}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat(Term):
     parts: tuple[Term, ...]
 
@@ -73,7 +73,7 @@ class Concat(Term):
         return "".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alt(Term):
     options: tuple[Term, ...]
 
@@ -86,7 +86,7 @@ class Alt(Term):
         return "(" + " | ".join(str(o) for o in self.options) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rep(Term):
     body: Term
 
@@ -98,7 +98,7 @@ class Rep(Term):
         return f"{{{self.body}}}*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JsonObject(Term):
     """A JSON object; entries are (key term, value term) pairs in program
     order.  ``open_`` marks objects that may carry additional, unobserved
@@ -138,7 +138,7 @@ class JsonObject(Term):
         return "{" + inner + suffix + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JsonArray(Term):
     """A JSON array: ``fixed`` prefix elements plus an optional repeated
     element pattern (arrays built in loops, or accessed by index)."""
@@ -160,7 +160,7 @@ class JsonArray(Term):
         return "[" + ", ".join(parts) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XmlElement(Term):
     tag: str
     attrs: tuple[tuple[str, Term], ...] = ()

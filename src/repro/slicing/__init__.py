@@ -1,13 +1,2 @@
 """Network-aware program slicing: demarcation points, bidirectional slicer,
 object-aware augmentation, disjoint sub-slices."""
-
-from .demarcation import (
-    DEFAULT_DEMARCATION_POINTS,
-    DPInstance,
-    DPSpec,
-    DemarcationRegistry,
-    scan_demarcation_points,
-)
-from .slicer import DPSlices, NetworkSlicer, SlicingReport
-
-__all__ = [name for name in dir() if not name.startswith("_")]

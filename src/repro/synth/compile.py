@@ -33,7 +33,6 @@ evaluator.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -155,6 +154,8 @@ def expand_targets(targets: list[str]) -> list[str]:
 
 # ----------------------------------------------------- grid decoding
 def _stable_int(*parts: object) -> int:
+    import hashlib
+
     text = ":".join(str(p) for p in parts)
     digest = hashlib.sha256(f"repro.synth:{text}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -595,6 +596,7 @@ def population_manifest(pop: PopulationSpec) -> dict:
             },
             "versions": [lv.label for lv in lineage],
         })
+    import hashlib
     import json
 
     digest = hashlib.sha256(

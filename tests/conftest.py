@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from repro.ir import ProgramBuilder
+from repro.ir.builder import ProgramBuilder
 
 
 def build_branchy_program() -> ProgramBuilder:

@@ -8,8 +8,10 @@ second transaction whose request embeds a value from the first response
 
 from __future__ import annotations
 
-from repro.apk import Apk, EntryPoint, Manifest, Resources, TriggerKind
-from repro.ir import ProgramBuilder
+from repro.apk.manifest import Manifest
+from repro.apk.model import Apk, EntryPoint, TriggerKind
+from repro.apk.resources import Resources
+from repro.ir.builder import ProgramBuilder
 
 CLS = "com.example.reddit.Fetcher"
 

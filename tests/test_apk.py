@@ -6,22 +6,15 @@ import zipfile
 
 import pytest
 
-from repro.apk import (
-    Apk,
-    EntryPoint,
-    Manifest,
-    RenameMap,
-    Resources,
-    TriggerKind,
-    build_deobfuscation_map,
-    load_apk,
-    obfuscate,
-    plan_renames,
-    rename_program,
-    save_apk,
-)
-from repro.apk.loader import BundleError
-from repro.ir import ProgramBuilder, validate_program
+from repro.apk.deobfuscate import build_deobfuscation_map
+from repro.apk.loader import load_apk, save_apk
+from repro.apk.manifest import Manifest
+from repro.apk.model import Apk, BundleError, EntryPoint, TriggerKind
+from repro.apk.obfuscator import obfuscate, plan_renames
+from repro.apk.resources import Resources
+from repro.apk.rewrite import RenameMap, rename_program
+from repro.ir.builder import ProgramBuilder
+from repro.ir.validate import validate_program
 from repro.ir.printer import print_program
 
 

@@ -5,23 +5,20 @@ from __future__ import annotations
 import pytest
 from fixtures_http import CLS, build_mini_reddit
 
-from repro.cfg import build_callgraph
-from repro.ir import ProgramBuilder
-from repro.signature import (
+from repro.cfg.callgraph import build_callgraph
+from repro.ir.builder import ProgramBuilder
+from repro.signature.builder import SignatureInterpreter, TxnRecord, detect_rep
+from repro.signature.lang import (
     Alt,
     Const,
     JsonObject,
     Rep,
-    SignatureInterpreter,
     Unknown,
-    compile_regex,
     concat,
-    detect_rep,
     origins_of,
     rep,
-    to_regex,
 )
-from repro.signature.builder import TxnRecord
+from repro.signature.regex import compile_regex, to_regex
 
 
 def interp_of(apk) -> SignatureInterpreter:

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from repro.cfg import (
-    build_callgraph,
-    cfg_of,
+from repro.cfg.blocks import partition_blocks
+from repro.cfg.callgraph import build_callgraph
+from repro.cfg.cfg import cfg_of
+from repro.cfg.dominators import (
     dominates,
     immediate_dominators,
     loop_info,
     natural_loops,
-    partition_blocks,
     reverse_postorder,
 )
-from repro.ir import ProgramBuilder
+from repro.ir.builder import ProgramBuilder
 
 
 def _run_method(program):

@@ -216,7 +216,7 @@ class TestBatch:
     ):
         """``repro batch`` resolves ``app@vN`` as ``repro analyze`` does:
         the stored payload is the report ``analyze --json`` prints."""
-        from repro.service import ResultStore
+        from repro.service.store import ResultStore
 
         printed = json.loads(
             run_cli(capsys, "analyze", "reddinator@v2", "--json")
@@ -326,7 +326,8 @@ class TestDiff:
         used, like ``repro analyze --store``; the rerun reads it back.  A
         usage error creates nothing."""
         from repro.apk.loader import apk_digest
-        from repro.service import ResultStore, resolve_target, result_key
+        from repro.service.jobs import resolve_target
+        from repro.service.store import ResultStore, result_key
 
         fresh = tmp_path / "fresh"
         with pytest.raises(SystemExit):
@@ -419,7 +420,8 @@ class TestMalformedBundles:
     ):
         """``flip`` 0 truncates the member at ``at``; any other value is
         XOR-ed into the byte there."""
-        from repro.apk.loader import BundleError, load_apk
+        from repro.apk.loader import load_apk
+        from repro.apk.model import BundleError
 
         data = (wallabag_bundle / member).read_bytes()
         at %= len(data)

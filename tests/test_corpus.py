@@ -7,8 +7,8 @@ import pytest
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import app_keys, get_spec
-from repro.ir import validate_program
-from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
+from repro.ir.validate import validate_program
+from repro.runtime.fuzzing import AutoUiFuzzer, ManualUiFuzzer
 from repro.signature.matcher import transaction_matches
 
 ALL_KEYS = app_keys()

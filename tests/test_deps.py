@@ -8,14 +8,16 @@ import pytest
 
 from repro import AnalysisConfig, Extractocol
 from repro.corpus import build_app
-from repro.deps import (
+from repro.deps.interdep import (
+    dependency_graph,
+    infer_dependencies,
+    render_graph,
+)
+from repro.deps.transactions import (
     Dependency,
     RequestSig,
     ResponseSig,
     Transaction,
-    dependency_graph,
-    infer_dependencies,
-    render_graph,
 )
 from repro.ir.statements import StmtRef
 from repro.signature.lang import Const, JsonObject, Unknown, concat

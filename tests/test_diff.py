@@ -29,7 +29,7 @@ from repro.diff.normal import (
     report_views,
     untokenize,
 )
-from repro.service import resolve_target
+from repro.service.jobs import resolve_target
 
 
 @lru_cache(maxsize=None)

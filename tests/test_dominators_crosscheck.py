@@ -6,7 +6,8 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
 
-from repro.cfg import cfg_of, immediate_dominators, natural_loops
+from repro.cfg.cfg import cfg_of
+from repro.cfg.dominators import immediate_dominators, natural_loops
 
 from conftest import branchy_methods
 
@@ -37,7 +38,7 @@ def test_idom_matches_networkx(method):
 def test_natural_loops_are_dominated_cycles(method):
     cfg = cfg_of(method)
     idom = immediate_dominators(cfg)
-    from repro.cfg import dominates
+    from repro.cfg.dominators import dominates
 
     for loop in natural_loops(cfg):
         # header dominates every block of the loop
@@ -51,7 +52,7 @@ def test_natural_loops_are_dominated_cycles(method):
           suppress_health_check=[HealthCheck.too_slow])
 @given(branchy_methods())
 def test_rpo_is_topological_on_dag_edges(method):
-    from repro.cfg import reverse_postorder
+    from repro.cfg.dominators import reverse_postorder
 
     cfg = cfg_of(method)
     rpo = reverse_postorder(cfg)

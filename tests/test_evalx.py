@@ -5,27 +5,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evalx import (
-    count_trace,
-    evaluate_app,
+from repro.evalx.casestudy import (
     figure1_chain,
     figure3,
-    figure6,
-    figure7,
     figure8,
-    generate_table1,
-    render_table1,
-    render_table2,
     render_table4,
     render_table5,
     render_table6,
-    row_for,
-    row_for_app,
-    table2,
+    table3,
     table5,
     table6,
+)
+from repro.evalx.figures import figure6, figure7
+from repro.evalx.paperdata import row_for
+from repro.evalx.runner import evaluate_app
+from repro.evalx.table1 import (
+    generate_table1,
+    render_table1,
+    row_for_app,
     total_pairs,
 )
+from repro.evalx.table2 import render_table2, table2
+from repro.evalx.traces import count_trace
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -177,7 +178,7 @@ class TestCaseStudies:
         assert result.search_regex_matches
 
     def test_tables_render(self):
-        assert "radio reddit" in __import__("repro.evalx", fromlist=["table3"]).table3()
+        assert "radio reddit" in table3()
         assert "TED" in render_table4()
         assert "KAYAK" in render_table5()
         assert "authajax" in render_table6()

@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import Apk, EntryPoint, Manifest, TriggerKind
-from repro.ir import ProgramBuilder
+from repro.apk.manifest import Manifest
+from repro.apk.model import Apk, EntryPoint, TriggerKind
+from repro.ir.builder import ProgramBuilder
 
 
 # ------------------------------------------------------------------ intents
@@ -23,9 +24,10 @@ def intent_app() -> Apk:
                        superclass="android.app.Activity")
     m = sender.method("onPickCity", params=["java.lang.String"])
     intent = m.local("intent", "android.content.Intent")
-    from repro.ir import ClassConst, NewExpr, class_t, InvokeExpr, MethodSig, parse_type
+    from repro.ir.types import class_t, parse_type
+    from repro.ir.values import ClassConst, NewExpr, InvokeExpr, MethodSig
     m.assign(intent, NewExpr(class_t("android.content.Intent")))
-    from repro.ir import InvokeStmt
+    from repro.ir.statements import InvokeStmt
 
     init_sig = MethodSig(
         "android.content.Intent", "<init>",
@@ -160,8 +162,9 @@ class TestSocketExtension:
         assert "user_input" in txn.request.origins
 
     def test_socket_runs_dynamically(self):
-        from repro.runtime import Network, Runtime, ScriptedServer
-        from repro.runtime.httpstack import HttpResponse
+        from repro.runtime.httpstack import HttpResponse, Network
+        from repro.runtime.interpreter import Runtime
+        from repro.runtime.server import ScriptedServer
 
         apk = socket_app()
         network = Network()

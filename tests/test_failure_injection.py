@@ -8,15 +8,10 @@ import pytest
 from fixtures_http import CLS, build_mini_reddit
 
 from repro import AnalysisConfig, Extractocol
-from repro.runtime import (
-    HttpResponse,
-    ManualUiFuzzer,
-    Network,
-    Runtime,
-    RuntimeError_,
-    ScriptedServer,
-)
-from repro.runtime.httpstack import HttpRequest
+from repro.runtime.fuzzing import ManualUiFuzzer
+from repro.runtime.httpstack import HttpRequest, HttpResponse, Network
+from repro.runtime.interpreter import Runtime, RuntimeError_
+from repro.runtime.server import ScriptedServer
 
 
 def network_with(handler) -> Network:
@@ -66,8 +61,9 @@ class TestServerFailures:
 
 class TestRuntimeGuards:
     def test_step_budget_stops_infinite_loop(self):
-        from repro.apk import Apk, EntryPoint, Manifest, TriggerKind
-        from repro.ir import ProgramBuilder
+        from repro.apk.manifest import Manifest
+        from repro.apk.model import Apk, EntryPoint, TriggerKind
+        from repro.ir.builder import ProgramBuilder
 
         pb = ProgramBuilder()
         m = pb.class_("t.Spin").method("spin")
@@ -81,8 +77,9 @@ class TestRuntimeGuards:
             rt.fire_entrypoint(apk.entrypoints[0])
 
     def test_recursion_depth_guard(self):
-        from repro.apk import Apk, EntryPoint, Manifest, TriggerKind
-        from repro.ir import ProgramBuilder
+        from repro.apk.manifest import Manifest
+        from repro.apk.model import Apk, EntryPoint, TriggerKind
+        from repro.ir.builder import ProgramBuilder
 
         pb = ProgramBuilder()
         cb = pb.class_("t.Rec")
@@ -97,8 +94,9 @@ class TestRuntimeGuards:
             rt.fire_entrypoint(apk.entrypoints[0])
 
     def test_null_field_read_is_reported(self):
-        from repro.apk import Apk, EntryPoint, Manifest, TriggerKind
-        from repro.ir import ProgramBuilder
+        from repro.apk.manifest import Manifest
+        from repro.apk.model import Apk, EntryPoint, TriggerKind
+        from repro.ir.builder import ProgramBuilder
 
         pb = ProgramBuilder()
         cb = pb.class_("t.Npe")
@@ -123,7 +121,7 @@ class TestStaticAnalysisRobustness:
         assert len(report.transactions) == 2
 
     def test_missing_entrypoint_method_skipped(self):
-        from repro.apk import EntryPoint, TriggerKind
+        from repro.apk.model import EntryPoint, TriggerKind
 
         apk = build_mini_reddit()
         apk.entrypoints.append(
@@ -133,8 +131,9 @@ class TestStaticAnalysisRobustness:
         assert len(report.transactions) == 2
 
     def test_empty_program(self):
-        from repro.apk import Apk, Manifest
-        from repro.ir import Program
+        from repro.apk.manifest import Manifest
+        from repro.apk.model import Apk
+        from repro.ir.program import Program
 
         report = Extractocol(AnalysisConfig()).analyze(
             Apk(manifest=Manifest(package="empty"), program=Program())
@@ -143,14 +142,14 @@ class TestStaticAnalysisRobustness:
         assert report.demarcation_points == 0
 
     def test_worklist_budget_caps_pathological_slicing(self):
-        from repro.taint import TaintConfig, TaintEngine
-        from repro.cfg import build_callgraph
+        from repro.taint.engine import TaintConfig, TaintEngine
+        from repro.cfg.callgraph import build_callgraph
 
         apk = build_mini_reddit()
         cg = build_callgraph(apk.program)
         engine = TaintEngine(apk.program, cg,
                              TaintConfig(max_worklist_items=3))
-        from repro.slicing import scan_demarcation_points
+        from repro.slicing.demarcation import scan_demarcation_points
 
         dp = scan_demarcation_points(apk.program, cg)[0]
         sl = engine.backward_slice(dp.request_seeds)  # truncated, not hung

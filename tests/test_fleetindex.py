@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.apk.loader import apk_digest
 from repro.fleetindex.docs import envelope_summary, report_summary
 from repro.fleetindex import index as index_module
 from repro.fleetindex.index import (
@@ -30,11 +31,7 @@ from repro.fleetindex.query import (
     run_search,
 )
 from repro.obs.tracer import Span
-from repro.service.jobs import (
-    _default_analyzer,
-    compute_apk_digest,
-    resolve_target,
-)
+from repro.service.jobs import _default_analyzer, resolve_target
 from repro.service.store import ResultStore
 from repro.synth import expand_targets
 from repro.synth.compile import synth_genapp
@@ -45,7 +42,7 @@ SPEC = "synth:transports*4@3"
 def put(store: ResultStore, target: str) -> str:
     """Analyze ``target`` and store its report; returns the result key."""
     apk, config, _ = resolve_target(target)
-    return store.put(compute_apk_digest(apk), config.cache_key(),
+    return store.put(apk_digest(apk), config.cache_key(),
                      _default_analyzer(apk, config))
 
 

@@ -12,15 +12,12 @@ import urllib.request
 
 import pytest
 
+from repro.apk.loader import apk_digest
 from repro.cli import main as cli_main
 from repro.fleetindex.index import build_index
 from repro.fleetindex.mcp import McpCatalogServer, serve
 from repro.service.api import AnalysisService
-from repro.service.jobs import (
-    _default_analyzer,
-    compute_apk_digest,
-    resolve_target,
-)
+from repro.service.jobs import _default_analyzer, resolve_target
 from repro.service.store import ResultStore
 from repro.synth import expand_targets
 from repro.synth.compile import synth_genapp
@@ -33,7 +30,7 @@ def fill_store(root) -> ResultStore:
     for target in expand_targets([SPEC]):
         apk, config, _ = resolve_target(target)
         store.put(
-            compute_apk_digest(apk), config.cache_key(),
+            apk_digest(apk), config.cache_key(),
             _default_analyzer(apk, config),
         )
     return store

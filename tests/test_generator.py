@@ -8,8 +8,8 @@ import pytest
 from repro import AnalysisConfig, Extractocol
 from repro.apk.model import TriggerKind
 from repro.corpus.generator import GenApp, GenEndpoint, build_generated_app
-from repro.ir import validate_program
-from repro.runtime import AutoUiFuzzer, ManualUiFuzzer
+from repro.ir.validate import validate_program
+from repro.runtime.fuzzing import AutoUiFuzzer, ManualUiFuzzer
 
 
 def demo_spec() -> GenApp:

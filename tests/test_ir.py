@@ -6,35 +6,32 @@ import gc
 
 import pytest
 
-from repro.ir import (
+from repro.ir.builder import ProgramBuilder, as_value, static_type_of
+from repro.ir.classes import ClassDef
+from repro.ir.method import Method
+from repro.ir.statements import (
     AssignStmt,
-    BinOpExpr,
-    ClassDef,
     IdentityStmt,
+    InvokeStmt,
+    ReturnStmt,
+    StmtRef,
+)
+from repro.ir.types import array_t, class_t, parse_type
+from repro.ir.validate import validate_method, validate_program
+from repro.ir.values import (
+    BinOpExpr,
     IntConst,
     InvokeExpr,
-    InvokeStmt,
     Local,
-    Method,
     MethodSig,
     NULL,
-    ProgramBuilder,
-    ReturnStmt,
     StringConst,
-    array_t,
-    class_t,
     field_sig,
-    make_sig,
-    parse_type,
-    validate_program,
     walk_values,
 )
 from repro.cfg.callgraph import CallSite
 from repro.corpus import app_keys
-from repro.ir.builder import as_value, static_type_of
-from repro.ir.statements import StmtRef
 from repro.ir.printer import print_class, print_program
-from repro.ir.validate import validate_method
 
 
 class TestTypes:
@@ -126,11 +123,6 @@ class TestMethodSig:
         assert "go(int,java.lang.String)" in str(sig)
         assert sig.subsignature == ("go", sig.param_types)
 
-    def test_make_sig_matches(self):
-        assert make_sig("c.D", "m", ["int"], "void") == MethodSig.of(
-            "c.D", "m", ("int",), "void"
-        )
-
 
 class TestBuilder:
     def test_identity_statements_bind_this_and_params(self, branchy_program):
@@ -212,9 +204,9 @@ class TestHierarchy:
         pb.class_("a.Mid", superclass="a.Base")
         pb.class_("a.Leaf", superclass="a.Mid")
         mid = pb.program.class_of("a.Mid")
-        mid.add_method(Method(make_sig("a.Mid", "go")))
+        mid.add_method(Method(MethodSig.of("a.Mid", "go")))
         leaf = pb.program.class_of("a.Leaf")
-        leaf.add_method(Method(make_sig("a.Leaf", "go")))
+        leaf.add_method(Method(MethodSig.of("a.Leaf", "go")))
         return pb.build()
 
     def test_superclasses(self):
@@ -229,7 +221,7 @@ class TestHierarchy:
 
     def test_dispatch_picks_most_derived(self):
         prog = self._prog()
-        sig = make_sig("a.Base", "go")
+        sig = MethodSig.of("a.Base", "go")
         assert prog.resolve_dispatch("a.Leaf", sig).class_name == "a.Leaf"
         assert prog.resolve_dispatch("a.Mid", sig).class_name == "a.Mid"
         assert prog.resolve_dispatch("a.Base", sig) is None
@@ -256,7 +248,7 @@ class TestValidation:
         assert any("NOWHERE" in str(e) for e in errors)
 
     def test_undeclared_local_detected(self):
-        method = Method(make_sig("t.C", "m"), is_static=True)
+        method = Method(MethodSig.of("t.C", "m"), is_static=True)
         ghost = Local("ghost", parse_type("int"))
         method.body.add(AssignStmt(ghost, IntConst(1)))
         method.body.declare_local(Local("ok", parse_type("int")))
@@ -266,7 +258,7 @@ class TestValidation:
         assert any("ghost" in str(e) for e in errors)
 
     def test_fallthrough_detected(self):
-        method = Method(make_sig("t.C", "m"), is_static=True)
+        method = Method(MethodSig.of("t.C", "m"), is_static=True)
         local = method.body.declare_local(Local("x", parse_type("int")))
         method.body.add(AssignStmt(local, IntConst(1)))
         method.body._sealed = True  # bypass seal's auto-return
@@ -314,6 +306,45 @@ def _ir_classes() -> set[type]:
         obj for mod in (types, values) for obj in vars(mod).values()
         if isinstance(obj, type) and obj.__module__ == mod.__name__
     }
+
+
+def _signature_domain_samples() -> list:
+    """One instance of every signature term, abstract value and
+    transaction record an analysis builds."""
+    from repro.deps import transactions as t
+    from repro.semantics import avals as a
+    from repro.signature import builder as b, lang as g
+
+    site = StmtRef("<a.B: void m()>", 0)
+    const, unknown = g.Const("x"), g.Unknown("int", "user_input")
+    request = a.RequestAV(uri=const)
+    acc = a.ResponseAccumulator(1)
+    record = b.TxnRecord(1, site, "<a.B: void m()>", request, acc)
+    return [
+        const, unknown, g.Concat((const, unknown)), g.Alt((const, unknown)),
+        g.Rep(const), g.JsonObject(((const, unknown),)), g.JsonArray((const,)),
+        g.XmlElement("a", (("k", const),), (const,), unknown),
+        a.NumAV(1), a.NULL_AV, a.AppObjAV.of("a.B"), a.ObjAV("a.B"),
+        request, acc, a.RespRef(frozenset({1}), ("k",)),
+        record, b.InterpResult([record], {"<a.B: void m()>"}),
+        t.RequestSig.from_aval(request), t.ResponseSig("json", unknown),
+        t.Dependency(1, "$.k", 2, "uri"),
+        t.Transaction(1, site, "<a.B: void m()>",
+                      t.RequestSig.from_aval(request), t.ResponseSig("json")),
+    ]
+
+
+def _signature_domain_classes() -> set[type]:
+    """Every class in the signature language, the abstract values and the
+    transaction records, plus the interpreter's two result records."""
+    from repro.deps import transactions
+    from repro.semantics import avals
+    from repro.signature import builder, lang
+
+    return {
+        obj for mod in (lang, avals, transactions) for obj in vars(mod).values()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__
+    } | {builder.TxnRecord, builder.InterpResult}
 
 
 def _ir_objects(program):
@@ -372,10 +403,35 @@ class TestRepresentation:
         assert {type(s) for s in samples} == classes - {Value, Constant, Expr, Type}
         assert not [s for s in samples if hasattr(s, "__dict__")]
 
+    def test_every_signature_domain_class_is_slotted(self):
+        """Terms, abstract values and transaction records carry no
+        instance ``__dict__`` either."""
+        from repro.signature.lang import Term
+
+        classes = _signature_domain_classes()
+        assert not [cls for cls in classes if "__slots__" not in vars(cls)]
+        samples = _signature_domain_samples()
+        assert {type(s) for s in samples} == classes - {Term}
+        assert not [s for s in samples if hasattr(s, "__dict__")]
+
     def test_hash_is_the_hash_of_the_compared_fields(self):
         from dataclasses import fields
 
         for sample in _samples():
+            compared = tuple(
+                getattr(sample, f.name) for f in fields(sample) if f.compare
+            )
+            assert hash(sample) == hash(compared), sample
+
+    def test_signature_domain_compares_and_hashes_by_field(self):
+        """Slots leave equality and hashing by field: every set of terms
+        or abstract values keeps its order."""
+        from dataclasses import fields, replace
+
+        for sample in _signature_domain_samples():
+            assert sample == replace(sample), sample
+            if type(sample).__hash__ is None:  # the mutable records
+                continue
             compared = tuple(
                 getattr(sample, f.name) for f in fields(sample) if f.compare
             )

@@ -248,7 +248,7 @@ class TestCli:
         records then count two analyses, and the ledger entry derived from
         them says the same."""
         from repro.cli import main
-        from repro.service import ResultStore
+        from repro.service.store import ResultStore
 
         put = ResultStore.put
         failed: list[bool] = []

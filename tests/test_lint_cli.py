@@ -12,7 +12,7 @@ from repro.apk.model import Apk, EntryPoint, TriggerKind
 from repro.apk.manifest import Manifest
 from repro.cli import main
 from repro.ir.builder import ProgramBuilder
-from repro.lint import validate_findings_jsonl
+from repro.lint.diagnostics import validate_findings_jsonl
 
 
 @pytest.fixture

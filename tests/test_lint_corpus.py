@@ -7,7 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus import app_keys, build_app
-from repro.lint import findings_to_jsonl, lint_apk
+from repro.lint.diagnostics import findings_to_jsonl
+from repro.lint.runner import lint_apk
 
 
 @pytest.mark.parametrize("key", app_keys())

@@ -16,8 +16,9 @@ from repro.apk.manifest import Manifest
 from repro.core.report import report_to_dict
 from repro.corpus import build_app
 from repro.ir.builder import ProgramBuilder
-from repro.lint import LintGateError, LintReport, Severity, gate, make_finding
-from repro.service import ResultStore
+from repro.lint.diagnostics import Severity, make_finding
+from repro.lint.runner import LintGateError, LintReport, gate
+from repro.service.store import ResultStore
 
 
 def _apk(*, warning_only: bool) -> Apk:

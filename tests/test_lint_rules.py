@@ -11,20 +11,20 @@ import pytest
 
 from repro.ir.builder import ProgramBuilder
 from repro.ir.classes import ClassDef
-from repro.ir.method import Method, make_sig
+from repro.ir.method import Method
 from repro.ir.program import Program
 from repro.ir.statements import AssignStmt, IdentityStmt, InvokeStmt, ReturnStmt
 from repro.ir.types import INT, VOID, class_t
 from repro.ir.values import IntConst, InvokeExpr, Local, MethodSig, NewExpr, ParamRef
-from repro.lint import (
+from repro.lint.diagnostics import (
     RULES,
     Severity,
     findings_to_jsonl,
-    lint_program,
     make_finding,
     sort_findings,
     validate_findings_jsonl,
 )
+from repro.lint.runner import lint_program
 from repro.lint.dataflow import dataflow_program
 from repro.lint.signature import signature_report
 from repro.lint.soundness import soundness_program
@@ -51,7 +51,7 @@ def fx_ir001():
     program = Program()
     cls = ClassDef("app.A")
     program.add_class(cls)
-    cls.add_method(Method(make_sig("app.A", "empty", (), "void"), is_static=True))
+    cls.add_method(Method(MethodSig.of("app.A", "empty", (), "void"), is_static=True))
     findings, _ = typecheck_program(program)
     return findings
 
@@ -109,7 +109,7 @@ def fx_ir007():
     program = Program()
     cls = ClassDef("app.A")
     program.add_class(cls)
-    method = Method(make_sig("app.A", "go", (), "void"), is_static=True)
+    method = Method(MethodSig.of("app.A", "go", (), "void"), is_static=True)
     cls.add_method(method)
     x = method.body.declare_local(Local("x", INT))
     method.body.add(AssignStmt(x, IntConst(1)))

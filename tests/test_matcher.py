@@ -9,7 +9,7 @@ from fixtures_http import build_mini_reddit
 from test_runtime import reddit_network
 
 from repro import Extractocol
-from repro.runtime import ManualUiFuzzer
+from repro.runtime.fuzzing import ManualUiFuzzer
 from repro.signature.lang import Const, JsonArray, JsonObject, Unknown, concat
 from repro.signature.matcher import (
     ByteAccount,

@@ -9,9 +9,11 @@ from __future__ import annotations
 import pytest
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import build_deobfuscation_map, obfuscate, rename_program
+from repro.apk.deobfuscate import build_deobfuscation_map
+from repro.apk.obfuscator import obfuscate
+from repro.apk.rewrite import rename_program
 from repro.corpus import app_keys, get_spec
-from repro.ir import validate_program
+from repro.ir.validate import validate_program
 
 
 def _analyze(apk, kind: str):
@@ -91,7 +93,7 @@ def test_obfuscated_library_needs_deobfuscation_map():
 
 def test_fuzzing_also_invariant_under_obfuscation():
     """Dynamic execution of the obfuscated app produces identical traffic."""
-    from repro.runtime import ManualUiFuzzer
+    from repro.runtime.fuzzing import ManualUiFuzzer
 
     spec = get_spec("radioreddit")
     plain = ManualUiFuzzer().fuzz(spec.build_apk(), spec.build_network())

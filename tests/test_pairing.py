@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cfg import build_callgraph
-from repro.deps import pair_slices, split_contexts
-from repro.ir import ProgramBuilder
-from repro.slicing import NetworkSlicer, scan_demarcation_points
-from repro.taint import TaintEngine
+from repro.cfg.callgraph import build_callgraph
+from repro.deps.pairing import pair_slices, split_contexts
+from repro.ir.builder import ProgramBuilder
+from repro.slicing.demarcation import scan_demarcation_points
+from repro.slicing.slicer import NetworkSlicer
+from repro.taint.engine import TaintEngine
 
 
 def figure5_program():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ir import ProgramBuilder, validate_program
+from repro.ir.builder import ProgramBuilder
+from repro.ir.validate import validate_program
 from repro.ir.parser import ParseError, parse_program
 from repro.ir.printer import print_program
 
@@ -66,7 +67,8 @@ class TestRoundTrip:
         m.length(arr)
         m.cast(m.param(0), "java.lang.String")
         flag = m.fresh("boolean", "is")
-        from repro.ir import InstanceOfExpr, parse_type
+        from repro.ir.types import parse_type
+        from repro.ir.values import InstanceOfExpr
 
         m.assign(flag, InstanceOfExpr(m.param(0), parse_type("java.lang.String")))
         m.ret_void()
@@ -80,7 +82,8 @@ class TestRoundTrip:
         m.ret_void()
         reparsed = roundtrip(pb.build())
         body = reparsed.class_of("a.D").find_methods("go")[0].body
-        from repro.ir import AssignStmt, StringConst
+        from repro.ir.statements import AssignStmt
+        from repro.ir.values import StringConst
 
         consts = [
             s.rhs.value

@@ -33,14 +33,15 @@ from repro.corpus import app_keys, build_app, get_spec
 from repro.corpus.lineage import build_version
 from repro.deps.transactions import Dependency, RequestSig, ResponseSig, Transaction
 from repro.evalx import runner
-from repro.ir import parse_type
-from repro.ir.method import Body, Method, make_sig
+from repro.ir.types import parse_type
+from repro.ir.method import Body, Method
 from repro.ir.statements import AssignStmt, StmtRef
 from repro.ir.values import (
     BinOpExpr,
     InstanceFieldRef,
     IntConst,
     Local,
+    MethodSig,
     StaticFieldRef,
     walk_values,
 )
@@ -297,7 +298,7 @@ def test_tables_of_missing_empty_and_unsealed_bodies():
         table = SliceTable(body)
         assert table.defined == table.used == table.reach == table.reach_to == []
         assert table.def_sites == table.use_sites == table.mentions == {}
-    method = Method(make_sig("app.A", "go", (), "void"), is_static=True)
+    method = Method(MethodSig.of("app.A", "go", (), "void"), is_static=True)
     x = method.body.declare_local(Local("x", parse_type("int")))
     method.body.add(AssignStmt(x, IntConst(1)))
     method.body.add(AssignStmt(x, BinOpExpr("+", x, IntConst(1))))

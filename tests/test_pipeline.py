@@ -6,7 +6,7 @@ import pytest
 from fixtures_http import CLS, build_mini_reddit
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import obfuscate
+from repro.apk.obfuscator import obfuscate
 
 
 class TestAnalyze:

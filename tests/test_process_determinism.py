@@ -19,7 +19,7 @@ import pytest
 from repro.core.extractocol import Extractocol
 from repro.core.report import report_to_dict
 from repro.corpus import app_keys
-from repro.service import ResultStore
+from repro.service.store import ResultStore
 from repro.service.jobs import resolve_target
 from repro.service.shard import available_start_methods, run_sharded_batch
 

@@ -16,13 +16,13 @@ import string
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import obfuscate
+from repro.apk.obfuscator import obfuscate
 from repro.apk.model import TriggerKind
 from repro.corpus.generator import GenApp, GenEndpoint, build_generated_app
-from repro.ir import validate_program
+from repro.ir.validate import validate_program
 from repro.ir.parser import parse_program
 from repro.ir.printer import print_program
-from repro.runtime import ManualUiFuzzer
+from repro.runtime.fuzzing import ManualUiFuzzer
 from repro.semantics.avals import NumAV, canon, merge_avals
 from repro.signature.lang import Alt, Concat, Const, Rep, Term, Unknown, alt, concat, rep
 from repro.signature.matcher import ByteAccount, account_query_string

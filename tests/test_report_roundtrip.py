@@ -12,7 +12,7 @@ import pytest
 from repro.core.report import AnalysisReport, report_to_dict
 from repro.corpus import app_keys
 from repro.deps.transactions import Dependency
-from repro.service import resolve_target
+from repro.service.jobs import resolve_target
 
 
 def _fresh_report(key: str):

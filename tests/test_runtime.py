@@ -7,16 +7,15 @@ import json
 import pytest
 from fixtures_http import CLS, build_mini_reddit
 
-from repro.runtime import (
-    AutoUiFuzzer,
+from repro.runtime.fuzzing import AutoUiFuzzer, ManualUiFuzzer
+from repro.runtime.httpstack import (
+    HttpRequest,
     HttpResponse,
-    ManualUiFuzzer,
     Network,
-    Runtime,
-    ScriptedServer,
     TrafficTrace,
 )
-from repro.runtime.httpstack import HttpRequest
+from repro.runtime.interpreter import Runtime
+from repro.runtime.server import ScriptedServer
 
 
 def reddit_network() -> Network:
@@ -119,7 +118,7 @@ class TestFuzzers:
         assert len(result.fired) == 2
 
     def test_gating(self):
-        from repro.apk import EntryPoint, TriggerKind
+        from repro.apk.model import EntryPoint, TriggerKind
 
         apk = build_mini_reddit()
         apk.entrypoints = [
@@ -140,7 +139,7 @@ class TestFuzzers:
         assert auto.fired == []
 
     def test_timer_entrypoints_never_fire(self):
-        from repro.apk import EntryPoint, TriggerKind
+        from repro.apk.model import EntryPoint, TriggerKind
 
         apk = build_mini_reddit()
         apk.entrypoints = [
@@ -151,7 +150,7 @@ class TestFuzzers:
         assert len(manual.trace) == 0
 
     def test_custom_ui_blocks_auto_only(self):
-        from repro.apk import EntryPoint, TriggerKind
+        from repro.apk.model import EntryPoint, TriggerKind
 
         apk = build_mini_reddit()
         apk.entrypoints = [

@@ -7,9 +7,13 @@ import json
 
 import pytest
 
-from repro.apk import Apk, EntryPoint, Manifest, Resources, TriggerKind
-from repro.ir import ProgramBuilder
-from repro.runtime import HttpResponse, Network, Runtime, ScriptedServer
+from repro.apk.manifest import Manifest
+from repro.apk.model import Apk, EntryPoint, TriggerKind
+from repro.apk.resources import Resources
+from repro.ir.builder import ProgramBuilder
+from repro.runtime.httpstack import HttpResponse, Network
+from repro.runtime.interpreter import Runtime
+from repro.runtime.server import ScriptedServer
 
 
 def run_app(build_method, *, routes=(), resources=None, params=None):
@@ -127,7 +131,9 @@ class TestGsonRuntime:
         gson = m.new("com.google.gson.Gson", [], into="gson")
         text = m.vcall(gson, "toJson", [obj], returns="java.lang.String")
         m.putstatic("rt.App", "json", text)
-        from repro.ir import AssignStmt, ClassConst, InvokeExpr, MethodSig, parse_type
+        from repro.ir.statements import AssignStmt
+        from repro.ir.types import parse_type
+        from repro.ir.values import ClassConst, InvokeExpr, MethodSig
 
         back = m.fresh("rt.Dto", "back")
         sig = MethodSig("com.google.gson.Gson", "fromJson",

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cfg import build_callgraph
-from repro.ir import ProgramBuilder
-from repro.signature import SignatureInterpreter
+from repro.cfg.callgraph import build_callgraph
+from repro.ir.builder import ProgramBuilder
+from repro.signature.builder import SignatureInterpreter
 from repro.signature.lang import Alt, Const, JsonArray, JsonObject, Rep, Unknown
 from repro.signature.regex import to_regex
 
@@ -224,10 +224,12 @@ class TestJsonModels:
         body = m.scall("org.apache.http.util.EntityUtils", "toString", [resp],
                        returns="java.lang.String")
         gson = m.new("com.google.gson.Gson", [], into="gson")
-        from repro.ir import ClassConst
+        from repro.ir.values import ClassConst
 
         bound = m.fresh("t.ProfileDto", "bound")
-        from repro.ir import AssignStmt, InvokeExpr, MethodSig, parse_type
+        from repro.ir.statements import AssignStmt
+        from repro.ir.types import parse_type
+        from repro.ir.values import InvokeExpr, MethodSig
 
         sig = MethodSig("com.google.gson.Gson", "fromJson",
                         (parse_type("java.lang.String"),
@@ -248,7 +250,7 @@ class TestJsonModels:
 
 class TestAndroidModels:
     def test_resources_resolve_to_constants(self):
-        from repro.apk import Resources
+        from repro.apk.resources import Resources
 
         res = Resources()
         rid = res.add_string("base_url", "https://cfg.test/api")

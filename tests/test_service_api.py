@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro import Extractocol
 from repro.core.report import report_to_dict
-from repro.service import resolve_target
+from repro.service.jobs import resolve_target
 from repro.service.api import AnalysisService
 from repro.service.store import canonical_json
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro import AnalysisConfig
 from repro.corpus import build_app
-from repro.service import JobScheduler, JobStatus, QueueFull, ResultStore
+from repro.service.jobs import JobScheduler, JobStatus, QueueFull
+from repro.service.store import ResultStore
 
 
 @pytest.fixture()

@@ -31,8 +31,8 @@ from repro import AnalysisConfig
 from repro.cli import main
 from repro.corpus import build_app
 from repro.fleetindex.index import FleetIndex, build_index, index_root
-from repro.service import JobScheduler, JobStatus, ResultStore
-from repro.service.jobs import JobTimeout
+from repro.service.jobs import JobScheduler, JobStatus, JobTimeout
+from repro.service.store import ResultStore, canonical_json
 from repro.service.shard import (
     LeaseWaitTimeout,
     ShardRecord,
@@ -42,7 +42,6 @@ from repro.service.shard import (
     retry_delay,
     run_sharded_batch,
 )
-from repro.service.store import canonical_json
 
 TARGETS = ["diode", "ted", "tzm"]
 
@@ -775,7 +774,8 @@ class TestLeaseWait:
     def leased_diode(self, tmp_path):
         """A store whose diode result key another live holder leases."""
         from repro.apk.loader import apk_digest
-        from repro.service import resolve_target, result_key
+        from repro.service.jobs import resolve_target
+        from repro.service.store import result_key
 
         apk, config, _label = resolve_target("diode")
         store = ResultStore(tmp_path / "s")
@@ -828,7 +828,7 @@ class TestLeaseWait:
         the envelope and nothing is analysed twice."""
         from repro.apk.loader import apk_digest
         from repro.core.extractocol import Extractocol
-        from repro.service import resolve_target
+        from repro.service.jobs import resolve_target
 
         apk, config, _label = resolve_target("diode")
         report = Extractocol(config).analyze(apk)

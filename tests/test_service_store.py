@@ -16,8 +16,12 @@ import repro
 from repro import AnalysisConfig, Extractocol
 from repro.apk.loader import apk_digest, load_apk, save_apk
 from repro.core.report import report_to_dict
-from repro.service import ResultStore, result_key
-from repro.service.store import SCHEMA_VERSION, canonical_json
+from repro.service.store import (
+    ResultStore,
+    SCHEMA_VERSION,
+    canonical_json,
+    result_key,
+)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.signature import (
+from repro.signature.lang import (
     Alt,
     Concat,
     Const,
@@ -16,13 +16,12 @@ from repro.signature import (
     Rep,
     Unknown,
     alt,
-    compile_regex,
     concat,
     constant_keywords,
     origins_of,
     rep,
-    to_regex,
 )
+from repro.signature.regex import compile_regex, to_regex
 
 
 class TestSmartConstructors:

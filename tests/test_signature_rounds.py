@@ -17,8 +17,10 @@ import pytest
 from test_golden_reports import SYNTH_POPULATION
 
 from repro import AnalysisConfig, Extractocol
-from repro.apk import Apk, EntryPoint, Manifest, Resources, TriggerKind
-from repro.ir import ProgramBuilder
+from repro.apk.manifest import Manifest
+from repro.apk.model import Apk, EntryPoint, TriggerKind
+from repro.apk.resources import Resources
+from repro.ir.builder import ProgramBuilder
 from repro.obs.tracer import NULL_SPAN, Span
 from repro.signature.builder import SignatureInterpreter
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cfg import build_callgraph
-from repro.ir import ProgramBuilder
-from repro.slicing import DemarcationRegistry, NetworkSlicer, scan_demarcation_points
+from repro.cfg.callgraph import build_callgraph
+from repro.ir.builder import ProgramBuilder
+from repro.slicing.demarcation import (
+    DemarcationRegistry,
+    scan_demarcation_points,
+)
+from repro.slicing.slicer import NetworkSlicer
 
 
 class TestListenerSeeds:
@@ -147,8 +151,11 @@ class TestSlicingReport:
 
         apk = build_app("linkedin")
         cg = build_callgraph(apk.program)
-        from repro.semantics import compute_event_roots, discover_callbacks
-        from repro.taint import TaintConfig
+        from repro.semantics.async_model import (
+            compute_event_roots,
+            discover_callbacks,
+        )
+        from repro.taint.engine import TaintConfig
 
         info = discover_callbacks(apk.program, cg)
         roots = compute_event_roots(
@@ -169,7 +176,7 @@ class TestSlicingReport:
 
     def test_custom_registry_restricts_scan(self):
         from repro.corpus import build_app
-        from repro.slicing import DPSpec
+        from repro.slicing.demarcation import DPSpec
 
         apk = build_app("radioreddit")
         cg = build_callgraph(apk.program)

@@ -177,7 +177,7 @@ class TestDeterminism:
         """The batch engine in-process (one worker) and sharded across two
         worker processes must store byte-identical report payloads for a
         synthesized population."""
-        from repro.service import ResultStore
+        from repro.service.store import ResultStore
         from repro.service.shard import expand_batch_targets, run_sharded_batch
 
         targets = expand_batch_targets(["synth:transports,mega*6@7"])

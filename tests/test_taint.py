@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from fixtures_http import CLS, build_mini_reddit
 
-from repro.cfg import build_callgraph
-from repro.ir import ProgramBuilder
-from repro.slicing import DemarcationRegistry, scan_demarcation_points
-from repro.taint import TaintConfig, TaintEngine, compute_defuse
+from repro.cfg.callgraph import build_callgraph
+from repro.ir.builder import ProgramBuilder
+from repro.slicing.demarcation import (
+    DemarcationRegistry,
+    scan_demarcation_points,
+)
+from repro.taint.defuse import compute_defuse
+from repro.taint.engine import TaintConfig, TaintEngine
 
 
 def _method(program, name, cls=CLS):
